@@ -16,13 +16,10 @@ __version__ = "0.1.0"
 
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .contour import (
-    BranchTrace,
     ContourSpec,
     TurningPair,
-    action_integral,
     action_integrals,
     build_contour,
-    trace_branch,
     turning_points,
 )
 from .diffpoly import (
@@ -80,11 +77,8 @@ __all__ = [
     "parse_potential",
     "TurningPair",
     "ContourSpec",
-    "BranchTrace",
     "turning_points",
     "build_contour",
-    "trace_branch",
-    "action_integral",
     "action_integrals",
     "QuantizationRequest",
     "QuantizationResult",

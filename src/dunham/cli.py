@@ -11,11 +11,11 @@ Subcommands:
 Exit codes: 0 success, 2 usage or parse error, 3 numeric failure,
 4 verification failure.
 
-Every JSON/CSV payload written to a file gets a run manifest next to it
+Every payload written to a file gets a run manifest next to it
 (<output>.manifest.json, or the --manifest-out path): command line, full
-configuration, tool version, and a timestamp.  Payload bytes contain no
-timestamps, so reruns with equal manifests (minus the timestamp) produce
-byte-identical data files.
+configuration, tool version, a timestamp, and wall times where a command
+measures them.  Payload bytes contain no timestamps or timings, so reruns
+with equal manifests (minus those) produce byte-identical data files.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("potential")
     p.add_argument("--levels", type=int, default=1, help="number of levels")
     p.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    p.add_argument("--mode", choices=[m.value for m in orc.OracleMode],
-                   default=orc.OracleMode.OSCILLATOR_BASIS.value)
     add_output_flags(p)
 
     p = sub.add_parser("compare", help="spectrum vs oracle error table")
@@ -119,7 +117,7 @@ def _config_from_args(args):
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
-def _emit(args, payload: str, manifest_config: dict) -> None:
+def _emit(args, payload: str, manifest_config: dict, timings: dict | None = None) -> None:
     """Write the payload, and a manifest alongside any file output."""
     if args.output:
         with open(args.output, "w") as fh:
@@ -139,13 +137,12 @@ def _emit(args, payload: str, manifest_config: dict) -> None:
             "tool_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
+        if timings is not None:
+            manifest["timings"] = timings
         with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
+            # enums (the oracle mode) are written by value
+            json.dump(manifest, fh, indent=2, default=lambda o: getattr(o, "value", str(o)))
             fh.write("\n")
-
-
-def _cfg_dict(cfg) -> dict:
-    return dataclasses.asdict(cfg)
 
 
 def cmd_terms(args) -> int:
@@ -170,20 +167,21 @@ def cmd_verify_odd(args) -> int:
         return EXIT_USAGE
     series = ws.gen_terms(2 * args.n_max + 1)
     lines = []
+    elapsed = {}
     all_ok = True
     for n in range(1, args.n_max + 1):
         t0 = time.perf_counter()
         cert = ws.certify_total_derivative(series, n)
-        dt = time.perf_counter() - t0
+        elapsed[n] = time.perf_counter() - t0
         all_ok &= cert.verified
         lines.append(
             f"n={n} verified={cert.verified} "
             f"F_monomials={len(cert.f_n.monomials)} "
-            f"Phi_monomials={len(cert.phi_n.monomials)} "
-            f"elapsed={dt:.3f}s"
+            f"Phi_monomials={len(cert.phi_n.monomials)}"
         )
     lines.append("all verified" if all_ok else "VERIFICATION FAILED")
-    _emit(args, "\n".join(lines) + "\n", {"n_max": args.n_max})
+    _emit(args, "\n".join(lines) + "\n", {"n_max": args.n_max},
+          timings={"certify_s": elapsed})
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
@@ -216,7 +214,7 @@ def cmd_spectrum(args) -> int:
             for r in results
         ]
         payload = f"{hdr[0]:>3} {hdr[1]:>20} {hdr[2]:>10} {hdr[3]:>5}\n" + "\n".join(rows) + "\n"
-    _emit(args, payload, {**_cfg_dict(cfg), "levels": args.levels, "order": args.order})
+    _emit(args, payload, {**dataclasses.asdict(cfg), "levels": args.levels, "order": args.order})
     return EXIT_OK
 
 
@@ -225,7 +223,7 @@ def cmd_oracle(args) -> int:
         print("error: --levels must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     V = parse_potential(args.potential)
-    cfg = orc.OracleConfig(mode=orc.OracleMode(args.mode))
+    cfg = orc.OracleConfig()
     spec = orc.eigensolve(V, args.levels, cfg)
     if args.format == "json":
         payload = json.dumps(orc.oracle_to_json(spec), indent=2) + "\n"
@@ -237,8 +235,7 @@ def cmd_oracle(args) -> int:
             for k, (e, c) in enumerate(zip(spec.eigenvalues, spec.convergence_estimate))
         ]
         payload = f"{'K':>3} {'E':>20} {'conv':>10}\n" + "\n".join(rows) + "\n"
-    _emit(args, payload, {**dataclasses.asdict(cfg), "mode": cfg.mode.value,
-                          "levels": args.levels})
+    _emit(args, payload, {**dataclasses.asdict(cfg), "levels": args.levels})
     return EXIT_OK
 
 
@@ -260,7 +257,8 @@ def cmd_compare(args) -> int:
         return EXIT_USAGE
     V = parse_potential(args.potential)
     cfg = _config_from_args(args)
-    reference = orc.eigensolve(V, args.levels)
+    oracle_cfg = orc.OracleConfig()
+    reference = orc.eigensolve(V, args.levels, oracle_cfg)
     rows = []
     for order in orders:
         for r in sv.spectrum(V, args.levels, order, cfg):
@@ -294,7 +292,8 @@ def cmd_compare(args) -> int:
                 f"{r['E_oracle']:>20.12f} {r['rel_error']:>12.3e}"
             )
         payload = "\n".join(lines) + "\n"
-    _emit(args, payload, {**_cfg_dict(cfg), "levels": args.levels, "orders": orders})
+    _emit(args, payload, {**dataclasses.asdict(cfg), "levels": args.levels, "orders": orders,
+                          "oracle": dataclasses.asdict(oracle_cfg)})
     return EXIT_OK
 
 

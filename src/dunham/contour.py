@@ -32,12 +32,9 @@ from .wkb_series import WkbSeries
 __all__ = [
     "TurningPair",
     "ContourSpec",
-    "BranchTrace",
     "turning_points",
     "build_contour",
     "ellipse_nodes",
-    "trace_branch",
-    "action_integral",
     "action_integrals",
 ]
 
@@ -67,28 +64,20 @@ class ContourSpec:
             raise ValueError("ellipse axes must be positive")
 
 
-@dataclass(frozen=True)
-class BranchTrace:
-    """sqrt(Q) values continued around the contour nodes."""
-
-    node_points: np.ndarray
-    sqrt_values: np.ndarray
-
-
 def turning_points(V: Potential, E: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> TurningPair:
     """All roots of V(x) - E by the companion-matrix eigenvalue method with
     one Newton polish step per root; requires exactly two simple real roots."""
-    coeffs = [float(c) for c in V.coefficients]
+    coeffs = V.float_deriv_table[0].copy()
     coeffs[0] -= E
     roots = np.roots(coeffs[::-1])
     # one Newton step per root against the exact-coefficient derivatives
-    p = V(roots) - E
-    p1 = V.derivs(roots, 1)[1]
+    v, p1 = V.derivs(roots, 1)
+    p = v - E
     safe = np.abs(p1) > 0
     roots = roots - np.where(safe, p, 0.0) / np.where(safe, p1, 1.0)
 
     scale = 1.0 + float(np.max(np.abs(roots)))
-    dcoeffs = np.abs([float(c) for c in V.deriv_coefficients(1)])
+    dcoeffs = np.abs(V.float_deriv_table[1, : V.degree])
     dscale = 1.0 + float(np.sum(dcoeffs * scale ** np.arange(len(dcoeffs))))
 
     real_mask = np.abs(roots.imag) < cfg.real_root_imag_tol * scale
@@ -188,19 +177,6 @@ def _continue_sqrt(q: np.ndarray, closure_tol: float) -> np.ndarray:
     return s
 
 
-def trace_branch(
-    V: Potential,
-    E: float,
-    c: ContourSpec,
-    cfg: NumericsConfig = DEFAULT_CONFIG,
-) -> BranchTrace:
-    """Single-valued sqrt(Q) on the contour nodes (principal value at node 0)."""
-    z, _ = ellipse_nodes(c)
-    q = V(z) - E
-    s = _continue_sqrt(q, cfg.closure_tol)
-    return BranchTrace(node_points=z, sqrt_values=s)
-
-
 def _integrate_orders(
     series: WkbSeries,
     orders: list[int],
@@ -273,24 +249,3 @@ def _take_real(value: complex, n: int, cfg: NumericsConfig) -> float:
         )
     return float(value.real)
 
-
-def action_integral(
-    series: WkbSeries,
-    n: int,
-    V: Potential,
-    E: float,
-    c: ContourSpec,
-    trace: BranchTrace | None = None,
-    cfg: NumericsConfig = DEFAULT_CONFIG,
-) -> float:
-    """B_n(E) = (1/2i) closed-contour integral of T_n(z) dz, as a checked real.
-
-    A trace argument, when given, pins the starting branch; the tracer always
-    starts from the principal root at node 0, so re-tracing at doubled node
-    counts continues the same branch.
-    """
-    if trace is not None:
-        z, _ = ellipse_nodes(c)
-        if trace.node_points.shape != z.shape or not np.allclose(trace.node_points, z):
-            raise ValueError("trace does not match the contour nodes")
-    return action_integrals(series, [n], V, E, c, cfg)[n]

@@ -72,23 +72,6 @@ class OracleSpectrum:
     convergence_estimate: tuple[float, ...]
 
 
-def _float_coeffs(V: Potential) -> np.ndarray:
-    return np.array([float(c) for c in V.coefficients])
-
-
-def _shifted_coeffs(coeffs: np.ndarray, x0: float) -> np.ndarray:
-    """Coefficients of V(x0 + u) as a polynomial in u: Taylor shift, so
-    shifted[k] = V^(k)(x0) / k!."""
-    shifted = np.zeros_like(coeffs)
-    work = coeffs.copy()
-    for k in range(coeffs.size):
-        shifted[k] = np.polyval(work[::-1], x0) / math.factorial(k)
-        work = work[1:] * np.arange(1, work.size)
-        if work.size == 0:
-            break
-    return shifted
-
-
 def _x_matrix(size: int, omega: float) -> np.ndarray:
     n = np.arange(size)
     off = np.sqrt(n[1:] / (2.0 * omega))
@@ -132,8 +115,9 @@ def _double_factorial(k: int) -> int:
     return out
 
 
-def _oscillator_levels(V: Potential, count: int, basis: int, omega: float, x0: float) -> np.ndarray:
-    shifted = _shifted_coeffs(_float_coeffs(V), x0)
+def _oscillator_levels(shifted: np.ndarray, count: int, basis: int, omega: float) -> np.ndarray:
+    """Lowest levels of V(x0 + u) = sum_k shifted[k] u^k in a basis of size
+    `basis` tuned to frequency omega."""
     d = shifted.size - 1
     padded = basis + d + 2
     H = _p2_matrix(padded, omega)
@@ -148,27 +132,19 @@ def _oscillator_levels(V: Potential, count: int, basis: int, omega: float, x0: f
     return np.sort(w)[:count]
 
 
-def _fd_levels(V: Potential, count: int, L: float, M: int) -> np.ndarray:
+def _fd_hamiltonian(V: Potential, L: float, M: int):
+    """(x, diag, off): the M interior grid points of [-L, L] and the
+    tridiagonal central-difference Hamiltonian with Dirichlet ends."""
     x = np.linspace(-L, L, M + 2)[1:-1]
     h = x[1] - x[0]
     diag = 2.0 / h**2 + np.real(V(x))
     off = -np.ones(M - 1) / h**2
+    return x, diag, off
+
+
+def _fd_levels(V: Potential, count: int, L: float, M: int) -> np.ndarray:
+    _, diag, off = _fd_hamiltonian(V, L, M)
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1), eigvals_only=True)
-
-
-def fd_eigensystem(V: Potential, count: int, L: float, grid_points: int):
-    """Diagnostic access to the finite-difference eigenpairs.
-
-    Returns (eigenvalues, eigenvectors, grid); eigenvectors are columns,
-    normalized in the grid inner product.  Used for structural checks such
-    as eigenfunction parity; eigensolve remains the production surface.
-    """
-    x = np.linspace(-L, L, grid_points + 2)[1:-1]
-    h = x[1] - x[0]
-    diag = 2.0 / h**2 + np.real(V(x))
-    off = -np.ones(grid_points - 1) / h**2
-    w, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
-    return w, vecs, x
 
 
 def _tail_action(V: Potential, e_max: float, side: float) -> float:
@@ -201,8 +177,8 @@ def eigensolve(V: Potential, count: int, cfg: OracleConfig = OracleConfig()) -> 
     """Lowest `count` eigenvalues with a two-resolution convergence check.
 
     Raises ResolutionError when any requested level's estimate exceeds
-    cfg.convergence_tolerance (raise grid_points / basis_size / the domain,
-    or switch to the oscillator mode, to fix).
+    cfg.convergence_tolerance: raise basis_size in the oscillator mode; the
+    finite-difference mode needs an explicit, looser tolerance.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -213,30 +189,34 @@ def eigensolve(V: Potential, count: int, cfg: OracleConfig = OracleConfig()) -> 
         )
 
     x0, _ = V.real_minimum()
-    shifted = _shifted_coeffs(_float_coeffs(V), x0)
+    # Taylor coefficients of V(x0 + u): shifted[k] = V^(k)(x0) / k!
+    shifted = np.array([v / math.factorial(k) for k, v in enumerate(V.derivs(x0, V.degree))])
     omega = _variational_omega(shifted)
 
     if cfg.mode is OracleMode.OSCILLATOR_BASIS:
-        coarse = _oscillator_levels(V, count, cfg.basis_size, omega, x0)
-        fine = _oscillator_levels(V, count, 2 * cfg.basis_size, omega, x0)
+        coarse = _oscillator_levels(shifted, count, cfg.basis_size, omega)
+        fine = _oscillator_levels(shifted, count, 2 * cfg.basis_size, omega)
         estimate = np.abs(coarse - fine)
         returned = fine
+        remedy = "raise basis_size"
     else:
         # estimate E_max cheaply (oscillator pre-solve) to place the box
-        e_max = float(_oscillator_levels(V, count, max(4 * count, 64), omega, x0)[-1])
+        e_max = float(_oscillator_levels(shifted, count, max(4 * count, 64), omega)[-1])
         L = cfg.domain_half_width or _auto_half_width(V, e_max)
         coarse = _fd_levels(V, count, L, cfg.grid_points)
         fine = _fd_levels(V, count, L, 2 * cfg.grid_points + 1)
         estimate = np.abs(coarse - fine)
         returned = (4.0 * fine - coarse) / 3.0
+        remedy = ("the two-grid difference stalls above the eps*2/h^2 rounding floor "
+                  "of finite differences, out of reach of a 1e-9-class gate on any "
+                  "tractable grid; use the oscillator mode or an explicit tolerance")
 
     bad = np.nonzero(estimate > cfg.convergence_tolerance)[0]
     if bad.size:
         k = int(bad[0])
         raise ResolutionError(
             f"level {k} converged only to {estimate[k]:.3g} "
-            f"(> {cfg.convergence_tolerance:g}); raise grid_points, basis_size, "
-            "or the domain half width"
+            f"(> {cfg.convergence_tolerance:g}); {remedy}"
         )
     return OracleSpectrum(
         eigenvalues=tuple(float(e) for e in returned),

@@ -58,10 +58,6 @@ class Potential:
         return len(self.coefficients) - 1
 
     @cached_property
-    def _float_coeffs(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coefficients])
-
-    @cached_property
     def _deriv_coeff_table(self) -> tuple[tuple[Fraction, ...], ...]:
         """Exact coefficient lists of V, V', V'', ... down to the constant."""
         rows = [self.coefficients]
@@ -69,6 +65,18 @@ class Potential:
             prev = rows[-1]
             rows.append(tuple(prev[k] * k for k in range(1, len(prev))))
         return tuple(rows)
+
+    @cached_property
+    def float_deriv_table(self) -> np.ndarray:
+        """Float coefficients of V, V', ..., V^(degree), one read-only row
+        each, converted once from the exact table; row k is zero-padded past
+        its degree - k."""
+        d = self.degree
+        table = np.zeros((d + 1, d + 1))
+        for k, row in enumerate(self._deriv_coeff_table):
+            table[k, : d + 1 - k] = [float(c) for c in row]
+        table.flags.writeable = False
+        return table
 
     def deriv_coefficients(self, order: int) -> tuple[Fraction, ...]:
         """Exact coefficients of the order-th derivative ((0,) past the degree)."""
@@ -79,7 +87,7 @@ class Potential:
 
     def __call__(self, z):
         """Evaluate V at a real/complex scalar or array by Horner's rule."""
-        return self._horner(self._float_coeffs, z)
+        return self._horner(self.float_deriv_table[0], z)
 
     @staticmethod
     def _horner(coeffs, z):
@@ -89,17 +97,17 @@ class Potential:
         return acc
 
     def derivs(self, z, max_order: int):
-        """[V(z), V'(z), ..., V^(max_order)(z)] at a scalar or array point."""
-        out = []
-        for k in range(max_order + 1):
-            ck = [float(c) for c in self.deriv_coefficients(k)]
-            out.append(self._horner(np.array(ck), z))
+        """[V(z), V'(z), ..., V^(max_order)(z)] at a scalar or array point;
+        orders past the degree are complex zeros of the shape of z."""
+        d = self.degree
+        table = self.float_deriv_table
+        out = [self._horner(table[k, : d + 1 - k], z) for k in range(min(max_order, d) + 1)]
+        out += [np.zeros(np.shape(z), dtype=complex) for _ in range(max_order - d)]
         return out
 
     def real_minimum(self) -> tuple[float, float]:
         """(x_min, V(x_min)) over the real line; exists since V is confining."""
-        dcoeffs = self._deriv_coeff_table[1]
-        roots = np.roots([float(c) for c in dcoeffs[::-1]])
+        roots = np.roots(self.float_deriv_table[1, : self.degree][::-1])
         best_x, best_v = 0.0, float(np.real(self(0.0)))
         for r in roots:
             if abs(r.imag) < 1e-9 * (1.0 + abs(r)):

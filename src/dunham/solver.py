@@ -83,11 +83,17 @@ def _series(max_order: int) -> ws.WkbSeries:
 
 
 @lru_cache(maxsize=64)
-def _odd_orders_certified(n_max: int) -> bool:
-    """Certify the total-derivative property for every odd order being
-    dropped; cached so a spectrum pays the symbolic cost once."""
-    series = _series(max(2 * n_max + 1, 3))
-    return all(ws.certify_total_derivative(series, n).verified for n in range(1, n_max + 1))
+def _require_odd_certified(order: int, include_odd_numeric: bool) -> None:
+    """Run before any phase evaluation: odd orders >= 3 leave the phase only
+    once their total-derivative certificates verify; cached so a spectrum
+    pays the symbolic cost once."""
+    if order < 1 or include_odd_numeric:
+        return
+    series = _series(max(2 * order + 1, 3))
+    if not all(ws.certify_total_derivative(series, n).verified for n in range(1, order + 1)):
+        raise DunhamError(  # pragma: no cover - theorem
+            "total-derivative certification failed; cannot drop odd orders"
+        )
 
 
 def _phase_orders(req: QuantizationRequest, cfg: NumericsConfig) -> list[int]:
@@ -120,9 +126,7 @@ def total_phase(
     req: QuantizationRequest, E: float, cfg: NumericsConfig = DEFAULT_CONFIG
 ) -> float:
     """Phi(E); the quantization condition is Phi(E) = K*pi."""
-    if req.order >= 1 and not cfg.include_odd_numeric:
-        if not _odd_orders_certified(req.order):  # pragma: no cover - theorem
-            raise DunhamError("total-derivative certification failed; cannot drop odd orders")
+    _require_odd_certified(req.order, cfg.include_odd_numeric)
     return _eval_phase(req, E, cfg)[0]
 
 
@@ -182,9 +186,7 @@ def truncation_diagnostics(
 def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> QuantizationResult:
     """Solve Phi(E) = K*pi by bracket expansion from a leading-order seed,
     bisection to width bisection_rtol*(1+|E|), and one secant polish."""
-    if req.order >= 1 and not cfg.include_odd_numeric:
-        if not _odd_orders_certified(req.order):  # pragma: no cover - theorem
-            raise DunhamError("total-derivative certification failed; cannot drop odd orders")
+    _require_odd_certified(req.order, cfg.include_odd_numeric)
     target = req.K * math.pi
 
     def phase_at(E: float) -> float:

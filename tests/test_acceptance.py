@@ -113,7 +113,7 @@ def test_criterion_5_maslov_constant(series15):
         V = parse_potential(name)
         for E in GRID_ENERGIES:
             c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
-            b1 = ct.action_integral(series15, 1, V, E, c)
+            b1 = ct.action_integrals(series15, [1], V, E, c)[1]
             assert abs(b1 + math.pi / 2.0) < 1e-10, (name, E, b1)
 
 
@@ -187,7 +187,7 @@ def test_criterion_10_oracle_provenance():
     series = ws.gen_terms(1)
     ho = parse_potential("x^2")
     c = ct.build_contour(ct.turning_points(ho, 3.0), margin=0.5)
-    assert ct.action_integral(series, 0, ho, 3.0, c) == pytest.approx(
+    assert ct.action_integrals(series, [0], ho, 3.0, c)[0] == pytest.approx(
         1.5 * math.pi, abs=1e-10
     )
     # quartic ground state from two diagonalization discretizations

@@ -113,6 +113,10 @@ class TestOracle:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "K,E,convergence_estimate"
 
+    def test_mode_flag_is_gone(self, capsys):
+        code, _, _ = run(capsys, "oracle", "x^2", "--mode", "finite_difference")
+        assert code == EXIT_USAGE
+
 
 class TestCompare:
     def test_harmonic_all_orders_tight(self, capsys):
@@ -133,18 +137,43 @@ class TestCompare:
 
 
 class TestManifest:
+    COMMANDS = {
+        "terms": ["terms", "--n-max", "3", "--format", "json"],
+        "verify-odd": ["verify-odd", "--n-max", "3"],
+        "spectrum": ["spectrum", "x^2", "--levels", "2", "--order", "1", "--format", "csv"],
+        "oracle": ["oracle", "x^4", "--levels", "2", "--format", "csv"],
+        "compare": ["compare", "x^2", "--levels", "2", "--order", "0,1", "--format", "csv"],
+    }
+
     def test_payload_bytes_deterministic_and_manifest_carries_timestamp(self, tmp_path, capsys):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        args = ["spectrum", "x^2", "--levels", "2", "--order", "1", "--format", "csv"]
-        assert main(args + ["--output", str(out1)]) == EXIT_OK
-        assert main(args + ["--output", str(out2)]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
-        m1 = json.loads((tmp_path / "a.csv.manifest.json").read_text())
-        assert m1["tool_version"]
-        assert "timestamp" in m1
-        assert m1["command"][0] == "dunham"
-        assert m1["config"]["margin"] == 0.5
+        for command, args in self.COMMANDS.items():
+            out1 = tmp_path / f"{command}-a.out"
+            out2 = tmp_path / f"{command}-b.out"
+            assert main(args + ["--output", str(out1)]) == EXIT_OK
+            assert main(args + ["--output", str(out2)]) == EXIT_OK
+            assert out1.read_bytes() == out2.read_bytes(), command
+            m1 = json.loads((tmp_path / f"{command}-a.out.manifest.json").read_text())
+            assert m1["tool_version"]
+            assert "timestamp" in m1
+            assert m1["command"][0] == "dunham"
+            if command == "spectrum":
+                assert m1["config"]["margin"] == 0.5
+
+    def test_verify_odd_timings_live_in_the_manifest(self, tmp_path, capsys):
+        out = tmp_path / "odd.txt"
+        assert main(["verify-odd", "--n-max", "2", "--output", str(out)]) == EXIT_OK
+        assert "elapsed" not in out.read_text()
+        doc = json.loads((tmp_path / "odd.txt.manifest.json").read_text())
+        assert set(doc["timings"]["certify_s"]) == {"1", "2"}
+
+    def test_compare_records_its_oracle_config(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        assert main(self.COMMANDS["compare"] + ["--output", str(out)]) == EXIT_OK
+        doc = json.loads((tmp_path / "cmp.csv.manifest.json").read_text())
+        assert doc["config"]["oracle"] == {
+            "basis_size": 256, "domain_half_width": None, "grid_points": 8000,
+            "mode": "oscillator_basis", "convergence_tolerance": 1e-9,
+        }
 
     def test_manifest_out_override(self, tmp_path, capsys):
         out = tmp_path / "terms.json"

@@ -108,16 +108,17 @@ class TestBranchTrace:
 
     def test_two_enclosed_zeros_close(self, ho):
         c = ct.build_contour(ct.turning_points(ho, 1.0), margin=0.5)
-        trace = ct.trace_branch(ho, 1.0, c)
-        s, z = trace.sqrt_values, trace.node_points
+        z, _ = ct.ellipse_nodes(c)
+        s = ct._continue_sqrt(ho(z) - 1.0, DEFAULT_CONFIG.closure_tol)
         assert np.allclose(s * s, z * z - 1.0, rtol=1e-12)
         # principal value at the rightmost node, where Q > 0
         assert s[0].real > 0 and abs(s[0].imag) < 1e-12
 
     def test_trace_shape_matches_contour(self, ho):
         c = ct.build_contour(ct.turning_points(ho, 1.0), margin=0.5)
-        trace = ct.trace_branch(ho, 1.0, c)
-        assert trace.node_points.shape == (c.nodes,)
+        z, _ = ct.ellipse_nodes(c)
+        s = ct._continue_sqrt(ho(z) - 1.0, DEFAULT_CONFIG.closure_tol)
+        assert z.shape == s.shape == (c.nodes,)
 
 
 class TestActionIntegrals:
@@ -125,12 +126,12 @@ class TestActionIntegrals:
         # (1/2i) contour integral of -sqrt(V-E) equals the real action
         # integral of sqrt(E-V), which is pi*E/2 for V = x^2
         c = ct.build_contour(ct.turning_points(ho, 5.0), margin=0.5)
-        b0 = ct.action_integral(series15, 0, ho, 5.0, c)
+        b0 = ct.action_integrals(series15, [0], ho, 5.0, c)[0]
         assert b0 == pytest.approx(5.0 * math.pi / 2.0, abs=1e-11)
 
     def test_harmonic_maslov(self, ho, series15):
         c = ct.build_contour(ct.turning_points(ho, 5.0), margin=0.5)
-        b1 = ct.action_integral(series15, 1, ho, 5.0, c)
+        b1 = ct.action_integrals(series15, [1], ho, 5.0, c)[1]
         assert b1 == pytest.approx(-math.pi / 2.0, abs=1e-12)
 
     def test_quartic_leading_action_against_quadrature(self, quartic, series15):
@@ -147,7 +148,7 @@ class TestActionIntegrals:
         # cross-check the quadrature against the closed Euler-beta form
         assert ref == pytest.approx(0.5 * beta(0.25, 1.5), abs=1e-11)
         c = ct.build_contour(ct.turning_points(quartic, E), margin=0.5)
-        b0 = ct.action_integral(series15, 0, quartic, E, c)
+        b0 = ct.action_integrals(series15, [0], quartic, E, c)[0]
         assert b0 == pytest.approx(ref, abs=1e-10)
 
     def test_quartic_odd_orders_vanish(self, quartic, series15):
@@ -156,16 +157,10 @@ class TestActionIntegrals:
         assert abs(acts[3]) < 1e-10
         assert abs(acts[5]) < 1e-10
 
-    def test_explicit_trace_accepted(self, ho, series15):
-        c = ct.build_contour(ct.turning_points(ho, 5.0), margin=0.5)
-        trace = ct.trace_branch(ho, 5.0, c)
-        b1 = ct.action_integral(series15, 1, ho, 5.0, c, trace=trace)
-        assert b1 == pytest.approx(-math.pi / 2.0, abs=1e-12)
-
     def test_order_out_of_range(self, ho, series15):
         c = ct.build_contour(ct.turning_points(ho, 5.0), margin=0.5)
         with pytest.raises(ValueError):
-            ct.action_integral(series15, 16, ho, 5.0, c)
+            ct.action_integrals(series15, [16], ho, 5.0, c)[16]
 
 
 class TestInvariants:
@@ -174,14 +169,14 @@ class TestInvariants:
             values = []
             for E in (0.5, 1.0, 2.0, 4.0, 8.0):
                 c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
-                values.append(ct.action_integral(series15, 0, V, E, c))
+                values.append(ct.action_integrals(series15, [0], V, E, c)[0])
             assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_maslov_constant_everywhere(self, series15, ho, quartic, mixed):
         for V in (ho, quartic, mixed):
             for E in (0.7, 2.3, 6.1):
                 c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
-                b1 = ct.action_integral(series15, 1, V, E, c)
+                b1 = ct.action_integrals(series15, [1], V, E, c)[1]
                 assert abs(b1 + math.pi / 2.0) < 1e-10
 
     def test_contour_independence(self, series15, quartic):
@@ -205,7 +200,7 @@ class TestInvariants:
 
         def b0(E):
             c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
-            return ct.action_integral(series15, 0, V, E, c)
+            return ct.action_integrals(series15, [0], V, E, c)[0]
 
         ref = b0(1.0)
         for E in (2.0, 5.0):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import dunham.oracle as orc
 from dunham.errors import ResolutionError
@@ -61,7 +62,7 @@ class TestFiniteDifferenceMode:
     def test_default_gate_is_unreachable_and_raises(self, ho):
         # a raw two-grid difference cannot reach 1e-9 in double precision;
         # the gate must say so rather than return optimistic numbers
-        with pytest.raises(ResolutionError):
+        with pytest.raises(ResolutionError, match="rounding floor.*oscillator mode"):
             orc.eigensolve(ho, 3, orc.OracleConfig(mode=orc.OracleMode.FINITE_DIFFERENCE))
 
     def test_mode_agreement(self, ho, quartic):
@@ -71,7 +72,8 @@ class TestFiniteDifferenceMode:
             assert np.allclose(fd.eigenvalues, osc.eigenvalues, atol=1e-8)
 
     def test_parity_alternates_for_even_potentials(self, quartic):
-        w, vecs, _ = orc.fd_eigensystem(quartic, 4, L=4.0, grid_points=2001)
+        _, diag, off = orc._fd_hamiltonian(quartic, L=4.0, M=2001)
+        _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
         for k in range(4):
             v = vecs[:, k]
             overlap = float(v @ v[::-1])

@@ -93,6 +93,23 @@ class TestEvaluation:
         assert vals[4] == pytest.approx(24.0)
         assert vals[5] == 0.0
 
+    def test_derivs_past_degree_are_zeros_shaped_like_z(self):
+        V = parse_potential("x^2 + x^4")
+        z = np.array([[0.5, 1.0 + 1.0j], [-2.0, 3.0j]])
+        vals = V.derivs(z, 6)
+        assert len(vals) == 7
+        for k in (5, 6):
+            assert vals[k].shape == z.shape and not np.any(vals[k])
+
+    def test_float_table_rows_are_the_exact_rows(self):
+        V = parse_potential("0.5*x^2 + 0.1*x^4 - 1/3*x^3 + 7")
+        table = V.float_deriv_table
+        assert table.shape == (V.degree + 1, V.degree + 1)
+        for k in range(V.degree + 1):
+            exact = [float(c) for c in V.deriv_coefficients(k)]
+            assert list(table[k]) == exact + [0.0] * k
+        assert not table.flags.writeable
+
     def test_real_minimum_shifted_well(self):
         V = parse_potential("x^2 - 2*x + 5")  # (x-1)^2 + 4
         xm, vm = V.real_minimum()
