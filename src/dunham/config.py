@@ -31,7 +31,7 @@ class NumericsConfig:
     degeneracy_tol: float = 1e-7       # |Q'(root)| below this * scale means a double root
 
     # Quantization solver
-    bisection_rtol: float = 1e-12      # bracket width target: this * (1 + |E|)
+    bisection_rtol: float = 1e-12      # root finder stops once the bracket is this * (1 + |E|) wide
     residual_tol: float = 1e-10        # |total_phase(E*) - K*pi| contract
     bracket_expansion_cap: int = 200   # doublings/halvings before NoSolutionError
     bracket_seed: float | None = None  # energy seed override (None: leading-order scaling)

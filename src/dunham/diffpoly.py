@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -80,6 +81,11 @@ class Monomial:
             raise ValueError("derivative orders and exponents must be >= 1")
         if list(self.derivs) != sorted(self.derivs):
             raise ValueError("derivative exponent pairs must be sorted by order")
+
+    @cached_property
+    def coeff_complex(self) -> complex:
+        """``complex(coeff)``, converted once for the numeric evaluators."""
+        return complex(self.coeff)
 
     @property
     def weight(self) -> int:
@@ -295,7 +301,7 @@ def eval_numeric_array(
     q0 = q_derivs[0]
     total = np.zeros_like(q0, dtype=complex)
     for m in a.monomials:
-        term = np.full_like(total, complex(m.coeff))
+        term = np.full_like(total, m.coeff_complex)
         if m.q_half % 2 == 0:
             if m.q_half != 0:
                 term = term * q0 ** (m.q_half // 2)

@@ -20,6 +20,11 @@ oscillator mode: a raw two-grid difference in double-precision finite
 differences bottoms out near eps * 2/h^2, orders of magnitude above 1e-9
 at any tractable grid.  Relax the gate explicitly when exercising the
 finite-difference route; its Richardson values are still accurate to ~1e-9.
+
+The convergence estimate is a two-resolution difference, not an error bound.
+Below about 1e-11 it understates how far rounding moves a level: a one-ulp
+change in the x^4 Taylor coefficient moved K = 1 of 0.5*x^2 + 0.1*x^4 by
+5.8e-12, against an estimate of 6.9e-14.
 """
 
 from __future__ import annotations

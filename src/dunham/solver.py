@@ -22,7 +22,9 @@ accuracy; nothing is resummed).
 
 from __future__ import annotations
 
+import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -45,6 +47,8 @@ __all__ = [
 ]
 
 CSV_HEADER_VERSION = "dunham-spectrum-v1"
+
+_log = logging.getLogger("dunham.solver")
 
 
 @dataclass(frozen=True)
@@ -130,11 +134,17 @@ def total_phase(
     return _eval_phase(req, E, cfg)[0]
 
 
-def _seed_energy(req: QuantizationRequest, target: float, cfg: NumericsConfig) -> tuple[float, float]:
+def _seed_energy(
+    req: QuantizationRequest,
+    target: float,
+    cfg: NumericsConfig,
+    phase_at: Callable[[float], float],
+) -> tuple[float, float]:
     """Reference offset and seed energy above the potential minimum.
 
     Uses the homogeneous growth of the leading action, B_0 ~ (E - Vmin)^p
-    with p = (d+2)/(2d) for degree d, anchored at one actual evaluation.
+    with p = (d+2)/(2d) for degree d, anchored at one evaluation of
+    `phase_at` (Phi, not Phi - K*pi).
     """
     _, vmin = req.V.real_minimum()
     if cfg.bracket_seed is not None:
@@ -144,7 +154,7 @@ def _seed_energy(req: QuantizationRequest, target: float, cfg: NumericsConfig) -
     delta = 1.0
     for _ in range(cfg.bracket_expansion_cap):
         try:
-            phase_ref, _ = _eval_phase(req, vmin + delta, cfg)
+            phase_ref = phase_at(vmin + delta)
         except DunhamError:
             delta *= 2.0
             continue
@@ -183,25 +193,87 @@ def truncation_diagnostics(
     return trunc, ()
 
 
+def _brent(
+    f: Callable[[float], float], a: float, fa: float, b: float, fb: float, rtol: float
+) -> float:
+    """Brent's zero finder on a bracket with fa and fb of opposite sign or zero.
+
+    Textbook form (Brent 1973, netlib zeroin): inverse quadratic or secant
+    steps when they stay well inside the bracket, bisection otherwise; f is
+    evaluated only strictly inside the current bracket.  Returns the end with
+    the smaller |f| once the bracket is at most rtol*(1+|x|) wide (or 4 ulps
+    when that is smaller), or an exact zero as soon as one is met.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = max(0.5 * rtol * (1.0 + abs(b)), 2.0 * math.ulp(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if fb * math.copysign(1.0, fc) > 0.0:  # root lies between a and b
+            c, fc = a, fa
+            d = e = b - a
+
+
 def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> QuantizationResult:
-    """Solve Phi(E) = K*pi by bracket expansion from a leading-order seed,
-    bisection to width bisection_rtol*(1+|E|), and one secant polish."""
+    """Solve Phi(E) = K*pi: bracket expansion from a leading-order seed, then
+    Brent's method on the bracket until it is at most bisection_rtol*(1+|E|)
+    wide.
+
+    Phi is evaluated at most once per energy; the residual and actions of the
+    result come from the evaluation at the returned root.  One DEBUG record
+    per solved level goes to the "dunham.solver" logger.
+    """
     _require_odd_certified(req.order, cfg.include_odd_numeric)
     target = req.K * math.pi
+    evaluated: dict[float, tuple[float, dict[int, float]]] = {}
+    evals = 0
+
+    def evaluate(E: float) -> tuple[float, dict[int, float]]:
+        nonlocal evals
+        if E not in evaluated:
+            evals += 1
+            evaluated[E] = _eval_phase(req, E, cfg)
+        return evaluated[E]
 
     def phase_at(E: float) -> float:
-        return _eval_phase(req, E, cfg)[0]
+        return evaluate(E)[0] - target
 
-    vmin, seed = _seed_energy(req, target, cfg)
-    f_seed = phase_at(seed) - target
+    vmin, seed = _seed_energy(req, target, cfg, lambda E: evaluate(E)[0])
+    f_seed = phase_at(seed)
     lo = hi = seed
     flo = fhi = f_seed
+    bracket_steps = 0
     if f_seed < 0.0:
         # phase too small at the seed: walk the upper end outward
-        for _ in range(cfg.bracket_expansion_cap):
+        for bracket_steps in range(1, cfg.bracket_expansion_cap + 1):
             lo, flo = hi, fhi
             hi = vmin + 2.0 * (hi - vmin)
-            fhi = phase_at(hi) - target
+            fhi = phase_at(hi)
             if fhi >= 0.0:
                 break
         else:
@@ -210,10 +282,10 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
                 f"{cfg.bracket_expansion_cap} expansions"
             )
     elif f_seed > 0.0:
-        for _ in range(cfg.bracket_expansion_cap):
+        for bracket_steps in range(1, cfg.bracket_expansion_cap + 1):
             hi, fhi = lo, flo
             lo = vmin + 0.5 * (lo - vmin)
-            flo = phase_at(lo) - target
+            flo = phase_at(lo)
             if flo <= 0.0:
                 break
         else:
@@ -222,18 +294,9 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
                 f"{cfg.bracket_expansion_cap} halvings"
             )
 
-    while hi - lo > cfg.bisection_rtol * (1.0 + abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        fmid = phase_at(mid) - target
-        if fmid < 0.0:
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-
-    e_star = hi if fhi == flo else hi - fhi * (hi - lo) / (fhi - flo)
-    phase, acts = _eval_phase(req, e_star, cfg)
+    bracket_evals = evals
+    e_star = _brent(phase_at, lo, flo, hi, fhi, cfg.bisection_rtol)
+    phase, acts = evaluate(e_star)
     residual = phase - target
     if abs(residual) > cfg.residual_tol:
         raise NoSolutionError(
@@ -244,6 +307,10 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
         raise NoSolutionError(f"leading action must be positive, got {actions[0]}")
 
     trunc, warnings = truncation_diagnostics(actions, cfg.truncation_floor)
+    _log.debug(
+        "K=%d order=%d E=%r phase_evals=%d bracket_steps=%d root_steps=%d",
+        req.K, req.order, e_star, evals, bracket_steps, evals - bracket_evals,
+    )
     return QuantizationResult(
         K=req.K,
         order=req.order,

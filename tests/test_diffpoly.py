@@ -148,6 +148,35 @@ class TestEvalNumeric:
             assert vec[i] == pytest.approx(ref, rel=1e-13)
 
 
+    def test_array_eval_bitwise_equals_per_call_conversion(self, series15):
+        import numpy as np
+
+        import dunham.contour as ct
+        from dunham.potential import parse_potential
+
+        V, E = parse_potential("x^4 - x^3 + x^2"), 3.0
+        c = ct.build_contour(ct.turning_points(V, E), 0.5)
+        z, _ = ct.ellipse_nodes(c, 96)
+        for t in series15.terms[:9]:
+            q_derivs = V.derivs(z, max(dp.max_deriv_order(t), 1))
+            q_derivs[0] = q_derivs[0] - E
+            sqrt_q = ct._continue_sqrt(q_derivs[0], 1e-8)
+            ref = np.zeros_like(z, dtype=complex)
+            for m in t.monomials:
+                term = np.full_like(ref, complex(m.coeff))
+                if m.q_half % 2 == 0:
+                    if m.q_half != 0:
+                        term = term * q_derivs[0] ** (m.q_half // 2)
+                else:
+                    term = term * sqrt_q**m.q_half
+                for k, e in m.derivs:
+                    term = term * q_derivs[k] ** e
+                ref = ref + term
+            for _ in range(2):  # first call converts, second reads the cache
+                out = dp.eval_numeric_array(t, q_derivs, sqrt_q)
+                assert out.tobytes() == ref.tobytes()
+
+
 class TestRendering:
     def test_plain_examples(self):
         assert dp.to_plain(dp.ZERO) == "0"

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import logging
 import math
+import re
 
 import pytest
 from scipy.special import beta
@@ -91,6 +93,114 @@ class TestQuantize:
         # increments shrink through order 2 here: no divergence warning
         assert res.optimal_truncation_index == 2
         assert not res.warnings
+
+
+class TestBrent:
+    RTOL = 1e-12
+
+    @staticmethod
+    def recorded(f):
+        xs = []
+
+        def g(x):
+            xs.append(x)
+            return f(x)
+
+        return g, xs
+
+    def solve(self, f, a, b):
+        g, xs = self.recorded(f)
+        return sv._brent(g, a, f(a), b, f(b), self.RTOL), xs
+
+    def assert_bracketed(self, f, x, points):
+        """Some evaluated point of the opposite sign lies within the contract
+        width rtol*(1+|x|) of the returned x (or x is an exact zero)."""
+        fx = f(x)
+        if fx == 0.0:
+            return
+        width = min(abs(p - x) for p in points if (f(p) > 0.0) != (fx > 0.0))
+        assert width <= self.RTOL * (1.0 + abs(x))
+
+    @staticmethod
+    def bisection_evals(f, a, b, rtol):
+        """Evaluations plain bisection needs for the same width contract."""
+        fa, n = f(a), 0
+        while b - a > rtol * (1.0 + abs(b)):
+            mid = 0.5 * (a + b)
+            n += 1
+            if (f(mid) > 0.0) == (fa > 0.0):
+                a = mid
+            else:
+                b = mid
+        return n
+
+    def test_width_contract_on_cubic(self):
+        f = lambda x: x**3 - 2.0
+        x, xs = self.solve(f, 0.0, 2.0)
+        self.assert_bracketed(f, x, xs + [0.0, 2.0])
+        assert abs(x - 2.0 ** (1.0 / 3.0)) <= self.RTOL * (1.0 + x)
+        assert len(xs) < self.bisection_evals(f, 0.0, 2.0, self.RTOL) // 3
+
+    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (-1.0, 1.0)])
+    def test_exact_zero_at_bracket_end(self, a, b):
+        x, xs = self.solve(lambda x: x - 1.0, a, b)
+        assert x == 1.0
+        assert xs == []
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x**3 - 2.0, 0.0, 2.0),
+        (lambda x: math.exp(x) - 5.0, 0.0, 10.0),
+        (lambda x: math.tanh(50.0 * (x - 0.123)), -3.0, 4.0),
+        (lambda x: (x - 0.7) ** 9, 0.0, 2.0),
+    ])
+    def test_evaluates_only_inside_bracket(self, f, a, b):
+        x, xs = self.solve(f, a, b)
+        assert xs and all(a < t < b for t in xs)
+        assert a <= x <= b
+        self.assert_bracketed(f, x, xs + [a, b])
+
+    def test_sign_step(self):
+        f = lambda x: -1.0 if x < 1.0 / 3.0 else 1.0
+        x, xs = self.solve(f, 0.0, 1.0)
+        self.assert_bracketed(f, x, xs + [0.0, 1.0])
+        assert abs(x - 1.0 / 3.0) <= self.RTOL * (1.0 + x)
+
+    def test_flat_root_stays_within_three_bisections(self):
+        f = lambda x: (x - 0.7) ** 9
+        x, xs = self.solve(f, 0.0, 2.0)
+        self.assert_bracketed(f, x, xs + [0.0, 2.0])
+        assert abs(x - 0.7) <= self.RTOL * (1.0 + x)
+        assert len(xs) <= 3 * self.bisection_evals(f, 0.0, 2.0, self.RTOL)
+
+
+class TestSolveCost:
+    def test_phase_evaluation_budget(self, quartic, monkeypatch):
+        # bisection to the width contract took 258 evaluations here
+        calls = []
+        original = sv._eval_phase
+
+        def counted(request, E, cfg):
+            calls.append((request.K, E))
+            return original(request, E, cfg)
+
+        monkeypatch.setattr(sv, "_eval_phase", counted)
+        sv.spectrum(quartic, 6, 2)
+        assert len(calls) <= 60
+        assert len(set(calls)) == len(calls)  # no energy evaluated twice per level
+
+    def test_debug_record_per_level(self, quartic, caplog):
+        with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
+            results = sv.spectrum(quartic, 3, 2)
+        records = [r for r in caplog.records if r.name == "dunham.solver"]
+        assert len(records) == len(results)
+        pattern = (r"K=(\d+) order=(\d+) E=(\S+) phase_evals=(\d+) "
+                   r"bracket_steps=(\d+) root_steps=(\d+)")
+        for rec, res in zip(records, results):
+            assert rec.levelno == logging.DEBUG
+            K, order, E, evals, bracket, root = re.fullmatch(pattern, rec.getMessage()).groups()
+            assert (int(K), int(order), float(E)) == (res.K, 2, res.E)
+            # seed reference + seed + one per bracket step + one per root step
+            assert int(evals) == 2 + int(bracket) + int(root) <= 8
 
 
 class TestTruncationDiagnostics:
