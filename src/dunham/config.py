@@ -20,7 +20,7 @@ class NumericsConfig:
 
     # Quadrature
     initial_nodes: int = 64       # starting trapezoidal node count (even)
-    max_nodes: int = 2**20        # doubling cap before QuadratureError
+    max_nodes: int = 2**20        # doubling cap (QuadratureError; sooner at the rounding floor)
     quad_rel_tol: float = 1e-10   # doubling stops when successive results agree to this
     quad_abs_tol: float = 1e-12   # absolute floor for near-zero integrals
     reality_tol: float = 1e-8     # |Im B| must stay below this * (1 + |Re B|)

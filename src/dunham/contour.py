@@ -38,6 +38,15 @@ __all__ = [
     "action_integrals",
 ]
 
+_EPS = float(np.finfo(float).eps)
+# Differences within this many floors count as noise: the floor covers the
+# sum's rounding, and evaluating T_n at a node loses a few more ulps to
+# cancellation between its monomials.
+_FLOOR_MULTIPLE = 16.0
+# A difference that shrank by more than this factor over the last doubling is
+# still truncation error on its way down, so the floor stop waits for it.
+_SHRINK_GUARD = 4.0
+
 
 @dataclass(frozen=True)
 class TurningPair:
@@ -185,18 +194,36 @@ def _integrate_orders(
     c: ContourSpec,
     nodes: int,
     cfg: NumericsConfig,
-) -> dict[int, complex]:
+    with_floors: bool,
+) -> tuple[dict[int, complex], dict[int, float]]:
+    """Trapezoid values of B_n on `nodes` nodes and, if with_floors, each
+    one's rounding floor eps*w*sum|f dz|/2: the sum's rounding error, on the
+    scale of B_n."""
     z, dz = ellipse_nodes(c, nodes)
     kmax = max(dp.max_deriv_order(series.terms[n]) for n in orders)
     q_derivs = V.derivs(z, kmax)
     q_derivs[0] = q_derivs[0] - E
     sqrt_q = _continue_sqrt(q_derivs[0], cfg.closure_tol)
     w = 2.0 * np.pi / nodes
-    out = {}
+    vals, floors = {}, {}
     for n in orders:
-        f = dp.eval_numeric_array(series.terms[n], q_derivs, sqrt_q)
-        out[n] = w * np.sum(f * dz) / 2j
-    return out
+        f_dz = dp.eval_numeric_array(series.terms[n], q_derivs, sqrt_q) * dz
+        vals[n] = w * np.sum(f_dz) / 2j
+        if with_floors:
+            floors[n] = _EPS * w * np.sum(np.abs(f_dz)) / 2.0
+    return vals, floors
+
+
+def _stalled_at_floor(
+    diff: float, prev_diff: float, floor: float, target: float, nodes: int, max_nodes: int
+) -> bool:
+    """True when an unconverged order's successive difference is rounding
+    noise that doubling cannot bring below its target within max_nodes."""
+    return (
+        diff <= _FLOOR_MULTIPLE * floor
+        and prev_diff <= _SHRINK_GUARD * diff
+        and nodes * (diff / target) ** 2 > max_nodes
+    )
 
 
 def action_integrals(
@@ -212,6 +239,14 @@ def action_integrals(
     The trapezoidal node count doubles until every requested order moves by
     less than quad_rel_tol relatively (quad_abs_tol absolutely near zero),
     then the real parts are returned after the reality check.
+
+    Doubling stops early, with a QuadratureError that names the order, node
+    count, difference, floor and target, once an unconverged order has hit
+    the rounding floor of its trapezoid sum: its successive difference is
+    within _FLOOR_MULTIPLE floors, shrank by less than _SHRINK_GUARD since
+    the previous doubling, and rounding noise, which falls like
+    nodes**-1/2, would need more than max_nodes nodes to reach the target.
+    Otherwise a QuadratureError is raised after max_nodes.
     """
     orders = sorted(set(orders))
     if not orders:
@@ -220,20 +255,37 @@ def action_integrals(
         raise ValueError(f"orders must lie in 0..{series.max_order}")
     nodes = c.nodes
     prev: dict[int, complex] | None = None
+    prev_diffs: dict[int, float] = {}
     while nodes <= cfg.max_nodes:
         try:
-            vals = _integrate_orders(series, orders, V, E, c, nodes, cfg)
+            # the floor stop needs a previous difference, so the first two
+            # passes skip the floors (an abs-sum per order, a few % of a pass)
+            vals, floors = _integrate_orders(
+                series, orders, V, E, c, nodes, cfg, with_floors=bool(prev_diffs)
+            )
         except NodeCountError:
             nodes *= 2
             continue
         if prev is not None:
-            converged = all(
-                abs(vals[n] - prev[n])
-                <= max(cfg.quad_rel_tol * abs(vals[n]), cfg.quad_abs_tol)
-                for n in orders
-            )
-            if converged:
+            diffs = {n: abs(vals[n] - prev[n]) for n in orders}
+            targets = {
+                n: max(cfg.quad_rel_tol * abs(vals[n]), cfg.quad_abs_tol) for n in orders
+            }
+            unconverged = [n for n in orders if not diffs[n] <= targets[n]]
+            if not unconverged:
                 return {n: _take_real(vals[n], n, cfg) for n in orders}
+            for n in unconverged:
+                if prev_diffs and _stalled_at_floor(
+                    diffs[n], prev_diffs[n], floors[n], targets[n], nodes, cfg.max_nodes
+                ):
+                    raise QuadratureError(
+                        f"contour quadrature of B_{n} stopped at its rounding floor "
+                        f"after {nodes} nodes: successive difference {diffs[n]:.3g}, "
+                        f"floor {floors[n]:.3g}, target {targets[n]:.3g}",
+                        order=n, nodes=nodes, difference=diffs[n], floor=floors[n],
+                        target=targets[n],
+                    )
+            prev_diffs = diffs
         prev = vals
         nodes *= 2
     raise QuadratureError(

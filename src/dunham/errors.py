@@ -59,7 +59,25 @@ class BranchTrackingError(DunhamError):
 
 class QuadratureError(DunhamError):
     """Contour quadrature failed to converge, or the result has a
-    non-negligible imaginary part (branch or contour inconsistency)."""
+    non-negligible imaginary part (branch or contour inconsistency).
+
+    Attributes, set when node doubling stopped at the rounding floor (None
+    otherwise):
+        order: the order n of the action B_n that did not converge.
+        nodes: the node count of the last pass.
+        difference: |change of B_n| between the last two passes.
+        floor: the rounding-floor estimate of the last pass.
+        target: the convergence target the difference had to reach.
+    """
+
+    def __init__(self, message, order=None, nodes=None, difference=None, floor=None,
+                 target=None):
+        super().__init__(message)
+        self.order = order
+        self.nodes = nodes
+        self.difference = difference
+        self.floor = floor
+        self.target = target
 
 
 class NoSolutionError(DunhamError):

@@ -144,7 +144,8 @@ def _seed_energy(
 
     Uses the homogeneous growth of the leading action, B_0 ~ (E - Vmin)^p
     with p = (d+2)/(2d) for degree d, anchored at one evaluation of
-    `phase_at` (Phi, not Phi - K*pi).
+    `phase_at` (Phi, not Phi - K*pi).  Probes at Vmin + 1, 2, 4, ... until
+    one succeeds; each failed probe is logged at DEBUG level.
     """
     _, vmin = req.V.real_minimum()
     if cfg.bracket_seed is not None:
@@ -155,7 +156,8 @@ def _seed_energy(
     for _ in range(cfg.bracket_expansion_cap):
         try:
             phase_ref = phase_at(vmin + delta)
-        except DunhamError:
+        except DunhamError as exc:
+            _log.debug("seed probe failed at E=%r: %s", vmin + delta, exc)
             delta *= 2.0
             continue
         b0_ref = phase_ref + 0.5 * math.pi
@@ -246,7 +248,8 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
 
     Phi is evaluated at most once per energy; the residual and actions of the
     result come from the evaluation at the returned root.  One DEBUG record
-    per solved level goes to the "dunham.solver" logger.
+    per solved level, and one per failed seed probe, goes to the
+    "dunham.solver" logger.
     """
     _require_odd_certified(req.order, cfg.include_odd_numeric)
     target = req.K * math.pi

@@ -15,6 +15,7 @@ from dunham.errors import (
     ContourConstructionError,
     DegenerateTurningPointError,
     NodeCountError,
+    QuadratureError,
     TurningPointError,
 )
 from dunham.potential import parse_potential
@@ -156,6 +157,29 @@ class TestActionIntegrals:
         acts = ct.action_integrals(series15, [3, 5], quartic, 1.0, c)
         assert abs(acts[3]) < 1e-10
         assert abs(acts[5]) < 1e-10
+
+    def test_imaginary_part_is_rejected(self):
+        with pytest.raises(QuadratureError, match="imaginary part") as info:
+            ct._take_real(1.0 + 1e-3j, 2, DEFAULT_CONFIG)
+        assert info.value.floor is None
+
+    def test_node_cap(self, quartic, series15):
+        cfg = dataclasses.replace(DEFAULT_CONFIG, max_nodes=128)
+        c = ct.build_contour(ct.turning_points(quartic, 1.0), margin=0.5, cfg=cfg)
+        with pytest.raises(QuadratureError, match="within 128 nodes") as info:
+            ct.action_integrals(series15, [0, 8], quartic, 1.0, c, cfg)
+        assert info.value.floor is None
+
+    @pytest.mark.parametrize("diff, prev_diff, stalled", [
+        (1e-9, 2e-9, True),     # within the floor, not shrinking, out of reach
+        (1e-9, 1e-7, False),    # shrank 100x: still truncation error
+        (1e-7, 2e-7, False),    # far above the floor
+        (1e-10, 2e-10, False),  # noise that doubling can still beat
+    ])
+    def test_floor_stop_rule(self, diff, prev_diff, stalled):
+        assert ct._stalled_at_floor(
+            diff, prev_diff, floor=1e-9, target=5e-11, nodes=8192, max_nodes=2**20
+        ) is stalled
 
     def test_order_out_of_range(self, ho, series15):
         c = ct.build_contour(ct.turning_points(ho, 5.0), margin=0.5)

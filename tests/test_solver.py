@@ -9,9 +9,11 @@ import re
 import pytest
 from scipy.special import beta
 
+import dunham.contour as ct
 import dunham.solver as sv
 from dunham.config import DEFAULT_CONFIG
-from dunham.errors import SpectrumError
+from dunham.errors import QuadratureError, SpectrumError
+from dunham.potential import parse_potential
 
 QUARTIC_B0_AT_1 = 0.5 * beta(0.25, 1.5)  # real-axis action of sqrt(1 - x^4)
 
@@ -203,6 +205,54 @@ class TestSolveCost:
             assert int(evals) == 2 + int(bracket) + int(root) <= 8
 
 
+class TestQuadratureFloor:
+    """Node doubling stops once rounding noise keeps an order from its
+    target; without the floor stop these solves doubled to 2**20 nodes."""
+
+    @pytest.fixture
+    def pass_nodes(self, monkeypatch):
+        nodes = []
+        original = ct._integrate_orders
+
+        def counted(series, orders, V, E, c, n, cfg, **kwargs):
+            nodes.append(n)
+            return original(series, orders, V, E, c, n, cfg, **kwargs)
+
+        monkeypatch.setattr(ct, "_integrate_orders", counted)
+        return nodes
+
+    def test_stop_at_floor_is_a_typed_error(self, pass_nodes):
+        with pytest.raises(QuadratureError, match="rounding floor") as info:
+            sv.quantize(req(parse_potential("x^4 + 0.5*x^3"), 0, 3))
+        err = info.value
+        assert err.order == 6
+        assert err.floor is not None
+        assert err.target < err.difference <= 16.0 * err.floor
+        assert err.nodes <= 2**15
+        assert max(pass_nodes) <= 2**15
+
+    def test_seed_probe_at_floor_stops_early(self, quartic, pass_nodes):
+        # both seed probes, at E = 1 and E = 2, end at the floor
+        res = sv.quantize(req(quartic, 1, 4))
+        assert res.E == 3.808261003356736
+        assert max(pass_nodes) <= 2**15
+
+    def test_noise_within_reach_still_converges(self):
+        # at the seed, E = 0.028, the B_6 sum sits at its floor (1.5e-9, above
+        # the 8.8e-11 target) but its differences reach the target at 32768 nodes
+        res = sv.quantize(req(parse_potential("x^4 + x^3 + 1/2*x^2 - x"), 0, 3))
+        assert res.E == 0.5662698559410677
+
+    def test_failed_seed_probes_are_logged(self, quartic, caplog):
+        with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
+            sv.quantize(req(quartic, 1, 4))
+        probes = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("seed probe failed")]
+        assert [re.match(r"seed probe failed at E=(\S+):", m).group(1) for m in probes] == [
+            "1.0", "2.0"]
+        assert all("rounding floor" in m for m in probes)
+
+
 class TestTruncationDiagnostics:
     def test_leading_only(self):
         assert sv.truncation_diagnostics((3.2,)) == (0, ())
@@ -244,15 +294,12 @@ class TestSpectrum:
             sv.spectrum(ho, 0, 1)
 
     def test_shifted_well_matches_offset_harmonic(self):
-        from dunham.potential import parse_potential
-
         V = parse_potential("x^2 - 2*x + 5")  # (x-1)^2 + 4
         results = sv.spectrum(V, 3, 2)
         assert [round(r.E, 8) for r in results] == [5.0, 7.0, 9.0]
 
     def test_asymmetric_quartic_tracks_oracle(self):
         import dunham.oracle as orc
-        from dunham.potential import parse_potential
 
         V = parse_potential("x^4 - x^3 + x^2")
         results = sv.spectrum(V, 3, 2)
