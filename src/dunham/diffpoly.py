@@ -132,19 +132,73 @@ class DiffExpr:
         return to_plain(self)
 
 
+class _Sum:
+    """Running exact sum of monomial products, finalized once.
+
+    Terms accumulate as ``(q_half, derivs) -> Fraction`` without building a
+    :class:`Monomial` per product; :meth:`result` drops zero coefficients,
+    sorts by the canonical key and builds each surviving monomial once.
+    """
+
+    __slots__ = ("_acc",)
+
+    def __init__(self):
+        self._acc: dict[tuple, Fraction] = {}
+
+    def _put(self, key: tuple, c: Fraction) -> None:
+        acc = self._acc
+        old = acc.get(key)
+        acc[key] = c if old is None else old + c
+
+    def add_product(self, a: DiffExpr, b: DiffExpr, factor=1) -> None:
+        """Add factor * a * b."""
+        acc = self._acc
+        for ma in a.monomials:
+            ca = ma.coeff if factor == 1 else ma.coeff * factor
+            ha, da = ma.q_half, ma.derivs
+            for mb in b.monomials:
+                key = (ha + mb.q_half, _merge_derivs(da, mb.derivs))
+                c = ca * mb.coeff
+                # _put inlined: this loop runs once per pair of monomials
+                old = acc.get(key)
+                acc[key] = c if old is None else old + c
+
+    def add_derivative(self, a: DiffExpr) -> None:
+        """Add d/dx a, by the product rule (see :func:`differentiate`)."""
+        for m in a.monomials:
+            c, h, derivs = m.coeff, m.q_half, m.derivs
+            if h != 0:
+                self._put((h - 2, _merge_derivs(derivs, ((1, 1),))), c * Fraction(h, 2))
+            for k, e in derivs:
+                d = dict(derivs)
+                d[k] = e - 1
+                d[k + 1] = d.get(k + 1, 0) + 1
+                self._put((h, tuple(sorted((j, x) for j, x in d.items() if x))), c * e)
+
+    def result(self) -> DiffExpr:
+        out = [Monomial(c, h, d) for (h, d), c in self._acc.items() if c != 0]
+        out.sort(key=Monomial.key)
+        return DiffExpr(tuple(out))
+
+
+def _merge_derivs(da: tuple, db: tuple) -> tuple:
+    """Derivative pairs of a product: exponents of equal orders add."""
+    if not db:
+        return da
+    if not da:
+        return db
+    d = dict(da)
+    for k, e in db:
+        d[k] = d.get(k, 0) + e
+    return tuple(sorted(d.items()))
+
+
 def _collect(monomials: Iterable[Monomial]) -> DiffExpr:
     """Merge like monomials, drop zeros, sort by the canonical key."""
-    merged: dict[tuple, Fraction] = {}
+    s = _Sum()
     for m in monomials:
-        k = (m.q_half, m.derivs)
-        merged[k] = merged.get(k, Fraction(0)) + m.coeff
-    out = [
-        Monomial(c, q_half, derivs)
-        for (q_half, derivs), c in merged.items()
-        if c != 0
-    ]
-    out.sort(key=Monomial.key)
-    return DiffExpr(tuple(out))
+        s._put((m.q_half, m.derivs), m.coeff)
+    return s.result()
 
 
 ZERO = DiffExpr(())
@@ -188,32 +242,17 @@ def scale(a: DiffExpr, factor) -> DiffExpr:
 
 
 def mul(a: DiffExpr, b: DiffExpr) -> DiffExpr:
-    out = []
-    for ma in a.monomials:
-        da = dict(ma.derivs)
-        for mb in b.monomials:
-            d = dict(da)
-            for k, e in mb.derivs:
-                d[k] = d.get(k, 0) + e
-            out.append(_mono(ma.coeff * mb.coeff, ma.q_half + mb.q_half, d))
-    return _collect(out)
+    s = _Sum()
+    s.add_product(a, b)
+    return s.result()
 
 
 def differentiate(a: DiffExpr) -> DiffExpr:
     """d/dx by the product rule; d/dx Q^(h/2) = (h/2) Q^((h-2)/2) Q' and
     d/dx (Q^(k))^e = e (Q^(k))^(e-1) Q^(k+1)."""
-    out = []
-    for m in a.monomials:
-        if m.q_half != 0:
-            d = dict(m.derivs)
-            d[1] = d.get(1, 0) + 1
-            out.append(_mono(m.coeff * Fraction(m.q_half, 2), m.q_half - 2, d))
-        for k, e in m.derivs:
-            d = dict(m.derivs)
-            d[k] = e - 1
-            d[k + 1] = d.get(k + 1, 0) + 1
-            out.append(_mono(m.coeff * e, m.q_half, d))
-    return _collect(out)
+    s = _Sum()
+    s.add_derivative(a)
+    return s.result()
 
 
 def equals(a: DiffExpr, b: DiffExpr) -> bool:

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, manifests, round-trips."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -45,6 +46,12 @@ class TestTerms:
         doc = json.loads(out)
         assert doc["max_order"] == 0 and len(doc["terms"]) == 1
 
+    def test_n20_json_bytes_pinned(self, capsys):
+        code, out, _ = run(capsys, "terms", "--n-max", "20", "--format", "json")
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "c2252e701760545be6f45efbefe956ede0631330b6363c1ca1c2f92d0261f173"
+
     def test_negative_n_max(self, capsys):
         code, _, err = run(capsys, "terms", "--n-max", "-1")
         assert code == EXIT_USAGE and "n-max" in err
@@ -56,6 +63,17 @@ class TestVerifyOdd:
         assert code == EXIT_OK
         assert out.count("verified=True") == 4
         assert "all verified" in out
+
+    def test_n8_payload_exact(self, capsys):
+        code, out, _ = run(capsys, "verify-odd", "--n-max", "8")
+        assert code == EXIT_OK
+        counts = [(3, 2), (7, 5), (15, 11), (30, 22), (56, 42), (101, 77), (176, 135),
+                  (297, 231)]
+        want = [
+            f"n={n} verified=True F_monomials={f} Phi_monomials={phi}"
+            for n, (f, phi) in enumerate(counts, start=1)
+        ]
+        assert out == "\n".join(want + ["all verified"]) + "\n"
 
     def test_zero_is_usage_error(self, capsys):
         code, _, err = run(capsys, "verify-odd", "--n-max", "0")

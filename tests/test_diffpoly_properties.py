@@ -76,6 +76,29 @@ def test_leibniz(a, b):
     assert dp.equals(lhs, rhs)
 
 
+def _naive_product(a, b):
+    """Each pair multiplied on its own, collected in a plain dict."""
+    coeffs = {}
+    for ma in a.monomials:
+        for mb in b.monomials:
+            d = dict(ma.derivs)
+            for k, e in mb.derivs:
+                d[k] = d.get(k, 0) + e
+            key = (ma.q_half + mb.q_half, tuple(sorted(d.items())))
+            coeffs[key] = coeffs.get(key, F(0)) + ma.coeff * mb.coeff
+    return {key: c for key, c in coeffs.items() if c != 0}
+
+
+@given(exprs(), exprs())
+@settings(deadline=None)
+def test_mul_matches_naive_product(a, b):
+    prod = dp.mul(a, b)
+    assert {(m.q_half, m.derivs): m.coeff for m in prod.monomials} == _naive_product(a, b)
+    keys = [m.key() for m in prod.monomials]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    assert all(m.coeff != 0 for m in prod.monomials)
+
+
 complex_vals = st.complex_numbers(
     min_magnitude=0.5, max_magnitude=2.0, allow_nan=False, allow_infinity=False
 )

@@ -193,6 +193,18 @@ class TestPhi:
         )
         assert dp.equals(ws.build_phi(series15, 4), want)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_phi_is_the_composition_sum(self, series15, n):
+        # the paper's explicit form: sum_l (1/l) sum_{c_1+...+c_l=n} G_{c_1}...G_{c_l}
+        g = {j: ws.g_term(series15, j) for j in range(1, n + 1)}
+        want = dp.ZERO
+        for comp in ws.compositions(n):
+            prod = dp.ONE
+            for c in comp:
+                prod = dp.mul(prod, g[c])
+            want = dp.add(want, dp.scale(prod, F(1, len(comp))))
+        assert dp.equals(ws.build_phi(series15, n), want)
+
     def test_phi_bounds(self, series15):
         with pytest.raises(ValueError):
             ws.build_phi(series15, 0)
