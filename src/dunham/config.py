@@ -19,7 +19,8 @@ class NumericsConfig:
     min_minor_ratio: float = 1e-3  # give up shrinking semi_minor below this * semi_major
 
     # Quadrature
-    initial_nodes: int = 64       # starting trapezoidal node count (even)
+    initial_nodes: int = 64       # cold-start trapezoidal node count (even), and the fewest nodes
+                                  # a convergence test uses; quantize warm-starts later energies
     max_nodes: int = 2**20        # doubling cap (QuadratureError; sooner at the rounding floor)
     quad_rel_tol: float = 1e-10   # doubling stops when successive results agree to this
     quad_abs_tol: float = 1e-12   # absolute floor for near-zero integrals

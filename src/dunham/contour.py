@@ -8,11 +8,19 @@ starting from the principal value at the rightmost node; enclosing exactly
 two simple zeros makes sqrt(Q) single-valued there, which the closure check
 enforces.  Integrands never touch the real axis between the turning points,
 where the higher-order terms diverge.
+
+The node count doubles until the sums converge.  Doubling is nested: the
+2N-node set is the N-node set plus the N midpoints, so each doubling
+evaluates only the midpoints and adds their sums to the running ones, and
+one pass holds every coarser sum its convergence and rounding-floor tests
+need.  The count to start at travels in ContourSpec.nodes, and the count
+reached comes back with the result, so a caller can start the next energy
+where the last one converged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +43,7 @@ __all__ = [
     "turning_points",
     "build_contour",
     "ellipse_nodes",
+    "Actions",
     "action_integrals",
 ]
 
@@ -59,12 +68,18 @@ class TurningPair:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Ellipse z(t) = center + semi_major*cos(t) + i*semi_minor*sin(t)."""
+    """Ellipse z(t) = center + semi_major*cos(t) + i*semi_minor*sin(t).
+
+    `nodes` is the node count quadrature starts at.  An m-node set sits at
+    t_j = 2*pi*(j + offset)/m, j = 0..m-1, so offset 1/2 gives the midpoints
+    of the offset-0 set.
+    """
 
     center: complex
     semi_major: float
     semi_minor: float
     nodes: int
+    offset: float = 0.0
 
     def __post_init__(self):
         if self.nodes < 64 or self.nodes % 2:
@@ -149,7 +164,7 @@ def build_contour(
 def ellipse_nodes(c: ContourSpec, nodes: int | None = None):
     """Node points and d z/d t on the counterclockwise parametrized ellipse."""
     m = c.nodes if nodes is None else nodes
-    t = 2.0 * np.pi * np.arange(m) / m
+    t = 2.0 * np.pi * (np.arange(m) + c.offset) / m
     z = c.center + c.semi_major * np.cos(t) + 1j * c.semi_minor * np.sin(t)
     dz = -c.semi_major * np.sin(t) + 1j * c.semi_minor * np.cos(t)
     return z, dz
@@ -186,32 +201,29 @@ def _continue_sqrt(q: np.ndarray, closure_tol: float) -> np.ndarray:
     return s
 
 
-def _integrate_orders(
-    series: WkbSeries,
-    orders: list[int],
-    V: Potential,
-    E: float,
-    c: ContourSpec,
-    nodes: int,
-    cfg: NumericsConfig,
-    with_floors: bool,
-) -> tuple[dict[int, complex], dict[int, float]]:
-    """Trapezoid values of B_n on `nodes` nodes and, if with_floors, each
-    one's rounding floor eps*w*sum|f dz|/2: the sum's rounding error, on the
-    scale of B_n."""
-    z, dz = ellipse_nodes(c, nodes)
-    kmax = max(dp.max_deriv_order(series.terms[n]) for n in orders)
+def _node_batch(V: Potential, E: float, c: ContourSpec, m: int, kmax: int):
+    """Q, Q', ..., Q^(kmax) and dz/dt at the m nodes ellipse_nodes(c, m)."""
+    z, dz = ellipse_nodes(c, m)
     q_derivs = V.derivs(z, kmax)
     q_derivs[0] = q_derivs[0] - E
-    sqrt_q = _continue_sqrt(q_derivs[0], cfg.closure_tol)
-    w = 2.0 * np.pi / nodes
-    vals, floors = {}, {}
-    for n in orders:
-        f_dz = dp.eval_numeric_array(series.terms[n], q_derivs, sqrt_q) * dz
-        vals[n] = w * np.sum(f_dz) / 2j
-        if with_floors:
-            floors[n] = _EPS * w * np.sum(np.abs(f_dz)) / 2.0
-    return vals, floors
+    return q_derivs, dz
+
+
+def _midpoint_sqrt(s: np.ndarray, q_mid: np.ndarray) -> np.ndarray | None:
+    """sqrt(Q) at the midpoints between consecutive nodes of the closed,
+    continued sequence s (the last midpoint lies between s[-1] and s[0]).
+
+    Each midpoint takes the sign nearest its left neighbour and must also
+    step by less than pi/2 to its right neighbour; then interleaving gives
+    what _continue_sqrt returns on the doubled node set.  Returns None when
+    either test fails, so that a full pass decides.
+    """
+    p = np.sqrt(q_mid.astype(complex))
+    left = np.real(p * np.conj(s))
+    mid = np.sign(left) * p
+    if np.any(left == 0) or np.any(np.real(mid * np.conj(np.roll(s, -1))) <= 0):
+        return None
+    return mid
 
 
 def _stalled_at_floor(
@@ -226,6 +238,17 @@ def _stalled_at_floor(
     )
 
 
+class Actions(dict):
+    """B_n by order n, as action_integrals returns them, plus the node count
+    the quadrature converged at (`nodes`) and the number of nodes it
+    evaluated on the way (`evaluated`)."""
+
+    def __init__(self, values: dict[int, float], nodes: int, evaluated: int):
+        super().__init__(values)
+        self.nodes = nodes
+        self.evaluated = evaluated
+
+
 def action_integrals(
     series: WkbSeries,
     orders,
@@ -233,60 +256,116 @@ def action_integrals(
     E: float,
     c: ContourSpec,
     cfg: NumericsConfig = DEFAULT_CONFIG,
-) -> dict[int, float]:
+) -> Actions:
     """B_n(E) for each requested order n, sharing one node-doubling loop.
 
-    The trapezoidal node count doubles until every requested order moves by
-    less than quad_rel_tol relatively (quad_abs_tol absolutely near zero),
-    then the real parts are returned after the reality check.
+    Quadrature starts at c.nodes nodes and doubles until every requested
+    order moves by less than quad_rel_tol relatively (quad_abs_tol
+    absolutely near zero), then the real parts are returned after the
+    reality check.
+
+    The trapezoid rule on the periodic ellipse is nested: the 2N-node set is
+    the N-node set plus the N midpoints.  So a doubling evaluates only the
+    midpoints, continues sqrt(Q) onto them from their neighbours, and adds
+    their sums to the running ones.  A pass at N nodes holds the sums S_N,
+    S_N/2 (its even nodes) and S_N/4, so one pass decides convergence,
+    |S_N - S_N/2|, and has the previous difference the floor stop needs;
+    sub-sums of fewer than cfg.initial_nodes nodes are never used.  The
+    first pass, and any doubling whose midpoints fail the branch tests,
+    evaluates every node and continues sqrt(Q) in full, with the closure
+    check.  A pass that finds a phase step of pi/2 or more is retried in full
+    at twice the count.
 
     Doubling stops early, with a QuadratureError that names the order, node
     count, difference, floor and target, once an unconverged order has hit
-    the rounding floor of its trapezoid sum: its successive difference is
-    within _FLOOR_MULTIPLE floors, shrank by less than _SHRINK_GUARD since
-    the previous doubling, and rounding noise, which falls like
-    nodes**-1/2, would need more than max_nodes nodes to reach the target.
-    Otherwise a QuadratureError is raised after max_nodes.
+    the rounding floor eps*w*sum|f dz|/2 of its trapezoid sum: its
+    difference is within _FLOOR_MULTIPLE floors, shrank by less than
+    _SHRINK_GUARD since the previous one, and rounding noise, which falls
+    like nodes**-1/2, would need more than max_nodes nodes to reach the
+    target.  Otherwise a QuadratureError is raised after max_nodes.
     """
     orders = sorted(set(orders))
     if not orders:
-        return {}
+        return Actions({}, c.nodes, 0)
     if orders[0] < 0 or orders[-1] > series.max_order:
         raise ValueError(f"orders must lie in 0..{series.max_order}")
-    nodes = c.nodes
-    prev: dict[int, complex] | None = None
-    prev_diffs: dict[int, float] = {}
+    kmax = max(dp.max_deriv_order(series.terms[n]) for n in orders)
+
+    def integrands(q_derivs, sqrt_q, dz):
+        return {n: dp.eval_numeric_array(series.terms[n], q_derivs, sqrt_q) * dz for n in orders}
+
+    def trapezoid(total: complex, m: int) -> complex:
+        return 2.0 * np.pi / m * total / 2j
+
+    nodes, evaluated = c.nodes, 0
+    sqrt_q = None  # continued sqrt(Q) on the current node set; None forces a full pass
+    totals: dict[int, dict[int, complex]] = {}  # node count -> order -> sum of f dz
+    abs_sums: dict[int, float] = {}  # order -> sum of |f dz| on the current node set
+    offset = c.offset  # node offset of the current set, in units of its step
     while nodes <= cfg.max_nodes:
-        try:
-            # the floor stop needs a previous difference, so the first two
-            # passes skip the floors (an abs-sum per order, a few % of a pass)
-            vals, floors = _integrate_orders(
-                series, orders, V, E, c, nodes, cfg, with_floors=bool(prev_diffs)
+        half, quarter = nodes // 2, nodes // 4
+        if sqrt_q is not None:  # doubling: evaluate the midpoints only
+            q_derivs, dz = _node_batch(
+                V, E, replace(c, offset=offset + 0.5), half, kmax
             )
-        except NodeCountError:
-            nodes *= 2
-            continue
-        if prev is not None:
-            diffs = {n: abs(vals[n] - prev[n]) for n in orders}
+            evaluated += half
+            mid = _midpoint_sqrt(sqrt_q, q_derivs[0])
+            if mid is None:
+                sqrt_q = None
+            else:
+                f_dz = integrands(q_derivs, mid, dz)
+                totals[nodes] = {n: totals[half][n] + np.sum(f_dz[n]) for n in orders}
+                for n in orders:
+                    abs_sums[n] += np.sum(np.abs(f_dz[n]))
+                interleaved = np.empty(nodes, dtype=complex)
+                interleaved[0::2], interleaved[1::2] = sqrt_q, mid
+                sqrt_q = interleaved
+                offset *= 2.0
+        if sqrt_q is None:  # first pass, or the midpoints failed their branch tests
+            q_derivs, dz = _node_batch(V, E, c, nodes, kmax)
+            evaluated += nodes
+            try:
+                sqrt_q = _continue_sqrt(q_derivs[0], cfg.closure_tol)
+            except NodeCountError:
+                nodes *= 2
+                continue
+            f_dz = integrands(q_derivs, sqrt_q, dz)
+            # the sums on every node, every 2nd and every 4th: S_N, S_N/2, S_N/4
+            totals = {
+                nodes // k: {n: np.sum(f_dz[n][::k]) for n in orders}
+                for k in (1, 2, 4)
+                if k == 1 or (nodes % k == 0 and nodes // k >= cfg.initial_nodes)
+            }
+            abs_sums = {n: np.sum(np.abs(f_dz[n])) for n in orders}
+            offset = c.offset
+        if half in totals:
+            vals = {n: trapezoid(totals[nodes][n], nodes) for n in orders}
+            diffs = {n: abs(vals[n] - trapezoid(totals[half][n], half)) for n in orders}
             targets = {
                 n: max(cfg.quad_rel_tol * abs(vals[n]), cfg.quad_abs_tol) for n in orders
             }
             unconverged = [n for n in orders if not diffs[n] <= targets[n]]
             if not unconverged:
-                return {n: _take_real(vals[n], n, cfg) for n in orders}
+                return Actions(
+                    {n: _take_real(vals[n], n, cfg) for n in orders}, nodes, evaluated
+                )
             for n in unconverged:
-                if prev_diffs and _stalled_at_floor(
-                    diffs[n], prev_diffs[n], floors[n], targets[n], nodes, cfg.max_nodes
+                if quarter not in totals:
+                    break
+                prev_diff = abs(
+                    trapezoid(totals[half][n], half) - trapezoid(totals[quarter][n], quarter)
+                )
+                floor = _EPS * (2.0 * np.pi / nodes) * abs_sums[n] / 2.0
+                if _stalled_at_floor(
+                    diffs[n], prev_diff, floor, targets[n], nodes, cfg.max_nodes
                 ):
                     raise QuadratureError(
                         f"contour quadrature of B_{n} stopped at its rounding floor "
                         f"after {nodes} nodes: successive difference {diffs[n]:.3g}, "
-                        f"floor {floors[n]:.3g}, target {targets[n]:.3g}",
-                        order=n, nodes=nodes, difference=diffs[n], floor=floors[n],
+                        f"floor {floor:.3g}, target {targets[n]:.3g}",
+                        order=n, nodes=nodes, difference=diffs[n], floor=floor,
                         target=targets[n],
                     )
-            prev_diffs = diffs
-        prev = vals
         nodes *= 2
     raise QuadratureError(
         f"contour quadrature did not converge within {cfg.max_nodes} nodes"

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import ResolutionError
 from .potential import Potential
@@ -123,6 +122,8 @@ def _double_factorial(k: int) -> int:
 def _oscillator_levels(shifted: np.ndarray, count: int, basis: int, omega: float) -> np.ndarray:
     """Lowest levels of V(x0 + u) = sum_k shifted[k] u^k in a basis of size
     `basis` tuned to frequency omega."""
+    from scipy.linalg import eigh  # imported here: scipy is most of `import dunham`
+
     d = shifted.size - 1
     padded = basis + d + 2
     H = _p2_matrix(padded, omega)
@@ -148,6 +149,8 @@ def _fd_hamiltonian(V: Potential, L: float, M: int):
 
 
 def _fd_levels(V: Potential, count: int, L: float, M: int) -> np.ndarray:
+    from scipy.linalg import eigh_tridiagonal  # imported here: see _oscillator_levels
+
     _, diag, off = _fd_hamiltonian(V, L, M)
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1), eigvals_only=True)
 

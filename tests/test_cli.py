@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dunham
 import dunham.diffpoly as dp
 import dunham.wkb_series as ws
 from dunham.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
@@ -113,6 +117,24 @@ class TestSpectrum:
         doc = json.loads(out)
         assert "(K + 1/2)*pi" in doc["convention"]
         assert doc["results"][0]["E"] == pytest.approx(1.0, abs=1e-8)
+
+
+    def test_solving_never_imports_scipy(self, tmp_path):
+        # scipy is most of the import time and only the oracle needs it
+        script = (
+            "import sys\n"
+            "from dunham.cli import main\n"
+            "for argv in (['terms', '--n-max', '4'], ['spectrum', 'x^4', '--levels', '2']):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = str(Path(dunham.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestOracle:

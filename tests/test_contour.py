@@ -10,6 +10,7 @@ from scipy.special import beta
 
 import dunham.contour as ct
 from dunham.config import DEFAULT_CONFIG
+from dunham.diffpoly import eval_numeric_array
 from dunham.errors import (
     BranchTrackingError,
     ContourConstructionError,
@@ -185,6 +186,161 @@ class TestActionIntegrals:
         c = ct.build_contour(ct.turning_points(ho, 5.0), margin=0.5)
         with pytest.raises(ValueError):
             ct.action_integrals(series15, [16], ho, 5.0, c)[16]
+
+
+def _contour(V, E, nodes=None):
+    c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
+    return c if nodes is None else dataclasses.replace(c, nodes=nodes)
+
+
+class TestNestedDoubling:
+    """Doubling evaluates only the midpoints and reuses every sum it holds."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """(node count, offset) of every ellipse_nodes batch."""
+        calls = []
+        original = ct.ellipse_nodes
+
+        def counted(c, m=None):
+            calls.append((c.nodes if m is None else m, c.offset))
+            return original(c, m)
+
+        monkeypatch.setattr(ct, "ellipse_nodes", counted)
+        return calls
+
+    @pytest.mark.parametrize("potential, E", [
+        ("x^2", 1.0), ("x^4", 1.0), ("x^4 - x^3 + x^2", 0.3), ("x^6 - x^4 + x^3 + 5/4*x^2 - x", 2.0),
+    ])
+    def test_midpoint_sqrt_equals_full_continuation(self, potential, E):
+        V = parse_potential(potential)
+        c = _contour(V, E)
+        n = c.nodes
+        z_full, _ = ct.ellipse_nodes(c, 2 * n)
+        z_even, _ = ct.ellipse_nodes(c, n)
+        z_mid, _ = ct.ellipse_nodes(dataclasses.replace(c, offset=0.5), n)
+        assert np.array_equal(z_full[0::2], z_even) and np.array_equal(z_full[1::2], z_mid)
+        full = ct._continue_sqrt(V(z_full) - E, DEFAULT_CONFIG.closure_tol)
+        coarse = ct._continue_sqrt(V(z_even) - E, DEFAULT_CONFIG.closure_tol)
+        mid = ct._midpoint_sqrt(coarse, V(z_mid) - E)
+        assert np.array_equal(full[0::2], coarse)
+        assert np.array_equal(full[1::2], mid)
+
+    @pytest.mark.parametrize("q_mid", [
+        [1j, 1j],    # 1/8 of a turn from node 0 but 3/8 of a turn from node 1
+        [-1.0, 1j],  # exactly pi/2 from node 0: no nearest sign
+    ])
+    def test_midpoint_sqrt_refuses_ambiguous_steps(self, q_mid):
+        s = np.array([1.0, -1.0], dtype=complex)
+        assert ct._midpoint_sqrt(s, np.array(q_mid, dtype=complex)) is None
+
+    @pytest.mark.parametrize("potential, E", [("x^4", 1.0), ("x^4 + 0.5*x^3", 2.0)])
+    def test_nested_sums_agree_with_direct_sum(self, series15, potential, E):
+        V = parse_potential(potential)
+        c = _contour(V, E)
+        orders = [0, 2, 4, 6]
+        acts = ct.action_integrals(series15, orders, V, E, c)
+        assert acts.nodes > c.nodes
+        # the direct trapezoid sum over all acts.nodes nodes at once
+        z, dz = ct.ellipse_nodes(c, acts.nodes)
+        q = V.derivs(z, 2 * max(orders))
+        q[0] = q[0] - E
+        sqrt_q = ct._continue_sqrt(q[0], DEFAULT_CONFIG.closure_tol)
+        w = 2.0 * np.pi / acts.nodes
+        for n in orders:
+            f_dz = eval_numeric_array(series15.terms[n], q, sqrt_q) * dz
+            direct = (w * np.sum(f_dz) / 2j).real
+            floor = ct._EPS * w * np.sum(np.abs(f_dz)) / 2.0
+            assert abs(acts[n] - direct) <= 4.0 * floor
+
+    def test_cold_start_evaluates_each_node_once(self, quartic, series15, batches):
+        c = _contour(quartic, 1.0)
+        acts = ct.action_integrals(series15, [0, 2, 4], quartic, 1.0, c)
+        assert batches[0] == (c.nodes, 0.0)
+        # then one batch of midpoints per doubling
+        assert batches[1:] == [(m, 0.5) for m in (c.nodes * 2**k for k in range(len(batches) - 1))]
+        assert acts.evaluated == acts.nodes == sum(m for m, _ in batches)
+
+    def test_no_sum_on_fewer_than_initial_nodes(self, ho, series15):
+        # B_0 of x^2 converges by 128 nodes, but with initial_nodes = 256 the
+        # coarsest sum a test may compare is the 256-node one
+        cfg = dataclasses.replace(DEFAULT_CONFIG, initial_nodes=256)
+        c = ct.build_contour(ct.turning_points(ho, 5.0), 0.5, cfg)
+        assert ct.action_integrals(series15, [0], ho, 5.0, _contour(ho, 5.0)).nodes == 128
+        acts = ct.action_integrals(series15, [0], ho, 5.0, c, cfg)
+        assert acts.nodes == acts.evaluated == 512
+
+    def test_offset_node_sets_nest_too(self, quartic, series15):
+        orders = [0, 2, 4, 6]
+        ref = ct.action_integrals(series15, orders, quartic, 1.0, _contour(quartic, 1.0))
+        c = dataclasses.replace(_contour(quartic, 1.0), offset=0.25)
+        acts = ct.action_integrals(series15, orders, quartic, 1.0, c)
+        assert acts.nodes >= 4 * c.nodes  # at least two doublings
+        for n in orders:
+            assert acts[n] == pytest.approx(ref[n], rel=4 * DEFAULT_CONFIG.quad_rel_tol)
+
+    def test_converged_start_returns_after_one_pass(self, quartic, series15, batches):
+        cold = ct.action_integrals(series15, [0, 2, 4], quartic, 1.0, _contour(quartic, 1.0))
+        start = 4 * cold.nodes
+        batches.clear()
+        warm = ct.action_integrals(
+            series15, [0, 2, 4], quartic, 1.0, _contour(quartic, 1.0, start))
+        assert batches == [(start, 0.0)]
+        assert warm.nodes == warm.evaluated == start
+        for n in (0, 2, 4):
+            assert warm[n] == pytest.approx(cold[n], rel=2 * DEFAULT_CONFIG.quad_rel_tol)
+
+    def test_failed_midpoints_fall_back_to_a_full_pass(
+        self, quartic, series15, batches, monkeypatch
+    ):
+        orders = [0, 2, 4]
+        ref = ct.action_integrals(series15, orders, quartic, 1.0, _contour(quartic, 1.0))
+        batches.clear()
+        monkeypatch.setattr(ct, "_midpoint_sqrt", lambda s, q_mid: None)
+        acts = ct.action_integrals(series15, orders, quartic, 1.0, _contour(quartic, 1.0))
+        # each doubling evaluates its midpoints, then the doubled set in full
+        full = [m for m, offset in batches if offset == 0.0]
+        assert batches[1::2] == [(m // 2, 0.5) for m in full[1:]]
+        assert acts.nodes == ref.nodes == full[-1]
+        assert acts.evaluated == sum(m for m, _ in batches)
+        for n in orders:
+            assert acts[n] == pytest.approx(ref[n], rel=2 * DEFAULT_CONFIG.quad_rel_tol)
+
+    def test_node_cap_from_a_warm_start(self, quartic, series15):
+        cfg = dataclasses.replace(DEFAULT_CONFIG, max_nodes=128)
+        with pytest.raises(QuadratureError, match="within 128 nodes") as info:
+            ct.action_integrals(
+                series15, [0, 8], quartic, 1.0, _contour(quartic, 1.0, 128), cfg)
+        assert info.value.floor is None
+
+    @pytest.mark.parametrize("start, passes", [(64, 8), (16384, 1)])
+    def test_floor_stop_from_any_start(self, quartic, series15, batches, start, passes):
+        # B_8 of x^4 at E = 1 stalls at its floor near 8192 nodes; a start
+        # past that decides on its first pass, from its own sub-sums
+        with pytest.raises(QuadratureError, match="rounding floor") as info:
+            ct.action_integrals(
+                series15, [0, 2, 4, 6, 8], quartic, 1.0, _contour(quartic, 1.0, start))
+        err = info.value
+        assert err.order == 8
+        assert err.target < err.difference <= 16.0 * err.floor
+        assert err.nodes == max(8192, start)
+        assert len(batches) == passes
+
+    @pytest.mark.parametrize("start", [64, 4096])
+    def test_quartic_corrections_scale_with_energy(self, quartic, series15, start):
+        # V = x^4: x -> E^(1/4) x maps B_2k(E) to B_2k(1) * E^((3 - 6k)/4);
+        # below, n = 2k is the order
+        orders = [0, 2, 4]
+
+        def actions(E):
+            return ct.action_integrals(series15, orders, quartic, E, _contour(quartic, E, start))
+
+        ref = actions(1.0)
+        for E in (0.5, 2.0, 7.3, 40.0):
+            got = actions(E)
+            for n in orders:
+                expected = ref[n] * E ** ((3 - 3 * n) / 4)
+                assert got[n] == pytest.approx(expected, rel=4 * DEFAULT_CONFIG.quad_rel_tol)
 
 
 class TestInvariants:

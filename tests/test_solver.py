@@ -181,14 +181,35 @@ class TestSolveCost:
         calls = []
         original = sv._eval_phase
 
-        def counted(request, E, cfg):
+        def counted(request, E, cfg, nodes):
             calls.append((request.K, E))
-            return original(request, E, cfg)
+            return original(request, E, cfg, nodes)
 
         monkeypatch.setattr(sv, "_eval_phase", counted)
         sv.spectrum(quartic, 6, 2)
         assert len(calls) <= 60
         assert len(set(calls)) == len(calls)  # no energy evaluated twice per level
+
+    def test_warm_start_carries_counts_up_to_its_bound(self, monkeypatch):
+        starts, reached = [], []
+        original = sv._eval_phase
+
+        def recorded(request, E, cfg, nodes):
+            starts.append(nodes)
+            phase, acts = original(request, E, cfg, nodes)
+            reached.append(acts.nodes)
+            return phase, acts
+
+        monkeypatch.setattr(sv, "_eval_phase", recorded)
+        sv.quantize(req(parse_potential("x^4 - x^3 + 1/2*x^2 + x"), 0, 3))
+        # the seed, E = 0.028, converges only at 2**17 nodes, on its rounding floor
+        assert max(reached) > sv._WARM_START_MAX_NODES
+        expected = DEFAULT_CONFIG.initial_nodes
+        for start, end in zip(starts, reached, strict=True):
+            assert start == expected
+            if end <= sv._WARM_START_MAX_NODES:
+                expected = end
+        assert max(starts) > DEFAULT_CONFIG.initial_nodes
 
     def test_debug_record_per_level(self, quartic, caplog):
         with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
@@ -196,13 +217,18 @@ class TestSolveCost:
         records = [r for r in caplog.records if r.name == "dunham.solver"]
         assert len(records) == len(results)
         pattern = (r"K=(\d+) order=(\d+) E=(\S+) phase_evals=(\d+) "
-                   r"bracket_steps=(\d+) root_steps=(\d+)")
+                   r"bracket_steps=(\d+) root_steps=(\d+) nodes=(\d+) nodes_evaluated=(\d+)")
         for rec, res in zip(records, results):
             assert rec.levelno == logging.DEBUG
-            K, order, E, evals, bracket, root = re.fullmatch(pattern, rec.getMessage()).groups()
+            K, order, E, evals, bracket, root, nodes, evaluated = re.fullmatch(
+                pattern, rec.getMessage()).groups()
             assert (int(K), int(order), float(E)) == (res.K, 2, res.E)
             # seed reference + seed + one per bracket step + one per root step
             assert int(evals) == 2 + int(bracket) + int(root) <= 8
+            # a power-of-two multiple of the cold start, reached by the root's
+            # own evaluation, which evaluated at least that many nodes
+            assert int(nodes) % DEFAULT_CONFIG.initial_nodes == 0
+            assert int(evaluated) >= int(nodes) >= DEFAULT_CONFIG.initial_nodes
 
 
 class TestQuadratureFloor:
@@ -211,14 +237,17 @@ class TestQuadratureFloor:
 
     @pytest.fixture
     def pass_nodes(self, monkeypatch):
+        """Node count of every quadrature pass: a batch of m nodes off t = 0
+        by half a step is the m midpoints that double the count to 2m."""
         nodes = []
-        original = ct._integrate_orders
+        original = ct.ellipse_nodes
 
-        def counted(series, orders, V, E, c, n, cfg, **kwargs):
-            nodes.append(n)
-            return original(series, orders, V, E, c, n, cfg, **kwargs)
+        def counted(c, m=None):
+            m = c.nodes if m is None else m
+            nodes.append(2 * m if c.offset else m)
+            return original(c, m)
 
-        monkeypatch.setattr(ct, "_integrate_orders", counted)
+        monkeypatch.setattr(ct, "ellipse_nodes", counted)
         return nodes
 
     def test_stop_at_floor_is_a_typed_error(self, pass_nodes):
@@ -234,14 +263,19 @@ class TestQuadratureFloor:
     def test_seed_probe_at_floor_stops_early(self, quartic, pass_nodes):
         # both seed probes, at E = 1 and E = 2, end at the floor
         res = sv.quantize(req(quartic, 1, 4))
-        assert res.E == 3.808261003356736
+        assert res.E == 3.8082610033546738
         assert max(pass_nodes) <= 2**15
 
     def test_noise_within_reach_still_converges(self):
         # at the seed, E = 0.028, the B_6 sum sits at its floor (1.5e-9, above
-        # the 8.8e-11 target) but its differences reach the target at 32768 nodes
-        res = sv.quantize(req(parse_potential("x^4 + x^3 + 1/2*x^2 - x"), 0, 3))
-        assert res.E == 0.5662698559410677
+        # the 8.8e-11 target) but its differences reach the target, at 8192
+        # nodes for this potential and 131072 for its mirror image
+        for potential, energy in [
+            ("x^4 + x^3 + 1/2*x^2 - x", 0.5662698559411473),
+            ("x^4 - x^3 + 1/2*x^2 + x", 0.5662698559409834),
+        ]:
+            res = sv.quantize(req(parse_potential(potential), 0, 3))
+            assert res.E == energy
 
     def test_failed_seed_probes_are_logged(self, quartic, caplog):
         with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
