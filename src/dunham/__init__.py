@@ -28,7 +28,6 @@ from .diffpoly import (
     add,
     differentiate,
     equals,
-    eval_numeric,
     mul,
     q_power,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "mul",
     "differentiate",
     "equals",
-    "eval_numeric",
     "WkbSeries",
     "OddTermCertificate",
     "gen_terms",

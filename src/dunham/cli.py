@@ -42,6 +42,10 @@ EXIT_NUMERIC = 3
 EXIT_VERIFICATION = 4
 
 
+class _UsageError(Exception):
+    """A flag value that NumericsConfig rejects; exits with EXIT_USAGE."""
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dunham",
@@ -114,7 +118,10 @@ def _config_from_args(args):
         updates["bracket_seed"] = args.seed_bracket
     if getattr(args, "include_odd_numeric", False):
         updates["include_odd_numeric"] = True
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    try:
+        return dataclasses.replace(cfg, **updates) if updates else cfg
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _emit(args, payload: str, manifest_config: dict, timings: dict | None = None) -> None:
@@ -315,7 +322,7 @@ def main(argv=None) -> int:
     args.argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         return _COMMANDS[args.command](args)
-    except PotentialParseError as exc:
+    except (PotentialParseError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DunhamError, ValueError) as exc:

@@ -2,11 +2,14 @@
 
 All defaults sit near the double-precision floor with headroom; they are the
 documented contract values, not tuning knobs that tests adjust to pass.
+Construction rejects a value no solve can end with: every float must be
+finite and positive (truncation_floor may be 0), and the caps at least 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 __all__ = ["NumericsConfig", "DEFAULT_CONFIG"]
 
@@ -38,6 +41,25 @@ class NumericsConfig:
     bracket_seed: float | None = None  # energy seed override (None: leading-order scaling)
     truncation_floor: float = 1e-12    # |B_2N| below this means the series has converged
     include_odd_numeric: bool = False  # force numeric inclusion of odd orders >= 3
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type != "float":  # a string: annotations are postponed
+                continue
+            value = getattr(self, f.name)
+            may_be_zero = f.name == "truncation_floor"
+            if not (math.isfinite(value) and (value > 0 or may_be_zero and value == 0)):
+                raise ValueError(
+                    f"{f.name} must be finite and {'>=' if may_be_zero else '>'} 0, got {value!r}"
+                )
+        if self.bracket_seed is not None and not math.isfinite(self.bracket_seed):
+            raise ValueError(f"bracket_seed must be finite or None, got {self.bracket_seed!r}")
+        if self.bracket_expansion_cap < 1:
+            raise ValueError(f"bracket_expansion_cap must be >= 1, got {self.bracket_expansion_cap}")
+        if self.max_nodes < self.initial_nodes:
+            raise ValueError(
+                f"max_nodes ({self.max_nodes}) must be >= initial_nodes ({self.initial_nodes})"
+            )
 
 
 DEFAULT_CONFIG = NumericsConfig()

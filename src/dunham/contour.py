@@ -133,8 +133,8 @@ def build_contour(
     """Ellipse centered between the turning points, wide enough to enclose
     them with the given margin and narrow enough to exclude all other roots
     of V - E with relative clearance cfg.root_clearance."""
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not 0.0 < margin < np.inf:
+        raise ValueError(f"margin must be finite and > 0, got {margin!r}")
     center = 0.5 * (tp.x1 + tp.x2)
     a = (1.0 + margin) * 0.5 * (tp.x2 - tp.x1)
     others = [
@@ -176,8 +176,11 @@ def _continue_sqrt(q: np.ndarray, closure_tol: float) -> np.ndarray:
     Starts from the principal square root at node 0.  The nearest choice
     between +/- principal values flips exactly when the real part of the
     ratio p_i * conj(p_{i-1}) goes negative, so the sign chain is a
-    cumulative product.  Raises NodeCountError when a phase step reaches
-    pi/2 and BranchTrackingError when the continuation fails to close.
+    cumulative product, and every step from node i-1 to node i is then
+    below pi/2.  Raises NodeCountError when a step is exactly pi/2 (neither
+    sign is nearer) and BranchTrackingError when Q vanishes at a node or the
+    continuation fails to close; the wrap from the last node back to node 0
+    is judged by the closure check alone.
     """
     p = np.sqrt(q.astype(complex))
     if np.any(p == 0):
@@ -187,10 +190,6 @@ def _continue_sqrt(q: np.ndarray, closure_tol: float) -> np.ndarray:
         raise NodeCountError("phase step of pi/2 between adjacent nodes")
     signs = np.concatenate(([1.0], np.cumprod(np.sign(overlap))))
     s = signs * p
-    # phase steps, including the wrap back to node 0
-    step_ok = np.real(s[1:] * np.conj(s[:-1])) > 0
-    if not np.all(step_ok):
-        raise NodeCountError("phase step >= pi/2; node count insufficient")
     s_close = p[0] if abs(p[0] - s[-1]) <= abs(-p[0] - s[-1]) else -p[0]
     defect = abs(s_close - s[0]) / abs(s[0])
     if defect > closure_tol:

@@ -11,9 +11,9 @@ Everything is immutable and kept in a canonical form: monomials with equal
 (h, derivative-exponent) keys are merged, zero coefficients dropped, and the
 list sorted by (total derivative weight sum(k*e_k), h, derivative exponents).
 
-Numeric evaluation takes the values of Q and its derivatives at a point plus
-an externally chosen branch value of sqrt(Q); this module never picks a
-branch itself.
+Numeric evaluation takes the values of Q and its derivatives at an array of
+points plus an externally chosen branch of sqrt(Q) there; this module never
+picks a branch itself.
 
 Plain-text rendering is a bijection with the canonical form and round-trips
 through :func:`parse_plain`.  Grammar of one monomial (factors joined by
@@ -50,7 +50,6 @@ __all__ = [
     "mul",
     "differentiate",
     "equals",
-    "eval_numeric",
     "eval_numeric_array",
     "max_deriv_order",
     "has_half_powers",
@@ -84,7 +83,7 @@ class Monomial:
 
     @cached_property
     def coeff_complex(self) -> complex:
-        """``complex(coeff)``, converted once for the numeric evaluators."""
+        """``complex(coeff)``, converted once for :func:`eval_numeric_array`."""
         return complex(self.coeff)
 
     @property
@@ -106,24 +105,6 @@ class DiffExpr:
     """Canonical sum of :class:`Monomial`; the empty sum is zero."""
 
     monomials: tuple[Monomial, ...]
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, negate(other))
-
-    def __neg__(self):
-        return negate(self)
-
-    def __mul__(self, other):
-        if isinstance(other, DiffExpr):
-            return mul(self, other)
-        if isinstance(other, (int, Fraction)):
-            return scale(self, Fraction(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __bool__(self):
         return bool(self.monomials)
@@ -269,67 +250,18 @@ def has_half_powers(a: DiffExpr) -> bool:
     return any(m.q_half % 2 != 0 for m in a.monomials)
 
 
-def _check_branch(q0, sqrt_q, rtol):
-    err = abs(sqrt_q * sqrt_q - q0)
-    if err > rtol * (1.0 + abs(q0)):
-        raise BranchConsistencyError(
-            f"sqrt_q**2 = {sqrt_q*sqrt_q} differs from Q = {q0} "
-            f"beyond relative tolerance {rtol}"
-        )
-
-
-def eval_numeric(
-    a: DiffExpr,
-    q_derivs: Sequence[complex],
-    sqrt_q: complex | None = None,
-    *,
-    branch_rtol: float = 1e-6,
-) -> complex:
-    """Evaluate at a point given [Q, Q', Q'', ...] and a branch value of sqrt(Q).
-
-    The caller supplies sqrt_q because branch selection is a contour-level
-    concern; integer powers of Q never touch it.  Raises InputShapeError when
-    q_derivs is shorter than the highest derivative order present, and
-    BranchConsistencyError when sqrt_q**2 disagrees with q_derivs[0] beyond
-    branch_rtol (relative).
-    """
-    need = max_deriv_order(a)
-    if len(q_derivs) < need + 1:
-        raise InputShapeError(
-            f"expression uses derivatives up to order {need}, "
-            f"got only {len(q_derivs)} value(s)"
-        )
-    q0 = complex(q_derivs[0])
-    if sqrt_q is not None:
-        _check_branch(q0, complex(sqrt_q), branch_rtol)
-    total = 0.0 + 0.0j
-    for m in a.monomials:
-        term = complex(m.coeff)
-        if m.q_half % 2 == 0:
-            if m.q_half != 0:
-                term *= q0 ** (m.q_half // 2)
-        else:
-            if sqrt_q is None:
-                raise BranchConsistencyError(
-                    "expression has half-integer powers of Q but no sqrt_q was given"
-                )
-            term *= complex(sqrt_q) ** m.q_half
-        for k, e in m.derivs:
-            term *= complex(q_derivs[k]) ** e
-        total += term
-    return total
-
-
 def eval_numeric_array(
     a: DiffExpr,
     q_derivs: Sequence[np.ndarray],
     sqrt_q: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized twin of :func:`eval_numeric` over arrays of points.
+    """Evaluate at arrays of points given [Q, Q', Q'', ...] and a branch of sqrt(Q).
 
-    Consistency of sqrt_q with Q is the caller's responsibility here (the
-    contour tracer constructs sqrt_q from Q directly); the scalar form is the
-    checked reference and the two are asserted to agree in the test suite.
+    The caller supplies sqrt_q because branch selection is a contour-level
+    concern (the contour tracer constructs it from Q); integer powers of Q
+    never touch it.  Raises InputShapeError when q_derivs is shorter than the
+    highest derivative order present, and BranchConsistencyError when the
+    expression has half-integer powers of Q but no sqrt_q is given.
     """
     need = max_deriv_order(a)
     if len(q_derivs) < need + 1:

@@ -49,10 +49,6 @@ class Potential:
         if coeffs[-1] <= 0:
             raise ValueError("leading coefficient must be positive (confining)")
 
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "Potential":
-        return cls(tuple(_as_fraction(c) for c in coeffs))
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1

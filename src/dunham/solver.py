@@ -6,10 +6,11 @@ The total phase
 
 is matched to K*pi for quantum number K = 0, 1, 2, ...  The -pi/2 is the
 order-1 action, which equals -pi/2 for any contour enclosing two simple
-zeros; it can be recomputed numerically as a branch-tracking self-test.
-Odd orders >= 3 are omitted because their terms are exact derivatives
-(certified symbolically per order by wkb_series before being dropped); a
-config flag forces their numeric inclusion for demonstration runs.
+zeros; the phase adds it as a constant, and the contour tests recompute it
+numerically as a branch-tracking self-test.  Odd orders >= 3 are omitted
+because their terms are exact derivatives (certified symbolically per order
+by wkb_series before being dropped); a config flag forces their numeric
+inclusion for demonstration runs.
 
 Reporting convention: results quote Phi(E) = K*pi with the -pi/2 on the
 left-hand side, equivalent to the textbook B_0 + corrections = (K + 1/2)*pi.
@@ -43,10 +44,7 @@ __all__ = [
     "spectrum",
     "result_to_json",
     "results_to_csv",
-    "CSV_HEADER_VERSION",
 ]
-
-CSV_HEADER_VERSION = "dunham-spectrum-v1"
 
 _log = logging.getLogger("dunham.solver")
 
@@ -68,7 +66,6 @@ class QuantizationRequest:
     V: Potential
     K: int
     order: int
-    use_analytic_maslov: bool = True
 
     def __post_init__(self):
         if self.K < 0:
@@ -89,8 +86,9 @@ class QuantizationResult:
 
 
 @lru_cache(maxsize=8)
-def _series(max_order: int) -> ws.WkbSeries:
-    return ws.gen_terms(max_order)
+def _series(order: int) -> ws.WkbSeries:
+    """T_0 .. T_{2*order+1}: the phase's terms and the odd ones it certifies."""
+    return ws.gen_terms(2 * order + 1)
 
 
 @lru_cache(maxsize=64)
@@ -100,7 +98,7 @@ def _require_odd_certified(order: int, include_odd_numeric: bool) -> None:
     pays the symbolic cost once."""
     if order < 1 or include_odd_numeric:
         return
-    series = _series(max(2 * order + 1, 3))
+    series = _series(order)
     if not all(ws.certify_total_derivative(series, n).verified for n in range(1, order + 1)):
         raise DunhamError(  # pragma: no cover - theorem
             "total-derivative certification failed; cannot drop odd orders"
@@ -108,24 +106,20 @@ def _require_odd_certified(order: int, include_odd_numeric: bool) -> None:
 
 
 def _phase_orders(req: QuantizationRequest, cfg: NumericsConfig) -> list[int]:
-    orders = [0] + [2 * n for n in range(1, req.order + 1)]
-    if not req.use_analytic_maslov:
-        orders.append(1)
+    orders = [2 * n for n in range(req.order + 1)]
     if cfg.include_odd_numeric:
-        orders.extend(m for m in range(3, 2 * req.order + 1, 2))
-    return sorted(orders)
+        orders.extend(range(3, 2 * req.order + 1, 2))
+    return orders
 
 
 def _eval_phase(
     req: QuantizationRequest, E: float, cfg: NumericsConfig, nodes: int
 ) -> tuple[float, Actions]:
     """Phi(E) and the actions behind it, with quadrature starting at `nodes`."""
-    series = _series(max(2 * req.order, 1))
     tp = turning_points(req.V, E, cfg)
     c = replace(build_contour(tp, cfg.margin, cfg), nodes=nodes)
-    acts = action_integrals(series, _phase_orders(req, cfg), req.V, E, c, cfg)
-    phase = acts[0]
-    phase += acts[1] if not req.use_analytic_maslov else -0.5 * math.pi
+    acts = action_integrals(_series(req.order), _phase_orders(req, cfg), req.V, E, c, cfg)
+    phase = acts[0] - 0.5 * math.pi
     for n in range(1, req.order + 1):
         phase += acts[2 * n]
     if cfg.include_odd_numeric:
@@ -349,7 +343,6 @@ def spectrum(
     levels: int,
     order: int,
     cfg: NumericsConfig = DEFAULT_CONFIG,
-    use_analytic_maslov: bool = True,
 ) -> list[QuantizationResult]:
     """Quantize K = 0 .. levels-1 independently.
 
@@ -361,7 +354,7 @@ def spectrum(
     results: list[QuantizationResult] = []
     failures: dict[int, Exception] = {}
     for K in range(levels):
-        req = QuantizationRequest(V=V, K=K, order=order, use_analytic_maslov=use_analytic_maslov)
+        req = QuantizationRequest(V=V, K=K, order=order)
         try:
             results.append(quantize(req, cfg))
         except DunhamError as exc:
@@ -394,10 +387,7 @@ def result_to_json(res: QuantizationResult) -> dict:
 
 
 def results_to_csv(results: list[QuantizationResult]) -> str:
-    """One row per K: K, E, residual, B_0..B_2N, optimal_truncation_index.
-
-    Header format version: CSV_HEADER_VERSION.
-    """
+    """One row per K: K, E, residual, B_0..B_2N, optimal_truncation_index."""
     if not results:
         return ""
     order = results[0].order

@@ -67,11 +67,6 @@ class WkbSeries:
     max_order: int
     terms: tuple[DiffExpr, ...]
 
-    def term(self, n: int) -> DiffExpr:
-        if not 0 <= n <= self.max_order:
-            raise ValueError(f"order {n} outside generated range 0..{self.max_order}")
-        return self.terms[n]
-
 
 @dataclass(frozen=True)
 class OddTermCertificate:

@@ -1,0 +1,34 @@
+"""The benchmark's hooks still resolve against the package.
+
+bench/spans.py wraps functions by looking them up in their owners'
+namespaces, and the benchmark scripts build requests and oracle modes by
+name; a deletion in the package must fail here rather than in a benchmark
+run.  Only reads bench/.
+"""
+
+import sys
+from pathlib import Path
+
+from dunham import oracle, solver
+from dunham.potential import parse_potential
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_tracer_installs_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    import spans
+
+    tracer = spans.Tracer()
+    originals = [(owner, attr, owner.__dict__[attr]) for owner, attr, _ in tracer._patches()]
+    with tracer.installed():
+        assert all(owner.__dict__[attr] is not fn for owner, attr, fn in originals)
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+
+
+def test_benchmark_constructors_resolve():
+    mode = oracle.OracleMode("finite_difference")
+    assert oracle.OracleConfig(mode=mode).mode is mode
+    req = solver.QuantizationRequest(parse_potential("x^2"), 0, 0)
+    assert abs(solver.total_phase(req, 1.0)) < 1e-10

@@ -78,8 +78,9 @@ class TestContour:
                 assert rho >= 1.0 + DEFAULT_CONFIG.root_clearance
 
     def test_bad_margin(self, ho):
-        with pytest.raises(ValueError):
-            ct.build_contour(ct.turning_points(ho, 1.0), margin=0.0)
+        for margin in (0.0, math.inf, math.nan):  # inf used to loop forever
+            with pytest.raises(ValueError, match="margin"):
+                ct.build_contour(ct.turning_points(ho, 1.0), margin=margin)
 
     def test_root_on_segment_is_unseparable(self):
         # V - E = (x^2 - 1)(x^2 + 1e-8): the complex pair hugs the segment

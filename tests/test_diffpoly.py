@@ -2,8 +2,10 @@
 
 import json
 import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import dunham.diffpoly as dp
@@ -14,6 +16,9 @@ def mono(coeff, q_half, derivs=None):
     """Single-monomial expression helper for fixtures."""
     d = tuple(sorted((derivs or {}).items()))
     return dp.DiffExpr((dp.Monomial(F(coeff), q_half, d),))
+
+
+EPS = float(np.finfo(float).eps)
 
 
 class TestConstructors:
@@ -74,14 +79,6 @@ class TestArithmetic:
         # canonicalization merges exponents at construction: Q^(-1/2) * Q = Q^(1/2)
         assert dp.equals(dp.mul(dp.q_power(-1), dp.q_power(2)), dp.q_power(1))
 
-    def test_operator_sugar_matches_functions(self):
-        a, b = dp.q_power(1), mono(F(1, 4), 0, {1: 1})
-        assert dp.equals(a + b, dp.add(a, b))
-        assert dp.equals(a - b, dp.add(a, dp.negate(b)))
-        assert dp.equals(a * b, dp.mul(a, b))
-        assert dp.equals(-a, dp.negate(a))
-        assert dp.equals(F(1, 2) * a, dp.scale(a, F(1, 2)))
-
 
 class TestDifferentiate:
     def test_sqrt_q(self):
@@ -102,55 +99,72 @@ class TestDifferentiate:
         assert dp.equals(got, mono(3, 0, {1: 2, 2: 1}))
 
 
+def one(value):
+    """A one-point array, the shape eval_numeric_array takes."""
+    return np.array([complex(value)])
+
+
+# Points where Q is a rational square, with dyadic Q and derivatives, so the
+# float inputs equal the exact ones: (sqrt(Q), [Q, Q', ..., Q^(8)]).
+_RNG = random.Random(1)
+EXACT_POINTS = [
+    (r, [r * r] + [F(_RNG.choice((-1, 1)) * _RNG.randint(1, 24), 8) for _ in range(8)])
+    for r in (F(3, 2), F(-3, 2), F(1, 2), F(-5, 4), F(7, 8), F(2), F(-1, 4), F(9, 4))
+]
+
+
 class TestEvalNumeric:
     def test_integer_power_ignores_branch_sign(self):
-        assert dp.eval_numeric(dp.q_power(2), [4.0], sqrt_q=-2.0) == pytest.approx(4.0)
+        assert dp.eval_numeric_array(dp.q_power(2), [one(4.0)], one(-2.0))[0] == 4.0
 
     def test_leading_term_at_q4(self):
         e = dp.negate(dp.q_power(1))
-        assert dp.eval_numeric(e, [4.0], sqrt_q=2.0) == pytest.approx(-2.0)
+        assert dp.eval_numeric_array(e, [one(4.0)], one(2.0))[0] == -2.0
 
     def test_hand_checked_value(self):
         # -(1/4) Q'/Q at Q=2, Q'=6: -6/8 = -0.75
         e = mono(F(-1, 4), -2, {1: 1})
-        got = dp.eval_numeric(e, [2.0, 6.0], sqrt_q=math.sqrt(2.0))
+        got = dp.eval_numeric_array(e, [one(2.0), one(6.0)], one(math.sqrt(2.0)))[0]
         assert got == pytest.approx(-0.75, abs=1e-15)
 
     def test_missing_derivative_raises(self):
         e = mono(1, 0, {3: 1})
         with pytest.raises(InputShapeError):
-            dp.eval_numeric(e, [1.0, 2.0], sqrt_q=1.0)
-
-    def test_inconsistent_branch_raises(self):
-        with pytest.raises(BranchConsistencyError):
-            dp.eval_numeric(dp.q_power(1), [4.0], sqrt_q=1.0)
+            dp.eval_numeric_array(e, [one(1.0), one(2.0)], one(1.0))
 
     def test_half_power_without_branch_raises(self):
         with pytest.raises(BranchConsistencyError):
-            dp.eval_numeric(dp.q_power(1), [4.0])
+            dp.eval_numeric_array(dp.q_power(1), [one(4.0)])
 
     def test_branch_sign_flips_half_powers(self):
         e = dp.q_power(1)
-        assert dp.eval_numeric(e, [4.0], sqrt_q=-2.0) == pytest.approx(-2.0)
+        assert dp.eval_numeric_array(e, [one(4.0)], one(-2.0))[0] == -2.0
 
-    def test_array_eval_matches_scalar(self):
-        import numpy as np
+    def test_array_eval_matches_scalar(self, series15, exact_eval):
+        # each point against the exact scalar reference, within a few eps of
+        # the sum of the monomials' magnitudes (the cancellation scale)
+        q_derivs = [np.array([complex(d[k]) for _, d in EXACT_POINTS]) for k in range(9)]
+        sqrt_q = np.array([complex(r) for r, _ in EXACT_POINTS])
+        for t in series15.terms[:9]:
+            got = dp.eval_numeric_array(t, q_derivs, sqrt_q)
+            for i, (r, d) in enumerate(EXACT_POINTS):
+                scale = sum(abs(exact_eval(dp.DiffExpr((m,)), d, r)) for m in t.monomials)
+                assert abs(got[i] - complex(exact_eval(t, d, r))) <= 8 * EPS * float(scale)
 
-        e = dp.add(mono(F(5, 32), -5, {1: 2}), mono(F(-1, 8), -3, {2: 1}))
-        zs = np.array([1.5 + 0.5j, 2.0 - 1.0j, -0.3 + 2.0j])
-        q = zs**2 + 1.0
-        q1 = 2.0 * zs
-        q2 = np.full_like(zs, 2.0)
-        s = np.sqrt(q)
-        vec = dp.eval_numeric_array(e, [q, q1, q2], s)
-        for i in range(zs.size):
-            ref = dp.eval_numeric(e, [q[i], q1[i], q2[i]], s[i])
-            assert vec[i] == pytest.approx(ref, rel=1e-13)
+    def test_t1_closed_form_at_contour_nodes(self, series15):
+        import dunham.contour as ct
+        from dunham.potential import parse_potential
 
+        V, E = parse_potential("x^4 - x^3 + x^2"), 3.0
+        c = ct.build_contour(ct.turning_points(V, E), 0.5)
+        z, _ = ct.ellipse_nodes(c, 96)
+        q, q1 = V.derivs(z, 1)
+        q = q - E
+        got = dp.eval_numeric_array(series15.terms[1], [q, q1], ct._continue_sqrt(q, 1e-8))
+        want = -q1 / (4.0 * q)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 4 * EPS
 
     def test_array_eval_bitwise_equals_per_call_conversion(self, series15):
-        import numpy as np
-
         import dunham.contour as ct
         from dunham.potential import parse_potential
 

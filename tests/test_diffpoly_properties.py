@@ -1,6 +1,5 @@
 """Property-based tests: ring axioms, Leibniz, numeric consistency."""
 
-import math
 from fractions import Fraction as F
 from functools import reduce
 
@@ -99,22 +98,17 @@ def test_mul_matches_naive_product(a, b):
     assert all(m.coeff != 0 for m in prod.monomials)
 
 
-complex_vals = st.complex_numbers(
-    min_magnitude=0.5, max_magnitude=2.0, allow_nan=False, allow_infinity=False
-)
+nonzero_rationals = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=8).filter(bool)
 
 
-@given(exprs(), exprs(), complex_vals, st.lists(complex_vals, min_size=4, max_size=4),
-       st.booleans())
-def test_eval_is_homomorphic(a, b, q0, dvals, flip):
-    q_derivs = [q0] + dvals
-    sqrt_q = -np.sqrt(q0) if flip else np.sqrt(q0)
-    ea = dp.eval_numeric(a, q_derivs, sqrt_q)
-    eb = dp.eval_numeric(b, q_derivs, sqrt_q)
-    esum = dp.eval_numeric(dp.add(a, b), q_derivs, sqrt_q)
-    eprod = dp.eval_numeric(dp.mul(a, b), q_derivs, sqrt_q)
-    assert abs(esum - (ea + eb)) <= 1e-12 * (1.0 + abs(ea) + abs(eb))
-    assert abs(eprod - ea * eb) <= 1e-12 * (1.0 + abs(ea)) * (1.0 + abs(eb))
+@given(exprs(), exprs(), nonzero_rationals, st.lists(nonzero_rationals, min_size=4, max_size=4))
+def test_eval_is_homomorphic(exact_eval, a, b, sqrt_q, dvals):
+    # exact arithmetic at a point where Q = sqrt_q**2: add and mul must agree exactly
+    q_derivs = [sqrt_q * sqrt_q] + dvals
+    ea = exact_eval(a, q_derivs, sqrt_q)
+    eb = exact_eval(b, q_derivs, sqrt_q)
+    assert exact_eval(dp.add(a, b), q_derivs, sqrt_q) == ea + eb
+    assert exact_eval(dp.mul(a, b), q_derivs, sqrt_q) == ea * eb
 
 
 # Derivative consistency along a path where Q comes from a fixed polynomial
@@ -136,19 +130,20 @@ def tame_exprs(draw):
     return reduce(dp.add, (dp.DiffExpr((m,)) for m in monos), dp.ZERO)
 
 
-def _q_path(x: float) -> list[float]:
+def _q_path(x):
     # one spare order beyond the strategy's max, since d/dx bumps it by one
-    return [x * x + 2.0, 2.0 * x, 2.0, 0.0, 0.0]
+    x = np.array([x])
+    return [x * x + 2.0, 2.0 * x, np.full(1, 2.0), np.zeros(1), np.zeros(1)]
 
 
 @given(tame_exprs(), st.floats(0.5, 1.5))
 @settings(deadline=None)
 def test_derivative_matches_finite_difference(a, x):
     h = 1e-5
-    exact = dp.eval_numeric(dp.differentiate(a), _q_path(x), math.sqrt(x * x + 2.0))
+    exact = dp.eval_numeric_array(dp.differentiate(a), _q_path(x), np.sqrt(_q_path(x)[0]))[0]
 
     def val(xx):
-        return dp.eval_numeric(a, _q_path(xx), math.sqrt(xx * xx + 2.0))
+        return dp.eval_numeric_array(a, _q_path(xx), np.sqrt(_q_path(xx)[0]))[0]
 
     fd = (val(x + h) - val(x - h)) / (2.0 * h)
     assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))

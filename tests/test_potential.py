@@ -67,7 +67,7 @@ class TestInvariants:
 
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
-            Potential.from_coeffs([0, 0, 0.1])
+            Potential((0, 0, 0.1))
 
 
 class TestEvaluation:

@@ -36,11 +36,6 @@ class TestTotalPhase:
         phase = sv.total_phase(req(quartic, 0, 0), 1.0)
         assert phase == pytest.approx(QUARTIC_B0_AT_1 - math.pi / 2.0, abs=1e-10)
 
-    def test_numeric_maslov_agrees_with_analytic(self, quartic):
-        analytic = sv.total_phase(req(quartic, 0, 1), 2.0)
-        numeric = sv.total_phase(req(quartic, 0, 1, use_analytic_maslov=False), 2.0)
-        assert numeric == pytest.approx(analytic, abs=1e-10)
-
     def test_odd_numeric_inclusion_changes_nothing(self, quartic):
         cfg = dataclasses.replace(DEFAULT_CONFIG, include_odd_numeric=True)
         with_odd = sv.total_phase(req(quartic, 0, 2), 2.0, cfg)

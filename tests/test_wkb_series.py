@@ -82,10 +82,6 @@ class TestGeneration:
         for n in range(2, 15):
             assert counts[n + 1] > counts[n]
 
-    def test_term_accessor_bounds(self, series15):
-        with pytest.raises(ValueError):
-            series15.term(16)
-
 
 class TestRescalings:
     def test_g1_fixture(self, series15):
