@@ -11,6 +11,13 @@ Everything is immutable and kept in a canonical form: monomials with equal
 (h, derivative-exponent) keys are merged, zero coefficients dropped, and the
 list sorted by (total derivative weight sum(k*e_k), h, derivative exponents).
 
+Coefficients are exact ``Fraction`` values, but sums and products are not
+computed one ``Fraction`` at a time: each expression caches its coefficients
+as integer numerators over their common denominator, the accumulator behind
+:func:`mul`, :func:`add` and :func:`differentiate` adds plain integer
+numerators over one running denominator, and one ``Fraction`` is built per
+output monomial.
+
 Numeric evaluation takes the values of Q and its derivatives at an array of
 points plus an externally chosen branch of sqrt(Q) there; this module never
 picks a branch itself.
@@ -30,6 +37,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -74,12 +82,18 @@ class Monomial:
     derivs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not isinstance(self.coeff, Fraction):
+            raise TypeError(
+                f"monomial coefficient must be a Fraction, got {type(self.coeff).__name__}"
+            )
+        if not isinstance(self.q_half, int):
+            raise TypeError(f"q_half must be an int, got {type(self.q_half).__name__}")
         if self.coeff == 0:
             raise ValueError("monomial coefficient must be nonzero")
         if any(k < 1 or e < 1 for k, e in self.derivs):
             raise ValueError("derivative orders and exponents must be >= 1")
-        if list(self.derivs) != sorted(self.derivs):
-            raise ValueError("derivative exponent pairs must be sorted by order")
+        if any(k1 >= k2 for (k1, _), (k2, _) in zip(self.derivs, self.derivs[1:])):
+            raise ValueError("derivative orders must strictly increase")
 
     @cached_property
     def coeff_complex(self) -> complex:
@@ -112,52 +126,79 @@ class DiffExpr:
     def __str__(self):
         return to_plain(self)
 
+    @cached_property
+    def _ints(self) -> tuple[int, tuple[tuple[int, tuple, int], ...]]:
+        """``(D, ((q_half, derivs, numerator), ...))``: every coefficient as an
+        integer numerator over D, the lcm of the coefficient denominators."""
+        den = lcm(*(m.coeff.denominator for m in self.monomials))
+        return den, tuple(
+            (m.q_half, m.derivs, m.coeff.numerator * (den // m.coeff.denominator))
+            for m in self.monomials
+        )
+
 
 class _Sum:
     """Running exact sum of monomial products, finalized once.
 
-    Terms accumulate as ``(q_half, derivs) -> Fraction`` without building a
-    :class:`Monomial` per product; :meth:`result` drops zero coefficients,
-    sorts by the canonical key and builds each surviving monomial once.
+    Terms accumulate as ``(q_half, derivs) -> int`` numerators over one
+    common denominator D, without a ``Fraction`` or a :class:`Monomial` per
+    product.  An incoming term whose denominator does not divide D grows D to
+    the lcm and rescales the numerators held so far.  :meth:`result` drops
+    zero numerators, builds one ``Fraction`` and one monomial per surviving
+    key and sorts by the canonical key.
     """
 
-    __slots__ = ("_acc",)
+    __slots__ = ("_acc", "_den")
 
     def __init__(self):
-        self._acc: dict[tuple, Fraction] = {}
+        self._acc: dict[tuple, int] = {}
+        self._den = 1
 
-    def _put(self, key: tuple, c: Fraction) -> None:
-        acc = self._acc
-        old = acc.get(key)
-        acc[key] = c if old is None else old + c
+    def _over(self, den: int) -> int:
+        """Make den divide D; return D // den, the numerator multiplier."""
+        if self._den % den:
+            grow = den // gcd(self._den, den)
+            acc = self._acc
+            for key in acc:
+                acc[key] *= grow
+            self._den *= grow
+        return self._den // den
 
     def add_product(self, a: DiffExpr, b: DiffExpr, factor=1) -> None:
-        """Add factor * a * b."""
+        """Add factor * a * b; factor is an int or a Fraction."""
+        den_a, ta = a._ints
+        den_b, tb = b._ints
+        mult = factor.numerator * self._over(den_a * den_b * factor.denominator)
         acc = self._acc
-        for ma in a.monomials:
-            ca = ma.coeff if factor == 1 else ma.coeff * factor
-            ha, da = ma.q_half, ma.derivs
-            for mb in b.monomials:
-                key = (ha + mb.q_half, _merge_derivs(da, mb.derivs))
-                c = ca * mb.coeff
-                # _put inlined: this loop runs once per pair of monomials
+        for ha, da, na in ta:
+            ca = na * mult
+            for hb, db, nb in tb:
+                key = (ha + hb, _merge_derivs(da, db))
+                c = ca * nb
                 old = acc.get(key)
                 acc[key] = c if old is None else old + c
 
     def add_derivative(self, a: DiffExpr) -> None:
-        """Add d/dx a, by the product rule (see :func:`differentiate`)."""
-        for m in a.monomials:
-            c, h, derivs = m.coeff, m.q_half, m.derivs
+        """Add d/dx a, by the product rule (see :func:`differentiate`); the
+        h/2 factor puts the result over 2 * D_a."""
+        den, ta = a._ints
+        mult = self._over(2 * den)
+        acc = self._acc
+        for h, derivs, num in ta:
+            c = num * mult
             if h != 0:
-                self._put((h - 2, _merge_derivs(derivs, ((1, 1),))), c * Fraction(h, 2))
+                key = (h - 2, _merge_derivs(derivs, ((1, 1),)))
+                acc[key] = acc.get(key, 0) + c * h
             for k, e in derivs:
                 d = dict(derivs)
                 d[k] = e - 1
                 d[k + 1] = d.get(k + 1, 0) + 1
-                self._put((h, tuple(sorted((j, x) for j, x in d.items() if x))), c * e)
+                key = (h, tuple(sorted((j, x) for j, x in d.items() if x)))
+                acc[key] = acc.get(key, 0) + c * 2 * e
 
     def result(self) -> DiffExpr:
-        out = [Monomial(c, h, d) for (h, d), c in self._acc.items() if c != 0]
+        den = self._den
+        out = [Monomial(Fraction(c, den), h, d) for (h, d), c in self._acc.items() if c]
         out.sort(key=Monomial.key)
         return DiffExpr(tuple(out))
 
@@ -177,8 +218,7 @@ def _merge_derivs(da: tuple, db: tuple) -> tuple:
 def _collect(monomials: Iterable[Monomial]) -> DiffExpr:
     """Merge like monomials, drop zeros, sort by the canonical key."""
     s = _Sum()
-    for m in monomials:
-        s._put((m.q_half, m.derivs), m.coeff)
+    s.add_product(DiffExpr(tuple(monomials)), ONE)
     return s.result()
 
 

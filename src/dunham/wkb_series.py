@@ -121,12 +121,13 @@ def gen_terms_alt(N: int) -> WkbSeries:
         t1 = terms[1]
         terms.append(dp.mul(_HALF_INV_SQRT, dp.add(dp.differentiate(t1), dp.mul(t1, t1))))
     for n in range(3, N + 1):
-        ratio = dp.mul(terms[n - 1], _INV_T0)
-        interior = dp.ZERO
+        interior = dp._Sum()
         for m in range(2, n - 1):
-            interior = dp.add(interior, dp.mul(terms[m], terms[n - m]))
-        total = dp.add(dp.differentiate(ratio), dp.mul(_INV_T0, interior))
-        terms.append(dp.scale(total, Fraction(-1, 2)))
+            interior.add_product(terms[m], terms[n - m])
+        total = dp._Sum()
+        total.add_derivative(dp.mul(terms[n - 1], _INV_T0))
+        total.add_product(_INV_T0, interior.result())
+        terms.append(dp.scale(total.result(), Fraction(-1, 2)))
     return WkbSeries(N, tuple(terms))
 
 

@@ -42,6 +42,19 @@ class TestConstructors:
         with pytest.raises(ValueError):
             dp.Monomial(F(1), 0, ((1, 0),))
 
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            dp.Monomial(0.1, 0, ())
+
+    def test_non_int_q_half_rejected(self):
+        with pytest.raises(TypeError):
+            dp.Monomial(F(1), 1.0, ())
+
+    def test_repeated_derivative_order_rejected(self):
+        # would render as Q' * Q'^2 and parse back as Q'^3
+        with pytest.raises(ValueError):
+            dp.Monomial(F(1), 0, ((1, 1), (1, 2)))
+
 
 class TestArithmetic:
     def test_additive_inverse(self):

@@ -147,3 +147,103 @@ def test_derivative_matches_finite_difference(a, x):
 
     fd = (val(x + h) - val(x - h)) / (2.0 * h)
     assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
+
+
+# The accumulator behind mul/add/differentiate against a Fraction-by-Fraction
+# reference.  Factors carry the odd denominators that build_phi's k/n brings.
+
+factors = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(F, st.integers(-7, 7).filter(bool), st.sampled_from([3, 5, 7, 15, 21])),
+)
+ops = st.one_of(
+    st.tuples(st.just("product"), exprs(), exprs(), factors),
+    st.tuples(st.just("derivative"), exprs()),
+)
+
+
+def _reference_sum(seq):
+    """Each product or derivative term as its own Fraction, summed in a dict."""
+    acc = {}
+
+    def put(h, derivs, c):
+        key = (h, tuple(sorted((k, e) for k, e in derivs.items() if e)))
+        acc[key] = acc.get(key, F(0)) + c
+
+    for op in seq:
+        if op[0] == "product":
+            _, a, b, f = op
+            for ma in a.monomials:
+                for mb in b.monomials:
+                    d = dict(ma.derivs)
+                    for k, e in mb.derivs:
+                        d[k] = d.get(k, 0) + e
+                    put(ma.q_half + mb.q_half, d, F(f) * ma.coeff * mb.coeff)
+        else:
+            for m in op[1].monomials:
+                if m.q_half:
+                    d = dict(m.derivs)
+                    d[1] = d.get(1, 0) + 1
+                    put(m.q_half - 2, d, m.coeff * F(m.q_half, 2))
+                for k, e in m.derivs:
+                    d = dict(m.derivs)
+                    d[k] -= 1
+                    d[k + 1] = d.get(k + 1, 0) + 1
+                    put(m.q_half, d, m.coeff * e)
+    return {key: c for key, c in acc.items() if c != 0}
+
+
+def _check_against_reference(seq):
+    s = dp._Sum()
+    for op in seq:
+        if op[0] == "product":
+            s.add_product(*op[1:])
+        else:
+            s.add_derivative(op[1])
+    got = s.result()
+    assert {(m.q_half, m.derivs): m.coeff for m in got.monomials} == _reference_sum(seq)
+    assert all(m.coeff != 0 for m in got.monomials)
+    keys = [m.key() for m in got.monomials]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    return s, got
+
+
+@given(st.lists(ops, max_size=6))
+@settings(deadline=None)
+def test_sum_matches_fraction_reference(seq):
+    _check_against_reference(seq)
+
+
+@given(st.lists(ops, min_size=1, max_size=4))
+@settings(deadline=None)
+def test_sum_cancels_to_exact_zero(seq):
+    # every operation again on a negated first argument: everything cancels
+    undo = [(op[0], dp.negate(op[1])) + op[2:] for op in seq]
+    _, got = _check_against_reference(seq + undo)
+    assert got == dp.ZERO
+
+
+def _m(coeff, q_half, derivs=()):
+    return dp.DiffExpr((dp.Monomial(F(coeff), q_half, tuple(derivs)),))
+
+
+def test_denominator_grows_partway():
+    a = dp.add(_m(F(3, 8), -2, [(1, 1)]), _m(F(-5, 16), 1))
+    b = dp.add(_m(F(1, 4), 0, [(2, 1)]), _m(F(7, 2), -1, [(1, 2)]))
+    seq = [("product", a, b, 1), ("derivative", a), ("product", a, a, 2)]
+    s, _ = _check_against_reference(seq)
+    dyadic_den = s._den
+    assert dyadic_den & (dyadic_den - 1) == 0  # a power of two so far
+    seq += [("product", a, b, F(2, 3)), ("derivative", b), ("product", b, b, F(-4, 5)),
+            ("product", a, b, F(1, 7))]
+    s, _ = _check_against_reference(seq)
+    assert s._den == 3 * 5 * 7 * dyadic_den
+
+
+def test_partial_cancellation_drops_zero_terms():
+    a = dp.add(_m(F(1, 3), 0, [(1, 1)]), _m(F(2, 5), 2))
+    b = _m(F(3, 7), -2, [(2, 1)])
+    # the a*b product cancels; only b*b survives, with its 1/7 denominators
+    seq = [("product", a, b, F(5, 3)), ("product", b, b, 1), ("product", a, b, F(-5, 3))]
+    _, got = _check_against_reference(seq)
+    assert dp.equals(got, dp.mul(b, b))

@@ -1,5 +1,6 @@
 """Series generation, rescalings, and total-derivative certificates."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -223,6 +224,13 @@ class TestCertificates:
     def test_out_of_range(self, series15):
         with pytest.raises(ValueError):
             ws.certify_total_derivative(series15, 8)
+
+    def test_phi1_to_phi8_bytes_pinned(self):
+        # the k/n factors of build_phi make these the only non-dyadic coefficients
+        series = ws.gen_terms(17)
+        doc = [ws.certificate_to_json(ws.certify_total_derivative(series, n)) for n in range(1, 9)]
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == "08bbed78f2b986768c1bf37a3e99bc8ac6b4bc91a61e53394be31636eb0f7d08"
 
 
 class TestSerialization:
