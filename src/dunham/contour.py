@@ -21,6 +21,7 @@ where the last one converged.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +56,10 @@ _FLOOR_MULTIPLE = 16.0
 # A difference that shrank by more than this factor over the last doubling is
 # still truncation error on its way down, so the floor stop waits for it.
 _SHRINK_GUARD = 4.0
+# ellipse_nodes keeps the unit-circle cos and sin of node sets up to this
+# size, at most _UNIT_ANGLE_SETS of them; larger sets are computed afresh.
+_UNIT_ANGLE_NODES = 2**14
+_UNIT_ANGLE_SETS = 32
 
 
 @dataclass(frozen=True)
@@ -90,30 +95,32 @@ class ContourSpec:
 
 def turning_points(V: Potential, E: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> TurningPair:
     """All roots of V(x) - E by the companion-matrix eigenvalue method with
-    one Newton polish step per root; requires exactly two simple real roots."""
+    one Newton polish step per root; requires exactly two simple real roots.
+
+    Past the polish everything runs on Python complex and float values,
+    which for a handful of roots costs less than array operations do."""
     coeffs = V.float_deriv_table[0].copy()
     coeffs[0] -= E
     roots = np.roots(coeffs[::-1])
     # one Newton step per root against the exact-coefficient derivatives
     v, p1 = V.derivs(roots, 1)
-    p = v - E
     safe = np.abs(p1) > 0
-    roots = roots - np.where(safe, p, 0.0) / np.where(safe, p1, 1.0)
+    roots = (roots - np.where(safe, v - E, 0.0) / np.where(safe, p1, 1.0)).tolist()
 
-    scale = 1.0 + float(np.max(np.abs(roots)))
-    dcoeffs = np.abs(V.float_deriv_table[1, : V.degree])
-    dscale = 1.0 + float(np.sum(dcoeffs * scale ** np.arange(len(dcoeffs))))
+    scale = 1.0 + max(map(abs, roots))
+    dcoeffs = np.abs(V.float_deriv_table[1, : V.degree]).tolist()
+    dscale = 1.0 + sum(c * scale**k for k, c in enumerate(dcoeffs))
 
-    real_mask = np.abs(roots.imag) < cfg.real_root_imag_tol * scale
-    real_roots = np.sort(roots.real[real_mask])
+    real_roots = sorted(r.real for r in roots if abs(r.imag) < cfg.real_root_imag_tol * scale)
     for r in real_roots:
-        if abs(complex(V(r)) - E) > 1e-6 * dscale:
+        v, p1 = V.derivs(r, 1)
+        if abs(v - E) > 1e-6 * dscale:
             continue  # polishing artifact, not an actual root
-        if abs(complex(V.derivs(r, 1)[1])) < cfg.degeneracy_tol * dscale:
+        if abs(p1) < cfg.degeneracy_tol * dscale:
             raise DegenerateTurningPointError(
                 f"turning point near x = {r:.6g} is degenerate (V' vanishes)"
             )
-    if len(real_roots) >= 2 and np.min(np.diff(real_roots)) < cfg.degeneracy_tol * scale:
+    if any(b - a < cfg.degeneracy_tol * scale for a, b in zip(real_roots, real_roots[1:])):
         raise DegenerateTurningPointError(
             "two real turning points coalesce at this energy"
         )
@@ -122,7 +129,7 @@ def turning_points(V: Potential, E: float, cfg: NumericsConfig = DEFAULT_CONFIG)
             f"V - E has {len(real_roots)} real root(s); exactly two turning "
             f"points are supported (E = {E})"
         )
-    return TurningPair(float(real_roots[0]), float(real_roots[1]), tuple(map(complex, roots)))
+    return TurningPair(real_roots[0], real_roots[1], tuple(roots))
 
 
 def build_contour(
@@ -164,10 +171,20 @@ def build_contour(
 def ellipse_nodes(c: ContourSpec, nodes: int | None = None):
     """Node points and d z/d t on the counterclockwise parametrized ellipse."""
     m = c.nodes if nodes is None else nodes
-    t = 2.0 * np.pi * (np.arange(m) + c.offset) / m
-    z = c.center + c.semi_major * np.cos(t) + 1j * c.semi_minor * np.sin(t)
-    dz = -c.semi_major * np.sin(t) + 1j * c.semi_minor * np.cos(t)
+    angles = _unit_angles if m <= _UNIT_ANGLE_NODES else _unit_angles.__wrapped__
+    cos, sin = angles(m, c.offset)
+    z = c.center + c.semi_major * cos + 1j * c.semi_minor * sin
+    dz = -c.semi_major * sin + 1j * c.semi_minor * cos
     return z, dz
+
+
+@lru_cache(maxsize=_UNIT_ANGLE_SETS)
+def _unit_angles(m: int, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos t_j and sin t_j at t_j = 2*pi*(j + offset)/m."""
+    t = 2.0 * np.pi * (np.arange(m) + offset) / m
+    cos, sin = np.cos(t), np.sin(t)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
 
 
 def _continue_sqrt(q: np.ndarray, closure_tol: float) -> np.ndarray:
@@ -204,8 +221,13 @@ def _node_batch(V: Potential, E: float, c: ContourSpec, m: int, kmax: int):
     """Q, Q', ..., Q^(kmax) and dz/dt at the m nodes ellipse_nodes(c, m)."""
     z, dz = ellipse_nodes(c, m)
     q_derivs = V.derivs(z, kmax)
-    q_derivs[0] = q_derivs[0] - E
+    q_derivs[0] -= E
     return q_derivs, dz
+
+
+def _abs_sums(f_dz: np.ndarray) -> np.ndarray:
+    """Sum of |f dz| of each row, one row at a time to keep temporaries small."""
+    return np.array([np.sum(np.abs(row)) for row in f_dz])
 
 
 def _midpoint_sqrt(s: np.ndarray, q_mid: np.ndarray) -> np.ndarray | None:
@@ -261,7 +283,9 @@ def action_integrals(
     Quadrature starts at c.nodes nodes and doubles until every requested
     order moves by less than quad_rel_tol relatively (quad_abs_tol
     absolutely near zero), then the real parts are returned after the
-    reality check.
+    reality check.  Each pass evaluates every requested T_n at its nodes in
+    one dp.eval_numeric_batch call, which shares the derivative products
+    across orders, and keeps the sums per order in arrays.
 
     The trapezoid rule on the periodic ellipse is nested: the 2N-node set is
     the N-node set plus the N midpoints.  So a doubling evaluates only the
@@ -288,18 +312,22 @@ def action_integrals(
         return Actions({}, c.nodes, 0)
     if orders[0] < 0 or orders[-1] > series.max_order:
         raise ValueError(f"orders must lie in 0..{series.max_order}")
-    kmax = max(dp.max_deriv_order(series.terms[n]) for n in orders)
+    terms = tuple(series.terms[n] for n in orders)
+    kmax = max(map(dp.max_deriv_order, terms))
 
     def integrands(q_derivs, sqrt_q, dz):
-        return {n: dp.eval_numeric_array(series.terms[n], q_derivs, sqrt_q) * dz for n in orders}
+        """f dz, one row per order, from one call of the batched kernel."""
+        f_dz = dp.eval_numeric_batch(terms, q_derivs, sqrt_q)
+        f_dz *= dz
+        return f_dz
 
-    def trapezoid(total: complex, m: int) -> complex:
+    def trapezoid(total, m: int):
         return 2.0 * np.pi / m * total / 2j
 
     nodes, evaluated = c.nodes, 0
     sqrt_q = None  # continued sqrt(Q) on the current node set; None forces a full pass
-    totals: dict[int, dict[int, complex]] = {}  # node count -> order -> sum of f dz
-    abs_sums: dict[int, float] = {}  # order -> sum of |f dz| on the current node set
+    totals: dict[int, np.ndarray] = {}  # node count -> sum of f dz, one entry per order
+    abs_sums = None  # sum of |f dz| on the current node set, one entry per order
     offset = c.offset  # node offset of the current set, in units of its step
     while nodes <= cfg.max_nodes:
         half, quarter = nodes // 2, nodes // 4
@@ -313,9 +341,8 @@ def action_integrals(
                 sqrt_q = None
             else:
                 f_dz = integrands(q_derivs, mid, dz)
-                totals[nodes] = {n: totals[half][n] + np.sum(f_dz[n]) for n in orders}
-                for n in orders:
-                    abs_sums[n] += np.sum(np.abs(f_dz[n]))
+                totals[nodes] = totals[half] + f_dz.sum(axis=1)
+                abs_sums += _abs_sums(f_dz)
                 interleaved = np.empty(nodes, dtype=complex)
                 interleaved[0::2], interleaved[1::2] = sqrt_q, mid
                 sqrt_q = interleaved
@@ -331,40 +358,40 @@ def action_integrals(
             f_dz = integrands(q_derivs, sqrt_q, dz)
             # the sums on every node, every 2nd and every 4th: S_N, S_N/2, S_N/4
             totals = {
-                nodes // k: {n: np.sum(f_dz[n][::k]) for n in orders}
+                nodes // k: f_dz[:, ::k].sum(axis=1)
                 for k in (1, 2, 4)
                 if k == 1 or (nodes % k == 0 and nodes // k >= cfg.initial_nodes)
             }
-            abs_sums = {n: np.sum(np.abs(f_dz[n])) for n in orders}
+            abs_sums = _abs_sums(f_dz)
             offset = c.offset
+        del q_derivs, dz, f_dz  # freed before the next pass allocates its own
         if half in totals:
-            vals = {n: trapezoid(totals[nodes][n], nodes) for n in orders}
-            diffs = {n: abs(vals[n] - trapezoid(totals[half][n], half)) for n in orders}
-            targets = {
-                n: max(cfg.quad_rel_tol * abs(vals[n]), cfg.quad_abs_tol) for n in orders
-            }
-            unconverged = [n for n in orders if not diffs[n] <= targets[n]]
+            vals = trapezoid(totals[nodes], nodes)
+            diffs = np.abs(vals - trapezoid(totals[half], half))
+            targets = np.maximum(cfg.quad_rel_tol * np.abs(vals), cfg.quad_abs_tol)
+            unconverged = [i for i in range(len(orders)) if not diffs[i] <= targets[i]]
             if not unconverged:
                 return Actions(
-                    {n: _take_real(vals[n], n, cfg) for n in orders}, nodes, evaluated
+                    {n: _take_real(complex(v), n, cfg) for n, v in zip(orders, vals)},
+                    nodes, evaluated,
                 )
-            for n in unconverged:
-                if quarter not in totals:
-                    break
-                prev_diff = abs(
-                    trapezoid(totals[half][n], half) - trapezoid(totals[quarter][n], quarter)
+            if quarter in totals:
+                prev_diffs = np.abs(
+                    trapezoid(totals[half], half) - trapezoid(totals[quarter], quarter)
                 )
-                floor = _EPS * (2.0 * np.pi / nodes) * abs_sums[n] / 2.0
-                if _stalled_at_floor(
-                    diffs[n], prev_diff, floor, targets[n], nodes, cfg.max_nodes
-                ):
-                    raise QuadratureError(
-                        f"contour quadrature of B_{n} stopped at its rounding floor "
-                        f"after {nodes} nodes: successive difference {diffs[n]:.3g}, "
-                        f"floor {floor:.3g}, target {targets[n]:.3g}",
-                        order=n, nodes=nodes, difference=diffs[n], floor=floor,
-                        target=targets[n],
-                    )
+                floors = _EPS * (2.0 * np.pi / nodes) * abs_sums / 2.0
+                for i in unconverged:
+                    n, diff, floor, target = orders[i], diffs[i], floors[i], targets[i]
+                    if _stalled_at_floor(
+                        diff, prev_diffs[i], floor, target, nodes, cfg.max_nodes
+                    ):
+                        raise QuadratureError(
+                            f"contour quadrature of B_{n} stopped at its rounding floor "
+                            f"after {nodes} nodes: successive difference {diff:.3g}, "
+                            f"floor {floor:.3g}, target {target:.3g}",
+                            order=n, nodes=nodes, difference=float(diff),
+                            floor=float(floor), target=float(target),
+                        )
         nodes *= 2
     raise QuadratureError(
         f"contour quadrature did not converge within {cfg.max_nodes} nodes"

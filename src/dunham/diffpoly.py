@@ -20,7 +20,11 @@ output monomial.
 
 Numeric evaluation takes the values of Q and its derivatives at an array of
 points plus an externally chosen branch of sqrt(Q) there; this module never
-picks a branch itself.
+picks a branch itself.  A tuple of expressions is compiled once into a plan
+that builds each derivative product from a shorter one, shares the products
+across expressions, and takes the points in fixed-size blocks;
+:func:`eval_numeric_batch` evaluates the tuple and :func:`eval_numeric_array`
+one expression, through the same plan.
 
 Plain-text rendering is a bijection with the canonical form and round-trips
 through :func:`parse_plain`.  Grammar of one monomial (factors joined by
@@ -33,9 +37,10 @@ through :func:`parse_plain`.  Grammar of one monomial (factors joined by
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -59,6 +64,7 @@ __all__ = [
     "differentiate",
     "equals",
     "eval_numeric_array",
+    "eval_numeric_batch",
     "max_deriv_order",
     "has_half_powers",
     "to_plain",
@@ -67,6 +73,11 @@ __all__ = [
     "expr_to_json",
     "expr_from_json",
 ]
+
+
+def _weight(derivs: tuple) -> int:
+    """Total derivative weight sum(k * e_k) of derivative pairs."""
+    return sum(k * e for k, e in derivs)
 
 
 @dataclass(frozen=True)
@@ -95,15 +106,10 @@ class Monomial:
         if any(k1 >= k2 for (k1, _), (k2, _) in zip(self.derivs, self.derivs[1:])):
             raise ValueError("derivative orders must strictly increase")
 
-    @cached_property
-    def coeff_complex(self) -> complex:
-        """``complex(coeff)``, converted once for :func:`eval_numeric_array`."""
-        return complex(self.coeff)
-
     @property
     def weight(self) -> int:
         """Total derivative weight sum(k * e_k); the canonical primary key."""
-        return sum(k * e for k, e in self.derivs)
+        return _weight(self.derivs)
 
     def key(self) -> tuple:
         return (self.weight, self.q_half, self.derivs)
@@ -240,8 +246,19 @@ def q_deriv(order: int, exponent: int = 1) -> DiffExpr:
     return DiffExpr((_mono(Fraction(1), 0, {order: exponent}),))
 
 
+def _exact(value) -> Fraction:
+    """value as a Fraction; a float is refused rather than taken at its
+    binary value (0.1 would become 3602879701896397/36028797018963968)."""
+    if isinstance(value, float):
+        raise TypeError(
+            f"float {value!r} is ambiguous as an exact coefficient; pass a "
+            "Fraction, an int or a string such as '1/10'"
+        )
+    return Fraction(value)
+
+
 def constant(value) -> DiffExpr:
-    c = Fraction(value)
+    c = _exact(value)
     if c == 0:
         return ZERO
     return DiffExpr((Monomial(c, 0, ()),))
@@ -256,7 +273,7 @@ def negate(a: DiffExpr) -> DiffExpr:
 
 
 def scale(a: DiffExpr, factor) -> DiffExpr:
-    f = Fraction(factor)
+    f = _exact(factor)
     if f == 0:
         return ZERO
     return DiffExpr(tuple(Monomial(m.coeff * f, m.q_half, m.derivs) for m in a.monomials))
@@ -290,6 +307,125 @@ def has_half_powers(a: DiffExpr) -> bool:
     return any(m.q_half % 2 != 0 for m in a.monomials)
 
 
+# Nodes per block of numeric evaluation.  A plan's product table holds one
+# row per derivative product, so blocking caps it at rows x _BLOCK values
+# whatever the node count.
+_BLOCK = 2048
+# Compiled plans kept, least recently used dropped first.
+_MAX_PLANS = 64
+
+
+def _parent(derivs: tuple) -> tuple:
+    """The derivative product with one factor of its highest order removed."""
+    k, e = derivs[-1]
+    return derivs[:-1] + ((k, e - 1),) if e > 1 else derivs[:-1]
+
+
+class _Plan:
+    """Numeric evaluation of a tuple of expressions, compiled once.
+
+    Each monomial's derivative product prod_k (Q^(k))^e_k is one row of a
+    product table, built as the row of its parent product (see
+    :func:`_parent`) times one Q^(k).  Parents are shared: the products of
+    T_n are those of lower orders times one more factor, so every product is
+    one multiplication away from a row already built, and parents that no
+    monomial carries get rows of their own after the monomials' rows.  Each
+    expression's rows are contiguous and sorted by their power of Q,
+    Q^(h/2); a run of equal powers is multiplied by that power, computed once
+    per block with ``**`` (Q^(h/2) for even h, sqrt(Q)^h for odd h), and
+    then one product with the expression's real coefficient vector sums it.
+    An expression thus comes out the same, bit for bit, alone or in a batch.
+    """
+
+    def __init__(self, exprs: Sequence[DiffExpr]):
+        self.need = max(map(max_deriv_order, exprs), default=0)
+        self.half = any(map(has_half_powers, exprs))
+        rows = []  # the derivative product of each row
+        self.groups = []  # (h, first row, end row) of each power of Q but Q^0
+        self.sums = []  # (first row, end row, coefficients) of each expression
+        for a in exprs:
+            lo = len(rows)
+            monos = sorted(a.monomials, key=lambda m: (m.q_half, m.weight, m.derivs))
+            for m in monos:
+                r = len(rows)
+                rows.append(m.derivs)
+                if self.groups and self.groups[-1][0] == m.q_half and self.groups[-1][2] == r:
+                    self.groups[-1][2] = r + 1
+                elif m.q_half:
+                    self.groups.append([m.q_half, r, r + 1])
+            self.sums.append((lo, len(rows), np.array([float(m.coeff) for m in monos])))
+        row_of: dict[tuple, int] = {}
+        for r, d in enumerate(rows):
+            row_of.setdefault(d, r)
+        for d in rows:  # grows while parents get rows of their own
+            if d and _parent(d) and _parent(d) not in row_of:
+                row_of[_parent(d)] = len(rows)
+                rows.append(_parent(d))
+        self.rows = len(rows)
+        # (row, parent row or None, k), parents first: row = parent * Q^(k);
+        # with no parent, row = Q^(k), or 1 when k = 0
+        self.steps = sorted(
+            (
+                (r, row_of[_parent(d)] if d and _parent(d) else None, d[-1][0] if d else 0)
+                for r, d in enumerate(rows)
+            ),
+            key=lambda step: _weight(rows[step[0]]),
+        )
+
+    def __call__(self, q_derivs: Sequence[np.ndarray], sqrt_q: np.ndarray | None) -> np.ndarray:
+        if len(q_derivs) < self.need + 1:
+            raise InputShapeError(
+                f"expression uses derivatives up to order {self.need}, "
+                f"got only {len(q_derivs)} array(s)"
+            )
+        if self.half and sqrt_q is None:
+            raise BranchConsistencyError(
+                "expression has half-integer powers of Q but no sqrt_q was given"
+            )
+        shape = np.shape(q_derivs[0])
+        q = [np.ravel(q_derivs[k]) for k in range(self.need + 1)]
+        s = None if sqrt_q is None else np.ravel(sqrt_q)
+        out = np.empty((len(self.sums), q[0].size), dtype=complex)
+        for lo in range(0, q[0].size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            self._block([a[block] for a in q], None if s is None else s[block], out[:, block])
+        return out.reshape((len(self.sums),) + shape)
+
+    def _block(self, q: list, s: np.ndarray | None, out: np.ndarray) -> None:
+        table = np.empty((self.rows, out.shape[1]), dtype=complex)
+        for r, p, k in self.steps:
+            if p is not None:
+                np.multiply(table[p], q[k], out=table[r])
+            else:
+                table[r] = q[k] if k else 1.0
+        pw = {}
+        for h, lo, hi in self.groups:
+            if h not in pw:
+                pw[h] = q[0] ** (h // 2) if h % 2 == 0 else s**h
+            table[lo:hi] *= pw[h]
+        # real coefficients act on real and imaginary parts alike
+        flat = table.view(float)
+        for i, (lo, hi, c) in enumerate(self.sums):
+            out[i] = (c @ flat[lo:hi]).view(complex)
+
+
+class _Exprs(tuple):
+    """A tuple of expressions that hashes and compares by identity, so that
+    looking up its plan hashes no coefficient; the cache entry holds the
+    expressions, so their ids cannot be reused while it lives."""
+
+    def __hash__(self):
+        return hash(tuple(map(id, self)))
+
+    def __eq__(self, other):
+        return len(self) == len(other) and all(map(operator.is_, self, other))
+
+
+@lru_cache(maxsize=_MAX_PLANS)
+def _plan(exprs: _Exprs) -> _Plan:
+    return _Plan(exprs)
+
+
 def eval_numeric_array(
     a: DiffExpr,
     q_derivs: Sequence[np.ndarray],
@@ -301,31 +437,24 @@ def eval_numeric_array(
     concern (the contour tracer constructs it from Q); integer powers of Q
     never touch it.  Raises InputShapeError when q_derivs is shorter than the
     highest derivative order present, and BranchConsistencyError when the
-    expression has half-integer powers of Q but no sqrt_q is given.
+    expression has half-integer powers of Q but no sqrt_q is given.  This is
+    :func:`eval_numeric_batch` on the one expression.
     """
-    need = max_deriv_order(a)
-    if len(q_derivs) < need + 1:
-        raise InputShapeError(
-            f"expression uses derivatives up to order {need}, "
-            f"got only {len(q_derivs)} array(s)"
-        )
-    q0 = q_derivs[0]
-    total = np.zeros_like(q0, dtype=complex)
-    for m in a.monomials:
-        term = np.full_like(total, m.coeff_complex)
-        if m.q_half % 2 == 0:
-            if m.q_half != 0:
-                term = term * q0 ** (m.q_half // 2)
-        else:
-            if sqrt_q is None:
-                raise BranchConsistencyError(
-                    "expression has half-integer powers of Q but no sqrt_q was given"
-                )
-            term = term * sqrt_q**m.q_half
-        for k, e in m.derivs:
-            term = term * q_derivs[k] ** e
-        total = total + term
-    return total
+    return _plan(_Exprs((a,)))(q_derivs, sqrt_q)[0]
+
+
+def eval_numeric_batch(
+    exprs: Sequence[DiffExpr],
+    q_derivs: Sequence[np.ndarray],
+    sqrt_q: np.ndarray | None = None,
+) -> np.ndarray:
+    """Every expression of exprs at arrays of points, stacked on a new first
+    axis, from one compiled plan (see :class:`_Plan`) whose derivative
+    products all expressions share; inputs and errors as for
+    :func:`eval_numeric_array`.  Points are taken _BLOCK at a time, so the
+    memory beyond the result does not grow with their number.
+    """
+    return _plan(_Exprs(exprs))(q_derivs, sqrt_q)
 
 
 # ---------------------------------------------------------------------------

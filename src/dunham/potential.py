@@ -74,6 +74,13 @@ class Potential:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def _float_rows(self) -> tuple[list[float], ...]:
+        """The rows of float_deriv_table as Python floats, without the
+        padding, for Horner's rule at a scalar point."""
+        d = self.degree
+        return tuple(row[: d + 1 - k].tolist() for k, row in enumerate(self.float_deriv_table))
+
     def deriv_coefficients(self, order: int) -> tuple[Fraction, ...]:
         """Exact coefficients of the order-th derivative ((0,) past the degree)."""
         table = self._deriv_coeff_table
@@ -94,10 +101,24 @@ class Potential:
 
     def derivs(self, z, max_order: int):
         """[V(z), V'(z), ..., V^(max_order)(z)] at a scalar or array point;
-        orders past the degree are complex zeros of the shape of z."""
+        orders past the degree are complex zeros of the shape of z.
+
+        At an array z every order comes from one Horner loop over the
+        zero-padded table, whose leading zeros leave each row's value exactly
+        as its own Horner loop gives it; the rows are views of one array.
+        """
         d = self.degree
-        table = self.float_deriv_table
-        out = [self._horner(table[k, : d + 1 - k], z) for k in range(min(max_order, d) + 1)]
+        rows = min(max_order, d) + 1
+        if isinstance(z, np.ndarray):
+            cols = self.float_deriv_table[:rows].reshape((rows, d + 1) + (1,) * z.ndim)
+            acc = np.empty((rows,) + z.shape, dtype=complex)
+            acc[...] = cols[:, d]  # the first step, 0 * z + c, is exactly c
+            for j in range(d - 1, -1, -1):
+                acc *= z
+                acc += cols[:, j]
+            out = list(acc)
+        else:
+            out = [self._horner(row, z) for row in self._float_rows[:rows]]
         out += [np.zeros(np.shape(z), dtype=complex) for _ in range(max_order - d)]
         return out
 

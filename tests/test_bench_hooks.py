@@ -32,3 +32,19 @@ def test_benchmark_constructors_resolve():
     assert oracle.OracleConfig(mode=mode).mode is mode
     req = solver.QuantizationRequest(parse_potential("x^2"), 0, 0)
     assert abs(solver.total_phase(req, 1.0)) < 1e-10
+
+
+def test_traced_solve_counts_its_work(monkeypatch):
+    # the kernel runs under the tracer's wrappers and its counters move; a
+    # refactor that bypasses or breaks them fails here, not in --trace 1
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import spans
+
+    tracer = spans.Tracer()
+    with tracer.installed():
+        res = solver.quantize(solver.QuantizationRequest(parse_potential("x^4"), 1, 2))
+    assert abs(res.residual) <= 1e-10
+    for key in ("contour.node_passes", "contour.nodes_evaluated",
+                "potential.derivs_points", "solver.phase_evals"):
+        assert tracer.counts[key] > 0, key

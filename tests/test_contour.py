@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ class TestTurningPoints:
         V = parse_potential("x^4 - 2*x^2")
         with pytest.raises(TurningPointError):
             ct.turning_points(V, -0.5)
+
+    def test_errors_name_their_cause(self, ho):
+        with pytest.raises(TurningPointError, match=r"V - E has 0 real root\(s\)"):
+            ct.turning_points(ho, -1.0)
+        with pytest.raises(TurningPointError, match=r"V - E has 4 real root\(s\)"):
+            ct.turning_points(parse_potential("x^4 - 2*x^2"), -0.5)
+        with pytest.raises(
+            DegenerateTurningPointError, match=r"near x = 0 is degenerate \(V' vanishes\)"
+        ):
+            ct.turning_points(ho, 0.0)
 
     def test_double_well_above_barrier_is_two_point(self):
         V = parse_potential("x^4 - 2*x^2")
@@ -342,6 +353,25 @@ class TestNestedDoubling:
             for n in orders:
                 expected = ref[n] * E ** ((3 - 3 * n) / 4)
                 assert got[n] == pytest.approx(expected, rel=4 * DEFAULT_CONFIG.quad_rel_tol)
+
+
+class TestMemory:
+    def test_pass_memory_stays_bounded(self, quartic, series15):
+        # one pass at 2**16 nodes over orders 0..8 holds the derivative rows
+        # and one integrand row per order, plus a product table of a fixed
+        # number of nodes; a table over every node at once took 115 MB
+        orders = range(9)
+        ct.action_integrals(series15, orders, quartic, 6.0, _contour(quartic, 6.0))
+        tracemalloc.start()
+        try:
+            acts = ct.action_integrals(
+                series15, orders, quartic, 6.0, _contour(quartic, 6.0, 2**16)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert acts.evaluated == 2**16
+        assert peak < 27e6
 
 
 class TestInvariants:

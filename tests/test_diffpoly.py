@@ -34,6 +34,16 @@ class TestConstructors:
     def test_q_power_negative(self):
         assert dp.q_power(-3).monomials[0].q_half == -3
 
+    def test_constant_rejects_float(self):
+        with pytest.raises(TypeError, match="float"):
+            dp.constant(0.1)
+        assert dp.constant("1/10").monomials[0].coeff == F(1, 10)
+
+    def test_scale_rejects_float(self):
+        with pytest.raises(TypeError, match="float"):
+            dp.scale(dp.q_power(1), 0.1)
+        assert dp.scale(dp.q_power(1), F(1, 10)).monomials[0].coeff == F(1, 10)
+
     def test_zero_monomial_rejected(self):
         with pytest.raises(ValueError):
             dp.Monomial(F(0), 0, ())
@@ -126,6 +136,29 @@ EXACT_POINTS = [
 ]
 
 
+def _contour_inputs(m, kmax=8):
+    """[Q, Q', ..., Q^(kmax)] and sqrt(Q) at m nodes of a contour around the
+    well of x^4 - x^3 + x^2 at E = 3."""
+    import dunham.contour as ct
+    from dunham.potential import parse_potential
+
+    V, E = parse_potential("x^4 - x^3 + x^2"), 3.0
+    z, _ = ct.ellipse_nodes(ct.build_contour(ct.turning_points(V, E), 0.5), m)
+    q_derivs = V.derivs(z, kmax)
+    q_derivs[0] = q_derivs[0] - E
+    return q_derivs, ct._continue_sqrt(q_derivs[0], 1e-8)
+
+
+def _magnitude_sums(terms, q_derivs, sqrt_q):
+    """sum |monomial| of each term at each point: the terms with |coeff|,
+    evaluated at |Q^(k)| and |sqrt(Q)|."""
+    plus = [
+        dp.DiffExpr(tuple(dp.Monomial(abs(m.coeff), m.q_half, m.derivs) for m in t.monomials))
+        for t in terms
+    ]
+    return dp.eval_numeric_batch(plus, [np.abs(a) for a in q_derivs], np.abs(sqrt_q)).real
+
+
 class TestEvalNumeric:
     def test_integer_power_ignores_branch_sign(self):
         assert dp.eval_numeric_array(dp.q_power(2), [one(4.0)], one(-2.0))[0] == 4.0
@@ -177,18 +210,13 @@ class TestEvalNumeric:
         want = -q1 / (4.0 * q)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 4 * EPS
 
-    def test_array_eval_bitwise_equals_per_call_conversion(self, series15):
-        import dunham.contour as ct
-        from dunham.potential import parse_potential
-
-        V, E = parse_potential("x^4 - x^3 + x^2"), 3.0
-        c = ct.build_contour(ct.turning_points(V, E), 0.5)
-        z, _ = ct.ellipse_nodes(c, 96)
+    def test_plan_matches_per_monomial_loop(self, series15):
+        # the plan against the plain loop, one monomial at a time, at contour
+        # nodes; within the bound test_array_eval_matches_scalar uses
         for t in series15.terms[:9]:
-            q_derivs = V.derivs(z, max(dp.max_deriv_order(t), 1))
-            q_derivs[0] = q_derivs[0] - E
-            sqrt_q = ct._continue_sqrt(q_derivs[0], 1e-8)
-            ref = np.zeros_like(z, dtype=complex)
+            q_derivs, sqrt_q = _contour_inputs(96, max(dp.max_deriv_order(t), 1))
+            ref = np.zeros_like(sqrt_q)
+            scale = np.zeros(sqrt_q.shape)
             for m in t.monomials:
                 term = np.full_like(ref, complex(m.coeff))
                 if m.q_half % 2 == 0:
@@ -199,9 +227,46 @@ class TestEvalNumeric:
                 for k, e in m.derivs:
                     term = term * q_derivs[k] ** e
                 ref = ref + term
-            for _ in range(2):  # first call converts, second reads the cache
-                out = dp.eval_numeric_array(t, q_derivs, sqrt_q)
-                assert out.tobytes() == ref.tobytes()
+                scale = scale + np.abs(term)
+            out = dp.eval_numeric_array(t, q_derivs, sqrt_q)
+            assert np.all(np.abs(out - ref) <= 8 * EPS * scale)
+
+    def test_batch_equals_single_calls(self, series15):
+        q_derivs, sqrt_q = _contour_inputs(200)
+        terms = series15.terms[:9]
+        both = dp.eval_numeric_batch(terms, q_derivs, sqrt_q)
+        assert both.shape == (9, 200)
+        for t, row in zip(terms, both):
+            assert row.tobytes() == dp.eval_numeric_array(t, q_derivs, sqrt_q).tobytes()
+        evens = dp.eval_numeric_batch(terms[::2], q_derivs, sqrt_q)
+        assert evens.tobytes() == both[::2].tobytes()
+
+    @pytest.mark.parametrize("m", [64, dp._BLOCK, dp._BLOCK + 2, 2**14])
+    def test_result_does_not_depend_on_block_split(self, series15, m, monkeypatch):
+        q_derivs, sqrt_q = _contour_inputs(m)
+        terms = series15.terms[:9]
+        blocked = dp.eval_numeric_batch(terms, q_derivs, sqrt_q)
+        monkeypatch.setattr(dp, "_BLOCK", m)
+        whole = dp.eval_numeric_batch(terms, q_derivs, sqrt_q)
+        assert np.all(np.abs(blocked - whole) <= EPS * _magnitude_sums(terms, q_derivs, sqrt_q))
+
+    def test_batch_keeps_point_shape(self, series15):
+        q_derivs, sqrt_q = _contour_inputs(12)
+        flat = dp.eval_numeric_batch(series15.terms[:3], q_derivs, sqrt_q)
+        square = dp.eval_numeric_batch(
+            series15.terms[:3], [a.reshape(3, 4) for a in q_derivs], sqrt_q.reshape(3, 4)
+        )
+        assert square.shape == (3, 3, 4)
+        assert square.reshape(3, 12).tobytes() == flat.tobytes()
+
+    def test_batch_errors(self, series15):
+        q_derivs, sqrt_q = _contour_inputs(64)
+        with pytest.raises(InputShapeError):
+            dp.eval_numeric_batch(series15.terms[:5], q_derivs[:4], sqrt_q)
+        with pytest.raises(BranchConsistencyError):
+            dp.eval_numeric_batch(series15.terms[:3], q_derivs)
+        assert dp.eval_numeric_batch([dp.ZERO, dp.ONE], q_derivs[:1]).tolist() == [
+            [0j] * 64, [1 + 0j] * 64]
 
 
 class TestRendering:

@@ -101,6 +101,27 @@ class TestEvaluation:
         for k in (5, 6):
             assert vals[k].shape == z.shape and not np.any(vals[k])
 
+    @pytest.mark.parametrize(
+        "text", ["x^4", "x^4 + 0.5*x^3", "x^2 + x^4", "x^6 - x^4 + x^3 + 5/4*x^2 - x"]
+    )
+    def test_derivs_bitwise_equal_per_row_horner(self, text):
+        # one Horner loop over the padded table against one loop per row
+        V = parse_potential(text)
+        d = V.degree
+        rng = np.random.default_rng(3)
+        points = [
+            0.7 - 0.2j,
+            -1.3,
+            rng.normal(size=40) + 1j * rng.normal(size=40),
+            rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5)),
+        ]
+        for z in points:
+            vals = V.derivs(z, d + 1)
+            for k in range(d + 1):
+                ref = Potential._horner(V.float_deriv_table[k, : d + 1 - k], z)
+                assert np.shape(vals[k]) == np.shape(z)
+                assert np.asarray(vals[k]).tobytes() == np.asarray(ref).tobytes()
+
     def test_float_table_rows_are_the_exact_rows(self):
         V = parse_potential("0.5*x^2 + 0.1*x^4 - 1/3*x^3 + 7")
         table = V.float_deriv_table

@@ -190,21 +190,27 @@ class TestSolveCost:
         original = sv._eval_phase
 
         def recorded(request, E, cfg, nodes):
-            starts.append(nodes)
+            starts[-1].append(nodes)
             phase, acts = original(request, E, cfg, nodes)
-            reached.append(acts.nodes)
+            reached[-1].append(acts.nodes)
             return phase, acts
 
         monkeypatch.setattr(sv, "_eval_phase", recorded)
-        sv.quantize(req(parse_potential("x^4 - x^3 + 1/2*x^2 + x"), 0, 3))
-        # the seed, E = 0.028, converges only at 2**17 nodes, on its rounding floor
-        assert max(reached) > sv._WARM_START_MAX_NODES
-        expected = DEFAULT_CONFIG.initial_nodes
-        for start, end in zip(starts, reached, strict=True):
-            assert start == expected
-            if end <= sv._WARM_START_MAX_NODES:
-                expected = end
-        assert max(starts) > DEFAULT_CONFIG.initial_nodes
+        # at the seed, E = 0.028, the B_6 sum sits on its rounding floor, and
+        # one of these mirror images converges there only past the bound (at
+        # 2**15 nodes for the second); which one is up to rounding
+        for potential in ("x^4 - x^3 + 1/2*x^2 + x", "x^4 + x^3 + 1/2*x^2 - x"):
+            starts.append([])
+            reached.append([])
+            sv.quantize(req(parse_potential(potential), 0, 3))
+        assert max(map(max, reached)) > sv._WARM_START_MAX_NODES
+        for run_starts, run_reached in zip(starts, reached, strict=True):
+            expected = DEFAULT_CONFIG.initial_nodes
+            for start, end in zip(run_starts, run_reached, strict=True):
+                assert start == expected
+                if end <= sv._WARM_START_MAX_NODES:
+                    expected = end
+            assert max(run_starts) > DEFAULT_CONFIG.initial_nodes
 
     def test_debug_record_per_level(self, quartic, caplog):
         with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
@@ -258,16 +264,16 @@ class TestQuadratureFloor:
     def test_seed_probe_at_floor_stops_early(self, quartic, pass_nodes):
         # both seed probes, at E = 1 and E = 2, end at the floor
         res = sv.quantize(req(quartic, 1, 4))
-        assert res.E == 3.8082610033546738
+        assert res.E == 3.808261003354388
         assert max(pass_nodes) <= 2**15
 
     def test_noise_within_reach_still_converges(self):
         # at the seed, E = 0.028, the B_6 sum sits at its floor (1.5e-9, above
-        # the 8.8e-11 target) but its differences reach the target, at 8192
-        # nodes for this potential and 131072 for its mirror image
+        # the 8.8e-11 target) but its differences reach the target, at 32768
+        # nodes for this potential and 4096 for its mirror image
         for potential, energy in [
-            ("x^4 + x^3 + 1/2*x^2 - x", 0.5662698559411473),
-            ("x^4 - x^3 + 1/2*x^2 + x", 0.5662698559409834),
+            ("x^4 + x^3 + 1/2*x^2 - x", 0.5662698559410793),
+            ("x^4 - x^3 + 1/2*x^2 + x", 0.5662698559411499),
         ]:
             res = sv.quantize(req(parse_potential(potential), 0, 3))
             assert res.E == energy
