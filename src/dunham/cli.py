@@ -158,7 +158,7 @@ def cmd_terms(args) -> int:
         return EXIT_USAGE
     series = ws.gen_terms(args.n_max)
     if args.format == "json":
-        payload = json.dumps(ws.series_to_json(series), indent=2) + "\n"
+        payload = ws._series_json_text(series) + "\n"
     else:
         render = dp.to_latex if args.format == "latex" else dp.to_plain
         payload = "".join(
@@ -253,10 +253,16 @@ def _parse_orders(text: str) -> list[int]:
     orders = [int(e) for e in entries]
     if any(o < 0 for o in orders):
         raise ValueError("orders must be >= 0")
+    for o in orders:
+        if orders.count(o) > 1:
+            raise ValueError(f"--order lists order {o} more than once")
     return orders
 
 
 def cmd_compare(args) -> int:
+    if args.levels < 1:
+        print("error: --levels must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         orders = _parse_orders(args.order)
     except ValueError as exc:

@@ -93,6 +93,23 @@ class ContourSpec:
             raise ValueError("ellipse axes must be positive")
 
 
+def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of the polynomial with these coefficients, lowest order first:
+    the bits ``np.roots(coeffs[::-1])`` gives, from the same companion
+    matrix, without np.roots' argument handling.  As there, each vanishing
+    low-order coefficient is a root at 0, appended last."""
+    nonzero = np.flatnonzero(coeffs)
+    zeros = int(nonzero[0])
+    p = coeffs[zeros : int(nonzero[-1]) + 1][::-1]
+    if p.size > 1:
+        companion = np.eye(p.size - 1, k=-1)
+        companion[0] = -p[1:] / p[0]
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.zeros(0)
+    return np.concatenate((roots, np.zeros(zeros, roots.dtype))) if zeros else roots
+
+
 def turning_points(V: Potential, E: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> TurningPair:
     """All roots of V(x) - E by the companion-matrix eigenvalue method with
     one Newton polish step per root; requires exactly two simple real roots.
@@ -101,7 +118,7 @@ def turning_points(V: Potential, E: float, cfg: NumericsConfig = DEFAULT_CONFIG)
     which for a handful of roots costs less than array operations do."""
     coeffs = V.float_deriv_table[0].copy()
     coeffs[0] -= E
-    roots = np.roots(coeffs[::-1])
+    roots = _poly_roots(coeffs)
     # one Newton step per root against the exact-coefficient derivatives
     v, p1 = V.derivs(roots, 1)
     safe = np.abs(p1) > 0

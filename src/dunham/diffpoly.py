@@ -16,7 +16,15 @@ computed one ``Fraction`` at a time: each expression caches its coefficients
 as integer numerators over their common denominator, the accumulator behind
 :func:`mul`, :func:`add` and :func:`differentiate` adds plain integer
 numerators over one running denominator, and one ``Fraction`` is built per
-output monomial.
+output monomial.  Next to each numerator the cache holds the monomial's
+(h, derivative-exponent) key packed into one int of ``_FIELD_BITS``-bit
+fields (packed exponent vectors, Monagan & Pearce, CASC 2007), so the key of
+a product is one integer addition and that of a derivative one more.  Each
+surviving key is decoded once, when the sum is finalized.  Packing refuses,
+with a ValueError, |h|, an exponent or a derivative order past
+``_PACK_LIMIT`` (16383).  On gen_terms(20) plus the certificates of
+Phi_1..Phi_8 this took the algebra from about 0.32 to 0.10 s (2 cores,
+Python 3.11.7).
 
 Numeric evaluation takes the values of Q and its derivatives at an array of
 points plus an externally chosen branch of sqrt(Q) there; this module never
@@ -133,31 +141,99 @@ class DiffExpr:
         return to_plain(self)
 
     @cached_property
-    def _ints(self) -> tuple[int, tuple[tuple[int, tuple, int], ...]]:
-        """``(D, ((q_half, derivs, numerator), ...))``: every coefficient as an
-        integer numerator over D, the lcm of the coefficient denominators."""
+    def _ints(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """``(D, ((key, numerator), ...))``: every monomial's packed key (see
+        :func:`_pack`) with its coefficient as an integer numerator over D,
+        the lcm of the coefficient denominators."""
         den = lcm(*(m.coeff.denominator for m in self.monomials))
         return den, tuple(
-            (m.q_half, m.derivs, m.coeff.numerator * (den // m.coeff.denominator))
+            (_pack(m), m.coeff.numerator * (den // m.coeff.denominator))
             for m in self.monomials
         )
+
+
+# Packed monomial keys.  Inside the accumulator a monomial's (q_half, derivs)
+# is one int of fixed-width fields: the low field holds q_half + _BIAS and
+# field k holds the exponent of Q^(k).  A product's key is then ka + kb -
+# _BIAS and a derivative's a constant offset.  Packing accepts |q_half|,
+# exponents and derivative orders up to _PACK_LIMIT, so the sum of two
+# packed fields, or a field moved by a derivative, stays inside its field
+# and never carries into the next one.  16-bit fields measured faster than
+# 32-bit ones: the keys of gen_terms(20) stay shorter ints.
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_BIAS = 1 << (_FIELD_BITS - 1)
+_PACK_LIMIT = (1 << (_FIELD_BITS - 2)) - 1
+# d/dx Q^(h/2) adds _Q_STEP to the key: q_half - 2 and one more factor Q'
+_Q_STEP = (1 << _FIELD_BITS) - 2
+
+
+def _pack(m: Monomial) -> int:
+    """The packed key of m's (q_half, derivs); ValueError past _PACK_LIMIT."""
+    h = m.q_half
+    if not -_PACK_LIMIT <= h <= _PACK_LIMIT:
+        raise ValueError(f"q_half {h} is outside the packing limit +-{_PACK_LIMIT}")
+    key = h + _BIAS
+    for k, e in m.derivs:
+        if k > _PACK_LIMIT or e > _PACK_LIMIT:
+            raise ValueError(
+                f"derivative order {k} with exponent {e} exceeds the packing limit "
+                f"{_PACK_LIMIT}"
+            )
+        key += e << (_FIELD_BITS * k)
+    return key
+
+
+# Derivative parts of packed keys decoded so far, least recently used dropped
+# first: the terms of one series share most of their derivative products.
+_MAX_DECODED = 1 << 13
+
+
+@lru_cache(maxsize=_MAX_DECODED)
+def _unpack_derivs(fields: int) -> tuple[int, tuple, bool]:
+    """(weight, derivs, packs) of a packed key's derivative fields, key >>
+    _FIELD_BITS; packs is whether every order and exponent is within
+    _PACK_LIMIT, so that the fields can go into another product as they are."""
+    derivs = []
+    weight = 0
+    k = 1
+    while fields:
+        e = fields & _FIELD_MASK
+        if e:
+            derivs.append((k, e))
+            weight += k * e
+        fields >>= _FIELD_BITS
+        k += 1
+    packs = k - 1 <= _PACK_LIMIT and all(e <= _PACK_LIMIT for _, e in derivs)
+    return weight, tuple(derivs), packs
+
+
+def _trusted(coeff: Fraction, q_half: int, derivs: tuple) -> Monomial:
+    """A Monomial built without the checks of __post_init__, for terms that
+    come canonical out of the accumulator."""
+    m = object.__new__(Monomial)
+    d = m.__dict__
+    d["coeff"] = coeff
+    d["q_half"] = q_half
+    d["derivs"] = derivs
+    return m
 
 
 class _Sum:
     """Running exact sum of monomial products, finalized once.
 
-    Terms accumulate as ``(q_half, derivs) -> int`` numerators over one
-    common denominator D, without a ``Fraction`` or a :class:`Monomial` per
+    Terms accumulate as packed key -> int numerator over one common
+    denominator D, without a ``Fraction`` or a :class:`Monomial` per
     product.  An incoming term whose denominator does not divide D grows D to
     the lcm and rescales the numerators held so far.  :meth:`result` drops
-    zero numerators, builds one ``Fraction`` and one monomial per surviving
-    key and sorts by the canonical key.
+    zero numerators, decodes each surviving key once, builds one ``Fraction``
+    and one monomial per key and sorts by the canonical key.
     """
 
     __slots__ = ("_acc", "_den")
 
     def __init__(self):
-        self._acc: dict[tuple, int] = {}
+        self._acc: dict[int, int] = {}
         self._den = 1
 
     def _over(self, den: int) -> int:
@@ -176,13 +252,13 @@ class _Sum:
         den_b, tb = b._ints
         mult = factor.numerator * self._over(den_a * den_b * factor.denominator)
         acc = self._acc
-        for ha, da, na in ta:
+        get = acc.get
+        for ka, na in ta:
+            ka -= _BIAS
             ca = na * mult
-            for hb, db, nb in tb:
-                key = (ha + hb, _merge_derivs(da, db))
-                c = ca * nb
-                old = acc.get(key)
-                acc[key] = c if old is None else old + c
+            for kb, nb in tb:
+                key = ka + kb
+                acc[key] = get(key, 0) + ca * nb
 
     def add_derivative(self, a: DiffExpr) -> None:
         """Add d/dx a, by the product rule (see :func:`differentiate`); the
@@ -190,35 +266,37 @@ class _Sum:
         den, ta = a._ints
         mult = self._over(2 * den)
         acc = self._acc
-        for h, derivs, num in ta:
+        get = acc.get
+        for m, (key, num) in zip(a.monomials, ta):
             c = num * mult
+            h = m.q_half
             if h != 0:
-                key = (h - 2, _merge_derivs(derivs, ((1, 1),)))
-                acc[key] = acc.get(key, 0) + c * h
-            for k, e in derivs:
-                d = dict(derivs)
-                d[k] = e - 1
-                d[k + 1] = d.get(k + 1, 0) + 1
-                key = (h, tuple(sorted((j, x) for j, x in d.items() if x)))
-                acc[key] = acc.get(key, 0) + c * 2 * e
+                k2 = key + _Q_STEP
+                acc[k2] = get(k2, 0) + c * h
+            for k, e in m.derivs:
+                step = 1 << (_FIELD_BITS * k)
+                k2 = key + (step << _FIELD_BITS) - step
+                acc[k2] = get(k2, 0) + c * 2 * e
 
     def result(self) -> DiffExpr:
+        """The canonical sum.  When every surviving key is within the packing
+        limit, the keys and their numerators, over the reduced common
+        denominator, become the result's ``_ints`` without packing again."""
+        rows = []
+        packs = True
+        for key, c in self._acc.items():
+            if c:
+                weight, derivs, ok = _unpack_derivs(key >> _FIELD_BITS)
+                h = (key & _FIELD_MASK) - _BIAS
+                packs = packs and ok and -_PACK_LIMIT <= h <= _PACK_LIMIT
+                rows.append(((weight, h, derivs), c, key))
+        rows.sort()
         den = self._den
-        out = [Monomial(Fraction(c, den), h, d) for (h, d), c in self._acc.items() if c]
-        out.sort(key=Monomial.key)
-        return DiffExpr(tuple(out))
-
-
-def _merge_derivs(da: tuple, db: tuple) -> tuple:
-    """Derivative pairs of a product: exponents of equal orders add."""
-    if not db:
-        return da
-    if not da:
-        return db
-    d = dict(da)
-    for k, e in db:
-        d[k] = d.get(k, 0) + e
-    return tuple(sorted(d.items()))
+        out = DiffExpr(tuple(_trusted(Fraction(c, den), h, d) for (_, h, d), c, _ in rows))
+        if packs:
+            g = gcd(den, *(c for _, c, _ in rows))
+            out.__dict__["_ints"] = (den // g, tuple((key, c // g) for _, c, key in rows))
+        return out
 
 
 def _collect(monomials: Iterable[Monomial]) -> DiffExpr:

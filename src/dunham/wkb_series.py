@@ -246,6 +246,47 @@ def series_to_json(series: WkbSeries) -> dict:
     }
 
 
+# One monomial and one derivative pair of the series layout, at their
+# json.dumps(..., indent=2) depths.
+_MONOMIAL_TEXT = """          {{
+            "coeff": "{}",
+            "q_half": {},
+            "derivs": {}
+          }}"""
+_PAIR_TEXT = """              [
+                {},
+                {}
+              ]"""
+
+
+def _json_list(items: list, indent: int) -> str:
+    """A list of already indented items, laid out as json.dumps(indent=2)."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
+
+
+def _series_json_text(series: WkbSeries) -> str:
+    """``json.dumps(series_to_json(series), indent=2)``, the same bytes,
+    written from the templates above instead of by the pure-Python encoder
+    that ``indent`` selects."""
+    derivs_text: dict[tuple, str] = {}
+    terms = []
+    for n, t in enumerate(series.terms):
+        monos = []
+        for m in t.monomials:
+            d = derivs_text.get(m.derivs)
+            if d is None:
+                d = _json_list([_PAIR_TEXT.format(k, e) for k, e in m.derivs], 12)
+                derivs_text[m.derivs] = d
+            monos.append(_MONOMIAL_TEXT.format(m.coeff, m.q_half, d))
+        terms.append(
+            f'    {{\n      "order": {n},\n      "expr": {{\n'
+            f'        "monomials": {_json_list(monos, 8)}\n      }}\n    }}'
+        )
+    return f'{{\n  "max_order": {series.max_order},\n  "terms": {_json_list(terms, 2)}\n}}'
+
+
 def series_from_json(doc: dict) -> WkbSeries:
     n_max = int(doc["max_order"])
     terms = [dp.ZERO] * (n_max + 1)

@@ -172,6 +172,17 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "x^2", "--order", "")
         assert code == EXIT_USAGE
 
+    def test_zero_levels_usage(self, capsys):
+        code, _, err = run(capsys, "compare", "x^4", "--levels", "0")
+        assert code == EXIT_USAGE
+        assert "--levels must be >= 1" in err
+
+    def test_repeated_order_usage(self, capsys):
+        code, out, err = run(capsys, "compare", "x^2", "--levels", "2", "--order", "2,0,2")
+        assert code == EXIT_USAGE
+        assert "order 2 more than once" in err
+        assert out == ""
+
     def test_unknown_command_usage(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 

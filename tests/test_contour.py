@@ -65,6 +65,25 @@ class TestTurningPoints:
         ):
             ct.turning_points(ho, 0.0)
 
+    @pytest.mark.parametrize(
+        "text, E",
+        [
+            ("x^4", 1.3),
+            ("x^4 + 0.5*x^3", 0.7),
+            ("x^2 + x^4", 2.0),
+            ("x^6 - x^4 + x^3 + 5/4*x^2 - x", 3.1),
+            ("x^4 - x^3 + 1/2*x^2 + 1/4*x + 3/8", 3 / 8),  # E = V(0): a root at 0
+            ("x^2 + x^4", 0.0),  # two roots at 0
+            ("x^4", 0.0),  # only roots at 0
+        ],
+    )
+    def test_roots_bit_identical_to_np_roots(self, text, E):
+        coeffs = parse_potential(text).float_deriv_table[0].copy()
+        coeffs[0] -= E
+        got, want = ct._poly_roots(coeffs), np.roots(coeffs[::-1])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_double_well_above_barrier_is_two_point(self):
         V = parse_potential("x^4 - 2*x^2")
         tp = ct.turning_points(V, 1.0)

@@ -4,20 +4,24 @@ from fractions import Fraction as F
 from functools import reduce
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dunham.diffpoly as dp
 
 coeffs = st.fractions(min_value=F(-8), max_value=F(8), max_denominator=8).filter(bool)
-deriv_maps = st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=3)
+# Wide enough that keys span many packed fields and q_half crosses the bias
+# in both directions.
+MAX_ORDER = 30
+deriv_maps = st.dictionaries(st.integers(1, MAX_ORDER), st.integers(1, 40), max_size=3)
 
 
 @st.composite
 def monomials(draw):
     return dp.Monomial(
         draw(coeffs),
-        draw(st.integers(-6, 6)),
+        draw(st.integers(-40, 40)),
         tuple(sorted(draw(deriv_maps).items())),
     )
 
@@ -101,7 +105,13 @@ def test_mul_matches_naive_product(a, b):
 nonzero_rationals = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=8).filter(bool)
 
 
-@given(exprs(), exprs(), nonzero_rationals, st.lists(nonzero_rationals, min_size=4, max_size=4))
+@given(
+    exprs(),
+    exprs(),
+    nonzero_rationals,
+    st.lists(nonzero_rationals, min_size=MAX_ORDER, max_size=MAX_ORDER),
+)
+@settings(deadline=None)
 def test_eval_is_homomorphic(exact_eval, a, b, sqrt_q, dvals):
     # exact arithmetic at a point where Q = sqrt_q**2: add and mul must agree exactly
     q_derivs = [sqrt_q * sqrt_q] + dvals
@@ -202,6 +212,8 @@ def _check_against_reference(seq):
             s.add_derivative(op[1])
     got = s.result()
     assert {(m.q_half, m.derivs): m.coeff for m in got.monomials} == _reference_sum(seq)
+    # the keys and numerators result() hands on are those packing would give
+    assert got._ints == dp.DiffExpr(got.monomials)._ints
     assert all(m.coeff != 0 for m in got.monomials)
     keys = [m.key() for m in got.monomials]
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
@@ -247,3 +259,56 @@ def test_partial_cancellation_drops_zero_terms():
     seq = [("product", a, b, F(5, 3)), ("product", b, b, 1), ("product", a, b, F(-5, 3))]
     _, got = _check_against_reference(seq)
     assert dp.equals(got, dp.mul(b, b))
+
+
+# The packing limit: the largest |q_half|, exponent and derivative order that
+# pack, where a product of two packed keys still fits its fields.
+
+LIMIT = dp._PACK_LIMIT
+
+
+def test_pack_limit_round_trips():
+    edge = _m(F(3, 4), LIMIT, [(1, LIMIT), (LIMIT, 1)])
+    low = _m(F(-1, 5), -LIMIT, [(LIMIT, LIMIT)])
+    for a in (edge, low):
+        assert dp.equals(dp.mul(a, dp.ONE), a)
+        assert dp.equals(dp.add(a, a), dp.scale(a, 2))
+    # results past the limit are compared as monomials: packing them refuses
+    assert dp.mul(edge, low).monomials == (
+        dp.Monomial(F(-3, 20), 0, ((1, LIMIT), (LIMIT, LIMIT + 1))),
+    )
+    assert dp.mul(low, low).monomials == (
+        dp.Monomial(F(1, 25), -2 * LIMIT, ((LIMIT, 2 * LIMIT),)),
+    )
+    # d/dx moves q_half below -LIMIT and the order past LIMIT
+    assert dp.differentiate(low).monomials == (
+        dp.Monomial(F(LIMIT, 10), -LIMIT - 2, ((1, 1), (LIMIT, LIMIT))),
+        dp.Monomial(F(-LIMIT, 5), -LIMIT, ((LIMIT, LIMIT - 1), (LIMIT + 1, 1))),
+    )
+
+
+@pytest.mark.parametrize(
+    "q_half, derivs",
+    [
+        (LIMIT + 1, []),
+        (-LIMIT - 1, []),
+        (0, [(1, LIMIT + 1)]),
+        (0, [(LIMIT + 1, 1)]),
+    ],
+)
+def test_past_pack_limit_raises(q_half, derivs):
+    a = _m(1, q_half, derivs)
+    for op in (lambda: dp.mul(a, dp.ONE), lambda: dp.differentiate(a)):
+        with pytest.raises(ValueError, match=f"packing limit.*{LIMIT}"):
+            op()
+
+
+def test_product_past_pack_limit_raises_when_reused():
+    # a product may reach twice the limit; packing it again must refuse
+    square = dp.mul(_m(1, 0, [(2, LIMIT)]), _m(1, 0, [(2, LIMIT)]))
+    assert square.monomials[0].derivs == ((2, 2 * LIMIT),)
+    low = dp.mul(dp.q_power(-LIMIT), dp.q_power(-LIMIT))
+    assert low.monomials[0].q_half == -2 * LIMIT
+    for a in (square, low):
+        with pytest.raises(ValueError, match=str(LIMIT)):
+            dp.mul(a, dp.ONE)

@@ -254,3 +254,14 @@ class TestSerialization:
             (Path(__file__).parent / "golden" / "series_n4.json").read_text()
         )
         assert ws.series_to_json(ws.gen_terms(4)) == golden
+
+    @pytest.mark.parametrize("n", [*range(9), 20])
+    def test_json_text_equals_indented_dumps(self, n):
+        series = ws.gen_terms(n)
+        assert ws._series_json_text(series) == json.dumps(ws.series_to_json(series), indent=2)
+
+    def test_json_text_of_empty_lists(self):
+        for series in (ws.WkbSeries(1, (dp.ZERO, dp.ONE)), ws.WkbSeries(-1, ())):
+            assert ws._series_json_text(series) == json.dumps(
+                ws.series_to_json(series), indent=2
+            )
