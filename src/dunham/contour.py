@@ -9,6 +9,10 @@ two simple zeros makes sqrt(Q) single-valued there, which the closure check
 enforces.  Integrands never touch the real axis between the turning points,
 where the higher-order terms diverge.
 
+The integrands are the terms of the series passed in; the solver passes
+T_0, its odd terms and, for each even order 2n >= 2, the reduced
+R_2n = T_2n - dPsi_2n/dx, whose closed-contour integral is that of T_2n.
+
 The node count doubles until the sums converge.  Doubling is nested: the
 2N-node set is the N-node set plus the N midpoints, so each doubling
 evaluates only the midpoints and adds their sums to the running ones, and

@@ -12,6 +12,13 @@ because their terms are exact derivatives (certified symbolically per order
 by wkb_series before being dropped); a config flag forces their numeric
 inclusion for demonstration runs.
 
+Each B_2n, n >= 1, is integrated from R_2n = T_2n - dPsi_2n/dx, the
+Q'-free reduction of wkb_series.reduce_even_term: Psi_2n is single-valued on
+the contour, so R_2n has the same closed-contour integral as T_2n, with
+about a quarter of its monomials and a far lower rounding floor.  Each
+reduction is certified exactly, once per n, before the first phase
+evaluation that needs it.
+
 Reporting convention: results quote Phi(E) = K*pi with the -pi/2 on the
 left-hand side, equivalent to the textbook B_0 + corrections = (K + 1/2)*pi.
 
@@ -49,10 +56,10 @@ __all__ = [
 _log = logging.getLogger("dunham.solver")
 
 # quantize starts each energy at the node count the last one converged at,
-# but carries over no count above this.  An energy near the rounding floor
-# can converge only at 2**17 nodes; starting every later energy there made
-# x^4 - x^3 + 1/2*x^2 + x (order 3, K = 0) about 10 times and x^4 + 0.5*x^3
-# (order 3, K = 0) about 50 times slower than with this bound.
+# but carries over no count above this.  At high order an energy near the
+# rounding floor can converge only at 2**15 nodes; starting every later
+# energy there made x^4 at order 9 (K = 1..3) 3 to 4 times slower than with
+# this bound.
 _WARM_START_MAX_NODES = 4096
 
 
@@ -92,6 +99,31 @@ def _series(order: int) -> ws.WkbSeries:
 
 
 @lru_cache(maxsize=64)
+def _even_reduction(n: int) -> ws.EvenTermCertificate:
+    """The certified reduction T_2n = R_2n + dPsi_2n/dx, computed once per n
+    and shared by every order that integrates R_2n."""
+    cert = ws.certify_even_reduction(_series(n), n)
+    if not cert.verified:
+        raise DunhamError(
+            f"even-term reduction of T_{2 * n} failed its certificate; cannot integrate R_{2 * n}"
+        )
+    return cert
+
+
+@lru_cache(maxsize=8)
+def _phase_series(order: int) -> ws.WkbSeries:
+    """The integrands of the phase: _series(order) with each even T_2n,
+    n >= 1, replaced by its certified Q'-free R_2n, which has the same
+    closed-contour integral, fewer monomials and a far lower rounding floor.
+    Called before the first phase evaluation of an order, so that an
+    uncertified reduction stops the solve there."""
+    terms = list(_series(order).terms)
+    for n in range(1, order + 1):
+        terms[2 * n] = _even_reduction(n).r_2n
+    return ws.WkbSeries(2 * order + 1, tuple(terms))
+
+
+@lru_cache(maxsize=64)
 def _require_odd_certified(order: int, include_odd_numeric: bool) -> None:
     """Run before any phase evaluation: odd orders >= 3 leave the phase only
     once their total-derivative certificates verify; cached so a spectrum
@@ -118,7 +150,7 @@ def _eval_phase(
     """Phi(E) and the actions behind it, with quadrature starting at `nodes`."""
     tp = turning_points(req.V, E, cfg)
     c = replace(build_contour(tp, cfg.margin, cfg), nodes=nodes)
-    acts = action_integrals(_series(req.order), _phase_orders(req, cfg), req.V, E, c, cfg)
+    acts = action_integrals(_phase_series(req.order), _phase_orders(req, cfg), req.V, E, c, cfg)
     phase = acts[0] - 0.5 * math.pi
     for n in range(1, req.order + 1):
         phase += acts[2 * n]
@@ -133,6 +165,7 @@ def total_phase(
 ) -> float:
     """Phi(E); the quantization condition is Phi(E) = K*pi."""
     _require_odd_certified(req.order, cfg.include_odd_numeric)
+    _phase_series(req.order)
     return _eval_phase(req, E, cfg, cfg.initial_nodes)[0]
 
 
@@ -258,6 +291,7 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
     successful phase evaluations evaluated.
     """
     _require_odd_certified(req.order, cfg.include_odd_numeric)
+    _phase_series(req.order)
     target = req.K * math.pi
     evaluated: dict[float, tuple[float, Actions]] = {}
     evals = nodes_evaluated = 0

@@ -25,6 +25,18 @@ products instead of enumerating the 2^(n-1) compositions.
 :func:`certify_total_derivative` builds Phi_n, differentiates it, and checks
 exact symbolic equality with F_n, which is the closed-contour-vanishing
 certificate the quantization solver relies on when it drops odd orders.
+
+The same tool reduces the even terms.  :func:`reduce_even_term` splits T_2n
+as R_2n + dPsi_2n/dx with no factor Q' left in R_2n: a monomial
+c Q'^a (rest) Q^(h/2) with a >= 1 is the derivative of
+P = c 2/(h+2) Q'^(a-1) (rest) Q^((h+2)/2) up to terms with fewer factors Q',
+so subtracting dP/dx for every monomial of the highest Q' exponent, one
+exponent at a time, leaves R_2n; Psi_2n is the sum of the P's.  Psi_2n is a
+differential polynomial, single-valued wherever sqrt(Q) is, so its
+closed-contour integral vanishes and B_2n = (1/2i) closed integral of R_2n
+exactly.  For n = 1 this is the classic R_2 = -1/48 Q'' Q^(-3/2) (Dunham,
+Phys. Rev. 41, 713, 1932).  :func:`certify_even_reduction` checks
+T_2n = R_2n + dPsi_2n/dx exactly before the solver integrates R_2n.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from .errors import DunhamError
 __all__ = [
     "WkbSeries",
     "OddTermCertificate",
+    "EvenTermCertificate",
     "gen_terms",
     "gen_terms_alt",
     "recursion_residual",
@@ -49,6 +62,8 @@ __all__ = [
     "compositions",
     "build_phi",
     "certify_total_derivative",
+    "reduce_even_term",
+    "certify_even_reduction",
     "series_to_json",
     "series_from_json",
     "certificate_to_json",
@@ -80,6 +95,20 @@ class OddTermCertificate:
     n: int
     f_n: DiffExpr
     phi_n: DiffExpr
+    verified: bool
+
+
+@dataclass(frozen=True)
+class EvenTermCertificate:
+    """Reduction certificate for the even term T_2n.
+
+    verified is True iff T_2n = r_2n + d/dx psi_2n exactly and r_2n has no
+    factor Q'; then B_2n is the closed-contour integral of r_2n alone.
+    """
+
+    n: int
+    r_2n: DiffExpr
+    psi_2n: DiffExpr
     verified: bool
 
 
@@ -230,6 +259,62 @@ def certify_total_derivative(series: WkbSeries, n: int) -> OddTermCertificate:
     phi_n = build_phi(series, n)
     verified = dp.equals(dp.differentiate(phi_n), f_n)
     return OddTermCertificate(n=n, f_n=f_n, phi_n=phi_n, verified=verified)
+
+
+def _q_prime_exponent(m: dp.Monomial) -> int:
+    """The exponent of Q' in m (derivative pairs are sorted by order)."""
+    return m.derivs[0][1] if m.derivs and m.derivs[0][0] == 1 else 0
+
+
+def reduce_even_term(t: DiffExpr) -> tuple[DiffExpr, DiffExpr]:
+    """(R, Psi) with t = R + dPsi/dx and no factor Q' in R.
+
+    Each round takes every monomial c Q'^a (rest) Q^(h/2) of the highest Q'
+    exponent a, forms P = c 2/(h+2) Q'^(a-1) (rest) Q^((h+2)/2), and
+    subtracts the derivative of the sum of those P's in one accumulator:
+    dP/dx is the monomial itself plus terms with a - 1 or a - 2 factors Q',
+    so a round removes its level and the rounds end.  Raises ValueError on a
+    monomial Q'^a (rest) Q^(-1), which has no such P; no even term holds
+    one, as h is odd in all of them."""
+    rest = t
+    psi = dp._Sum()
+    while True:
+        top = max(map(_q_prime_exponent, rest.monomials), default=0)
+        if top == 0:
+            return rest, psi.result()
+        level = []
+        for m in rest.monomials:
+            if _q_prime_exponent(m) != top:
+                continue
+            h = m.q_half + 2
+            if h == 0:
+                raise ValueError(f"Q'^{top} Q^(-1) has no antiderivative in the ring")
+            derivs = (((1, top - 1),) if top > 1 else ()) + m.derivs[1:]
+            level.append(dp.Monomial(m.coeff * Fraction(2, h), h, derivs))
+        p = dp._collect(level)
+        reduced = dp._Sum()
+        reduced.add_product(rest, dp.ONE)
+        reduced.add_derivative(dp.negate(p))
+        rest = reduced.result()
+        psi.add_product(p, dp.ONE)
+
+
+def certify_even_reduction(series: WkbSeries, n: int) -> EvenTermCertificate:
+    """Certificate that T_2n = R_2n + dPsi_2n/dx with R_2n free of Q', by
+    reducing T_2n and differentiating Psi_2n back."""
+    if n < 1:
+        raise ValueError("the even reduction is defined for n >= 1 only")
+    if 2 * n > series.max_order:
+        raise ValueError(
+            f"certificate for n={n} needs T_{2*n}; series holds orders 0..{series.max_order}"
+        )
+    t = series.terms[2 * n]
+    r, psi = reduce_even_term(t)
+    back = dp._Sum()
+    back.add_product(r, dp.ONE)
+    back.add_derivative(psi)
+    verified = dp.equals(back.result(), t) and not any(map(_q_prime_exponent, r.monomials))
+    return EvenTermCertificate(n=n, r_2n=r, psi_2n=psi, verified=verified)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ import logging
 import math
 import re
 
+import numpy as np
 import pytest
 from scipy.special import beta
 
 import dunham.contour as ct
 import dunham.solver as sv
+import dunham.wkb_series as ws
 from dunham.config import DEFAULT_CONFIG
-from dunham.errors import QuadratureError, SpectrumError
+from dunham.errors import DunhamError, QuadratureError, SpectrumError
 from dunham.potential import parse_potential
 
 QUARTIC_B0_AT_1 = 0.5 * beta(0.25, 1.5)  # real-axis action of sqrt(1 - x^4)
@@ -185,7 +187,7 @@ class TestSolveCost:
         assert len(calls) <= 60
         assert len(set(calls)) == len(calls)  # no energy evaluated twice per level
 
-    def test_warm_start_carries_counts_up_to_its_bound(self, monkeypatch):
+    def test_warm_start_carries_counts_up_to_its_bound(self, quartic, monkeypatch):
         starts, reached = [], []
         original = sv._eval_phase
 
@@ -196,13 +198,12 @@ class TestSolveCost:
             return phase, acts
 
         monkeypatch.setattr(sv, "_eval_phase", recorded)
-        # at the seed, E = 0.028, the B_6 sum sits on its rounding floor, and
-        # one of these mirror images converges there only past the bound (at
-        # 2**15 nodes for the second); which one is up to rounding
-        for potential in ("x^4 - x^3 + 1/2*x^2 + x", "x^4 + x^3 + 1/2*x^2 - x"):
+        # at order 9 the B_18 sum converges past the bound (at 2**15 nodes)
+        # at some energies of each of these solves
+        for K in (1, 3):
             starts.append([])
             reached.append([])
-            sv.quantize(req(parse_potential(potential), 0, 3))
+            sv.quantize(req(quartic, K, 9))
         assert max(map(max, reached)) > sv._WARM_START_MAX_NODES
         for run_starts, run_reached in zip(starts, reached, strict=True):
             expected = DEFAULT_CONFIG.initial_nodes
@@ -234,7 +235,10 @@ class TestSolveCost:
 
 class TestQuadratureFloor:
     """Node doubling stops once rounding noise keeps an order from its
-    target; without the floor stop these solves doubled to 2**20 nodes."""
+    target; without the floor stop these quadratures doubled to 2**20
+    nodes.  The phase integrates the reduced R_2n, whose floor lies far
+    lower than that of T_2n, so these cases use the unreduced terms or
+    high orders."""
 
     @pytest.fixture
     def pass_nodes(self, monkeypatch):
@@ -251,9 +255,18 @@ class TestQuadratureFloor:
         monkeypatch.setattr(ct, "ellipse_nodes", counted)
         return nodes
 
+    @staticmethod
+    def unreduced_actions(potential, order, E):
+        """B_0, B_2, ..., B_2N of the unreduced T_2n at E."""
+        V = parse_potential(potential)
+        c = ct.build_contour(ct.turning_points(V, E))
+        return ct.action_integrals(sv._series(order), range(0, 2 * order + 1, 2), V, E, c)
+
     def test_stop_at_floor_is_a_typed_error(self, pass_nodes):
+        # the energy at which x^4 + 0.5*x^3 (order 3, K = 0) stopped at the
+        # floor while the phase integrated T_2n
         with pytest.raises(QuadratureError, match="rounding floor") as info:
-            sv.quantize(req(parse_potential("x^4 + 0.5*x^3"), 0, 3))
+            self.unreduced_actions("x^4 + 0.5*x^3", 3, 0.20758367502423092)
         err = info.value
         assert err.order == 6
         assert err.floor is not None
@@ -262,30 +275,142 @@ class TestQuadratureFloor:
         assert max(pass_nodes) <= 2**15
 
     def test_seed_probe_at_floor_stops_early(self, quartic, pass_nodes):
-        # both seed probes, at E = 1 and E = 2, end at the floor
-        res = sv.quantize(req(quartic, 1, 4))
-        assert res.E == 3.808261003354388
+        # the seed probes at E = 1, 2 and 4 end at the floor of B_20 or B_22
+        res = sv.quantize(req(quartic, 4, 11))
+        assert res.E == 16.261824949379807
         assert max(pass_nodes) <= 2**15
 
     def test_noise_within_reach_still_converges(self):
-        # at the seed, E = 0.028, the B_6 sum sits at its floor (1.5e-9, above
-        # the 8.8e-11 target) but its differences reach the target, at 32768
-        # nodes for this potential and 4096 for its mirror image
-        for potential, energy in [
-            ("x^4 + x^3 + 1/2*x^2 - x", 0.5662698559410793),
-            ("x^4 - x^3 + 1/2*x^2 + x", 0.5662698559411499),
-        ]:
+        # at the seed, E = 0.028, the unreduced B_6 sum sits at its floor
+        # (1.5e-9, above the 8.8e-11 target) but its differences reach the
+        # target, at 65536 nodes for either potential
+        for potential in ("x^4 + x^3 + 1/2*x^2 - x", "x^4 - x^3 + 1/2*x^2 + x"):
+            acts = self.unreduced_actions(potential, 3, 0.02818365253014804)
+            assert acts.nodes > sv._WARM_START_MAX_NODES
             res = sv.quantize(req(parse_potential(potential), 0, 3))
-            assert res.E == energy
+            assert res.E == 0.5662698559411267
 
     def test_failed_seed_probes_are_logged(self, quartic, caplog):
         with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
-            sv.quantize(req(quartic, 1, 4))
+            with pytest.raises(QuadratureError, match="rounding floor") as info:
+                sv.quantize(req(quartic, 1, 10))
+        assert info.value.order == 20
         probes = [r.getMessage() for r in caplog.records
                   if r.getMessage().startswith("seed probe failed")]
         assert [re.match(r"seed probe failed at E=(\S+):", m).group(1) for m in probes] == [
-            "1.0", "2.0"]
+            "1.0"]
         assert all("rounding floor" in m for m in probes)
+
+
+class TestReducedPhase:
+    """The phase integrates R_2n = T_2n - dPsi_2n/dx, free of Q'."""
+
+    @pytest.fixture
+    def cold_caches(self):
+        """Empty the solver's series and certificate caches before and after,
+        so that what a test patches is what the solver uses."""
+        caches = (sv._series, sv._even_reduction, sv._phase_series)
+
+        def clear():
+            for cache in caches:
+                cache.cache_clear()
+
+        clear()
+        yield
+        clear()
+
+    def test_refuses_a_failed_reduction_certificate(self, quartic, cold_caches, monkeypatch):
+        original = ws.certify_even_reduction
+
+        def failing(series, n):
+            return dataclasses.replace(original(series, n), verified=n != 2)
+
+        monkeypatch.setattr(ws, "certify_even_reduction", failing)
+        evaluated = []
+        phase = sv._eval_phase
+
+        def recorded(request, *args):
+            evaluated.append(request.order)
+            return phase(request, *args)
+
+        monkeypatch.setattr(sv, "_eval_phase", recorded)
+        with pytest.raises(DunhamError, match="R_4"):
+            sv.quantize(req(quartic, 0, 2))
+        with pytest.raises(DunhamError, match="R_4"):
+            sv.total_phase(req(quartic, 0, 3), 1.0)
+        assert evaluated == []
+        sv.quantize(req(quartic, 0, 1))  # orders below 2 do not need R_4
+        assert set(evaluated) == {1}
+
+    def test_warm_up_reduces_each_even_term_once(self, ho, cold_caches, monkeypatch):
+        reduced = []
+        original = ws.certify_even_reduction
+
+        def counted(series, n):
+            reduced.append(n)
+            return original(series, n)
+
+        monkeypatch.setattr(ws, "certify_even_reduction", counted)
+        for order in range(5):
+            sv.total_phase(req(ho, 0, order), 3.0)
+        assert reduced == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("left, right", [
+        ("x^4 - x^3 + 1/2*x^2 + x", "x^4 + x^3 + 1/2*x^2 - x"),
+        ("x^4 - x^3 + 1/2*x^2", "x^4 + x^3 + 1/2*x^2"),
+        ("x^4 - x^3 + 1/2*x^2 - 1/4*x", "x^4 + x^3 + 1/2*x^2 + 1/4*x"),
+        ("x^4 + 0.5*x^3", "x^4 - 0.5*x^3"),
+    ])
+    def test_mirror_images_agree(self, left, right):
+        # V(x) and V(-x) have the same spectrum, so the two solves may differ
+        # only by rounding
+        outcomes = []
+        for potential in (left, right):
+            try:
+                outcomes.append(sv.quantize(req(parse_potential(potential), 0, 3)).E)
+            except DunhamError as exc:
+                outcomes.append(type(exc))
+        a, b = outcomes
+        if isinstance(a, float) and isinstance(b, float):
+            assert abs(a - b) <= 1e-14 * abs(a)
+        else:
+            assert a == b
+
+    def test_phase_is_smooth_at_the_root(self, mixed):
+        # the root finder resolves 1e-12 relative, so the phase must not
+        # scatter on that scale
+        request = req(mixed, 0, 4)
+        root = sv.quantize(request).E
+        dE = 1e-12 * np.arange(-5, 6)
+        phases = [sv.total_phase(request, root + d) for d in dE]
+        trend = np.polyval(np.polyfit(dE, phases, 1), dE)
+        assert np.max(np.abs(phases - trend)) <= 1e-14
+
+    def test_quartic_scaling_law_through_b16(self, quartic):
+        # Q = x^4 - E scales as E (x E^(-1/4))^4 - E, so B_2k(E) is
+        # B_2k(1) E^((3 - 6k)/4); B_18 and B_20 are left out, as B_20 meets
+        # its rounding floor at the default margin
+        order = 8
+
+        def actions(E):
+            c = ct.build_contour(ct.turning_points(quartic, E))
+            return ct.action_integrals(
+                sv._phase_series(order), range(0, 2 * order + 1, 2), quartic, E, c
+            )
+
+        at_one = actions(1.0)
+        for E in (0.5, 2.0, 7.3, 40.0):
+            acts = actions(E)
+            for k in range(order + 1):
+                expected = at_one[2 * k] * E ** ((3 - 6 * k) / 4)
+                assert acts[2 * k] == pytest.approx(
+                    expected, rel=4 * DEFAULT_CONFIG.quad_rel_tol, abs=0
+                )
+
+    def test_quartic_order4_ground_state_is_past_optimal_truncation(self, quartic):
+        res = sv.quantize(req(quartic, 0, 4))
+        assert res.optimal_truncation_index == 2
+        assert len(res.warnings) == 1 and "optimal truncation index 2" in res.warnings[0]
 
 
 class TestTruncationDiagnostics:

@@ -233,6 +233,47 @@ class TestCertificates:
         assert digest == "08bbed78f2b986768c1bf37a3e99bc8ac6b4bc91a61e53394be31636eb0f7d08"
 
 
+@pytest.fixture(scope="module")
+def series20():
+    return ws.gen_terms(20)
+
+
+class TestEvenReduction:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_t_is_r_plus_an_exact_derivative(self, series20, n):
+        cert = ws.certify_even_reduction(series20, n)
+        assert cert.verified
+        t = series20.terms[2 * n]
+        assert dp.equals(dp.add(cert.r_2n, dp.differentiate(cert.psi_2n)), t)
+        assert all(k != 1 for m in cert.r_2n.monomials for k, _ in m.derivs)
+        # half powers of Q only, so Psi is single-valued on the contour
+        assert all(m.q_half % 2 for m in cert.psi_2n.monomials)
+
+    def test_r2_is_the_classic_second_order_integrand(self, series20):
+        cert = ws.certify_even_reduction(series20, 1)
+        assert dp.equals(cert.r_2n, mono(F(-1, 48), -3, {2: 1}))
+        assert dp.equals(cert.psi_2n, mono(F(-5, 48), -3, {1: 1}))
+
+    def test_monomial_counts(self, series20):
+        counts = [len(ws.certify_even_reduction(series20, n).r_2n.monomials)
+                  for n in range(1, 11)]
+        assert counts == [1, 2, 4, 7, 12, 21, 34, 55, 88, 137]
+
+    def test_q_prime_free_input_is_its_own_remainder(self):
+        t = expr(mono(F(1, 3), -3, {2: 1}), mono(F(2), 1))
+        r, psi = ws.reduce_even_term(t)
+        assert dp.equals(r, t) and not psi
+
+    def test_q_prime_over_q_has_no_antiderivative(self):
+        with pytest.raises(ValueError, match="no antiderivative"):
+            ws.reduce_even_term(mono(1, -2, {1: 1, 2: 1}))
+
+    def test_out_of_range(self, series20):
+        for n in (0, 11):
+            with pytest.raises(ValueError):
+                ws.certify_even_reduction(series20, n)
+
+
 class TestSerialization:
     def test_series_json_roundtrip(self, series15):
         doc = json.loads(json.dumps(ws.series_to_json(series15)))
