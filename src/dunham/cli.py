@@ -46,6 +46,16 @@ class _UsageError(Exception):
     """A flag value that NumericsConfig rejects; exits with EXIT_USAGE."""
 
 
+def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of spectrum and compare that set NumericsConfig fields."""
+    p.add_argument("--margin", type=float, default=DEFAULT_CONFIG.margin,
+                   help="contour margin (default %(default)s)")
+    p.add_argument("--tol", type=float, default=DEFAULT_CONFIG.quad_rel_tol,
+                   help="quadrature doubling tolerance (default %(default)s)")
+    p.add_argument("--seed-bracket", type=float, default=None,
+                   help="override the bracketing seed energy")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dunham",
@@ -60,16 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--manifest-out",
             help="run manifest path (default: <output>.manifest.json when --output is set)",
         )
-
-    def add_numeric_flags(p):
-        p.add_argument("--margin", type=float, default=DEFAULT_CONFIG.margin,
-                       help="contour margin (default %(default)s)")
-        p.add_argument("--tol", type=float, default=DEFAULT_CONFIG.quad_rel_tol,
-                       help="quadrature doubling tolerance (default %(default)s)")
-        p.add_argument("--seed-bracket", type=float, default=None,
-                       help="override the bracketing seed energy")
-        p.add_argument("--include-odd-numeric", action="store_true",
-                       help="numerically include odd orders >= 3 (demonstration)")
 
     p = sub.add_parser("terms", help="print the series terms T_0..T_n")
     p.add_argument("--n-max", type=int, default=3)
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=2,
                    help="include terms up to T_{2*order} (default %(default)s)")
     p.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    add_numeric_flags(p)
+    _add_numeric_flags(p)
     add_output_flags(p)
 
     p = sub.add_parser("oracle", help="diagonalization reference eigenvalues")
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default="0,2",
                    help="comma-separated list of orders (default %(default)s)")
     p.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    add_numeric_flags(p)
+    _add_numeric_flags(p)
     add_output_flags(p)
     return parser
 
@@ -116,8 +116,6 @@ def _config_from_args(args):
         updates["quad_rel_tol"] = args.tol
     if getattr(args, "seed_bracket", None) is not None:
         updates["bracket_seed"] = args.seed_bracket
-    if getattr(args, "include_odd_numeric", False):
-        updates["include_odd_numeric"] = True
     try:
         return dataclasses.replace(cfg, **updates) if updates else cfg
     except ValueError as exc:

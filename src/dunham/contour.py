@@ -9,8 +9,8 @@ two simple zeros makes sqrt(Q) single-valued there, which the closure check
 enforces.  Integrands never touch the real axis between the turning points,
 where the higher-order terms diverge.
 
-The integrands are the terms of the series passed in; the solver passes
-T_0, its odd terms and, for each even order 2n >= 2, the reduced
+The integrands are the terms of the series passed in; the solver
+integrates T_0 and, for each even order 2n >= 2, the reduced
 R_2n = T_2n - dPsi_2n/dx, whose closed-contour integral is that of T_2n.
 
 The node count doubles until the sums converge.  Doubling is nested: the

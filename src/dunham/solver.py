@@ -8,16 +8,15 @@ is matched to K*pi for quantum number K = 0, 1, 2, ...  The -pi/2 is the
 order-1 action, which equals -pi/2 for any contour enclosing two simple
 zeros; the phase adds it as a constant, and the contour tests recompute it
 numerically as a branch-tracking self-test.  Odd orders >= 3 are omitted
-because their terms are exact derivatives (certified symbolically per order
-by wkb_series before being dropped); a config flag forces their numeric
-inclusion for demonstration runs.
+because their terms are exact derivatives, certified symbolically per order
+by wkb_series before being dropped.
 
 Each B_2n, n >= 1, is integrated from R_2n = T_2n - dPsi_2n/dx, the
 Q'-free reduction of wkb_series.reduce_even_term: Psi_2n is single-valued on
 the contour, so R_2n has the same closed-contour integral as T_2n, with
 about a quarter of its monomials and a far lower rounding floor.  Each
 reduction is certified exactly, once per n, before the first phase
-evaluation that needs it.
+evaluation that needs it, together with the odd term of the same n.
 
 Reporting convention: results quote Phi(E) = K*pi with the -pi/2 on the
 left-hand side, equivalent to the textbook B_0 + corrections = (K + 1/2)*pi.
@@ -92,56 +91,32 @@ class QuantizationResult:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-@lru_cache(maxsize=8)
-def _series(order: int) -> ws.WkbSeries:
-    """T_0 .. T_{2*order+1}: the phase's terms and the odd ones it certifies."""
-    return ws.gen_terms(2 * order + 1)
-
-
-@lru_cache(maxsize=64)
-def _even_reduction(n: int) -> ws.EvenTermCertificate:
-    """The certified reduction T_2n = R_2n + dPsi_2n/dx, computed once per n
-    and shared by every order that integrates R_2n."""
-    cert = ws.certify_even_reduction(_series(n), n)
-    if not cert.verified:
-        raise DunhamError(
-            f"even-term reduction of T_{2 * n} failed its certificate; cannot integrate R_{2 * n}"
-        )
-    return cert
-
-
-@lru_cache(maxsize=8)
-def _phase_series(order: int) -> ws.WkbSeries:
-    """The integrands of the phase: _series(order) with each even T_2n,
-    n >= 1, replaced by its certified Q'-free R_2n, which has the same
+@lru_cache(maxsize=None)
+def _integrands(order: int) -> ws.WkbSeries:
+    """The integrands of the phase: T_0 .. T_{2*order+1}, with each even
+    T_2n, n >= 1, replaced by its Q'-free R_2n, which has the same
     closed-contour integral, fewer monomials and a far lower rounding floor.
-    Called before the first phase evaluation of an order, so that an
-    uncertified reduction stops the solve there."""
-    terms = list(_series(order).terms)
-    for n in range(1, order + 1):
-        terms[2 * n] = _even_reduction(n).r_2n
-    return ws.WkbSeries(2 * order + 1, tuple(terms))
 
-
-@lru_cache(maxsize=64)
-def _require_odd_certified(order: int, include_odd_numeric: bool) -> None:
-    """Run before any phase evaluation: odd orders >= 3 leave the phase only
-    once their total-derivative certificates verify; cached so a spectrum
-    pays the symbolic cost once."""
-    if order < 1 or include_odd_numeric:
-        return
-    series = _series(order)
-    if not all(ws.certify_total_derivative(series, n).verified for n in range(1, order + 1)):
+    Built on _integrands(order - 1), so each order certifies only what it
+    adds: T_{2*order+1} is an exact derivative (so the phase may drop it)
+    and T_{2*order} = R_{2*order} + dPsi/dx.  Called before the first phase
+    evaluation of an order, so that a failed certificate stops the solve
+    there."""
+    series = ws.gen_terms(2 * order + 1)
+    if order == 0:
+        return series
+    lower = _integrands(order - 1)
+    if not ws.certify_total_derivative(series, order).verified:
         raise DunhamError(  # pragma: no cover - theorem
             "total-derivative certification failed; cannot drop odd orders"
         )
-
-
-def _phase_orders(req: QuantizationRequest, cfg: NumericsConfig) -> list[int]:
-    orders = [2 * n for n in range(req.order + 1)]
-    if cfg.include_odd_numeric:
-        orders.extend(range(3, 2 * req.order + 1, 2))
-    return orders
+    even = ws.certify_even_reduction(series, order)
+    if not even.verified:
+        raise DunhamError(
+            f"even-term reduction of T_{2 * order} failed its certificate; "
+            f"cannot integrate R_{2 * order}"
+        )
+    return ws.WkbSeries(2 * order + 1, lower.terms + (even.r_2n, series.terms[-1]))
 
 
 def _eval_phase(
@@ -150,13 +125,11 @@ def _eval_phase(
     """Phi(E) and the actions behind it, with quadrature starting at `nodes`."""
     tp = turning_points(req.V, E, cfg)
     c = replace(build_contour(tp, cfg.margin, cfg), nodes=nodes)
-    acts = action_integrals(_phase_series(req.order), _phase_orders(req, cfg), req.V, E, c, cfg)
+    orders = range(0, 2 * req.order + 1, 2)
+    acts = action_integrals(_integrands(req.order), orders, req.V, E, c, cfg)
     phase = acts[0] - 0.5 * math.pi
     for n in range(1, req.order + 1):
         phase += acts[2 * n]
-    if cfg.include_odd_numeric:
-        for m in range(3, 2 * req.order + 1, 2):
-            phase += acts[m]
     return phase, acts
 
 
@@ -164,8 +137,7 @@ def total_phase(
     req: QuantizationRequest, E: float, cfg: NumericsConfig = DEFAULT_CONFIG
 ) -> float:
     """Phi(E); the quantization condition is Phi(E) = K*pi."""
-    _require_odd_certified(req.order, cfg.include_odd_numeric)
-    _phase_series(req.order)
+    _integrands(req.order)
     return _eval_phase(req, E, cfg, cfg.initial_nodes)[0]
 
 
@@ -180,7 +152,9 @@ def _seed_energy(
     Uses the homogeneous growth of the leading action, B_0 ~ (E - Vmin)^p
     with p = (d+2)/(2d) for degree d, anchored at one evaluation of
     `phase_at` (Phi, not Phi - K*pi).  Probes at Vmin + 1, 2, 4, ... until
-    one succeeds; each failed probe is logged at DEBUG level.
+    one succeeds; each failed probe is logged at DEBUG level, and when none
+    succeeds the NoSolutionError names the last probe's failure and chains
+    its error.
     """
     _, vmin = req.V.real_minimum()
     if cfg.bracket_seed is not None:
@@ -189,18 +163,23 @@ def _seed_energy(
     p = (d + 2.0) / (2.0 * d)
     delta = 1.0
     for _ in range(cfg.bracket_expansion_cap):
+        E = vmin + delta
         try:
-            phase_ref = phase_at(vmin + delta)
+            phase_ref = phase_at(E)
         except DunhamError as exc:
-            _log.debug("seed probe failed at E=%r: %s", vmin + delta, exc)
-            delta *= 2.0
-            continue
-        b0_ref = phase_ref + 0.5 * math.pi
-        if b0_ref > 0:
-            seed = vmin + delta * ((target + 0.5 * math.pi) / b0_ref) ** (1.0 / p)
-            return vmin, seed
+            _log.debug("seed probe failed at E=%r: %s", E, exc)
+            last, cause = f"raised {type(exc).__name__}: {exc}", exc
+        else:
+            b0_ref = phase_ref + 0.5 * math.pi
+            if b0_ref > 0:
+                seed = vmin + delta * ((target + 0.5 * math.pi) / b0_ref) ** (1.0 / p)
+                return vmin, seed
+            last, cause = f"had phase + pi/2 = {b0_ref!r} <= 0", None
         delta *= 2.0
-    raise NoSolutionError("could not find a reference energy with two turning points")
+    raise NoSolutionError(
+        f"no reference energy for the seed in {cfg.bracket_expansion_cap} probe(s); "
+        f"the last, at E={E!r}, {last}"
+    ) from cause
 
 
 def truncation_diagnostics(
@@ -290,8 +269,7 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
     level's record carries the node count at the root and the nodes its
     successful phase evaluations evaluated.
     """
-    _require_odd_certified(req.order, cfg.include_odd_numeric)
-    _phase_series(req.order)
+    _integrands(req.order)
     target = req.K * math.pi
     evaluated: dict[float, tuple[float, Actions]] = {}
     evals = nodes_evaluated = 0

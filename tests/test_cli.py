@@ -1,8 +1,10 @@
 """Command-line behavior: formats, exit codes, manifests, round-trips."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,15 @@ import pytest
 import dunham
 import dunham.diffpoly as dp
 import dunham.wkb_series as ws
-from dunham.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from dunham.cli import (
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFICATION,
+    _add_numeric_flags,
+    _build_parser,
+    main,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -136,6 +146,13 @@ class TestSpectrum:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
+    @pytest.mark.parametrize("command", ["spectrum", "compare"])
+    def test_include_odd_numeric_flag_is_gone(self, capsys, command):
+        # odd orders are always dropped once certified; there is no other path
+        code, _, err = run(capsys, command, "x^4", "--include-odd-numeric")
+        assert code == EXIT_USAGE
+        assert "--include-odd-numeric" in err
+
 
 class TestOracle:
     def test_harmonic(self, capsys):
@@ -185,6 +202,32 @@ class TestCompare:
 
     def test_unknown_command_usage(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+
+class TestReadme:
+    """The README's command-line section and the parser name the same flags."""
+
+    @staticmethod
+    def readme_cli_section():
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        start = text.index("## Command line")
+        return text[start:text.index("\n## ", start)]
+
+    def test_every_flag_named_exists(self):
+        parser = _build_parser()
+        (subparsers,) = [a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        known = {flag for p in [parser, *subparsers.choices.values()]
+                 for action in p._actions for flag in action.option_strings}
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", self.readme_cli_section()))
+        assert named and named <= known, named - known
+
+    def test_every_numeric_flag_is_documented(self):
+        p = argparse.ArgumentParser()
+        _add_numeric_flags(p)
+        section = self.readme_cli_section()
+        flags = [f for a in p._actions for f in a.option_strings if f not in ("-h", "--help")]
+        assert flags and all(f"`{flag}`" in section for flag in flags)
 
 
 class TestManifest:

@@ -8,6 +8,8 @@ import pytest
 
 from dunham.cli import EXIT_USAGE, main
 from dunham.config import DEFAULT_CONFIG, NumericsConfig
+from dunham.potential import parse_potential
+from dunham.solver import QuantizationRequest, quantize
 
 # (field, value, CLI flag that sets the field or None)
 OUT_OF_RANGE = [
@@ -23,7 +25,12 @@ OUT_OF_RANGE = [
     ("quad_abs_tol", -1e-12, None),
     ("truncation_floor", -1e-12, None),
     ("max_nodes", 32, None),
+    ("max_nodes", 127, None),  # a cold pass needs one doubling to converge
+    ("initial_nodes", 63, None),
+    ("initial_nodes", 32, None),
+    ("initial_nodes", 0, None),
     ("bracket_expansion_cap", 0, None),
+    ("bracket_expansion_cap", 1.5, None),
 ]
 
 
@@ -39,6 +46,13 @@ def test_out_of_range_value_fails_fast_by_name(name, value, flag, capsys):
 
 
 def test_boundary_values_accepted():
-    cfg = NumericsConfig(truncation_floor=0.0, max_nodes=64, bracket_expansion_cap=1,
+    cfg = NumericsConfig(truncation_floor=0.0, max_nodes=128, bracket_expansion_cap=1,
                          bracket_seed=-3.0)
-    assert cfg.truncation_floor == 0.0 and cfg.max_nodes == cfg.initial_nodes
+    assert cfg.truncation_floor == 0.0 and cfg.max_nodes == 2 * cfg.initial_nodes
+
+
+def test_smallest_max_nodes_solves():
+    # one doubling past the cold pass is all a converged quadrature needs
+    cfg = NumericsConfig(max_nodes=2 * DEFAULT_CONFIG.initial_nodes)
+    res = quantize(QuantizationRequest(parse_potential("x^2"), 0, 0), cfg)
+    assert res.E == pytest.approx(1.0, abs=1e-8)

@@ -38,12 +38,6 @@ class TestTotalPhase:
         phase = sv.total_phase(req(quartic, 0, 0), 1.0)
         assert phase == pytest.approx(QUARTIC_B0_AT_1 - math.pi / 2.0, abs=1e-10)
 
-    def test_odd_numeric_inclusion_changes_nothing(self, quartic):
-        cfg = dataclasses.replace(DEFAULT_CONFIG, include_odd_numeric=True)
-        with_odd = sv.total_phase(req(quartic, 0, 2), 2.0, cfg)
-        without = sv.total_phase(req(quartic, 0, 2), 2.0)
-        assert with_odd == pytest.approx(without, abs=1e-9)
-
 
 class TestQuantize:
     @pytest.mark.parametrize("K", range(6))
@@ -260,7 +254,8 @@ class TestQuadratureFloor:
         """B_0, B_2, ..., B_2N of the unreduced T_2n at E."""
         V = parse_potential(potential)
         c = ct.build_contour(ct.turning_points(V, E))
-        return ct.action_integrals(sv._series(order), range(0, 2 * order + 1, 2), V, E, c)
+        orders = range(0, 2 * order + 1, 2)
+        return ct.action_integrals(ws.gen_terms(2 * order + 1), orders, V, E, c)
 
     def test_stop_at_floor_is_a_typed_error(self, pass_nodes):
         # the energy at which x^4 + 0.5*x^3 (order 3, K = 0) stopped at the
@@ -290,6 +285,15 @@ class TestQuadratureFloor:
             res = sv.quantize(req(parse_potential(potential), 0, 3))
             assert res.E == 0.5662698559411267
 
+    def test_failed_seed_probes_name_the_last_error(self, quartic):
+        # x^4 has two turning points at every E > 0: with three probes, each
+        # stops at the floor of B_20 or B_22, and the error must say so
+        cfg = dataclasses.replace(DEFAULT_CONFIG, bracket_expansion_cap=3)
+        with pytest.raises(sv.NoSolutionError, match="rounding floor") as info:
+            sv.quantize(req(quartic, 4, 11), cfg)
+        assert "E=4.0" in str(info.value)
+        assert isinstance(info.value.__cause__, QuadratureError)
+
     def test_failed_seed_probes_are_logged(self, quartic, caplog):
         with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
             with pytest.raises(QuadratureError, match="rounding floor") as info:
@@ -307,17 +311,11 @@ class TestReducedPhase:
 
     @pytest.fixture
     def cold_caches(self):
-        """Empty the solver's series and certificate caches before and after,
-        so that what a test patches is what the solver uses."""
-        caches = (sv._series, sv._even_reduction, sv._phase_series)
-
-        def clear():
-            for cache in caches:
-                cache.cache_clear()
-
-        clear()
+        """Empty the solver's integrand and certificate cache before and
+        after, so that what a test patches is what the solver uses."""
+        sv._integrands.cache_clear()
         yield
-        clear()
+        sv._integrands.cache_clear()
 
     def test_refuses_a_failed_reduction_certificate(self, quartic, cold_caches, monkeypatch):
         original = ws.certify_even_reduction
@@ -343,17 +341,20 @@ class TestReducedPhase:
         assert set(evaluated) == {1}
 
     def test_warm_up_reduces_each_even_term_once(self, ho, cold_caches, monkeypatch):
-        reduced = []
-        original = ws.certify_even_reduction
+        # order N extends order N - 1, so it certifies only R_2N and Phi_N
+        calls = {}
+        for name in ("certify_even_reduction", "certify_total_derivative"):
+            calls[name] = []
 
-        def counted(series, n):
-            reduced.append(n)
-            return original(series, n)
+            def counted(series, n, original=getattr(ws, name), certified=calls[name]):
+                certified.append(n)
+                return original(series, n)
 
-        monkeypatch.setattr(ws, "certify_even_reduction", counted)
+            monkeypatch.setattr(ws, name, counted)
         for order in range(5):
             sv.total_phase(req(ho, 0, order), 3.0)
-        assert reduced == [1, 2, 3, 4]
+        assert calls == {"certify_even_reduction": [1, 2, 3, 4],
+                         "certify_total_derivative": [1, 2, 3, 4]}
 
     @pytest.mark.parametrize("left, right", [
         ("x^4 - x^3 + 1/2*x^2 + x", "x^4 + x^3 + 1/2*x^2 - x"),
@@ -395,7 +396,7 @@ class TestReducedPhase:
         def actions(E):
             c = ct.build_contour(ct.turning_points(quartic, E))
             return ct.action_integrals(
-                sv._phase_series(order), range(0, 2 * order + 1, 2), quartic, E, c
+                sv._integrands(order), range(0, 2 * order + 1, 2), quartic, E, c
             )
 
         at_one = actions(1.0)
