@@ -9,8 +9,8 @@ two simple zeros makes sqrt(Q) single-valued there, which the closure check
 enforces.  Integrands never touch the real axis between the turning points,
 where the higher-order terms diverge.
 
-The integrands are the terms of the series passed in; the solver
-integrates T_0 and, for each even order 2n >= 2, the reduced
+The integrands are passed in by order, as a series' terms or a mapping;
+the solver integrates T_0 and, for each even order 2n >= 2, the reduced
 R_2n = T_2n - dPsi_2n/dx, whose closed-contour integral is that of T_2n.
 
 The node count doubles until the sums converge.  Doubling is nested: the
@@ -24,6 +24,8 @@ where the last one converged.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -40,7 +42,6 @@ from .errors import (
     TurningPointError,
 )
 from .potential import Potential
-from .wkb_series import WkbSeries
 
 __all__ = [
     "TurningPair",
@@ -64,6 +65,8 @@ _SHRINK_GUARD = 4.0
 # size, at most _UNIT_ANGLE_SETS of them; larger sets are computed afresh.
 _UNIT_ANGLE_NODES = 2**14
 _UNIT_ANGLE_SETS = 32
+# _abs_sums takes |f dz| of at most this many values at once.
+_ABS_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -97,47 +100,83 @@ class ContourSpec:
             raise ValueError("ellipse axes must be positive")
 
 
-def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _subdiagonal(n: int) -> np.ndarray:
+    """Read-only n x n matrix of ones on the sub-diagonal: what a companion
+    matrix holds below its first row."""
+    m = np.eye(n, k=-1)
+    m.flags.writeable = False
+    return m
+
+
+def _poly_roots(coeffs) -> np.ndarray:
     """Roots of the polynomial with these coefficients, lowest order first:
     the bits ``np.roots(coeffs[::-1])`` gives, from the same companion
     matrix, without np.roots' argument handling.  As there, each vanishing
     low-order coefficient is a root at 0, appended last."""
-    nonzero = np.flatnonzero(coeffs)
-    zeros = int(nonzero[0])
-    p = coeffs[zeros : int(nonzero[-1]) + 1][::-1]
-    if p.size > 1:
-        companion = np.eye(p.size - 1, k=-1)
-        companion[0] = -p[1:] / p[0]
+    nonzero = [k for k, c in enumerate(coeffs) if c]
+    zeros, top = nonzero[0], nonzero[-1]
+    if top > zeros:
+        companion = _subdiagonal(top - zeros).copy()
+        companion[0] = [-coeffs[k] / coeffs[top] for k in range(top - 1, zeros - 1, -1)]
         roots = np.linalg.eigvals(companion)
     else:
         roots = np.zeros(0)
     return np.concatenate((roots, np.zeros(zeros, roots.dtype))) if zeros else roots
 
 
+def _complex_divide(a: complex, b: complex) -> complex:
+    """a / b as numpy divides complex values (Smith's method, scaled by a
+    reciprocal); Python's / divides by the denominator instead, which can
+    differ in the last bit."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+
+
+def _newton_step(V: Potential, E: float, roots: np.ndarray) -> list[complex]:
+    """One Newton step on each root of V - E, skipped where V' vanishes.
+
+    V and V' come from one Horner loop on an array (V._value_and_slope):
+    numpy's complex multiply can be fused (it is with numpy 2.4 on AVX-512
+    cores), so Horner's rule on Python complex values would give other
+    bits.  The step itself runs on Python complex values, divided as numpy
+    divides."""
+    v, p1 = V._value_and_slope(roots)
+    return [
+        complex(z) - _complex_divide(f - E, df) if abs(df) > 0 else complex(z)
+        for z, f, df in zip(roots.tolist(), v, p1)
+    ]
+
+
 def turning_points(V: Potential, E: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> TurningPair:
     """All roots of V(x) - E by the companion-matrix eigenvalue method with
     one Newton polish step per root; requires exactly two simple real roots.
 
-    Past the polish everything runs on Python complex and float values,
-    which for a handful of roots costs less than array operations do."""
-    coeffs = V.float_deriv_table[0].copy()
+    Past the eigenvalues and the polish's values of V and V', everything
+    runs on Python complex and float values, which for a handful of roots
+    costs less than array operations do; the checks evaluate V and V' by
+    Horner's rule on Python floats.  A non-finite E raises ValueError."""
+    if not math.isfinite(E):
+        raise ValueError(f"energy must be finite, got E = {E!r}")
+    rows = V._float_rows
+    coeffs = list(rows[0])
     coeffs[0] -= E
-    roots = _poly_roots(coeffs)
-    # one Newton step per root against the exact-coefficient derivatives
-    v, p1 = V.derivs(roots, 1)
-    safe = np.abs(p1) > 0
-    roots = (roots - np.where(safe, v - E, 0.0) / np.where(safe, p1, 1.0)).tolist()
+    roots = _newton_step(V, E, _poly_roots(coeffs))
 
     scale = 1.0 + max(map(abs, roots))
-    dcoeffs = np.abs(V.float_deriv_table[1, : V.degree]).tolist()
-    dscale = 1.0 + sum(c * scale**k for k, c in enumerate(dcoeffs))
+    dscale = 1.0 + sum(abs(c) * scale**k for k, c in enumerate(rows[1]))
 
     real_roots = sorted(r.real for r in roots if abs(r.imag) < cfg.real_root_imag_tol * scale)
     for r in real_roots:
-        v, p1 = V.derivs(r, 1)
-        if abs(v - E) > 1e-6 * dscale:
+        if abs(V._horner(rows[0], r) - E) > 1e-6 * dscale:
             continue  # polishing artifact, not an actual root
-        if abs(p1) < cfg.degeneracy_tol * dscale:
+        if abs(V._horner(rows[1], r)) < cfg.degeneracy_tol * dscale:
             raise DegenerateTurningPointError(
                 f"turning point near x = {r:.6g} is degenerate (V' vanishes)"
             )
@@ -157,10 +196,12 @@ def build_contour(
     tp: TurningPair,
     margin: float = 0.5,
     cfg: NumericsConfig = DEFAULT_CONFIG,
+    nodes: int | None = None,
 ) -> ContourSpec:
     """Ellipse centered between the turning points, wide enough to enclose
     them with the given margin and narrow enough to exclude all other roots
-    of V - E with relative clearance cfg.root_clearance."""
+    of V - E with relative clearance cfg.root_clearance.  Quadrature on it
+    starts at `nodes` nodes (cfg.initial_nodes when None)."""
     if not 0.0 < margin < np.inf:
         raise ValueError(f"margin must be finite and > 0, got {margin!r}")
     center = 0.5 * (tp.x1 + tp.x2)
@@ -186,7 +227,9 @@ def build_contour(
                 "V - E with any ellipse (a root lies too close to the segment "
                 "between the turning points)"
             )
-    return ContourSpec(complex(center), float(a), float(b), cfg.initial_nodes)
+    return ContourSpec(
+        complex(center), float(a), float(b), cfg.initial_nodes if nodes is None else nodes
+    )
 
 
 def ellipse_nodes(c: ContourSpec, nodes: int | None = None):
@@ -218,18 +261,24 @@ def _continue_sqrt(q: np.ndarray, closure_tol: float) -> np.ndarray:
     below pi/2.  Raises NodeCountError when a step is exactly pi/2 (neither
     sign is nearer) and BranchTrackingError when Q vanishes at a node or the
     continuation fails to close; the wrap from the last node back to node 0
-    is judged by the closure check alone.
+    is judged by the closure check alone.  q must be complex.
     """
-    p = np.sqrt(q.astype(complex))
-    if np.any(p == 0):
+    p = np.sqrt(q)
+    if not p.all():
         raise BranchTrackingError("contour passes through a zero of Q")
-    overlap = np.real(p[1:] * np.conj(p[:-1]))
-    if np.any(overlap == 0):
+    pr, pi = p.real, p.imag
+    overlap = pr[1:] * pr[:-1]  # Re(p_i * conj(p_{i-1}))
+    overlap += pi[1:] * pi[:-1]
+    if not overlap.all():
         raise NodeCountError("phase step of pi/2 between adjacent nodes")
-    signs = np.concatenate(([1.0], np.cumprod(np.sign(overlap))))
+    signs = np.empty(p.size)
+    signs[0] = 1.0
+    np.sign(overlap, out=signs[1:])
+    np.cumprod(signs, out=signs)
     s = signs * p
-    s_close = p[0] if abs(p[0] - s[-1]) <= abs(-p[0] - s[-1]) else -p[0]
-    defect = abs(s_close - s[0]) / abs(s[0])
+    p0, first, last = complex(p[0]), complex(s[0]), complex(s[-1])
+    s_close = p0 if abs(p0 - last) <= abs(-p0 - last) else -p0
+    defect = abs(s_close - first) / abs(first)
     if defect > closure_tol:
         raise BranchTrackingError(
             f"sqrt(Q) is not single-valued on this contour "
@@ -247,8 +296,15 @@ def _node_batch(V: Potential, E: float, c: ContourSpec, m: int, kmax: int):
 
 
 def _abs_sums(f_dz: np.ndarray) -> np.ndarray:
-    """Sum of |f dz| of each row, one row at a time to keep temporaries small."""
-    return np.array([np.sum(np.abs(row)) for row in f_dz])
+    """Sum of |f dz| of each row, as np.sum sums the row alone; whole rows
+    are reduced together, at most _ABS_BLOCK values at a time, to keep
+    temporaries small."""
+    step = max(1, _ABS_BLOCK // f_dz.shape[1])
+    if step >= len(f_dz):
+        return np.abs(f_dz).sum(axis=1)
+    return np.concatenate(
+        [np.abs(f_dz[i : i + step]).sum(axis=1) for i in range(0, len(f_dz), step)]
+    )
 
 
 def _midpoint_sqrt(s: np.ndarray, q_mid: np.ndarray) -> np.ndarray | None:
@@ -258,12 +314,19 @@ def _midpoint_sqrt(s: np.ndarray, q_mid: np.ndarray) -> np.ndarray | None:
     Each midpoint takes the sign nearest its left neighbour and must also
     step by less than pi/2 to its right neighbour; then interleaving gives
     what _continue_sqrt returns on the doubled node set.  Returns None when
-    either test fails, so that a full pass decides.
+    either test fails, so that a full pass decides.  q_mid must be complex.
     """
-    p = np.sqrt(q_mid.astype(complex))
-    left = np.real(p * np.conj(s))
+    p = np.sqrt(q_mid)
+    sr, si = s.real, s.imag
+    left = p.real * sr  # Re(p_i * conj(s_i))
+    left += p.imag * si
+    if not left.all():
+        return None
     mid = np.sign(left) * p
-    if np.any(left == 0) or np.any(np.real(mid * np.conj(np.roll(s, -1))) <= 0):
+    mr, mi = mid.real, mid.imag
+    right = mr[:-1] * sr[1:]  # Re(mid_i * conj(s_i+1)); the last one wraps to s_0
+    right += mi[:-1] * si[1:]
+    if (right <= 0).any() or mr[-1] * sr[0] + mi[-1] * si[0] <= 0:
         return None
     return mid
 
@@ -292,7 +355,7 @@ class Actions(dict):
 
 
 def action_integrals(
-    series: WkbSeries,
+    terms: Sequence[dp.DiffExpr] | Mapping[int, dp.DiffExpr],
     orders,
     V: Potential,
     E: float,
@@ -301,12 +364,16 @@ def action_integrals(
 ) -> Actions:
     """B_n(E) for each requested order n, sharing one node-doubling loop.
 
+    terms[n] is the integrand of B_n: a series' ``terms`` tuple, or a
+    mapping from order to integrand that holds the requested orders.
+
     Quadrature starts at c.nodes nodes and doubles until every requested
     order moves by less than quad_rel_tol relatively (quad_abs_tol
     absolutely near zero), then the real parts are returned after the
-    reality check.  Each pass evaluates every requested T_n at its nodes in
-    one dp.eval_numeric_batch call, which shares the derivative products
-    across orders, and keeps the sums per order in arrays.
+    reality check.  Each pass evaluates every requested integrand at its
+    nodes with one compiled plan (dp.compile_batch), which shares the
+    derivative products across orders, and keeps the sums per order in
+    arrays; the convergence tests run on Python floats.
 
     The trapezoid rule on the periodic ellipse is nested: the 2N-node set is
     the N-node set plus the N midpoints.  So a doubling evaluates only the
@@ -326,94 +393,117 @@ def action_integrals(
     difference is within _FLOOR_MULTIPLE floors, shrank by less than
     _SHRINK_GUARD since the previous one, and rounding noise, which falls
     like nodes**-1/2, would need more than max_nodes nodes to reach the
-    target.  Otherwise a QuadratureError is raised after max_nodes.
+    target.  A pass whose sums are not finite (the integrand overflows at
+    this energy) ends in a QuadratureError naming the order, node count and
+    E at once; no floating-point warning is emitted.  Otherwise a
+    QuadratureError is raised after max_nodes.
     """
     orders = sorted(set(orders))
     if not orders:
         return Actions({}, c.nodes, 0)
-    if orders[0] < 0 or orders[-1] > series.max_order:
-        raise ValueError(f"orders must lie in 0..{series.max_order}")
-    terms = tuple(series.terms[n] for n in orders)
-    kmax = max(map(dp.max_deriv_order, terms))
+    try:
+        exprs = tuple(terms[n] for n in orders)
+    except LookupError:
+        exprs = None
+    if exprs is None or orders[0] < 0:
+        raise ValueError(f"terms holds no integrand for some of the orders {orders}")
+    plan = dp.compile_batch(exprs)
+    kmax = plan.need
 
     def integrands(q_derivs, sqrt_q, dz):
         """f dz, one row per order, from one call of the batched kernel."""
-        f_dz = dp.eval_numeric_batch(terms, q_derivs, sqrt_q)
+        f_dz = plan(q_derivs, sqrt_q)
         f_dz *= dz
         return f_dz
 
-    def trapezoid(total, m: int):
-        return 2.0 * np.pi / m * total / 2j
+    def trapezoid(totals, m: int) -> list:
+        w = 2.0 * np.pi / m
+        return [w * t / 2j for t in totals.tolist()]
 
     nodes, evaluated = c.nodes, 0
     sqrt_q = None  # continued sqrt(Q) on the current node set; None forces a full pass
     totals: dict[int, np.ndarray] = {}  # node count -> sum of f dz, one entry per order
     abs_sums = None  # sum of |f dz| on the current node set, one entry per order
     offset = c.offset  # node offset of the current set, in units of its step
-    while nodes <= cfg.max_nodes:
-        half, quarter = nodes // 2, nodes // 4
-        if sqrt_q is not None:  # doubling: evaluate the midpoints only
-            q_derivs, dz = _node_batch(
-                V, E, replace(c, offset=offset + 0.5), half, kmax
-            )
-            evaluated += half
-            mid = _midpoint_sqrt(sqrt_q, q_derivs[0])
-            if mid is None:
-                sqrt_q = None
-            else:
-                f_dz = integrands(q_derivs, mid, dz)
-                totals[nodes] = totals[half] + f_dz.sum(axis=1)
-                abs_sums += _abs_sums(f_dz)
-                interleaved = np.empty(nodes, dtype=complex)
-                interleaved[0::2], interleaved[1::2] = sqrt_q, mid
-                sqrt_q = interleaved
-                offset *= 2.0
-        if sqrt_q is None:  # first pass, or the midpoints failed their branch tests
-            q_derivs, dz = _node_batch(V, E, c, nodes, kmax)
-            evaluated += nodes
-            try:
-                sqrt_q = _continue_sqrt(q_derivs[0], cfg.closure_tol)
-            except NodeCountError:
-                nodes *= 2
-                continue
-            f_dz = integrands(q_derivs, sqrt_q, dz)
-            # the sums on every node, every 2nd and every 4th: S_N, S_N/2, S_N/4
-            totals = {
-                nodes // k: f_dz[:, ::k].sum(axis=1)
-                for k in (1, 2, 4)
-                if k == 1 or (nodes % k == 0 and nodes // k >= cfg.initial_nodes)
-            }
-            abs_sums = _abs_sums(f_dz)
-            offset = c.offset
-        del q_derivs, dz, f_dz  # freed before the next pass allocates its own
-        if half in totals:
-            vals = trapezoid(totals[nodes], nodes)
-            diffs = np.abs(vals - trapezoid(totals[half], half))
-            targets = np.maximum(cfg.quad_rel_tol * np.abs(vals), cfg.quad_abs_tol)
-            unconverged = [i for i in range(len(orders)) if not diffs[i] <= targets[i]]
-            if not unconverged:
-                return Actions(
-                    {n: _take_real(complex(v), n, cfg) for n, v in zip(orders, vals)},
-                    nodes, evaluated,
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
+        while nodes <= cfg.max_nodes:
+            half, quarter = nodes // 2, nodes // 4
+            if sqrt_q is not None:  # doubling: evaluate the midpoints only
+                q_derivs, dz = _node_batch(
+                    V, E, replace(c, offset=offset + 0.5), half, kmax
                 )
-            if quarter in totals:
-                prev_diffs = np.abs(
-                    trapezoid(totals[half], half) - trapezoid(totals[quarter], quarter)
-                )
-                floors = _EPS * (2.0 * np.pi / nodes) * abs_sums / 2.0
-                for i in unconverged:
-                    n, diff, floor, target = orders[i], diffs[i], floors[i], targets[i]
-                    if _stalled_at_floor(
-                        diff, prev_diffs[i], floor, target, nodes, cfg.max_nodes
-                    ):
-                        raise QuadratureError(
-                            f"contour quadrature of B_{n} stopped at its rounding floor "
-                            f"after {nodes} nodes: successive difference {diff:.3g}, "
-                            f"floor {floor:.3g}, target {target:.3g}",
-                            order=n, nodes=nodes, difference=float(diff),
-                            floor=float(floor), target=float(target),
-                        )
-        nodes *= 2
+                evaluated += half
+                mid = _midpoint_sqrt(sqrt_q, q_derivs[0])
+                if mid is None:
+                    sqrt_q = None
+                else:
+                    f_dz = integrands(q_derivs, mid, dz)
+                    totals[nodes] = totals[half] + f_dz.sum(axis=1)
+                    abs_sums += _abs_sums(f_dz)
+                    interleaved = np.empty(nodes, dtype=complex)
+                    interleaved[0::2], interleaved[1::2] = sqrt_q, mid
+                    sqrt_q = interleaved
+                    offset *= 2.0
+            if sqrt_q is None:  # first pass, or the midpoints failed their branch tests
+                q_derivs, dz = _node_batch(V, E, c, nodes, kmax)
+                evaluated += nodes
+                try:
+                    sqrt_q = _continue_sqrt(q_derivs[0], cfg.closure_tol)
+                except NodeCountError:
+                    nodes *= 2
+                    continue
+                f_dz = integrands(q_derivs, sqrt_q, dz)
+                # the sums on every node, every 2nd and every 4th: S_N, S_N/2, S_N/4
+                totals = {
+                    nodes // k: f_dz[:, ::k].sum(axis=1)
+                    for k in (1, 2, 4)
+                    if k == 1 or (nodes % k == 0 and nodes // k >= cfg.initial_nodes)
+                }
+                abs_sums = _abs_sums(f_dz)
+                offset = c.offset
+            del q_derivs, dz, f_dz  # freed before the next pass allocates its own
+            scales = abs_sums.tolist()
+            for n, scale in zip(orders, scales):
+                if not math.isfinite(scale):
+                    raise QuadratureError(
+                        f"contour quadrature of B_{n} is not finite after {nodes} nodes "
+                        f"at E = {float(E)!r}: the integrand overflows there",
+                        order=n, nodes=nodes,
+                    )
+            if half in totals:
+                vals = trapezoid(totals[nodes], nodes)
+                coarse = trapezoid(totals[half], half)
+                # |B_n| and |B_n - coarser B_n| by numpy's complex abs, whose
+                # bits Python's abs does not always give
+                mags = np.abs(vals + [v - u for v, u in zip(vals, coarse)]).tolist()
+                targets = [
+                    max(cfg.quad_rel_tol * m, cfg.quad_abs_tol) for m in mags[: len(orders)]
+                ]
+                diffs = mags[len(orders) :]
+                unconverged = [i for i in range(len(orders)) if not diffs[i] <= targets[i]]
+                if not unconverged:
+                    return Actions(
+                        {n: _take_real(v, n, cfg) for n, v in zip(orders, vals)},
+                        nodes, evaluated,
+                    )
+                if quarter in totals:
+                    coarser = trapezoid(totals[quarter], quarter)
+                    prev_diffs = np.abs([u - v for u, v in zip(coarse, coarser)]).tolist()
+                    w = 2.0 * np.pi / nodes
+                    for i in unconverged:
+                        n, diff, target = orders[i], diffs[i], targets[i]
+                        floor = _EPS * w * scales[i] / 2.0
+                        if _stalled_at_floor(
+                            diff, prev_diffs[i], floor, target, nodes, cfg.max_nodes
+                        ):
+                            raise QuadratureError(
+                                f"contour quadrature of B_{n} stopped at its rounding floor "
+                                f"after {nodes} nodes: successive difference {diff:.3g}, "
+                                f"floor {floor:.3g}, target {target:.3g}",
+                                order=n, nodes=nodes, difference=diff,
+                                floor=floor, target=target,
+                            )
+            nodes *= 2
     raise QuadratureError(
         f"contour quadrature did not converge within {cfg.max_nodes} nodes"
     )

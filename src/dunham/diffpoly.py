@@ -73,6 +73,7 @@ __all__ = [
     "equals",
     "eval_numeric_array",
     "eval_numeric_batch",
+    "compile_batch",
     "max_deriv_order",
     "has_half_powers",
     "to_plain",
@@ -460,7 +461,12 @@ class _Plan:
             raise BranchConsistencyError(
                 "expression has half-integer powers of Q but no sqrt_q was given"
             )
-        shape = np.shape(q_derivs[0])
+        q0 = q_derivs[0]
+        if isinstance(q0, np.ndarray) and q0.ndim == 1 and q0.size <= _BLOCK:
+            out = np.empty((len(self.sums), q0.size), dtype=complex)
+            self._block(q_derivs, sqrt_q, out)
+            return out
+        shape = np.shape(q0)
         q = [np.ravel(q_derivs[k]) for k in range(self.need + 1)]
         s = None if sqrt_q is None else np.ravel(sqrt_q)
         out = np.empty((len(self.sums), q[0].size), dtype=complex)
@@ -504,6 +510,14 @@ def _plan(exprs: _Exprs) -> _Plan:
     return _Plan(exprs)
 
 
+def compile_batch(exprs: Sequence[DiffExpr]) -> _Plan:
+    """The compiled plan :func:`eval_numeric_batch` evaluates exprs with,
+    cached by the identity of the expressions: call it as
+    ``plan(q_derivs, sqrt_q)``; ``plan.need`` is the highest derivative
+    order it reads."""
+    return _plan(_Exprs(exprs))
+
+
 def eval_numeric_array(
     a: DiffExpr,
     q_derivs: Sequence[np.ndarray],
@@ -532,7 +546,7 @@ def eval_numeric_batch(
     :func:`eval_numeric_array`.  Points are taken _BLOCK at a time, so the
     memory beyond the result does not grow with their number.
     """
-    return _plan(_Exprs(exprs))(q_derivs, sqrt_q)
+    return compile_batch(exprs)(q_derivs, sqrt_q)
 
 
 # ---------------------------------------------------------------------------

@@ -103,27 +103,58 @@ class Potential:
         """[V(z), V'(z), ..., V^(max_order)(z)] at a scalar or array point;
         orders past the degree are complex zeros of the shape of z.
 
-        At an array z every order comes from one Horner loop over the
-        zero-padded table, whose leading zeros leave each row's value exactly
-        as its own Horner loop gives it; the rows are views of one array.
+        At an array z each order is one Horner loop of in-place array
+        operations, started at its own leading coefficient: the zero-padded
+        table's leading zeros would only add exact zeros, so the bits are
+        those of one loop over the whole padded table, at fewer operations;
+        the rows are views of one array.
         """
         d = self.degree
         rows = min(max_order, d) + 1
         if isinstance(z, np.ndarray):
-            cols = self.float_deriv_table[:rows].reshape((rows, d + 1) + (1,) * z.ndim)
             acc = np.empty((rows,) + z.shape, dtype=complex)
-            acc[...] = cols[:, d]  # the first step, 0 * z + c, is exactly c
-            for j in range(d - 1, -1, -1):
-                acc *= z
-                acc += cols[:, j]
+            for row, a in zip(self._float_rows[:rows], acc):
+                a[...] = row[-1]
+                for c in row[-2::-1]:
+                    np.multiply(a, z, out=a)
+                    np.add(a, c, out=a)
             out = list(acc)
         else:
             out = [self._horner(row, z) for row in self._float_rows[:rows]]
         out += [np.zeros(np.shape(z), dtype=complex) for _ in range(max_order - d)]
         return out
 
+    @cached_property
+    def _root_columns(self) -> tuple[np.ndarray, ...]:
+        """Column j of the rows V and V' of float_deriv_table, as complex,
+        each entry repeated degree times: the coefficients of Horner's rule
+        in _value_and_slope."""
+        d = self.degree
+        table = self.float_deriv_table.astype(complex)
+        return tuple(np.repeat(table[:2, j], d) for j in range(d + 1))
+
+    def _value_and_slope(self, roots: np.ndarray) -> tuple[list, list]:
+        """V and V' at the degree points `roots` (the roots of V - E), as
+        lists, bit for bit as derivs(roots, 1) gives them: one Horner loop
+        over [roots, roots] and the zero-padded rows, which on a handful of
+        points costs half the array operations of derivs' two loops."""
+        d = self.degree
+        cols = self._root_columns
+        z = np.concatenate((roots, roots))
+        acc = cols[d].copy()
+        for j in range(d - 1, -1, -1):
+            np.multiply(acc, z, out=acc)
+            np.add(acc, cols[j], out=acc)
+        values = acc.tolist()
+        return values[:d], values[d:]
+
     def real_minimum(self) -> tuple[float, float]:
-        """(x_min, V(x_min)) over the real line; exists since V is confining."""
+        """(x_min, V(x_min)) over the real line; exists since V is confining.
+        Computed once per potential."""
+        return self._real_minimum
+
+    @cached_property
+    def _real_minimum(self) -> tuple[float, float]:
         roots = np.roots(self.float_deriv_table[1, : self.degree][::-1])
         best_x, best_v = 0.0, float(np.real(self(0.0)))
         for r in roots:

@@ -31,10 +31,13 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+import numbers
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
+from . import diffpoly as dp
 from . import wkb_series as ws
 from .config import DEFAULT_CONFIG, NumericsConfig
 from .contour import Actions, action_integrals, build_contour, turning_points
@@ -74,10 +77,20 @@ class QuantizationRequest:
     order: int
 
     def __post_init__(self):
+        object.__setattr__(self, "K", _as_count("K", self.K))
+        object.__setattr__(self, "order", _as_count("order", self.order))
         if self.K < 0:
             raise ValueError("quantum number K must be >= 0")
         if self.order < 0:
             raise ValueError("order must be >= 0")
+
+
+def _as_count(name: str, value) -> int:
+    """value as an int: Python and numpy integers pass; bool, float and
+    anything else raise a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -92,19 +105,20 @@ class QuantizationResult:
 
 
 @lru_cache(maxsize=None)
-def _integrands(order: int) -> ws.WkbSeries:
-    """The integrands of the phase: T_0 .. T_{2*order+1}, with each even
-    T_2n, n >= 1, replaced by its Q'-free R_2n, which has the same
-    closed-contour integral, fewer monomials and a far lower rounding floor.
+def _integrands(order: int) -> Mapping[int, dp.DiffExpr]:
+    """The integrands of the phase by order: T_0 at 0 and, at each 2n for
+    n = 1..order, the Q'-free R_2n, which has the same closed-contour
+    integral as T_2n, fewer monomials and a far lower rounding floor.
 
     Built on _integrands(order - 1), so each order certifies only what it
     adds: T_{2*order+1} is an exact derivative (so the phase may drop it)
-    and T_{2*order} = R_{2*order} + dPsi/dx.  Called before the first phase
+    and T_{2*order} = R_{2*order} + dPsi/dx.  The odd terms serve only
+    these certificates and are not kept.  Called before the first phase
     evaluation of an order, so that a failed certificate stops the solve
     there."""
-    series = ws.gen_terms(2 * order + 1)
     if order == 0:
-        return series
+        return MappingProxyType({0: ws.gen_terms(0).terms[0]})
+    series = ws.gen_terms(2 * order + 1)
     lower = _integrands(order - 1)
     if not ws.certify_total_derivative(series, order).verified:
         raise DunhamError(  # pragma: no cover - theorem
@@ -116,7 +130,7 @@ def _integrands(order: int) -> ws.WkbSeries:
             f"even-term reduction of T_{2 * order} failed its certificate; "
             f"cannot integrate R_{2 * order}"
         )
-    return ws.WkbSeries(2 * order + 1, lower.terms + (even.r_2n, series.terms[-1]))
+    return MappingProxyType({**lower, 2 * order: even.r_2n})
 
 
 def _eval_phase(
@@ -124,7 +138,7 @@ def _eval_phase(
 ) -> tuple[float, Actions]:
     """Phi(E) and the actions behind it, with quadrature starting at `nodes`."""
     tp = turning_points(req.V, E, cfg)
-    c = replace(build_contour(tp, cfg.margin, cfg), nodes=nodes)
+    c = build_contour(tp, cfg.margin, cfg, nodes)
     orders = range(0, 2 * req.order + 1, 2)
     acts = action_integrals(_integrands(req.order), orders, req.V, E, c, cfg)
     phase = acts[0] - 0.5 * math.pi
@@ -361,6 +375,7 @@ def spectrum(
     Per-level failures do not abort the remaining levels; if any occurred,
     a SpectrumError carrying the partial results is raised at the end.
     """
+    levels = _as_count("levels", levels)
     if levels < 1:
         raise ValueError("levels must be >= 1")
     results: list[QuantizationResult] = []

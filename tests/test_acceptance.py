@@ -113,7 +113,7 @@ def test_criterion_5_maslov_constant(series15):
         V = parse_potential(name)
         for E in GRID_ENERGIES:
             c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
-            b1 = ct.action_integrals(series15, [1], V, E, c)[1]
+            b1 = ct.action_integrals(series15.terms, [1], V, E, c)[1]
             assert abs(b1 + math.pi / 2.0) < 1e-10, (name, E, b1)
 
 
@@ -123,7 +123,7 @@ def test_criterion_6_odd_orders_vanish(series15):
         V = parse_potential(name)
         for E in GRID_ENERGIES:
             c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
-            acts = ct.action_integrals(series15, [3, 5], V, E, c)
+            acts = ct.action_integrals(series15.terms, [3, 5], V, E, c)
             assert abs(acts[3]) < 1e-8, (name, E, acts[3])
             assert abs(acts[5]) < 1e-8, (name, E, acts[5])
 
@@ -170,7 +170,7 @@ def test_criterion_9_contour_robustness(series15, quartic, mixed):
             for margin in (0.3, 0.7):
                 cfg = dataclasses.replace(DEFAULT_CONFIG, margin=margin)
                 c = ct.build_contour(tp, margin, cfg)
-                vals[margin] = ct.action_integrals(series15, [0, 2, 4, 6], V, E, c, cfg)
+                vals[margin] = ct.action_integrals(series15.terms, [0, 2, 4, 6], V, E, c, cfg)
             for n in (0, 2, 4, 6):
                 a, b = vals[0.3][n], vals[0.7][n]
                 assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (str(V), E, n)
@@ -187,7 +187,7 @@ def test_criterion_10_oracle_provenance():
     series = ws.gen_terms(1)
     ho = parse_potential("x^2")
     c = ct.build_contour(ct.turning_points(ho, 3.0), margin=0.5)
-    assert ct.action_integrals(series, [0], ho, 3.0, c)[0] == pytest.approx(
+    assert ct.action_integrals(series.terms, [0], ho, 3.0, c)[0] == pytest.approx(
         1.5 * math.pi, abs=1e-10
     )
     # quartic ground state from two diagonalization discretizations

@@ -120,6 +120,18 @@ class TestSpectrum:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "K,E,residual,B_0,B_2,optimal_truncation_index"
 
+    @pytest.mark.parametrize("potential, levels, order, digest", [
+        ("x^4", "6", "2", "7822d3bad118ffecb50231ded9756f03160d2d40d218b6610df03284d99e24c9"),
+        ("x^2+x^4", "4", "4", "d5695702afa2cdef447d196ed7c690c25215ed48f7eda122e319cbb4aab4c071"),
+    ])
+    def test_csv_bytes_pinned(self, capsys, potential, levels, order, digest):
+        # the same bytes at 1 and 2 BLAS threads; compare is not pinned, as
+        # its oracle's bits depend on the thread count
+        code, out, _ = run(capsys, "spectrum", potential, "--levels", levels,
+                           "--order", order, "--format", "csv")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_format_states_convention(self, capsys):
         code, out, _ = run(capsys, "spectrum", "x^2", "--levels", "1",
                            "--order", "0", "--format", "json")

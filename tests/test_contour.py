@@ -3,13 +3,19 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import beta
 
 import dunham.contour as ct
+import dunham.solver as sv
 from dunham.config import DEFAULT_CONFIG
 from dunham.diffpoly import eval_numeric_array
 from dunham.errors import (
@@ -20,8 +26,24 @@ from dunham.errors import (
     QuadratureError,
     TurningPointError,
 )
-from dunham.potential import parse_potential
+from dunham.potential import Potential, parse_potential
 from dunham.wkb_series import gen_terms
+
+
+def _array_newton_step(V, E, roots):
+    """The Newton polish as turning_points once ran it, on arrays: V and V'
+    from Potential.derivs, the step divided by numpy."""
+    v, p1 = V.derivs(roots, 1)
+    safe = np.abs(p1) > 0
+    return (roots - np.where(safe, v - E, 0.0) / np.where(safe, p1, 1.0)).tolist()
+
+
+@st.composite
+def wells(draw):
+    """Confining quartics and sextics with small rational coefficients."""
+    degree = draw(st.sampled_from([4, 6]))
+    lower = [Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4))) for _ in range(degree)]
+    return Potential(tuple(lower) + (Fraction(draw(st.integers(1, 3))),))
 
 
 class TestTurningPoints:
@@ -88,6 +110,21 @@ class TestTurningPoints:
         V = parse_potential("x^4 - 2*x^2")
         tp = ct.turning_points(V, 1.0)
         assert tp.x1 < 0 < tp.x2
+
+    @pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_is_refused_before_the_eigensolve(self, quartic, E, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", None)  # never reached
+        with pytest.raises(ValueError, match=rf"energy must be finite, got E = {E!r}"):
+            ct.turning_points(quartic, E)
+
+    @given(wells(), st.floats(-20.0, 60.0))
+    @settings(max_examples=300, deadline=None)
+    def test_newton_step_is_bit_identical_to_the_array_polish(self, V, E):
+        coeffs = list(V._float_rows[0])
+        coeffs[0] -= E
+        roots = ct._poly_roots(coeffs)
+        got = np.array(ct._newton_step(V, E, roots))
+        assert got.tobytes() == np.array(_array_newton_step(V, E, roots)).tobytes()
 
 
 class TestContour:
@@ -159,12 +196,12 @@ class TestActionIntegrals:
         # (1/2i) contour integral of -sqrt(V-E) equals the real action
         # integral of sqrt(E-V), which is pi*E/2 for V = x^2
         c = ct.build_contour(ct.turning_points(ho, 5.0), margin=0.5)
-        b0 = ct.action_integrals(series15, [0], ho, 5.0, c)[0]
+        b0 = ct.action_integrals(series15.terms, [0], ho, 5.0, c)[0]
         assert b0 == pytest.approx(5.0 * math.pi / 2.0, abs=1e-11)
 
     def test_harmonic_maslov(self, ho, series15):
         c = ct.build_contour(ct.turning_points(ho, 5.0), margin=0.5)
-        b1 = ct.action_integrals(series15, [1], ho, 5.0, c)[1]
+        b1 = ct.action_integrals(series15.terms, [1], ho, 5.0, c)[1]
         assert b1 == pytest.approx(-math.pi / 2.0, abs=1e-12)
 
     def test_quartic_leading_action_against_quadrature(self, quartic, series15):
@@ -181,12 +218,12 @@ class TestActionIntegrals:
         # cross-check the quadrature against the closed Euler-beta form
         assert ref == pytest.approx(0.5 * beta(0.25, 1.5), abs=1e-11)
         c = ct.build_contour(ct.turning_points(quartic, E), margin=0.5)
-        b0 = ct.action_integrals(series15, [0], quartic, E, c)[0]
+        b0 = ct.action_integrals(series15.terms, [0], quartic, E, c)[0]
         assert b0 == pytest.approx(ref, abs=1e-10)
 
     def test_quartic_odd_orders_vanish(self, quartic, series15):
         c = ct.build_contour(ct.turning_points(quartic, 1.0), margin=0.5)
-        acts = ct.action_integrals(series15, [3, 5], quartic, 1.0, c)
+        acts = ct.action_integrals(series15.terms, [3, 5], quartic, 1.0, c)
         assert abs(acts[3]) < 1e-10
         assert abs(acts[5]) < 1e-10
 
@@ -199,7 +236,7 @@ class TestActionIntegrals:
         cfg = dataclasses.replace(DEFAULT_CONFIG, max_nodes=128)
         c = ct.build_contour(ct.turning_points(quartic, 1.0), margin=0.5, cfg=cfg)
         with pytest.raises(QuadratureError, match="within 128 nodes") as info:
-            ct.action_integrals(series15, [0, 8], quartic, 1.0, c, cfg)
+            ct.action_integrals(series15.terms, [0, 8], quartic, 1.0, c, cfg)
         assert info.value.floor is None
 
     @pytest.mark.parametrize("diff, prev_diff, stalled", [
@@ -215,8 +252,30 @@ class TestActionIntegrals:
 
     def test_order_out_of_range(self, ho, series15):
         c = ct.build_contour(ct.turning_points(ho, 5.0), margin=0.5)
-        with pytest.raises(ValueError):
-            ct.action_integrals(series15, [16], ho, 5.0, c)[16]
+        for orders in ([16], [-1, 0]):
+            with pytest.raises(ValueError, match="no integrand"):
+                ct.action_integrals(series15.terms, orders, ho, 5.0, c)
+        with pytest.raises(ValueError, match="no integrand"):
+            ct.action_integrals({0: series15.terms[0]}, [0, 2], ho, 5.0, c)
+
+    def test_integrands_by_order_from_a_mapping(self, quartic, series15):
+        c = ct.build_contour(ct.turning_points(quartic, 2.0), margin=0.5)
+        from_series = ct.action_integrals(series15.terms, [0, 4], quartic, 2.0, c)
+        chosen = {0: series15.terms[0], 4: series15.terms[4]}
+        assert ct.action_integrals(chosen, [0, 4], quartic, 2.0, c) == from_series
+
+    def test_overflowing_integrand_fails_at_its_first_pass(self, quartic):
+        # at E = 1e300 the terms of T_2 overflow at every node count, so
+        # doubling cannot help: the first pass ends the quadrature, naming
+        # the cause, and numpy warns of nothing
+        E = 1e300
+        c = ct.build_contour(ct.turning_points(quartic, E), margin=0.5)
+        integrands = sv._integrands(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match=r"B_2 is not finite .* E = 1e\+300") as err:
+                ct.action_integrals(integrands, [0, 2], quartic, E, c)
+        assert (err.value.order, err.value.nodes) == (2, c.nodes)
 
 
 def _contour(V, E, nodes=None):
@@ -270,7 +329,7 @@ class TestNestedDoubling:
         V = parse_potential(potential)
         c = _contour(V, E)
         orders = [0, 2, 4, 6]
-        acts = ct.action_integrals(series15, orders, V, E, c)
+        acts = ct.action_integrals(series15.terms, orders, V, E, c)
         assert acts.nodes > c.nodes
         # the direct trapezoid sum over all acts.nodes nodes at once
         z, dz = ct.ellipse_nodes(c, acts.nodes)
@@ -286,7 +345,7 @@ class TestNestedDoubling:
 
     def test_cold_start_evaluates_each_node_once(self, quartic, series15, batches):
         c = _contour(quartic, 1.0)
-        acts = ct.action_integrals(series15, [0, 2, 4], quartic, 1.0, c)
+        acts = ct.action_integrals(series15.terms, [0, 2, 4], quartic, 1.0, c)
         assert batches[0] == (c.nodes, 0.0)
         # then one batch of midpoints per doubling
         assert batches[1:] == [(m, 0.5) for m in (c.nodes * 2**k for k in range(len(batches) - 1))]
@@ -297,25 +356,25 @@ class TestNestedDoubling:
         # coarsest sum a test may compare is the 256-node one
         cfg = dataclasses.replace(DEFAULT_CONFIG, initial_nodes=256)
         c = ct.build_contour(ct.turning_points(ho, 5.0), 0.5, cfg)
-        assert ct.action_integrals(series15, [0], ho, 5.0, _contour(ho, 5.0)).nodes == 128
-        acts = ct.action_integrals(series15, [0], ho, 5.0, c, cfg)
+        assert ct.action_integrals(series15.terms, [0], ho, 5.0, _contour(ho, 5.0)).nodes == 128
+        acts = ct.action_integrals(series15.terms, [0], ho, 5.0, c, cfg)
         assert acts.nodes == acts.evaluated == 512
 
     def test_offset_node_sets_nest_too(self, quartic, series15):
         orders = [0, 2, 4, 6]
-        ref = ct.action_integrals(series15, orders, quartic, 1.0, _contour(quartic, 1.0))
+        ref = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
         c = dataclasses.replace(_contour(quartic, 1.0), offset=0.25)
-        acts = ct.action_integrals(series15, orders, quartic, 1.0, c)
+        acts = ct.action_integrals(series15.terms, orders, quartic, 1.0, c)
         assert acts.nodes >= 4 * c.nodes  # at least two doublings
         for n in orders:
             assert acts[n] == pytest.approx(ref[n], rel=4 * DEFAULT_CONFIG.quad_rel_tol)
 
     def test_converged_start_returns_after_one_pass(self, quartic, series15, batches):
-        cold = ct.action_integrals(series15, [0, 2, 4], quartic, 1.0, _contour(quartic, 1.0))
+        cold = ct.action_integrals(series15.terms, [0, 2, 4], quartic, 1.0, _contour(quartic, 1.0))
         start = 4 * cold.nodes
         batches.clear()
         warm = ct.action_integrals(
-            series15, [0, 2, 4], quartic, 1.0, _contour(quartic, 1.0, start))
+            series15.terms, [0, 2, 4], quartic, 1.0, _contour(quartic, 1.0, start))
         assert batches == [(start, 0.0)]
         assert warm.nodes == warm.evaluated == start
         for n in (0, 2, 4):
@@ -325,10 +384,10 @@ class TestNestedDoubling:
         self, quartic, series15, batches, monkeypatch
     ):
         orders = [0, 2, 4]
-        ref = ct.action_integrals(series15, orders, quartic, 1.0, _contour(quartic, 1.0))
+        ref = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
         batches.clear()
         monkeypatch.setattr(ct, "_midpoint_sqrt", lambda s, q_mid: None)
-        acts = ct.action_integrals(series15, orders, quartic, 1.0, _contour(quartic, 1.0))
+        acts = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
         # each doubling evaluates its midpoints, then the doubled set in full
         full = [m for m, offset in batches if offset == 0.0]
         assert batches[1::2] == [(m // 2, 0.5) for m in full[1:]]
@@ -341,7 +400,7 @@ class TestNestedDoubling:
         cfg = dataclasses.replace(DEFAULT_CONFIG, max_nodes=128)
         with pytest.raises(QuadratureError, match="within 128 nodes") as info:
             ct.action_integrals(
-                series15, [0, 8], quartic, 1.0, _contour(quartic, 1.0, 128), cfg)
+                series15.terms, [0, 8], quartic, 1.0, _contour(quartic, 1.0, 128), cfg)
         assert info.value.floor is None
 
     @pytest.mark.parametrize("start, passes", [(64, 8), (16384, 1)])
@@ -350,7 +409,7 @@ class TestNestedDoubling:
         # past that decides on its first pass, from its own sub-sums
         with pytest.raises(QuadratureError, match="rounding floor") as info:
             ct.action_integrals(
-                series15, [0, 2, 4, 6, 8], quartic, 1.0, _contour(quartic, 1.0, start))
+                series15.terms, [0, 2, 4, 6, 8], quartic, 1.0, _contour(quartic, 1.0, start))
         err = info.value
         assert err.order == 8
         assert err.target < err.difference <= 16.0 * err.floor
@@ -364,7 +423,8 @@ class TestNestedDoubling:
         orders = [0, 2, 4]
 
         def actions(E):
-            return ct.action_integrals(series15, orders, quartic, E, _contour(quartic, E, start))
+            return ct.action_integrals(
+                series15.terms, orders, quartic, E, _contour(quartic, E, start))
 
         ref = actions(1.0)
         for E in (0.5, 2.0, 7.3, 40.0):
@@ -374,17 +434,39 @@ class TestNestedDoubling:
                 assert got[n] == pytest.approx(expected, rel=4 * DEFAULT_CONFIG.quad_rel_tol)
 
 
+class TestWorkPerEvaluation:
+    def test_one_pass_costs_one_derivs_and_one_eigensolve(self, quartic, monkeypatch):
+        # turning points polish and check their roots without Potential.derivs,
+        # so a warm evaluation that converges in one pass reads the potential
+        # once, at its nodes
+        request = sv.QuantizationRequest(quartic, 0, 0)
+        _, cold = sv._eval_phase(request, 5.3, DEFAULT_CONFIG, DEFAULT_CONFIG.initial_nodes)
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Potential, "derivs", counted("derivs", Potential.derivs))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        _, warm = sv._eval_phase(request, 5.3, DEFAULT_CONFIG, cold.nodes)
+        assert warm.evaluated == warm.nodes == cold.nodes
+        assert calls == {"derivs": 1, "eigvals": 1}
+
+
 class TestMemory:
     def test_pass_memory_stays_bounded(self, quartic, series15):
         # one pass at 2**16 nodes over orders 0..8 holds the derivative rows
         # and one integrand row per order, plus a product table of a fixed
         # number of nodes; a table over every node at once took 115 MB
         orders = range(9)
-        ct.action_integrals(series15, orders, quartic, 6.0, _contour(quartic, 6.0))
+        ct.action_integrals(series15.terms, orders, quartic, 6.0, _contour(quartic, 6.0))
         tracemalloc.start()
         try:
             acts = ct.action_integrals(
-                series15, orders, quartic, 6.0, _contour(quartic, 6.0, 2**16)
+                series15.terms, orders, quartic, 6.0, _contour(quartic, 6.0, 2**16)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -399,14 +481,14 @@ class TestInvariants:
             values = []
             for E in (0.5, 1.0, 2.0, 4.0, 8.0):
                 c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
-                values.append(ct.action_integrals(series15, [0], V, E, c)[0])
+                values.append(ct.action_integrals(series15.terms, [0], V, E, c)[0])
             assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_maslov_constant_everywhere(self, series15, ho, quartic, mixed):
         for V in (ho, quartic, mixed):
             for E in (0.7, 2.3, 6.1):
                 c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
-                b1 = ct.action_integrals(series15, [1], V, E, c)[1]
+                b1 = ct.action_integrals(series15.terms, [1], V, E, c)[1]
                 assert abs(b1 + math.pi / 2.0) < 1e-10
 
     def test_contour_independence(self, series15, quartic):
@@ -416,7 +498,7 @@ class TestInvariants:
         for margin in (0.3, 0.7):
             cfg = dataclasses.replace(DEFAULT_CONFIG, margin=margin)
             c = ct.build_contour(tp, margin, cfg)
-            results[margin] = ct.action_integrals(series15, [0, 2, 4, 6],
+            results[margin] = ct.action_integrals(series15.terms, [0, 2, 4, 6],
                                                   quartic, E, c, cfg)
         for n in (0, 2, 4, 6):
             a, b = results[0.3][n], results[0.7][n]
@@ -430,7 +512,7 @@ class TestInvariants:
 
         def b0(E):
             c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
-            return ct.action_integrals(series15, [0], V, E, c)[0]
+            return ct.action_integrals(series15.terms, [0], V, E, c)[0]
 
         ref = b0(1.0)
         for E in (2.0, 5.0):

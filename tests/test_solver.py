@@ -11,6 +11,7 @@ import pytest
 from scipy.special import beta
 
 import dunham.contour as ct
+import dunham.diffpoly as dp
 import dunham.solver as sv
 import dunham.wkb_series as ws
 from dunham.config import DEFAULT_CONFIG
@@ -62,6 +63,29 @@ class TestQuantize:
             req(ho, -1, 0)
         with pytest.raises(ValueError):
             req(ho, 0, -1)
+
+    @pytest.mark.parametrize("K, order, field", [
+        (1.5, 1, "K"),  # must not be solved as if it were a level
+        (True, 1, "K"),
+        (np.float64(1.0), 1, "K"),
+        (1, 1.0, "order"),  # refused here, not deep inside gen_terms
+        (1, False, "order"),
+        (1, "1", "order"),
+    ])
+    def test_quantum_numbers_must_be_integers(self, quartic, K, order, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+            req(quartic, K, order)
+
+    def test_numpy_integers_are_accepted_as_ints(self, ho):
+        request = req(ho, np.int64(1), np.int32(0))
+        assert type(request.K) is int and type(request.order) is int
+        assert sv.quantize(request).E == pytest.approx(3.0, rel=1e-10)
+
+    @pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_is_a_value_error(self, quartic, E):
+        # named here, before numpy's eigensolver sees a non-finite matrix
+        with pytest.raises(ValueError, match=rf"energy must be finite, got E = {E!r}"):
+            sv.total_phase(req(quartic, 0, 1), E)
 
     def test_determinism_bit_identical(self, quartic):
         a = sv.quantize(req(quartic, 1, 2))
@@ -255,7 +279,7 @@ class TestQuadratureFloor:
         V = parse_potential(potential)
         c = ct.build_contour(ct.turning_points(V, E))
         orders = range(0, 2 * order + 1, 2)
-        return ct.action_integrals(ws.gen_terms(2 * order + 1), orders, V, E, c)
+        return ct.action_integrals(ws.gen_terms(2 * order + 1).terms, orders, V, E, c)
 
     def test_stop_at_floor_is_a_typed_error(self, pass_nodes):
         # the energy at which x^4 + 0.5*x^3 (order 3, K = 0) stopped at the
@@ -356,6 +380,14 @@ class TestReducedPhase:
         assert calls == {"certify_even_reduction": [1, 2, 3, 4],
                          "certify_total_derivative": [1, 2, 3, 4]}
 
+    def test_integrands_keep_only_the_integrated_terms(self):
+        # T_0 and R_2..R_2N; the odd terms serve only their certificates
+        integrands = sv._integrands(3)
+        assert sorted(integrands) == [0, 2, 4, 6]
+        assert dp.equals(integrands[0], ws.gen_terms(0).terms[0])
+        assert all(not any(k == 1 for m in integrands[2 * n].monomials for k, _ in m.derivs)
+                   for n in range(1, 4))
+
     @pytest.mark.parametrize("left, right", [
         ("x^4 - x^3 + 1/2*x^2 + x", "x^4 + x^3 + 1/2*x^2 - x"),
         ("x^4 - x^3 + 1/2*x^2", "x^4 + x^3 + 1/2*x^2"),
@@ -453,6 +485,11 @@ class TestSpectrum:
     def test_zero_levels_rejected(self, ho):
         with pytest.raises(ValueError):
             sv.spectrum(ho, 0, 1)
+
+    @pytest.mark.parametrize("levels", [2.0, True])
+    def test_levels_must_be_an_integer(self, ho, levels):
+        with pytest.raises(ValueError, match="^levels must be an integer"):
+            sv.spectrum(ho, levels, 1)
 
     def test_shifted_well_matches_offset_harmonic(self):
         V = parse_potential("x^2 - 2*x + 5")  # (x-1)^2 + 4
