@@ -43,7 +43,8 @@ EXIT_VERIFICATION = 4
 
 
 class _UsageError(Exception):
-    """A flag value that NumericsConfig rejects; exits with EXIT_USAGE."""
+    """A flag value out of range (as NumericsConfig or the oracle's level cap
+    judges it); exits with EXIT_USAGE."""
 
 
 def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
@@ -223,12 +224,19 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _check_oracle_levels(levels: int, cfg: orc.OracleConfig) -> None:
+    """Refuse a --levels value the oracle cannot return, before any work."""
+    if levels < 1:
+        raise _UsageError("--levels must be >= 1")
+    if levels > cfg.max_levels:
+        raise _UsageError(f"--levels must be <= {cfg.max_levels}: the oracle returns only "
+                          f"the lowest quarter of its basis of {cfg.basis_size}")
+
+
 def cmd_oracle(args) -> int:
-    if args.levels < 1:
-        print("error: --levels must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    V = parse_potential(args.potential)
     cfg = orc.OracleConfig()
+    _check_oracle_levels(args.levels, cfg)
+    V = parse_potential(args.potential)
     spec = orc.eigensolve(V, args.levels, cfg)
     if args.format == "json":
         payload = json.dumps(orc.oracle_to_json(spec), indent=2) + "\n"
@@ -258,9 +266,8 @@ def _parse_orders(text: str) -> list[int]:
 
 
 def cmd_compare(args) -> int:
-    if args.levels < 1:
-        print("error: --levels must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    oracle_cfg = orc.OracleConfig()
+    _check_oracle_levels(args.levels, oracle_cfg)
     try:
         orders = _parse_orders(args.order)
     except ValueError as exc:
@@ -268,7 +275,6 @@ def cmd_compare(args) -> int:
         return EXIT_USAGE
     V = parse_potential(args.potential)
     cfg = _config_from_args(args)
-    oracle_cfg = orc.OracleConfig()
     reference = orc.eigensolve(V, args.levels, oracle_cfg)
     rows = []
     for order in orders:

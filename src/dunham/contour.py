@@ -211,15 +211,12 @@ def build_contour(
         for r in tp.all_roots
         if min(abs(r - tp.x1), abs(r - tp.x2)) > 1e-7 * (1.0 + abs(r))
     ]
-
-    def min_radius(b: float) -> float:
-        if not others:
-            return np.inf
-        return min(np.hypot((r.real - center) / a, r.imag / b) for r in others)
+    u = np.array([(r.real - center) / a for r in others])
+    v = np.array([r.imag for r in others])
 
     b = a / 2.0
     needed = 1.0 + cfg.root_clearance
-    while min_radius(b) < needed:
+    while others and _min_radius(u, v, b) < needed:
         b /= 2.0
         if b < cfg.min_minor_ratio * a:
             raise ContourConstructionError(
@@ -230,6 +227,14 @@ def build_contour(
     return ContourSpec(
         complex(center), float(a), float(b), cfg.initial_nodes if nodes is None else nodes
     )
+
+
+def _min_radius(u: np.ndarray, v: np.ndarray, b: float) -> float:
+    """Smallest elliptical radius hypot(u, v / b) of the roots a contour of
+    semi-minor axis b must exclude: u is each root's real offset from the
+    center over the semi-major axis, v its imaginary part.  One array hypot
+    gives the bits of the scalar calls; math.hypot would not."""
+    return min(np.hypot(u, v / b).tolist())
 
 
 def ellipse_nodes(c: ContourSpec, nodes: int | None = None):

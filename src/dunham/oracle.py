@@ -9,10 +9,14 @@ mode with the contour method:
   The returned eigenvalues are the extrapolated pair combination
   (4 E_fine - E_coarse)/3; the per-level convergence estimate is the raw
   two-grid difference |E(M) - E(2M)|.
-* oscillator_basis: matrix elements of x^k in a frequency-tuned harmonic
-  oscillator basis built by ladder recursion with padding (so truncated
-  powers are exact in the retained block), dense symmetric eigensolve at
-  basis sizes B and 2B; returns the finer basis, estimate is the difference.
+* oscillator_basis: the Hamiltonian in a frequency-tuned harmonic
+  oscillator basis, held as its d + 1 lower diagonals (d the degree of V),
+  whose x^k bands are built by the ladder recurrence with padding (so
+  truncated powers are exact in the retained block); a banded symmetric
+  eigensolve for the requested levels only, at basis sizes B and 2B.  It
+  returns the finer basis; the estimate is the difference.  No step is a
+  BLAS matrix product, and the payloads are the same bytes at 1 and 2 BLAS
+  threads (tests/test_cli.py checks it).
 
 A convergence gate rejects spectra whose estimate exceeds the configured
 tolerance.  Note the gate default of 1e-9 is realistic only for the
@@ -62,37 +66,31 @@ class OracleConfig:
     convergence_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.basis_size < 16:
-            raise ValueError("basis_size must be >= 16")
-        if self.grid_points < 200:
-            raise ValueError("grid_points must be >= 200")
-        if self.domain_half_width is not None and self.domain_half_width <= 0:
-            raise ValueError("domain_half_width must be positive")
+        # a NaN tolerance would switch the gate off: estimate > nan is never true
+        floats = {"convergence_tolerance": self.convergence_tolerance}
+        if self.domain_half_width is not None:
+            floats["domain_half_width"] = self.domain_half_width
+        for name, value in floats.items():
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        for name, least in (("basis_size", 16), ("grid_points", 200)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+
+    @property
+    def max_levels(self) -> int:
+        """Most levels one eigensolve returns: only the well-converged lowest
+        quarter of the basis."""
+        return self.basis_size // 4
 
 
 @dataclass(frozen=True)
 class OracleSpectrum:
     eigenvalues: tuple[float, ...]
     convergence_estimate: tuple[float, ...]
-
-
-def _x_matrix(size: int, omega: float) -> np.ndarray:
-    n = np.arange(size)
-    off = np.sqrt(n[1:] / (2.0 * omega))
-    X = np.zeros((size, size))
-    X[np.arange(size - 1), np.arange(1, size)] = off
-    X[np.arange(1, size), np.arange(size - 1)] = off
-    return X
-
-
-def _p2_matrix(size: int, omega: float) -> np.ndarray:
-    # p^2 = omega (n + 1/2) on the diagonal; <n-2|p^2|n> = -(omega/2) sqrt(n(n-1))
-    n = np.arange(size)
-    P2 = np.diag(omega * (n + 0.5))
-    cross = -0.5 * omega * np.sqrt(n[2:] * (n[2:] - 1.0))
-    P2[np.arange(size - 2), np.arange(2, size)] = cross
-    P2[np.arange(2, size), np.arange(size - 2)] = cross
-    return P2
 
 
 def _variational_omega(shifted: np.ndarray) -> float:
@@ -120,22 +118,36 @@ def _double_factorial(k: int) -> int:
 
 
 def _oscillator_levels(shifted: np.ndarray, count: int, basis: int, omega: float) -> np.ndarray:
-    """Lowest levels of V(x0 + u) = sum_k shifted[k] u^k in a basis of size
-    `basis` tuned to frequency omega."""
-    from scipy.linalg import eigh  # imported here: scipy is most of `import dunham`
+    """Lowest `count` levels of V(x0 + u) = sum_k shifted[k] u^k in a basis of
+    size `basis` tuned to frequency omega.
+
+    H = p^2 + sum_k shifted[k] u^k is held as its d + 1 lower diagonals (row j
+    holds <n+j|H|n> at column n), on basis + d + 2 states so that the truncated
+    powers of u are exact in the retained block.  The diagonals of u^k come
+    from those of u^(k-1) and u's one off-diagonal by the ladder recurrence
+    <m|u^k|n> = <m|u^(k-1)|n-1> <n-1|u|n> + <m|u^(k-1)|n+1> <n+1|u|n>.
+    """
+    from scipy.linalg import eig_banded  # imported here: scipy is most of `import dunham`
 
     d = shifted.size - 1
     padded = basis + d + 2
-    H = _p2_matrix(padded, omega)
-    Xp = np.eye(padded)
-    X = _x_matrix(padded, omega)
-    H[np.diag_indices(padded)] += shifted[0]
-    for k in range(1, shifted.size):
-        Xp = Xp @ X
+    n = np.arange(padded)
+    off = np.sqrt(n[1:] / (2.0 * omega))  # <n+1|u|n>
+    H = np.zeros((d + 1, padded))
+    # p^2 = omega (n + 1/2) on the diagonal; <n+2|p^2|n> = -(omega/2) sqrt((n+2)(n+1))
+    H[0] = omega * (n + 0.5) + shifted[0]
+    H[2, :-2] = -0.5 * omega * np.sqrt(n[2:] * (n[2:] - 1.0))
+    power = np.zeros((d + 1, padded))  # lower diagonals of u^k (none past k); u^0 = 1
+    power[0] = 1.0
+    for k in range(1, d + 1):
+        prev, power = power, np.zeros_like(power)
+        power[:-1, 1:] = prev[1:, :-1] * off  # via n - 1
+        power[1:, :-1] += prev[:-1, 1:] * off  # via n + 1, below the diagonal
+        power[0, :-1] += prev[1, :-1] * off  # via n + 1 on the diagonal, by symmetry
         if shifted[k]:
-            H += shifted[k] * Xp
-    w = eigh(H[:basis, :basis], eigvals_only=True)
-    return np.sort(w)[:count]
+            H += shifted[k] * power
+    return eig_banded(H[:, :basis], lower=True, eigvals_only=True,
+                      select="i", select_range=(0, count - 1))
 
 
 def _fd_hamiltonian(V: Potential, L: float, M: int):
@@ -190,9 +202,9 @@ def eigensolve(V: Potential, count: int, cfg: OracleConfig = OracleConfig()) -> 
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count > cfg.basis_size // 4:
+    if count > cfg.max_levels:
         raise ValueError(
-            f"count={count} exceeds basis_size/4 = {cfg.basis_size // 4}; "
+            f"count={count} exceeds basis_size/4 = {cfg.max_levels}; "
             "only well-converged low levels are returned"
         )
 

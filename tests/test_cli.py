@@ -125,12 +125,40 @@ class TestSpectrum:
         ("x^2+x^4", "4", "4", "d5695702afa2cdef447d196ed7c690c25215ed48f7eda122e319cbb4aab4c071"),
     ])
     def test_csv_bytes_pinned(self, capsys, potential, levels, order, digest):
-        # the same bytes at 1 and 2 BLAS threads; compare is not pinned, as
-        # its oracle's bits depend on the thread count
+        # the same bytes at 1 and 2 BLAS threads
         code, out, _ = run(capsys, "spectrum", potential, "--levels", levels,
                            "--order", order, "--format", "csv")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_oracle_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the dense oracle failed its gate on x^6 with 2 threads (1.51e-9)
+        # and passed with 1; the banded one gives the same bytes at both
+        script = (
+            "import sys\n"
+            "from dunham.cli import main\n"
+            "out = sys.argv[1]\n"
+            "for name, argv in (('oracle', ['oracle', 'x^6', '--levels', '6']),\n"
+            "                   ('compare', ['compare', 'x^4', '--levels', '6',\n"
+            "                                '--order', '0,1,2'])):\n"
+            "    code = main(argv + ['--format', 'csv', '--output', f'{out}-{name}.csv',\n"
+            "                        '--manifest-out', f'{out}-{name}.json'])\n"
+            "    assert code == 0, (argv, code)\n"
+        )
+        src = str(Path(dunham.__file__).resolve().parents[1])
+        payloads = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            out = str(tmp_path / threads)
+            proc = subprocess.run([sys.executable, "-c", script, out], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            payloads[threads] = [Path(f"{out}-{name}.csv").read_bytes()
+                                 for name in ("oracle", "compare")]
+        assert payloads["1"] == payloads["2"]
+        assert hashlib.sha256(payloads["1"][1]).hexdigest() == (
+            "db89062741c4d4380abd1d36747c2e6656fde59cd17ec2a694b0f32f0c6bdc09")
 
     def test_json_format_states_convention(self, capsys):
         code, out, _ = run(capsys, "spectrum", "x^2", "--levels", "1",
@@ -177,6 +205,12 @@ class TestOracle:
         code, _, _ = run(capsys, "oracle", "x^2", "--levels", "0")
         assert code == EXIT_USAGE
 
+    def test_level_cap_is_usage_error(self, capsys):
+        # the default basis of 256 returns at most 64 levels
+        code, out, err = run(capsys, "oracle", "x^4", "--levels", "65")
+        assert code == EXIT_USAGE
+        assert "--levels must be <= 64" in err and out == ""
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "oracle", "x^4", "--levels", "2", "--format", "csv")
         assert code == EXIT_OK
@@ -205,6 +239,11 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "x^4", "--levels", "0")
         assert code == EXIT_USAGE
         assert "--levels must be >= 1" in err
+
+    def test_level_cap_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "compare", "x^4", "--levels", "65")
+        assert code == EXIT_USAGE
+        assert "--levels must be <= 64" in err and out == ""
 
     def test_repeated_order_usage(self, capsys):
         code, out, err = run(capsys, "compare", "x^2", "--levels", "2", "--order", "2,0,2")

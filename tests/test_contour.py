@@ -144,6 +144,17 @@ class TestContour:
                                  r.imag / c.semi_minor)
                 assert rho >= 1.0 + DEFAULT_CONFIG.root_clearance
 
+    def test_min_radius_matches_scalar_hypot_bits(self):
+        # the scalar form build_contour used before one array hypot replaced it
+        rng = np.random.default_rng(20231)
+        for _ in range(5000):
+            others = [complex(*rng.normal(scale=3.0, size=2)) for _ in range(4)]
+            center, a, b = rng.normal(), rng.uniform(0.1, 5.0), rng.uniform(1e-3, 5.0)
+            scalar = min(np.hypot((r.real - center) / a, r.imag / b) for r in others)
+            u = np.array([(r.real - center) / a for r in others])
+            v = np.array([r.imag for r in others])
+            assert ct._min_radius(u, v, b).hex() == float(scalar).hex()
+
     def test_bad_margin(self, ho):
         for margin in (0.0, math.inf, math.nan):  # inf used to loop forever
             with pytest.raises(ValueError, match="margin"):

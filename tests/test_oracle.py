@@ -1,5 +1,7 @@
 """Diagonalization oracle: both discretizations and their gates."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -13,6 +15,50 @@ FD_RELAXED = orc.OracleConfig(
     convergence_tolerance=1e-4,
     grid_points=8000,
 )
+
+
+def _taylor_and_omega(V):
+    """The Taylor coefficients at the minimum and basis frequency eigensolve uses."""
+    x0, _ = V.real_minimum()
+    shifted = np.array([v / math.factorial(k) for k, v in enumerate(V.derivs(x0, V.degree))])
+    return shifted, orc._variational_omega(shifted)
+
+
+def _dense_hamiltonian(shifted, basis, omega):
+    """The retained block of H = p^2 + sum_k shifted[k] x^k built densely, by
+    BLAS products of padded ladder matrices: the reference for the bands."""
+    d = shifted.size - 1
+    padded = basis + d + 2
+    n = np.arange(padded)
+    X = np.diag(np.sqrt(n[1:] / (2.0 * omega)), 1)
+    X = X + X.T
+    cross = np.diag(-0.5 * omega * np.sqrt(n[2:] * (n[2:] - 1.0)), 2)
+    H = np.diag(omega * (n + 0.5) + shifted[0]) + cross + cross.T
+    power = np.eye(padded)
+    for k in range(1, d + 1):
+        power = power @ X
+        H += shifted[k] * power
+    return H[:basis, :basis]
+
+
+class TestBandedHamiltonian:
+    @pytest.mark.parametrize("text", [
+        "x^2", "x^4", "x^6", "x^4 - x^3 + x^2", "x^6 - x^4 + x^3 + 5/4*x^2 - x",
+    ])
+    def test_levels_match_dense_eigvalsh(self, text):
+        # a band placed one index off moves levels far beyond roundoff
+        shifted, omega = _taylor_and_omega(parse_potential(text))
+        H = _dense_hamiltonian(shifted, 64, omega)
+        want = np.linalg.eigvalsh(H)[:16]
+        got = orc._oscillator_levels(shifted, 16, 64, omega)
+        assert got.shape == want.shape
+        # both solvers are backward stable: each is within a few eps * ||H|| of exact
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * np.linalg.norm(H, 2)
+
+    def test_sextic_estimate_clear_of_the_gate(self):
+        # the dense build reached 5.7e-10 (1 thread) and 1.5e-9 (2 threads) here
+        spec = orc.eigensolve(parse_potential("x^6"), 6)
+        assert max(spec.convergence_estimate) < 1e-10
 
 
 class TestOscillatorMode:
@@ -40,7 +86,7 @@ class TestOscillatorMode:
 
     def test_variational_monotonicity(self, quartic):
         # eigenvalues can only come down as the basis grows; the slack covers
-        # dense-eigensolver roundoff (eps * ||H||, with ||H|| ~ 1e5 here)
+        # the banded eigensolver's roundoff (eps * ||H||, with ||H|| ~ 1e5 here)
         sizes = (64, 128, 256)
         specs = [orc.eigensolve(quartic, 6, orc.OracleConfig(basis_size=b)) for b in sizes]
         for lo, hi in zip(specs, specs[1:]):
@@ -98,6 +144,33 @@ class TestConfigValidation:
             orc.OracleConfig(grid_points=100)
         with pytest.raises(ValueError):
             orc.OracleConfig(domain_half_width=-1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("convergence_tolerance", math.nan),  # would switch the gate off
+        ("convergence_tolerance", math.inf),
+        ("convergence_tolerance", 0.0),
+        ("convergence_tolerance", -1e-9),
+        ("convergence_tolerance", True),
+        ("domain_half_width", math.nan),
+        ("domain_half_width", math.inf),
+        ("domain_half_width", 0.0),
+        ("domain_half_width", True),
+        ("basis_size", True),
+        ("basis_size", 256.0),
+        ("basis_size", -256),
+        ("grid_points", True),
+        ("grid_points", 8000.0),
+        ("grid_points", -8000),
+    ])
+    def test_out_of_range_value_fails_by_name(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            orc.OracleConfig(**{name: value})
+
+    def test_nan_tolerance_cannot_pass_an_unconverged_level(self):
+        # at basis 32 the x^6 estimates reach 2.5e-4
+        with pytest.raises(ValueError, match="convergence_tolerance"):
+            orc.eigensolve(parse_potential("x^6"), 6,
+                           orc.OracleConfig(basis_size=32, convergence_tolerance=math.nan))
 
 
 class TestSerialization:
