@@ -33,7 +33,7 @@ from . import oracle as orc
 from . import solver as sv
 from . import wkb_series as ws
 from .config import DEFAULT_CONFIG
-from .errors import DunhamError, PotentialParseError
+from .errors import DunhamError, PotentialParseError, ResolutionError
 from .potential import parse_potential
 
 EXIT_OK = 0
@@ -233,11 +233,25 @@ def _check_oracle_levels(levels: int, cfg: orc.OracleConfig) -> None:
                           f"the lowest quarter of its basis of {cfg.basis_size}")
 
 
+def _eigensolve(V, levels: int, cfg: orc.OracleConfig) -> orc.OracleSpectrum:
+    """orc.eigensolve, whose refusal here names the remedy the command line
+    offers: fewer --levels, since no flag sets the basis size."""
+    try:
+        return orc.eigensolve(V, levels, cfg)
+    except ResolutionError as exc:
+        raise ResolutionError(
+            f"level {exc.level} converged only to {exc.estimate:.3g} "
+            f"(> {cfg.convergence_tolerance:g}) in the oracle's basis of {cfg.basis_size}; "
+            f"ask for fewer --levels (at most {exc.level})",
+            level=exc.level, estimate=exc.estimate,
+        ) from exc
+
+
 def cmd_oracle(args) -> int:
     cfg = orc.OracleConfig()
     _check_oracle_levels(args.levels, cfg)
     V = parse_potential(args.potential)
-    spec = orc.eigensolve(V, args.levels, cfg)
+    spec = _eigensolve(V, args.levels, cfg)
     if args.format == "json":
         payload = json.dumps(orc.oracle_to_json(spec), indent=2) + "\n"
     elif args.format == "csv":
@@ -275,7 +289,7 @@ def cmd_compare(args) -> int:
         return EXIT_USAGE
     V = parse_potential(args.potential)
     cfg = _config_from_args(args)
-    reference = orc.eigensolve(V, args.levels, oracle_cfg)
+    reference = _eigensolve(V, args.levels, oracle_cfg)
     rows = []
     for order in orders:
         for r in sv.spectrum(V, args.levels, order, cfg):

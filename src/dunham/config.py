@@ -39,7 +39,8 @@ class NumericsConfig:
     degeneracy_tol: float = 1e-7       # |Q'(root)| below this * scale means a double root
 
     # Quantization solver
-    bisection_rtol: float = 1e-12      # root finder stops once the bracket is this * (1 + |E|) wide
+    bisection_rtol: float = 1e-12      # quantize stops once its last Newton step (or, on fallback,
+                                       # the bracket) is at most this * (1 + |E|)
     residual_tol: float = 1e-10        # |total_phase(E*) - K*pi| contract
     bracket_expansion_cap: int = 200   # doublings/halvings before NoSolutionError
     bracket_seed: float | None = None  # energy seed override (None: leading-order scaling)

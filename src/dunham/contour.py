@@ -12,6 +12,8 @@ where the higher-order terms diverge.
 The integrands are passed in by order, as a series' terms or a mapping;
 the solver integrates T_0 and, for each even order 2n >= 2, the reduced
 R_2n = T_2n - dPsi_2n/dx, whose closed-contour integral is that of T_2n.
+Their E-derivatives may ride along as extra rows of the same evaluation,
+giving dB_n/dE without a pass of their own.
 
 The node count doubles until the sums converge.  Doubling is nested: the
 2N-node set is the N-node set plus the N midpoints, so each doubling
@@ -350,13 +352,21 @@ def _stalled_at_floor(
 
 class Actions(dict):
     """B_n by order n, as action_integrals returns them, plus the node count
-    the quadrature converged at (`nodes`) and the number of nodes it
-    evaluated on the way (`evaluated`)."""
+    the quadrature converged at (`nodes`), the number of nodes it evaluated
+    on the way (`evaluated`) and dB_n/dE by order n on those nodes
+    (`slopes`, empty unless asked for)."""
 
-    def __init__(self, values: dict[int, float], nodes: int, evaluated: int):
+    def __init__(
+        self,
+        values: dict[int, float],
+        nodes: int,
+        evaluated: int,
+        slopes: dict[int, float] | None = None,
+    ):
         super().__init__(values)
         self.nodes = nodes
         self.evaluated = evaluated
+        self.slopes = {} if slopes is None else slopes
 
 
 def action_integrals(
@@ -366,11 +376,18 @@ def action_integrals(
     E: float,
     c: ContourSpec,
     cfg: NumericsConfig = DEFAULT_CONFIG,
+    slopes: Sequence[dp.DiffExpr] | Mapping[int, dp.DiffExpr] | None = None,
 ) -> Actions:
     """B_n(E) for each requested order n, sharing one node-doubling loop.
 
     terms[n] is the integrand of B_n: a series' ``terms`` tuple, or a
     mapping from order to integrand that holds the requested orders.
+    slopes[n], when given, is the E-derivative of terms[n]
+    (dp.energy_derivative); its rows join the same plan on the same nodes,
+    and the real part of each sum comes back as Actions.slopes[n] = dB_n/dE.
+    These rows take no part in the convergence, floor, finiteness or reality
+    tests, which judge B alone: their sums are as converged as the node
+    count B needed makes them.
 
     Quadrature starts at c.nodes nodes and doubles until every requested
     order moves by less than quad_rel_tol relatively (quad_abs_tol
@@ -408,10 +425,13 @@ def action_integrals(
         return Actions({}, c.nodes, 0)
     try:
         exprs = tuple(terms[n] for n in orders)
+        if slopes is not None:
+            exprs += tuple(slopes[n] for n in orders)
     except LookupError:
         exprs = None
     if exprs is None or orders[0] < 0:
-        raise ValueError(f"terms holds no integrand for some of the orders {orders}")
+        raise ValueError(f"terms or slopes hold no integrand for some of the orders {orders}")
+    count = len(orders)  # rows of B; any rows after them are dB/dE
     plan = dp.compile_batch(exprs)
     kmax = plan.need
 
@@ -444,7 +464,7 @@ def action_integrals(
                 else:
                     f_dz = integrands(q_derivs, mid, dz)
                     totals[nodes] = totals[half] + f_dz.sum(axis=1)
-                    abs_sums += _abs_sums(f_dz)
+                    abs_sums += _abs_sums(f_dz[:count])
                     interleaved = np.empty(nodes, dtype=complex)
                     interleaved[0::2], interleaved[1::2] = sqrt_q, mid
                     sqrt_q = interleaved
@@ -464,7 +484,7 @@ def action_integrals(
                     for k in (1, 2, 4)
                     if k == 1 or (nodes % k == 0 and nodes // k >= cfg.initial_nodes)
                 }
-                abs_sums = _abs_sums(f_dz)
+                abs_sums = _abs_sums(f_dz[:count])
                 offset = c.offset
             del q_derivs, dz, f_dz  # freed before the next pass allocates its own
             scales = abs_sums.tolist()
@@ -477,22 +497,21 @@ def action_integrals(
                     )
             if half in totals:
                 vals = trapezoid(totals[nodes], nodes)
-                coarse = trapezoid(totals[half], half)
+                coarse = trapezoid(totals[half], half)[:count]
                 # |B_n| and |B_n - coarser B_n| by numpy's complex abs, whose
                 # bits Python's abs does not always give
-                mags = np.abs(vals + [v - u for v, u in zip(vals, coarse)]).tolist()
-                targets = [
-                    max(cfg.quad_rel_tol * m, cfg.quad_abs_tol) for m in mags[: len(orders)]
-                ]
-                diffs = mags[len(orders) :]
-                unconverged = [i for i in range(len(orders)) if not diffs[i] <= targets[i]]
+                mags = np.abs(vals[:count] + [v - u for v, u in zip(vals, coarse)]).tolist()
+                targets = [max(cfg.quad_rel_tol * m, cfg.quad_abs_tol) for m in mags[:count]]
+                diffs = mags[count:]
+                unconverged = [i for i in range(count) if not diffs[i] <= targets[i]]
                 if not unconverged:
                     return Actions(
                         {n: _take_real(v, n, cfg) for n, v in zip(orders, vals)},
                         nodes, evaluated,
+                        {n: v.real for n, v in zip(orders, vals[count:])},
                     )
                 if quarter in totals:
-                    coarser = trapezoid(totals[quarter], quarter)
+                    coarser = trapezoid(totals[quarter], quarter)[:count]
                     prev_diffs = np.abs([u - v for u, v in zip(coarse, coarser)]).tolist()
                     w = 2.0 * np.pi / nodes
                     for i in unconverged:

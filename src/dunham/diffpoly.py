@@ -70,6 +70,7 @@ __all__ = [
     "scale",
     "mul",
     "differentiate",
+    "energy_derivative",
     "equals",
     "eval_numeric_array",
     "eval_numeric_batch",
@@ -370,6 +371,18 @@ def differentiate(a: DiffExpr) -> DiffExpr:
     s = _Sum()
     s.add_derivative(a)
     return s.result()
+
+
+def energy_derivative(a: DiffExpr) -> DiffExpr:
+    """d/dE at fixed x, for Q = V - E: each c Q^(h/2) prod_k (Q^(k))^e_k
+    becomes -(h/2) c Q^((h-2)/2) prod_k (Q^(k))^e_k, since dQ/dE = -1 and
+    the derivatives Q^(k) = V^(k) do not depend on E.  Monomials free of Q
+    vanish; the rest map one to one and keep their canonical order."""
+    return DiffExpr(tuple(
+        Monomial(m.coeff * Fraction(-m.q_half, 2), m.q_half - 2, m.derivs)
+        for m in a.monomials
+        if m.q_half
+    ))
 
 
 def equals(a: DiffExpr, b: DiffExpr) -> bool:

@@ -99,4 +99,14 @@ class SpectrumError(DunhamError):
 
 
 class ResolutionError(DunhamError):
-    """Oracle eigenvalues did not pass the two-resolution convergence gate."""
+    """Oracle eigenvalues did not pass the two-resolution convergence gate.
+
+    Attributes (None when not known):
+        level: the index of the lowest level that failed the gate.
+        estimate: that level's two-resolution difference.
+    """
+
+    def __init__(self, message, level=None, estimate=None):
+        super().__init__(message)
+        self.level = level
+        self.estimate = estimate

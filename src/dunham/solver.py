@@ -18,6 +18,16 @@ about a quarter of its monomials and a far lower rounding floor.  Each
 reduction is certified exactly, once per n, before the first phase
 evaluation that needs it, together with the odd term of the same n.
 
+E enters every integrand only through Q = V - E, so each phase evaluation
+also integrates the exact E-derivative of each integrand
+(diffpoly.energy_derivative) on the same nodes and carries dPhi/dE.
+quantize uses it for Newton's method from a power-law seed, in the
+variables log(E - Vmin) and log(Phi + pi/2), where a leading action
+B_0 ~ (E - Vmin)^p makes the step exact.  Guards hand a level to a bracket
+walk and Brent's method from the same seed wherever Newton's method is not
+to be trusted, above all where the truncated phase is past its optimal
+truncation and may have roots that are not levels.
+
 Reporting convention: results quote Phi(E) = K*pi with the -pi/2 on the
 left-hand side, equivalent to the textbook B_0 + corrections = (K + 1/2)*pi.
 
@@ -29,6 +39,7 @@ accuracy; nothing is resummed).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import numbers
@@ -63,6 +74,10 @@ _log = logging.getLogger("dunham.solver")
 # energy there made x^4 at order 9 (K = 1..3) 3 to 4 times slower than with
 # this bound.
 _WARM_START_MAX_NODES = 4096
+# Newton steps a level may take, and the largest |log((E' - Vmin)/(E - Vmin))|
+# of one step, before the level falls back to the bracket walk and Brent.
+_NEWTON_MAX_STEPS = 8
+_NEWTON_MAX_LOG_STEP = 2.0
 
 
 @dataclass(frozen=True)
@@ -133,18 +148,35 @@ def _integrands(order: int) -> Mapping[int, dp.DiffExpr]:
     return MappingProxyType({**lower, 2 * order: even.r_2n})
 
 
+@lru_cache(maxsize=None)
+def _slope_integrands(order: int) -> Mapping[int, dp.DiffExpr]:
+    """The E-derivative of each of _integrands(order), by order: their
+    closed-contour integrals are dB_2n/dE, so that their sum is dPhi/dE."""
+    return MappingProxyType(
+        {n: dp.energy_derivative(t) for n, t in _integrands(order).items()}
+    )
+
+
 def _eval_phase(
     req: QuantizationRequest, E: float, cfg: NumericsConfig, nodes: int
 ) -> tuple[float, Actions]:
-    """Phi(E) and the actions behind it, with quadrature starting at `nodes`."""
+    """Phi(E) and the actions behind it, with quadrature starting at `nodes`;
+    acts.slopes holds dB_2n/dE from the same nodes (see _phase_slope)."""
     tp = turning_points(req.V, E, cfg)
     c = build_contour(tp, cfg.margin, cfg, nodes)
     orders = range(0, 2 * req.order + 1, 2)
-    acts = action_integrals(_integrands(req.order), orders, req.V, E, c, cfg)
+    acts = action_integrals(
+        _integrands(req.order), orders, req.V, E, c, cfg, _slope_integrands(req.order)
+    )
     phase = acts[0] - 0.5 * math.pi
     for n in range(1, req.order + 1):
         phase += acts[2 * n]
     return phase, acts
+
+
+def _phase_slope(acts: Actions) -> float:
+    """dPhi/dE from the slopes an evaluation of _eval_phase carries."""
+    return sum(acts.slopes.values())
 
 
 def total_phase(
@@ -269,10 +301,102 @@ def _brent(
             d = e = b - a
 
 
+def _newton(
+    evaluate: Callable[[float], tuple[float, Actions]],
+    E: float,
+    vmin: float,
+    target: float,
+    cfg: NumericsConfig,
+    bracket: Callable[[], tuple[float, float]],
+) -> tuple[float, int, str]:
+    """Newton's method on Phi(E) = target from the evaluated energy E, in
+    the variables log(E - vmin) and log(Phi + pi/2), where a leading action
+    B_0 ~ (E - vmin)^p makes the step exact.
+
+    Returns (E, steps, fallback): the iterate whose next step is at most
+    bisection_rtol*(1+|E|), with fallback "none", or the last iterate
+    evaluated and the name of the guard that stopped the walk: "truncation"
+    when truncation_diagnostics would warn on its actions, "slope" when
+    dPhi/dE is not finite and positive, "phase" when Phi + pi/2 <= 0,
+    "step" when the log step exceeds _NEWTON_MAX_LOG_STEP, "bracket" when
+    the step leaves the bracket the signs seen so far define, "cap" after
+    _NEWTON_MAX_STEPS steps, and "error" when evaluating the step raised a
+    DunhamError.
+    """
+    goal = math.log(target + 0.5 * math.pi)
+    phase, acts = evaluate(E)
+    for steps in itertools.count():
+        if truncation_diagnostics(tuple(acts.values()), cfg.truncation_floor)[1]:
+            return E, steps, "truncation"
+        growth = _phase_slope(acts) * (E - vmin)  # dPhi/dlog(E - vmin)
+        if not (math.isfinite(growth) and growth > 0.0):
+            return E, steps, "slope"
+        b0 = phase + 0.5 * math.pi
+        if not b0 > 0.0:
+            return E, steps, "phase"
+        log_step = (goal - math.log(b0)) * b0 / growth
+        if not abs(log_step) <= _NEWTON_MAX_LOG_STEP:
+            return E, steps, "step"
+        nxt = vmin + (E - vmin) * math.exp(log_step)
+        if abs(nxt - E) <= cfg.bisection_rtol * (1.0 + abs(E)):
+            return E, steps, "none"
+        lo, hi = bracket()
+        if not lo < nxt < hi:
+            return E, steps, "bracket"
+        if steps == _NEWTON_MAX_STEPS:
+            return E, steps, "cap"
+        try:
+            phase, acts = evaluate(nxt)
+        except DunhamError:
+            return E, steps, "error"
+        E = nxt
+
+
+def _walk(
+    phase_at: Callable[[float], float], seed: float, vmin: float, K: int, cfg: NumericsConfig
+) -> tuple[float, float, float, float, int]:
+    """(lo, f(lo), hi, f(hi), steps): a sign-change bracket of phase_at,
+    found by doubling E - vmin from the seed while the phase is too small,
+    or halving it while the phase is too large."""
+    f_seed = phase_at(seed)
+    lo = hi = seed
+    flo = fhi = f_seed
+    steps = 0
+    if f_seed < 0.0:
+        # phase too small at the seed: walk the upper end outward
+        for steps in range(1, cfg.bracket_expansion_cap + 1):
+            lo, flo = hi, fhi
+            hi = vmin + 2.0 * (hi - vmin)
+            fhi = phase_at(hi)
+            if fhi >= 0.0:
+                break
+        else:
+            raise NoSolutionError(
+                f"failed to bracket level K={K} from above within "
+                f"{cfg.bracket_expansion_cap} expansions"
+            )
+    elif f_seed > 0.0:
+        for steps in range(1, cfg.bracket_expansion_cap + 1):
+            hi, fhi = lo, flo
+            lo = vmin + 0.5 * (lo - vmin)
+            flo = phase_at(lo)
+            if flo <= 0.0:
+                break
+        else:
+            raise NoSolutionError(
+                f"failed to bracket level K={K} from below within "
+                f"{cfg.bracket_expansion_cap} halvings"
+            )
+    return lo, flo, hi, fhi, steps
+
+
 def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> QuantizationResult:
-    """Solve Phi(E) = K*pi: bracket expansion from a leading-order seed, then
+    """Solve Phi(E) = K*pi by Newton's method from a leading-order seed,
+    with the exact dPhi/dE that each phase evaluation carries, until a step
+    is at most bisection_rtol*(1+|E|) (see _newton).  Where a guard of
+    _newton fires, the level falls back to a bracket walk from the seed and
     Brent's method on the bracket until it is at most bisection_rtol*(1+|E|)
-    wide.
+    wide; the fallback reuses every evaluation already made.
 
     Phi is evaluated at most once per energy; the residual and actions of the
     result come from the evaluation at the returned root.  Each evaluation's
@@ -280,8 +404,10 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
     converged at (cold, at cfg.initial_nodes, for the first), unless that
     count exceeds _WARM_START_MAX_NODES.  One DEBUG record per solved level,
     and one per failed seed probe, goes to the "dunham.solver" logger; the
-    level's record carries the node count at the root and the nodes its
-    successful phase evaluations evaluated.
+    level's record carries its Newton, bracket and root-finder steps, dPhi/dE
+    at the root, the guard that sent it to the fallback ("none" when none
+    did), the node count at the root and the nodes its successful phase
+    evaluations evaluated.
     """
     _integrands(req.order)
     target = req.K * math.pi
@@ -303,39 +429,24 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
     def phase_at(E: float) -> float:
         return evaluate(E)[0] - target
 
-    vmin, seed = _seed_energy(req, target, cfg, lambda E: evaluate(E)[0])
-    f_seed = phase_at(seed)
-    lo = hi = seed
-    flo = fhi = f_seed
-    bracket_steps = 0
-    if f_seed < 0.0:
-        # phase too small at the seed: walk the upper end outward
-        for bracket_steps in range(1, cfg.bracket_expansion_cap + 1):
-            lo, flo = hi, fhi
-            hi = vmin + 2.0 * (hi - vmin)
-            fhi = phase_at(hi)
-            if fhi >= 0.0:
-                break
-        else:
-            raise NoSolutionError(
-                f"failed to bracket level K={req.K} from above within "
-                f"{cfg.bracket_expansion_cap} expansions"
-            )
-    elif f_seed > 0.0:
-        for bracket_steps in range(1, cfg.bracket_expansion_cap + 1):
-            hi, fhi = lo, flo
-            lo = vmin + 0.5 * (lo - vmin)
-            flo = phase_at(lo)
-            if flo <= 0.0:
-                break
-        else:
-            raise NoSolutionError(
-                f"failed to bracket level K={req.K} from below within "
-                f"{cfg.bracket_expansion_cap} halvings"
-            )
+    def bracket() -> tuple[float, float]:
+        """The largest energy seen below the target and the smallest above."""
+        lo, hi = vmin, math.inf
+        for E, (phase, _) in evaluated.items():
+            if phase < target:
+                lo = max(lo, E)
+            elif phase > target:
+                hi = min(hi, E)
+        return lo, hi
 
-    bracket_evals = evals
-    e_star = _brent(phase_at, lo, flo, hi, fhi, cfg.bisection_rtol)
+    vmin, seed = _seed_energy(req, target, cfg, lambda E: evaluate(E)[0])
+    e_star, newton_steps, fallback = _newton(evaluate, seed, vmin, target, cfg, bracket)
+    bracket_steps = root_steps = 0
+    if fallback != "none":
+        lo, flo, hi, fhi, bracket_steps = _walk(phase_at, seed, vmin, req.K, cfg)
+        bracket_evals = evals
+        e_star = _brent(phase_at, lo, flo, hi, fhi, cfg.bisection_rtol)
+        root_steps = evals - bracket_evals
     phase, acts = evaluate(e_star)
     residual = phase - target
     if abs(residual) > cfg.residual_tol:
@@ -348,10 +459,10 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
 
     trunc, warnings = truncation_diagnostics(actions, cfg.truncation_floor)
     _log.debug(
-        "K=%d order=%d E=%r phase_evals=%d bracket_steps=%d root_steps=%d "
-        "nodes=%d nodes_evaluated=%d",
-        req.K, req.order, e_star, evals, bracket_steps, evals - bracket_evals,
-        acts.nodes, nodes_evaluated,
+        "K=%d order=%d E=%r phase_evals=%d newton_steps=%d bracket_steps=%d "
+        "root_steps=%d slope=%r fallback=%s nodes=%d nodes_evaluated=%d",
+        req.K, req.order, e_star, evals, newton_steps, bracket_steps, root_steps,
+        _phase_slope(acts), fallback, acts.nodes, nodes_evaluated,
     )
     return QuantizationResult(
         K=req.K,

@@ -33,6 +33,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_within_root_width(energies, before):
+    """Each energy within twice the root finder's stopping width,
+    bisection_rtol*(1+|E|), of where an earlier root finder put it."""
+    assert len(energies) == len(before)
+    for E, old in zip(energies, before):
+        assert abs(E - old) <= 2 * dunham.DEFAULT_CONFIG.bisection_rtol * (1 + abs(old))
+
+
 class TestTerms:
     def test_plain_first_two(self, capsys):
         code, out, _ = run(capsys, "terms", "--n-max", "1")
@@ -120,15 +128,22 @@ class TestSpectrum:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "K,E,residual,B_0,B_2,optimal_truncation_index"
 
-    @pytest.mark.parametrize("potential, levels, order, digest", [
-        ("x^4", "6", "2", "7822d3bad118ffecb50231ded9756f03160d2d40d218b6610df03284d99e24c9"),
-        ("x^2+x^4", "4", "4", "d5695702afa2cdef447d196ed7c690c25215ed48f7eda122e319cbb4aab4c071"),
-    ])
-    def test_csv_bytes_pinned(self, capsys, potential, levels, order, digest):
+    # `before`: the energies of the bracket walk and Brent's method, before
+    # Newton's method moved them within the root finder's width
+    @pytest.mark.parametrize("potential, levels, order, digest, before", [
+        ("x^4", "6", "2", "4ad3244bb414c4127d16570f384183fc7bd1c93c59f612c5275ddf2b2f8b1c13",
+         (0.951643031492925, 3.8083772608430615, 7.455282447600405, 11.644778692674349,
+          16.261828561550416, 21.23837444314955)),
+        ("x^2+x^4", "4", "4", "a9b9244ee867794101c694d7707536f364640a48b853e64e1605edf22cabad4e",
+         (1.2611880033769918, 4.6503264580976875, 8.654983170276324, 13.156806092181661)),
+    ], ids=["x^4-6-2", "x^2+x^4-4-4"])
+    def test_csv_bytes_pinned(self, capsys, potential, levels, order, digest, before):
         # the same bytes at 1 and 2 BLAS threads
         code, out, _ = run(capsys, "spectrum", potential, "--levels", levels,
                            "--order", order, "--format", "csv")
         assert code == EXIT_OK
+        assert_within_root_width([float(line.split(",")[1]) for line in out.splitlines()[1:]],
+                                 before)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_oracle_bytes_do_not_depend_on_blas_threads(self, tmp_path):
@@ -157,8 +172,21 @@ class TestSpectrum:
             payloads[threads] = [Path(f"{out}-{name}.csv").read_bytes()
                                  for name in ("oracle", "compare")]
         assert payloads["1"] == payloads["2"]
+        compare = payloads["1"][1].decode()
+        # E_dunham at orders 0, 1 and 2 as the bracket walk and Brent's
+        # method found them
+        before = (
+            0.8671453264848213, 3.751919923550433, 7.413988252810779, 11.61152534519711,
+            16.23361469270525, 21.213653359057183,
+            0.9807662903102012, 3.8103299509477613, 7.455795678758569, 11.644989489759539,
+            16.261936743805126, 21.238437894238672,
+            0.951643031492925, 3.8083772608430615, 7.455282447600405, 11.644778692674349,
+            16.261828561550416, 21.23837444314955,
+        )
+        assert_within_root_width(
+            [float(line.split(",")[2]) for line in compare.splitlines()[1:]], before)
         assert hashlib.sha256(payloads["1"][1]).hexdigest() == (
-            "db89062741c4d4380abd1d36747c2e6656fde59cd17ec2a694b0f32f0c6bdc09")
+            "51937d81eb08818694d64ac147324ef6772ad06904bf5df48b578a6b077856d0")
 
     def test_json_format_states_convention(self, capsys):
         code, out, _ = run(capsys, "spectrum", "x^2", "--levels", "1",
@@ -210,6 +238,15 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", "x^4", "--levels", "65")
         assert code == EXIT_USAGE
         assert "--levels must be <= 64" in err and out == ""
+
+    def test_unresolved_level_names_a_remedy_the_cli_offers(self, capsys):
+        # no flag sets the basis size, so the refusal asks for fewer levels
+        code, out, err = run(capsys, "oracle", "x^4", "--levels", "64")
+        assert code == EXIT_NUMERIC and out == ""
+        assert "level 56 converged only to" in err
+        assert "fewer --levels (at most 56)" in err and "basis_size" not in err
+        code, _, _ = run(capsys, "oracle", "x^4", "--levels", "56", "--format", "csv")
+        assert code == EXIT_OK
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "oracle", "x^4", "--levels", "2", "--format", "csv")

@@ -289,6 +289,50 @@ class TestActionIntegrals:
         assert (err.value.order, err.value.nodes) == (2, c.nodes)
 
 
+class TestEnergySlopes:
+    """dB_n/dE from the E-derivatives of the integrands, on B_n's nodes."""
+
+    @staticmethod
+    def actions(V, E, order, slopes=True):
+        c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
+        return ct.action_integrals(
+            sv._integrands(order), range(0, 2 * order + 1, 2), V, E, c,
+            slopes=sv._slope_integrands(order) if slopes else None,
+        )
+
+    @pytest.mark.parametrize("E", [1.0, 3.0])
+    def test_quartic_slopes_follow_the_scaling_law(self, quartic, E):
+        # B_2n(E) = B_2n(1) E^((3 - 6n)/4) for V = x^4
+        acts = self.actions(quartic, E, 4)
+        for n in range(5):
+            want = (3 - 6 * n) / 4 * acts[2 * n] / E
+            assert acts.slopes[2 * n] == pytest.approx(want, rel=1e-9)
+
+    def test_harmonic_slopes(self, ho):
+        # B_0 = pi E / 2 and every correction vanishes for V = x^2
+        acts = self.actions(ho, 5.0, 3)
+        assert acts.slopes[0] == pytest.approx(math.pi / 2, abs=1e-12)
+        for n in (2, 4, 6):
+            assert abs(acts.slopes[n]) <= DEFAULT_CONFIG.quad_abs_tol
+
+    @pytest.mark.parametrize("potential, E", [("x^4", 0.3), ("x^4 - x^3 + 1/2*x^2", 2.0)])
+    def test_slope_rows_leave_the_actions_alone(self, potential, E):
+        # the rows of dB/dE take no part in the convergence tests: the
+        # actions, node counts and work are those of a call without them
+        V = parse_potential(potential)
+        with_slopes = self.actions(V, E, 3)
+        without = self.actions(V, E, 3, slopes=False)
+        assert with_slopes == without and without.slopes == {}
+        assert (with_slopes.nodes, with_slopes.evaluated) == (without.nodes, without.evaluated)
+        assert sorted(with_slopes.slopes) == sorted(without)
+
+    def test_slopes_must_cover_the_orders(self, quartic):
+        c = ct.build_contour(ct.turning_points(quartic, 1.0), margin=0.5)
+        with pytest.raises(ValueError, match="no integrand"):
+            ct.action_integrals(sv._integrands(1), [0, 2], quartic, 1.0, c,
+                                slopes={0: sv._slope_integrands(1)[0]})
+
+
 def _contour(V, E, nodes=None):
     c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
     return c if nodes is None else dataclasses.replace(c, nodes=nodes)

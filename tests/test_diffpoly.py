@@ -122,6 +122,45 @@ class TestDifferentiate:
         assert dp.equals(got, mono(3, 0, {1: 2, 2: 1}))
 
 
+class TestEnergyDerivative:
+    """d/dE at fixed x, for Q = V - E: only the power of Q moves."""
+
+    def test_sqrt_q(self):
+        # T_0 = Q^(1/2) -> -1/2 Q^(-1/2)
+        assert dp.equals(dp.energy_derivative(dp.q_power(1)), mono(F(-1, 2), -1))
+
+    def test_reduced_second_order_term(self):
+        # R_2 = -1/48 Q'' Q^(-3/2) -> -1/32 Q'' Q^(-5/2)
+        r2 = dp.parse_plain("-1/48 * Q'' * Q^(-3/2)")
+        want = dp.parse_plain("-1/32 * Q'' * Q^(-5/2)")
+        assert dp.equals(dp.energy_derivative(r2), want)
+
+    def test_monomials_free_of_q_vanish(self):
+        e = dp.add(dp.constant(3), mono(2, 0, {1: 2, 3: 1}))
+        assert dp.equals(dp.energy_derivative(e), dp.ZERO)
+        assert dp.equals(dp.energy_derivative(dp.add(e, dp.q_power(2))), dp.constant(-1))
+
+    def test_result_is_canonical(self, series15):
+        for term in series15.terms:
+            got = dp.energy_derivative(term)
+            assert dp.equals(got, dp.add(got, dp.ZERO))  # collecting again changes nothing
+            assert len(got.monomials) == sum(1 for m in term.monomials if m.q_half)
+
+    def test_matches_a_central_difference_in_q(self, series15):
+        # dQ/dE = -1 with Q', Q'', ... fixed, at a point with Q > 0
+        rng = np.random.default_rng(3)
+        derivs = [one(v) for v in rng.uniform(-1.0, 1.0, 12)]
+        q, h = 0.7, 1e-5
+
+        def at(expr, q):
+            return dp.eval_numeric_array(expr, [one(q)] + derivs, one(math.sqrt(q)))[0]
+
+        for term in series15.terms[:8]:
+            central = (at(term, q - h) - at(term, q + h)) / (2 * h)
+            exact = at(dp.energy_derivative(term), q)
+            assert abs(central - exact) <= 1e-7 * (1.0 + abs(exact))
+
+
 def one(value):
     """A one-point array, the shape eval_numeric_array takes."""
     return np.array([complex(value)])

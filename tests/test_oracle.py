@@ -1,6 +1,8 @@
 """Diagonalization oracle: both discretizations and their gates."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,35 @@ def _dense_hamiltonian(shifted, basis, omega):
         power = power @ X
         H += shifted[k] * power
     return H[:basis, :basis]
+
+
+def _loop_omega(shifted):
+    """The basis frequency as a Python loop over the grid finds it: the
+    reference for the vectorized scan."""
+    grid = np.exp(np.linspace(math.log(1e-2), math.log(1e3), 400))
+    best_w, best_e = 1.0, math.inf
+    for w in grid:
+        e = 0.5 * w
+        for k in range(2, shifted.size, 2):
+            a = shifted[k]
+            if a:
+                e += a * orc._double_factorial(k - 1) / (2.0 * w) ** (k // 2)
+        if e < best_e:
+            best_w, best_e = float(w), e
+    return best_w
+
+
+def test_vectorized_omega_picks_the_loops_frequency(monkeypatch):
+    # over every potential the benchmark draws from, and x^4 and x^6
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    import workloads
+
+    potentials = [*workloads.family(4), *workloads.family(6),
+                  parse_potential("x^4"), parse_potential("x^6")]
+    for V in potentials:
+        shifted, omega = _taylor_and_omega(V)
+        assert omega == _loop_omega(shifted), V
 
 
 class TestBandedHamiltonian:

@@ -15,7 +15,13 @@ import dunham.diffpoly as dp
 import dunham.solver as sv
 import dunham.wkb_series as ws
 from dunham.config import DEFAULT_CONFIG
-from dunham.errors import DunhamError, QuadratureError, SpectrumError
+from dunham.errors import (
+    DegenerateTurningPointError,
+    DunhamError,
+    NoSolutionError,
+    QuadratureError,
+    SpectrumError,
+)
 from dunham.potential import parse_potential
 
 QUARTIC_B0_AT_1 = 0.5 * beta(0.25, 1.5)  # real-axis action of sqrt(1 - x^4)
@@ -38,6 +44,17 @@ class TestTotalPhase:
     def test_quartic_leading_phase(self, quartic):
         phase = sv.total_phase(req(quartic, 0, 0), 1.0)
         assert phase == pytest.approx(QUARTIC_B0_AT_1 - math.pi / 2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("potential, E", [
+        ("x^4 - 3/4*x^3 + 1/2*x^2 + x", 2.0),
+        ("x^6 - x^4 + x^3 + x^2 - 1/2*x", 3.0),
+    ])
+    def test_exact_slope_matches_a_central_difference(self, potential, E):
+        request = req(parse_potential(potential), 0, 2)
+        acts = sv._eval_phase(request, E, DEFAULT_CONFIG, DEFAULT_CONFIG.initial_nodes)[1]
+        h = 1e-3
+        central = (sv.total_phase(request, E + h) - sv.total_phase(request, E - h)) / (2 * h)
+        assert sv._phase_slope(acts) == pytest.approx(central, rel=1e-6)
 
 
 class TestQuantize:
@@ -110,6 +127,102 @@ class TestQuantize:
         # increments shrink through order 2 here: no divergence warning
         assert res.optimal_truncation_index == 2
         assert not res.warnings
+
+
+def debug_records(caplog) -> list[dict[str, str]]:
+    """The fields of each per-level DEBUG record of the solver, by name."""
+    return [dict(field.split("=", 1) for field in r.getMessage().split(" "))
+            for r in caplog.records
+            if r.name == "dunham.solver" and r.getMessage().startswith("K=")]
+
+
+class TestNewton:
+    """Newton's method from the seed, and the guards that send a level to
+    the bracket walk and Brent's method instead."""
+
+    @pytest.mark.parametrize("error, potential", [
+        (DegenerateTurningPointError, "x^4"),
+        (NoSolutionError, "x^4 + 0.5*x^3"),
+    ])
+    def test_failing_order3_ground_states_keep_their_error(self, error, potential):
+        with pytest.raises(error):
+            sv.quantize(req(parse_potential(potential), 0, 3))
+
+    @pytest.mark.parametrize("potential, order, K, E, evals", [
+        # without the truncation guard, Newton's method takes the sextic from
+        # its seed to E = 0.650, a root of its non-asymptotic phase
+        ("x^4 - 3/4*x^3 + 1/2*x^2 + x", 3, 0, 1.401467623289868, 10),
+        ("x^6 - 1/2*x^4 + 1/2*x^3 + 1/2*x^2 - x", 2, 2, 8.852314380783364, 12),
+    ])
+    def test_truncation_guard_keeps_the_bracketed_root(self, caplog, potential, order, K,
+                                                        E, evals):
+        with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
+            res = sv.quantize(req(parse_potential(potential), K, order))
+        assert res.E == pytest.approx(E, rel=2e-12, abs=0)
+        (record,) = debug_records(caplog)
+        assert record["fallback"] == "truncation"
+        # every evaluation is made once: seed reference, seed, Newton steps,
+        # bracket steps and root steps
+        steps = sum(int(record[f"{name}_steps"]) for name in ("newton", "bracket", "root"))
+        assert int(record["phase_evals"]) == 2 + steps == evals
+
+    @staticmethod
+    def newton(phase, slope, E=1.0, vmin=0.0, target=math.pi, lo=0.0, hi=math.inf):
+        """_newton on a synthetic order-0 phase and slope; returns its
+        (E, steps, fallback) and the energies it evaluated."""
+        seen = []
+
+        def evaluate(x):
+            seen.append(x)
+            b0 = phase(x) + 0.5 * math.pi
+            return phase(x), ct.Actions({0: b0}, 64, 64, {0: slope(x)})
+
+        return sv._newton(evaluate, E, vmin, target, DEFAULT_CONFIG, lambda: (lo, hi)), seen
+
+    def test_exact_on_a_power_law(self):
+        # B_0 = 2 (E - 1/2)^(3/4): one step lands on the root
+        (E, steps, fallback), seen = self.newton(
+            lambda x: 2.0 * (x - 0.5) ** 0.75 - 0.5 * math.pi,
+            lambda x: 1.5 * (x - 0.5) ** -0.25, E=3.0, vmin=0.5)
+        root = 0.5 + (0.75 * math.pi) ** (4.0 / 3.0)
+        assert fallback == "none" and steps == len(seen) - 1 <= 2
+        assert E == pytest.approx(root, rel=DEFAULT_CONFIG.bisection_rtol)
+
+    @pytest.mark.parametrize("phase, slope, bracket, fallback", [
+        (lambda x: x - 0.5 * math.pi, lambda x: -1.0, (0.0, math.inf), "slope"),
+        (lambda x: x - 0.5 * math.pi, lambda x: math.nan, (0.0, math.inf), "slope"),
+        (lambda x: -2.0, lambda x: 1.0, (0.0, math.inf), "phase"),
+        # phase + pi/2 = 0.01 wants a log step of log(150 pi)
+        (lambda x: 0.01 - 0.5 * math.pi, lambda x: 0.01, (0.0, math.inf), "step"),
+        (lambda x: x - 0.5 * math.pi, lambda x: 1.0, (0.0, 2.0), "bracket"),
+        # a slope ten times too steep converges too slowly for the step cap
+        (lambda x: x - 0.5 * math.pi, lambda x: 10.0, (0.0, math.inf), "cap"),
+    ])
+    def test_guards(self, phase, slope, bracket, fallback):
+        (E, steps, got), seen = self.newton(phase, slope, lo=bracket[0], hi=bracket[1])
+        assert got == fallback
+        assert E == seen[-1] and steps == len(seen) - 1
+        assert steps == (sv._NEWTON_MAX_STEPS if fallback == "cap" else 0)
+
+    def test_an_evaluation_error_falls_back(self):
+        def evaluate(x):
+            if x != 1.0:
+                raise QuadratureError("synthetic failure")
+            return x - 0.5 * math.pi, ct.Actions({0: x}, 64, 64, {0: 1.0})
+
+        got = sv._newton(evaluate, 1.0, 0.0, math.pi, DEFAULT_CONFIG,
+                         lambda: (0.0, math.inf))
+        assert got == (1.0, 0, "error")
+
+    def test_truncation_guard_reads_the_iterate(self):
+        # a growing last increment would warn: the walk stops before stepping
+        def evaluate(x):
+            acts = ct.Actions({0: 5.0, 2: -0.1, 4: 0.5}, 64, 64, {0: 1.0, 2: 0.0, 4: 0.0})
+            return 5.4 - 0.5 * math.pi, acts
+
+        got = sv._newton(evaluate, 1.0, 0.0, math.pi, DEFAULT_CONFIG,
+                         lambda: (0.0, math.inf))
+        assert got == (1.0, 0, "truncation")
 
 
 class TestBrent:
@@ -192,7 +305,8 @@ class TestBrent:
 
 class TestSolveCost:
     def test_phase_evaluation_budget(self, quartic, monkeypatch):
-        # bisection to the width contract took 258 evaluations here
+        # bisection to the width contract took 258 evaluations for the first
+        # six levels, and the bracket walk with Brent's method 54 for all seven
         calls = []
         original = sv._eval_phase
 
@@ -201,8 +315,8 @@ class TestSolveCost:
             return original(request, E, cfg, nodes)
 
         monkeypatch.setattr(sv, "_eval_phase", counted)
-        sv.spectrum(quartic, 6, 2)
-        assert len(calls) <= 60
+        sv.spectrum(quartic, 7, 2)
+        assert len(calls) <= 36
         assert len(set(calls)) == len(calls)  # no energy evaluated twice per level
 
     def test_warm_start_carries_counts_up_to_its_bound(self, quartic, monkeypatch):
@@ -236,15 +350,21 @@ class TestSolveCost:
             results = sv.spectrum(quartic, 3, 2)
         records = [r for r in caplog.records if r.name == "dunham.solver"]
         assert len(records) == len(results)
-        pattern = (r"K=(\d+) order=(\d+) E=(\S+) phase_evals=(\d+) "
-                   r"bracket_steps=(\d+) root_steps=(\d+) nodes=(\d+) nodes_evaluated=(\d+)")
+        pattern = (r"K=(\d+) order=(\d+) E=(\S+) phase_evals=(\d+) newton_steps=(\d+) "
+                   r"bracket_steps=(\d+) root_steps=(\d+) slope=(\S+) fallback=(\w+) "
+                   r"nodes=(\d+) nodes_evaluated=(\d+)")
         for rec, res in zip(records, results):
             assert rec.levelno == logging.DEBUG
-            K, order, E, evals, bracket, root, nodes, evaluated = re.fullmatch(
-                pattern, rec.getMessage()).groups()
+            K, order, E, evals, newton, bracket, root, slope, fallback, nodes, evaluated = (
+                re.fullmatch(pattern, rec.getMessage()).groups())
             assert (int(K), int(order), float(E)) == (res.K, 2, res.E)
-            # seed reference + seed + one per bracket step + one per root step
-            assert int(evals) == 2 + int(bracket) + int(root) <= 8
+            # seed reference + seed + one per Newton step; no level falls back
+            assert (fallback, int(bracket), int(root)) == ("none", 0, 0)
+            assert int(evals) == 2 + int(newton) <= 5
+            # dPhi/dE at the root, as the root's own evaluation gives it
+            request = req(quartic, res.K, 2)
+            acts = sv._eval_phase(request, res.E, DEFAULT_CONFIG, int(nodes))[1]
+            assert float(slope) == sv._phase_slope(acts) > 0
             # a power-of-two multiple of the cold start, reached by the root's
             # own evaluation, which evaluated at least that many nodes
             assert int(nodes) % DEFAULT_CONFIG.initial_nodes == 0
@@ -296,7 +416,10 @@ class TestQuadratureFloor:
     def test_seed_probe_at_floor_stops_early(self, quartic, pass_nodes):
         # the seed probes at E = 1, 2 and 4 end at the floor of B_20 or B_22
         res = sv.quantize(req(quartic, 4, 11))
-        assert res.E == 16.261824949379807
+        assert res.E == 16.26182494937916
+        # where the bracket walk and Brent's method stopped, within their width
+        before = 16.261824949379807
+        assert abs(res.E - before) <= 2 * DEFAULT_CONFIG.bisection_rtol * (1 + before)
         assert max(pass_nodes) <= 2**15
 
     def test_noise_within_reach_still_converges(self):
@@ -328,6 +451,19 @@ class TestQuadratureFloor:
         assert [re.match(r"seed probe failed at E=(\S+):", m).group(1) for m in probes] == [
             "1.0"]
         assert all("rounding floor" in m for m in probes)
+        assert debug_records(caplog) == []  # the level failed: no level record
+
+    @pytest.mark.parametrize("K, fallback", [(4, "none"), (2, "truncation")])
+    def test_failed_seed_probes_are_logged_once_per_level(self, quartic, caplog, K, fallback):
+        # whether Newton's method solves the level or hands it to the
+        # bracket walk, the probes at E = 1, 2 and 4 are made and logged once
+        with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
+            sv.quantize(req(quartic, K, 11))
+        probes = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("seed probe failed")]
+        assert [re.match(r"seed probe failed at E=(\S+):", m).group(1) for m in probes] == [
+            "1.0", "2.0", "4.0"]
+        assert [r["fallback"] for r in debug_records(caplog)] == [fallback]
 
 
 class TestReducedPhase:
@@ -335,11 +471,14 @@ class TestReducedPhase:
 
     @pytest.fixture
     def cold_caches(self):
-        """Empty the solver's integrand and certificate cache before and
-        after, so that what a test patches is what the solver uses."""
+        """Empty the solver's integrand and certificate cache, and the
+        slope integrands built from it, before and after, so that what a
+        test patches is what the solver uses."""
         sv._integrands.cache_clear()
+        sv._slope_integrands.cache_clear()
         yield
         sv._integrands.cache_clear()
+        sv._slope_integrands.cache_clear()
 
     def test_refuses_a_failed_reduction_certificate(self, quartic, cold_caches, monkeypatch):
         original = ws.certify_even_reduction
