@@ -12,8 +12,8 @@ where the higher-order terms diverge.
 The integrands are passed in by order, as a series' terms or a mapping;
 the solver integrates T_0 and, for each even order 2n >= 2, the reduced
 R_2n = T_2n - dPsi_2n/dx, whose closed-contour integral is that of T_2n.
-Their E-derivatives may ride along as extra rows of the same evaluation,
-giving dB_n/dE without a pass of their own.
+E enters them only through Q = V - E, so the evaluation that sums B_n also
+sums dB_n/dE, from the same rows on the same nodes.
 
 The node count doubles until the sums converge.  Doubling is nested: the
 2N-node set is the N-node set plus the N midpoints, so each doubling
@@ -353,20 +353,16 @@ def _stalled_at_floor(
 class Actions(dict):
     """B_n by order n, as action_integrals returns them, plus the node count
     the quadrature converged at (`nodes`), the number of nodes it evaluated
-    on the way (`evaluated`) and dB_n/dE by order n on those nodes
-    (`slopes`, empty unless asked for)."""
+    on the way (`evaluated`) and dB_n/dE by order n from the same nodes
+    (`slopes`)."""
 
     def __init__(
-        self,
-        values: dict[int, float],
-        nodes: int,
-        evaluated: int,
-        slopes: dict[int, float] | None = None,
+        self, values: dict[int, float], nodes: int, evaluated: int, slopes: dict[int, float]
     ):
         super().__init__(values)
         self.nodes = nodes
         self.evaluated = evaluated
-        self.slopes = {} if slopes is None else slopes
+        self.slopes = slopes
 
 
 def action_integrals(
@@ -376,26 +372,26 @@ def action_integrals(
     E: float,
     c: ContourSpec,
     cfg: NumericsConfig = DEFAULT_CONFIG,
-    slopes: Sequence[dp.DiffExpr] | Mapping[int, dp.DiffExpr] | None = None,
 ) -> Actions:
-    """B_n(E) for each requested order n, sharing one node-doubling loop.
+    """B_n(E) and dB_n/dE for each requested order n, sharing one
+    node-doubling loop.
 
     terms[n] is the integrand of B_n: a series' ``terms`` tuple, or a
-    mapping from order to integrand that holds the requested orders.
-    slopes[n], when given, is the E-derivative of terms[n]
-    (dp.energy_derivative); its rows join the same plan on the same nodes,
-    and the real part of each sum comes back as Actions.slopes[n] = dB_n/dE.
-    These rows take no part in the convergence, floor, finiteness or reality
-    tests, which judge B alone: their sums are as converged as the node
-    count B needed makes them.
+    mapping from order to integrand that holds the requested orders.  The
+    plan that sums B_n also sums the E-derivative of terms[n] on the same
+    nodes (see dp.compile_batch), and the real part of that sum comes back
+    as Actions.slopes[n] = dB_n/dE.  It takes no part in the convergence,
+    floor, finiteness or reality tests, which judge B alone: it is as
+    converged as the node count B needed makes it.
 
     Quadrature starts at c.nodes nodes and doubles until every requested
     order moves by less than quad_rel_tol relatively (quad_abs_tol
     absolutely near zero), then the real parts are returned after the
     reality check.  Each pass evaluates every requested integrand at its
     nodes with one compiled plan (dp.compile_batch), which shares the
-    derivative products across orders, and keeps the sums per order in
-    arrays; the convergence tests run on Python floats.
+    derivative products across orders and weights each node by dz/dt, and
+    keeps the sums per order in arrays; the convergence tests run on Python
+    floats.
 
     The trapezoid rule on the periodic ellipse is nested: the 2N-node set is
     the N-node set plus the N midpoints.  So a doubling evaluates only the
@@ -422,24 +418,16 @@ def action_integrals(
     """
     orders = sorted(set(orders))
     if not orders:
-        return Actions({}, c.nodes, 0)
+        return Actions({}, c.nodes, 0, {})
     try:
         exprs = tuple(terms[n] for n in orders)
-        if slopes is not None:
-            exprs += tuple(slopes[n] for n in orders)
     except LookupError:
         exprs = None
     if exprs is None or orders[0] < 0:
-        raise ValueError(f"terms or slopes hold no integrand for some of the orders {orders}")
-    count = len(orders)  # rows of B; any rows after them are dB/dE
+        raise ValueError(f"terms hold no integrand for some of the orders {orders}")
+    count = len(orders)
     plan = dp.compile_batch(exprs)
     kmax = plan.need
-
-    def integrands(q_derivs, sqrt_q, dz):
-        """f dz, one row per order, from one call of the batched kernel."""
-        f_dz = plan(q_derivs, sqrt_q)
-        f_dz *= dz
-        return f_dz
 
     def trapezoid(totals, m: int) -> list:
         w = 2.0 * np.pi / m
@@ -448,6 +436,7 @@ def action_integrals(
     nodes, evaluated = c.nodes, 0
     sqrt_q = None  # continued sqrt(Q) on the current node set; None forces a full pass
     totals: dict[int, np.ndarray] = {}  # node count -> sum of f dz, one entry per order
+    slope_sums = None  # sum of (df/dE) dz on the current node set, one entry per order
     abs_sums = None  # sum of |f dz| on the current node set, one entry per order
     offset = c.offset  # node offset of the current set, in units of its step
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
@@ -462,9 +451,10 @@ def action_integrals(
                 if mid is None:
                     sqrt_q = None
                 else:
-                    f_dz = integrands(q_derivs, mid, dz)
+                    f_dz, mid_slopes = plan(q_derivs, mid, dz)
                     totals[nodes] = totals[half] + f_dz.sum(axis=1)
-                    abs_sums += _abs_sums(f_dz[:count])
+                    slope_sums += mid_slopes
+                    abs_sums += _abs_sums(f_dz)
                     interleaved = np.empty(nodes, dtype=complex)
                     interleaved[0::2], interleaved[1::2] = sqrt_q, mid
                     sqrt_q = interleaved
@@ -477,14 +467,14 @@ def action_integrals(
                 except NodeCountError:
                     nodes *= 2
                     continue
-                f_dz = integrands(q_derivs, sqrt_q, dz)
+                f_dz, slope_sums = plan(q_derivs, sqrt_q, dz)
                 # the sums on every node, every 2nd and every 4th: S_N, S_N/2, S_N/4
                 totals = {
                     nodes // k: f_dz[:, ::k].sum(axis=1)
                     for k in (1, 2, 4)
                     if k == 1 or (nodes % k == 0 and nodes // k >= cfg.initial_nodes)
                 }
-                abs_sums = _abs_sums(f_dz[:count])
+                abs_sums = _abs_sums(f_dz)
                 offset = c.offset
             del q_derivs, dz, f_dz  # freed before the next pass allocates its own
             scales = abs_sums.tolist()
@@ -497,10 +487,10 @@ def action_integrals(
                     )
             if half in totals:
                 vals = trapezoid(totals[nodes], nodes)
-                coarse = trapezoid(totals[half], half)[:count]
+                coarse = trapezoid(totals[half], half)
                 # |B_n| and |B_n - coarser B_n| by numpy's complex abs, whose
                 # bits Python's abs does not always give
-                mags = np.abs(vals[:count] + [v - u for v, u in zip(vals, coarse)]).tolist()
+                mags = np.abs(vals + [v - u for v, u in zip(vals, coarse)]).tolist()
                 targets = [max(cfg.quad_rel_tol * m, cfg.quad_abs_tol) for m in mags[:count]]
                 diffs = mags[count:]
                 unconverged = [i for i in range(count) if not diffs[i] <= targets[i]]
@@ -508,10 +498,10 @@ def action_integrals(
                     return Actions(
                         {n: _take_real(v, n, cfg) for n, v in zip(orders, vals)},
                         nodes, evaluated,
-                        {n: v.real for n, v in zip(orders, vals[count:])},
+                        {n: v.real for n, v in zip(orders, trapezoid(slope_sums, nodes))},
                     )
                 if quarter in totals:
-                    coarser = trapezoid(totals[quarter], quarter)[:count]
+                    coarser = trapezoid(totals[quarter], quarter)
                     prev_diffs = np.abs([u - v for u, v in zip(coarse, coarser)]).tolist()
                     w = 2.0 * np.pi / nodes
                     for i in unconverged:

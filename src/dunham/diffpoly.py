@@ -30,9 +30,11 @@ Numeric evaluation takes the values of Q and its derivatives at an array of
 points plus an externally chosen branch of sqrt(Q) there; this module never
 picks a branch itself.  A tuple of expressions is compiled once into a plan
 that builds each derivative product from a shorter one, shares the products
-across expressions, and takes the points in fixed-size blocks;
-:func:`eval_numeric_batch` evaluates the tuple and :func:`eval_numeric_array`
-one expression, through the same plan.
+across expressions, and takes the points in fixed-size blocks; it weights
+each point by a caller's dz and, from the same rows, sums each expression's
+derivative in E (for Q = V - E) over the points.  :func:`eval_numeric_batch`
+evaluates the tuple and :func:`eval_numeric_array` one expression, through
+the same plan, at unit weights.
 
 Plain-text rendering is a bijection with the canonical form and round-trips
 through :func:`parse_plain`.  Grammar of one monomial (factors joined by
@@ -63,14 +65,12 @@ __all__ = [
     "ZERO",
     "ONE",
     "q_power",
-    "q_deriv",
     "constant",
     "add",
     "negate",
     "scale",
     "mul",
     "differentiate",
-    "energy_derivative",
     "equals",
     "eval_numeric_array",
     "eval_numeric_batch",
@@ -319,13 +319,6 @@ def q_power(half_exponent: int) -> DiffExpr:
     return DiffExpr((Monomial(Fraction(1), int(half_exponent), ()),))
 
 
-def q_deriv(order: int, exponent: int = 1) -> DiffExpr:
-    """The k-th derivative of Q as an expression: (Q^(k))^exponent."""
-    if order < 1:
-        raise ValueError("derivative order must be >= 1; use q_power for Q itself")
-    return DiffExpr((_mono(Fraction(1), 0, {order: exponent}),))
-
-
 def _exact(value) -> Fraction:
     """value as a Fraction; a float is refused rather than taken at its
     binary value (0.1 would become 3602879701896397/36028797018963968)."""
@@ -373,18 +366,6 @@ def differentiate(a: DiffExpr) -> DiffExpr:
     return s.result()
 
 
-def energy_derivative(a: DiffExpr) -> DiffExpr:
-    """d/dE at fixed x, for Q = V - E: each c Q^(h/2) prod_k (Q^(k))^e_k
-    becomes -(h/2) c Q^((h-2)/2) prod_k (Q^(k))^e_k, since dQ/dE = -1 and
-    the derivatives Q^(k) = V^(k) do not depend on E.  Monomials free of Q
-    vanish; the rest map one to one and keep their canonical order."""
-    return DiffExpr(tuple(
-        Monomial(m.coeff * Fraction(-m.q_half, 2), m.q_half - 2, m.derivs)
-        for m in a.monomials
-        if m.q_half
-    ))
-
-
 def equals(a: DiffExpr, b: DiffExpr) -> bool:
     """Exact structural equality of canonical forms (never numeric)."""
     return a.monomials == b.monomials
@@ -425,8 +406,16 @@ class _Plan:
     expression's rows are contiguous and sorted by their power of Q,
     Q^(h/2); a run of equal powers is multiplied by that power, computed once
     per block with ``**`` (Q^(h/2) for even h, sqrt(Q)^h for odd h), and
-    then one product with the expression's real coefficient vector sums it.
-    An expression thus comes out the same, bit for bit, alone or in a batch.
+    then one product with the expression's real coefficient vector sums it,
+    and the sum is multiplied by the weight dz of its point.  An expression
+    thus comes out the same, bit for bit, alone or in a batch.
+
+    The same rows also give each expression's E-derivative summed over the
+    points.  For Q = V - E, d/dE takes c Q^(h/2) prod_k (Q^(k))^e_k to
+    -(h/2) c Q^(h/2) prod_k (Q^(k))^e_k / Q, as dQ/dE = -1 and the Q^(k) do
+    not depend on E.  So each block reduces its rows against dz / Q, once
+    for all expressions, and each expression's second coefficient vector
+    -(h/2) c sums its share; no row of E-derivatives is held per point.
     """
 
     def __init__(self, exprs: Sequence[DiffExpr]):
@@ -434,7 +423,7 @@ class _Plan:
         self.half = any(map(has_half_powers, exprs))
         rows = []  # the derivative product of each row
         self.groups = []  # (h, first row, end row) of each power of Q but Q^0
-        self.sums = []  # (first row, end row, coefficients) of each expression
+        self.sums = []  # (first row, end row, c, -(h/2) c) of each expression
         for a in exprs:
             lo = len(rows)
             monos = sorted(a.monomials, key=lambda m: (m.q_half, m.weight, m.derivs))
@@ -445,7 +434,12 @@ class _Plan:
                     self.groups[-1][2] = r + 1
                 elif m.q_half:
                     self.groups.append([m.q_half, r, r + 1])
-            self.sums.append((lo, len(rows), np.array([float(m.coeff) for m in monos])))
+            self.sums.append((
+                lo, len(rows),
+                np.array([float(m.coeff) for m in monos]),
+                np.array([float(m.coeff * Fraction(-m.q_half, 2)) for m in monos]),
+            ))
+        self.monomial_rows = len(rows)  # rows that some monomial carries
         row_of: dict[tuple, int] = {}
         for r, d in enumerate(rows):
             row_of.setdefault(d, r)
@@ -464,7 +458,13 @@ class _Plan:
             key=lambda step: _weight(rows[step[0]]),
         )
 
-    def __call__(self, q_derivs: Sequence[np.ndarray], sqrt_q: np.ndarray | None) -> np.ndarray:
+    def __call__(
+        self, q_derivs: Sequence[np.ndarray], sqrt_q: np.ndarray | None, dz
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(values, slopes): each expression times dz at each point, stacked
+        on a new first axis, and the sum over the points of each
+        expression's E-derivative times dz.  dz is an array of the points'
+        shape or a scalar."""
         if len(q_derivs) < self.need + 1:
             raise InputShapeError(
                 f"expression uses derivatives up to order {self.need}, "
@@ -477,18 +477,22 @@ class _Plan:
         q0 = q_derivs[0]
         if isinstance(q0, np.ndarray) and q0.ndim == 1 and q0.size <= _BLOCK:
             out = np.empty((len(self.sums), q0.size), dtype=complex)
-            self._block(q_derivs, sqrt_q, out)
-            return out
+            return out, self._block(q_derivs, sqrt_q, dz, out)
         shape = np.shape(q0)
         q = [np.ravel(q_derivs[k]) for k in range(self.need + 1)]
         s = None if sqrt_q is None else np.ravel(sqrt_q)
+        w = np.ravel(np.broadcast_to(dz, shape))
         out = np.empty((len(self.sums), q[0].size), dtype=complex)
+        slopes = np.zeros(len(self.sums), dtype=complex)
         for lo in range(0, q[0].size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
-            self._block([a[block] for a in q], None if s is None else s[block], out[:, block])
-        return out.reshape((len(self.sums),) + shape)
+            slopes += self._block(
+                [a[block] for a in q], None if s is None else s[block], w[block], out[:, block]
+            )
+        return out.reshape((len(self.sums),) + shape), slopes
 
-    def _block(self, q: list, s: np.ndarray | None, out: np.ndarray) -> None:
+    def _block(self, q: list, s: np.ndarray | None, dz, out: np.ndarray) -> np.ndarray:
+        """Fill out with the block's values times dz; return its slope sums."""
         table = np.empty((self.rows, out.shape[1]), dtype=complex)
         for r, p, k in self.steps:
             if p is not None:
@@ -502,8 +506,14 @@ class _Plan:
             table[lo:hi] *= pw[h]
         # real coefficients act on real and imaginary parts alike
         flat = table.view(float)
-        for i, (lo, hi, c) in enumerate(self.sums):
+        for i, (lo, hi, c, _) in enumerate(self.sums):
             out[i] = (c @ flat[lo:hi]).view(complex)
+        out *= dz
+        # a point where Q = 0 makes the slopes, and only them, not finite;
+        # callers that evaluate there do not read them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reduced = table[: self.monomial_rows] @ (dz / q[0])
+            return np.array([cs @ reduced[lo:hi] for lo, hi, _, cs in self.sums], dtype=complex)
 
 
 class _Exprs(tuple):
@@ -526,8 +536,9 @@ def _plan(exprs: _Exprs) -> _Plan:
 def compile_batch(exprs: Sequence[DiffExpr]) -> _Plan:
     """The compiled plan :func:`eval_numeric_batch` evaluates exprs with,
     cached by the identity of the expressions: call it as
-    ``plan(q_derivs, sqrt_q)``; ``plan.need`` is the highest derivative
-    order it reads."""
+    ``plan(q_derivs, sqrt_q, dz)`` for the values times the weights dz and
+    the weighted sums of the E-derivatives (see :class:`_Plan`);
+    ``plan.need`` is the highest derivative order it reads."""
     return _plan(_Exprs(exprs))
 
 
@@ -545,7 +556,7 @@ def eval_numeric_array(
     expression has half-integer powers of Q but no sqrt_q is given.  This is
     :func:`eval_numeric_batch` on the one expression.
     """
-    return _plan(_Exprs((a,)))(q_derivs, sqrt_q)[0]
+    return _plan(_Exprs((a,)))(q_derivs, sqrt_q, 1.0)[0][0]
 
 
 def eval_numeric_batch(
@@ -559,7 +570,7 @@ def eval_numeric_batch(
     :func:`eval_numeric_array`.  Points are taken _BLOCK at a time, so the
     memory beyond the result does not grow with their number.
     """
-    return compile_batch(exprs)(q_derivs, sqrt_q)
+    return compile_batch(exprs)(q_derivs, sqrt_q, 1.0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,8 @@ class Potential:
 
     def derivs(self, z, max_order: int):
         """[V(z), V'(z), ..., V^(max_order)(z)] at a scalar or array point;
-        orders past the degree are complex zeros of the shape of z.
+        every order past the degree is one read-only array of complex zeros
+        of the shape of z.
 
         At an array z each order is one Horner loop of in-place array
         operations, started at its own leading coefficient: the zero-padded
@@ -121,7 +122,10 @@ class Potential:
             out = list(acc)
         else:
             out = [self._horner(row, z) for row in self._float_rows[:rows]]
-        out += [np.zeros(np.shape(z), dtype=complex) for _ in range(max_order - d)]
+        if max_order > d:
+            zero = np.zeros(np.shape(z), dtype=complex)
+            zero.flags.writeable = False
+            out += [zero] * (max_order - d)
         return out
 
     @cached_property

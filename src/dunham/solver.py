@@ -18,15 +18,15 @@ about a quarter of its monomials and a far lower rounding floor.  Each
 reduction is certified exactly, once per n, before the first phase
 evaluation that needs it, together with the odd term of the same n.
 
-E enters every integrand only through Q = V - E, so each phase evaluation
-also integrates the exact E-derivative of each integrand
-(diffpoly.energy_derivative) on the same nodes and carries dPhi/dE.
-quantize uses it for Newton's method from a power-law seed, in the
-variables log(E - Vmin) and log(Phi + pi/2), where a leading action
-B_0 ~ (E - Vmin)^p makes the step exact.  Guards hand a level to a bracket
-walk and Brent's method from the same seed wherever Newton's method is not
-to be trusted, above all where the truncated phase is past its optimal
-truncation and may have roots that are not levels.
+E enters every integrand only through Q = V - E, so the quadrature that
+gives each B_2n also gives its exact dB_2n/dE, from the same rows on the
+same nodes, and each phase evaluation carries dPhi/dE.  quantize uses it
+for Newton's method from a power-law seed, in the variables log(E - Vmin)
+and log(Phi + pi/2), where a leading action B_0 ~ (E - Vmin)^p makes the
+step exact.  Guards hand a level to a bracket walk and Brent's method from
+the same seed wherever Newton's method is not to be trusted, above all where
+the truncated phase is past its optimal truncation and may have roots that
+are not levels.
 
 Reporting convention: results quote Phi(E) = K*pi with the -pi/2 on the
 left-hand side, equivalent to the textbook B_0 + corrections = (K + 1/2)*pi.
@@ -148,15 +148,6 @@ def _integrands(order: int) -> Mapping[int, dp.DiffExpr]:
     return MappingProxyType({**lower, 2 * order: even.r_2n})
 
 
-@lru_cache(maxsize=None)
-def _slope_integrands(order: int) -> Mapping[int, dp.DiffExpr]:
-    """The E-derivative of each of _integrands(order), by order: their
-    closed-contour integrals are dB_2n/dE, so that their sum is dPhi/dE."""
-    return MappingProxyType(
-        {n: dp.energy_derivative(t) for n, t in _integrands(order).items()}
-    )
-
-
 def _eval_phase(
     req: QuantizationRequest, E: float, cfg: NumericsConfig, nodes: int
 ) -> tuple[float, Actions]:
@@ -165,9 +156,7 @@ def _eval_phase(
     tp = turning_points(req.V, E, cfg)
     c = build_contour(tp, cfg.margin, cfg, nodes)
     orders = range(0, 2 * req.order + 1, 2)
-    acts = action_integrals(
-        _integrands(req.order), orders, req.V, E, c, cfg, _slope_integrands(req.order)
-    )
+    acts = action_integrals(_integrands(req.order), orders, req.V, E, c, cfg)
     phase = acts[0] - 0.5 * math.pi
     for n in range(1, req.order + 1):
         phase += acts[2 * n]

@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from scipy.special import beta
 
 import dunham.contour as ct
+import dunham.diffpoly as dp
 import dunham.solver as sv
 from dunham.config import DEFAULT_CONFIG
 from dunham.diffpoly import eval_numeric_array
@@ -290,15 +291,12 @@ class TestActionIntegrals:
 
 
 class TestEnergySlopes:
-    """dB_n/dE from the E-derivatives of the integrands, on B_n's nodes."""
+    """dB_n/dE from the rows of B_n, on B_n's nodes."""
 
     @staticmethod
-    def actions(V, E, order, slopes=True):
+    def actions(V, E, order):
         c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
-        return ct.action_integrals(
-            sv._integrands(order), range(0, 2 * order + 1, 2), V, E, c,
-            slopes=sv._slope_integrands(order) if slopes else None,
-        )
+        return ct.action_integrals(sv._integrands(order), range(0, 2 * order + 1, 2), V, E, c)
 
     @pytest.mark.parametrize("E", [1.0, 3.0])
     def test_quartic_slopes_follow_the_scaling_law(self, quartic, E):
@@ -315,22 +313,38 @@ class TestEnergySlopes:
         for n in (2, 4, 6):
             assert abs(acts.slopes[n]) <= DEFAULT_CONFIG.quad_abs_tol
 
-    @pytest.mark.parametrize("potential, E", [("x^4", 0.3), ("x^4 - x^3 + 1/2*x^2", 2.0)])
-    def test_slope_rows_leave_the_actions_alone(self, potential, E):
-        # the rows of dB/dE take no part in the convergence tests: the
-        # actions, node counts and work are those of a call without them
-        V = parse_potential(potential)
-        with_slopes = self.actions(V, E, 3)
-        without = self.actions(V, E, 3, slopes=False)
-        assert with_slopes == without and without.slopes == {}
-        assert (with_slopes.nodes, with_slopes.evaluated) == (without.nodes, without.evaluated)
-        assert sorted(with_slopes.slopes) == sorted(without)
+    @pytest.mark.parametrize("potential, E", [
+        ("x^4 - x^3 + 1/2*x^2", 2.0),
+        ("x^6 - x^4 + x^3 + x^2 - 1/2*x", 3.0),
+    ])
+    def test_each_slope_matches_a_central_difference(self, potential, E):
+        # dB_n/dE of every order 0..4 against (B_n(E + h) - B_n(E - h)) / 2h,
+        # each at its own converged node count; the difference's truncation
+        # error is h^2 |d^3 B_n/dE^3| / 6
+        V, h = parse_potential(potential), 1e-3
+        acts, above, below = (self.actions(V, x, 4) for x in (E, E + h, E - h))
+        assert sorted(acts.slopes) == sorted(acts) == [0, 2, 4, 6, 8]
+        for n in range(5):
+            central = (above[2 * n] - below[2 * n]) / (2 * h)
+            assert acts.slopes[2 * n] == pytest.approx(central, rel=1e-5, abs=1e-9)
 
-    def test_slopes_must_cover_the_orders(self, quartic):
-        c = ct.build_contour(ct.turning_points(quartic, 1.0), margin=0.5)
-        with pytest.raises(ValueError, match="no integrand"):
-            ct.action_integrals(sv._integrands(1), [0, 2], quartic, 1.0, c,
-                                slopes={0: sv._slope_integrands(1)[0]})
+    @pytest.mark.parametrize("potential, E", [("x^4", 0.3), ("x^4 - x^3 + 1/2*x^2", 2.0)])
+    def test_value_rows_are_the_weighted_integrands(self, potential, E):
+        # the plan's values are the integrands times dz/dt, bit for bit, at
+        # node counts on both sides of the block boundary
+        V = parse_potential(potential)
+        c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
+        integrands = sv._integrands(3)
+        terms = [integrands[n] for n in sorted(integrands)]
+        plan = dp.compile_batch(terms)
+        for m in (64, dp._BLOCK, dp._BLOCK + 2, 5000):
+            z, dz = ct.ellipse_nodes(c, m)
+            q_derivs = V.derivs(z, plan.need)
+            q_derivs[0] -= E
+            sqrt_q = ct._continue_sqrt(q_derivs[0], DEFAULT_CONFIG.closure_tol)
+            values = plan(q_derivs, sqrt_q, dz)[0]
+            want = dp.eval_numeric_batch(terms, q_derivs, sqrt_q) * dz
+            assert values.tobytes() == want.tobytes()
 
 
 def _contour(V, E, nodes=None):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -123,28 +124,29 @@ class TestDifferentiate:
 
 
 class TestEnergyDerivative:
-    """d/dE at fixed x, for Q = V - E: only the power of Q moves."""
+    """d/dE at fixed x, for Q = V - E (only the power of Q moves), as the
+    plan's second output gives it: times dz and summed over the points."""
+
+    @staticmethod
+    def slope(expr, q_derivs, sqrt_q, dz=1.0):
+        return dp.compile_batch([expr])(q_derivs, sqrt_q, dz)[1][0]
 
     def test_sqrt_q(self):
-        # T_0 = Q^(1/2) -> -1/2 Q^(-1/2)
-        assert dp.equals(dp.energy_derivative(dp.q_power(1)), mono(F(-1, 2), -1))
+        # T_0 = Q^(1/2) -> -1/2 Q^(-1/2); at Q = 4 that is -1/4
+        assert self.slope(dp.q_power(1), [one(4.0)], one(2.0)) == -0.25
 
     def test_reduced_second_order_term(self):
-        # R_2 = -1/48 Q'' Q^(-3/2) -> -1/32 Q'' Q^(-5/2)
+        # R_2 = -1/48 Q'' Q^(-3/2) -> -1/32 Q'' Q^(-5/2); at Q = 4, Q'' = 8
+        # that is -1/128
         r2 = dp.parse_plain("-1/48 * Q'' * Q^(-3/2)")
-        want = dp.parse_plain("-1/32 * Q'' * Q^(-5/2)")
-        assert dp.equals(dp.energy_derivative(r2), want)
+        got = self.slope(r2, [one(4.0), one(3.0), one(8.0)], one(2.0))
+        assert got == pytest.approx(-1 / 128, rel=4 * EPS)
 
     def test_monomials_free_of_q_vanish(self):
         e = dp.add(dp.constant(3), mono(2, 0, {1: 2, 3: 1}))
-        assert dp.equals(dp.energy_derivative(e), dp.ZERO)
-        assert dp.equals(dp.energy_derivative(dp.add(e, dp.q_power(2))), dp.constant(-1))
-
-    def test_result_is_canonical(self, series15):
-        for term in series15.terms:
-            got = dp.energy_derivative(term)
-            assert dp.equals(got, dp.add(got, dp.ZERO))  # collecting again changes nothing
-            assert len(got.monomials) == sum(1 for m in term.monomials if m.q_half)
+        q_derivs = [one(0.7), one(-0.3), one(1.1), one(2.5)]
+        assert self.slope(e, q_derivs, None) == 0
+        assert self.slope(dp.add(e, dp.q_power(2)), q_derivs, None) == pytest.approx(-1.0)
 
     def test_matches_a_central_difference_in_q(self, series15):
         # dQ/dE = -1 with Q', Q'', ... fixed, at a point with Q > 0
@@ -157,8 +159,26 @@ class TestEnergyDerivative:
 
         for term in series15.terms[:8]:
             central = (at(term, q - h) - at(term, q + h)) / (2 * h)
-            exact = at(dp.energy_derivative(term), q)
+            exact = self.slope(term, [one(q)] + derivs, one(math.sqrt(q)))
             assert abs(central - exact) <= 1e-7 * (1.0 + abs(exact))
+
+    def test_weighted_sum_over_blocks(self, series15, monkeypatch):
+        # the sum of each point's slope times its weight, whatever the block
+        # split: against single-point calls, summed here exactly rounded
+        q_derivs, sqrt_q = _contour_inputs(3 * dp._BLOCK // 2)
+        dz = np.exp(1j * np.linspace(0.0, 6.0, sqrt_q.size))
+        terms = series15.terms[:6]
+        plan = dp.compile_batch(terms)
+        points = np.array([
+            plan([a[j : j + 1] for a in q_derivs], sqrt_q[j : j + 1], dz[j])[1]
+            for j in range(sqrt_q.size)
+        ]).T
+        want = np.array([complex(math.fsum(p.real), math.fsum(p.imag)) for p in points])
+        scale = np.abs(points).sum(axis=1)
+        for block in (dp._BLOCK, 64):
+            monkeypatch.setattr(dp, "_BLOCK", block)
+            got = dp.compile_batch(terms)(q_derivs, sqrt_q, dz)[1]
+            assert np.all(np.abs(got - want) <= 16 * EPS * scale)
 
 
 def one(value):
@@ -224,6 +244,18 @@ class TestEvalNumeric:
     def test_branch_sign_flips_half_powers(self):
         e = dp.q_power(1)
         assert dp.eval_numeric_array(e, [one(4.0)], one(-2.0))[0] == -2.0
+
+    def test_zero_of_q_warns_of_nothing(self):
+        # the plan's slope sums divide by Q; at Q = 0 only they are not
+        # finite, and evaluating an expression with no negative power of Q
+        # there neither warns nor returns anything but its values
+        e = dp.add(dp.q_power(1), mono(F(1, 3), 2, {1: 1}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dp.eval_numeric_array(
+                e, [np.array([0j, 4]), np.array([1 + 0j, 2])], np.array([0j, 2])
+            )
+        assert got.tolist() == [0j, pytest.approx(2 + 8 / 3)]
 
     def test_array_eval_matches_scalar(self, series15, exact_eval):
         # each point against the exact scalar reference, within a few eps of

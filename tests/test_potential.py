@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import dunham.diffpoly as dp
 from dunham.errors import PotentialParseError
 from dunham.potential import Potential, parse_potential
 
@@ -100,6 +101,25 @@ class TestEvaluation:
         assert len(vals) == 7
         for k in (5, 6):
             assert vals[k].shape == z.shape and not np.any(vals[k])
+
+    def test_derivs_past_degree_are_one_read_only_array(self, series15):
+        # one zero array serves every order past the degree, and the plan
+        # reads it as it read a fresh array per order
+        V = parse_potential("x^4 - x^3 + 1/2*x^2")
+        rng = np.random.default_rng(5)
+        z = 2.0 + rng.normal(size=300) + 1j * rng.normal(size=300)
+        vals = V.derivs(z, 18)
+        assert len(vals) == 19 and len({id(a) for a in vals[5:]}) == 1
+        assert not vals[5].flags.writeable and not np.any(vals[5])
+        fresh = vals[:5] + [np.zeros(z.shape, dtype=complex) for _ in range(14)]
+        sqrt_q = np.sqrt(vals[0])
+        dz = np.exp(1j * np.linspace(0.0, 6.0, z.size))
+        plan = dp.compile_batch(series15.terms[:13])
+        assert plan.need == 12
+        shared, shared_slopes = plan(vals, sqrt_q, dz)
+        own, own_slopes = plan(fresh, sqrt_q, dz)
+        assert shared.tobytes() == own.tobytes()
+        assert shared_slopes.tobytes() == own_slopes.tobytes()
 
     @pytest.mark.parametrize(
         "text", ["x^4", "x^4 + 0.5*x^3", "x^2 + x^4", "x^6 - x^4 + x^3 + 5/4*x^2 - x"]

@@ -471,14 +471,11 @@ class TestReducedPhase:
 
     @pytest.fixture
     def cold_caches(self):
-        """Empty the solver's integrand and certificate cache, and the
-        slope integrands built from it, before and after, so that what a
-        test patches is what the solver uses."""
+        """Empty the solver's integrand and certificate cache before and
+        after, so that what a test patches is what the solver uses."""
         sv._integrands.cache_clear()
-        sv._slope_integrands.cache_clear()
         yield
         sv._integrands.cache_clear()
-        sv._slope_integrands.cache_clear()
 
     def test_refuses_a_failed_reduction_certificate(self, quartic, cold_caches, monkeypatch):
         original = ws.certify_even_reduction
@@ -526,6 +523,24 @@ class TestReducedPhase:
         assert dp.equals(integrands[0], ws.gen_terms(0).terms[0])
         assert all(not any(k == 1 for m in integrands[2 * n].monomials for k, _ in m.derivs)
                    for n in range(1, 4))
+
+    @pytest.mark.parametrize("order, rows", [(2, 4), (4, 17)])
+    def test_phase_plan_holds_only_the_rows_of_the_actions(self, quartic, order, rows,
+                                                          monkeypatch):
+        # dPhi/dE comes from B's own rows, so the plan a phase evaluation
+        # compiles builds no more derivative products than B_0..B_2N need
+        plans = []
+        compile_batch = dp.compile_batch
+
+        def recorded(exprs):
+            plans.append(compile_batch(exprs))
+            return plans[-1]
+
+        monkeypatch.setattr(dp, "compile_batch", recorded)
+        sv.total_phase(req(quartic, 0, order), 2.0)
+        integrands = sv._integrands(order)
+        assert [p.rows for p in plans] == [rows]
+        assert plans[0] is compile_batch([integrands[n] for n in sorted(integrands)])
 
     @pytest.mark.parametrize("left, right", [
         ("x^4 - x^3 + 1/2*x^2 + x", "x^4 + x^3 + 1/2*x^2 - x"),
