@@ -12,9 +12,10 @@ Exit codes: 0 success, 2 usage or parse error, 3 numeric failure,
 4 verification failure.
 
 Every payload written to a file gets a run manifest next to it
-(<output>.manifest.json, or the --manifest-out path): command line, full
-configuration, tool version, a timestamp, and wall times where a command
-measures them.  Payload bytes contain no timestamps or timings, so reruns
+(<output>.manifest.json, or the --manifest-out path): command line,
+configuration (for the numeric commands, the fields of NumericsConfig; the
+tool version identifies its fixed constants), tool version, a timestamp,
+and wall times where a command measures them.  Payload bytes contain no timestamps or timings, so reruns
 with equal manifests (minus those) produce byte-identical data files.
 """
 

@@ -127,43 +127,25 @@ def _poly_roots(coeffs) -> np.ndarray:
     return np.concatenate((roots, np.zeros(zeros, roots.dtype))) if zeros else roots
 
 
-def _complex_divide(a: complex, b: complex) -> complex:
-    """a / b as numpy divides complex values (Smith's method, scaled by a
-    reciprocal); Python's / divides by the denominator instead, which can
-    differ in the last bit."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    if abs(br) >= abs(bi):
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
-
-
 def _newton_step(V: Potential, E: float, roots: np.ndarray) -> list[complex]:
-    """One Newton step on each root of V - E, skipped where V' vanishes.
-
-    V and V' come from one Horner loop on an array (V._value_and_slope):
-    numpy's complex multiply can be fused (it is with numpy 2.4 on AVX-512
-    cores), so Horner's rule on Python complex values would give other
-    bits.  The step itself runs on Python complex values, divided as numpy
-    divides."""
-    v, p1 = V._value_and_slope(roots)
-    return [
-        complex(z) - _complex_divide(f - E, df) if abs(df) > 0 else complex(z)
-        for z, f, df in zip(roots.tolist(), v, p1)
-    ]
+    """One Newton step on each root of V - E, skipped where V' vanishes;
+    V and V' by Horner's rule on Python complex values."""
+    rows = V._float_rows
+    out = []
+    for z in map(complex, roots.tolist()):
+        df = V._horner(rows[1], z)
+        out.append(z - (V._horner(rows[0], z) - E) / df if abs(df) > 0 else z)
+    return out
 
 
-def turning_points(V: Potential, E: float, cfg: NumericsConfig = DEFAULT_CONFIG) -> TurningPair:
+def turning_points(V: Potential, E: float) -> TurningPair:
     """All roots of V(x) - E by the companion-matrix eigenvalue method with
     one Newton polish step per root; requires exactly two simple real roots.
 
-    Past the eigenvalues and the polish's values of V and V', everything
-    runs on Python complex and float values, which for a handful of roots
-    costs less than array operations do; the checks evaluate V and V' by
-    Horner's rule on Python floats.  A non-finite E raises ValueError."""
+    Past the eigenvalues everything runs on Python complex and float values,
+    which for a handful of roots costs less than array operations do: the
+    polish and the checks evaluate V and V' by Horner's rule.  A non-finite
+    E raises ValueError."""
     if not math.isfinite(E):
         raise ValueError(f"energy must be finite, got E = {E!r}")
     rows = V._float_rows
@@ -174,15 +156,16 @@ def turning_points(V: Potential, E: float, cfg: NumericsConfig = DEFAULT_CONFIG)
     scale = 1.0 + max(map(abs, roots))
     dscale = 1.0 + sum(abs(c) * scale**k for k, c in enumerate(rows[1]))
 
-    real_roots = sorted(r.real for r in roots if abs(r.imag) < cfg.real_root_imag_tol * scale)
+    imag_tol, degeneracy_tol = NumericsConfig.real_root_imag_tol, NumericsConfig.degeneracy_tol
+    real_roots = sorted(r.real for r in roots if abs(r.imag) < imag_tol * scale)
     for r in real_roots:
         if abs(V._horner(rows[0], r) - E) > 1e-6 * dscale:
             continue  # polishing artifact, not an actual root
-        if abs(V._horner(rows[1], r)) < cfg.degeneracy_tol * dscale:
+        if abs(V._horner(rows[1], r)) < degeneracy_tol * dscale:
             raise DegenerateTurningPointError(
                 f"turning point near x = {r:.6g} is degenerate (V' vanishes)"
             )
-    if any(b - a < cfg.degeneracy_tol * scale for a, b in zip(real_roots, real_roots[1:])):
+    if any(b - a < degeneracy_tol * scale for a, b in zip(real_roots, real_roots[1:])):
         raise DegenerateTurningPointError(
             "two real turning points coalesce at this energy"
         )
@@ -195,19 +178,14 @@ def turning_points(V: Potential, E: float, cfg: NumericsConfig = DEFAULT_CONFIG)
 
 
 def build_contour(
-    tp: TurningPair,
-    margin: float = 0.5,
-    cfg: NumericsConfig = DEFAULT_CONFIG,
-    nodes: int | None = None,
+    tp: TurningPair, cfg: NumericsConfig = DEFAULT_CONFIG, nodes: int | None = None
 ) -> ContourSpec:
     """Ellipse centered between the turning points, wide enough to enclose
-    them with the given margin and narrow enough to exclude all other roots
+    them with margin cfg.margin and narrow enough to exclude all other roots
     of V - E with relative clearance cfg.root_clearance.  Quadrature on it
     starts at `nodes` nodes (cfg.initial_nodes when None)."""
-    if not 0.0 < margin < np.inf:
-        raise ValueError(f"margin must be finite and > 0, got {margin!r}")
     center = 0.5 * (tp.x1 + tp.x2)
-    a = (1.0 + margin) * 0.5 * (tp.x2 - tp.x1)
+    a = (1.0 + cfg.margin) * 0.5 * (tp.x2 - tp.x1)
     others = [
         r
         for r in tp.all_roots
@@ -258,7 +236,7 @@ def _unit_angles(m: int, offset: float) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _continue_sqrt(q: np.ndarray, closure_tol: float) -> np.ndarray:
+def _continue_sqrt(q: np.ndarray) -> np.ndarray:
     """Nearest-branch continuation of sqrt along a closed node sequence.
 
     Starts from the principal square root at node 0.  The nearest choice
@@ -267,8 +245,9 @@ def _continue_sqrt(q: np.ndarray, closure_tol: float) -> np.ndarray:
     cumulative product, and every step from node i-1 to node i is then
     below pi/2.  Raises NodeCountError when a step is exactly pi/2 (neither
     sign is nearer) and BranchTrackingError when Q vanishes at a node or the
-    continuation fails to close; the wrap from the last node back to node 0
-    is judged by the closure check alone.  q must be complex.
+    continuation fails to close by NumericsConfig.closure_tol; the wrap from
+    the last node back to node 0 is judged by the closure check alone.  q
+    must be complex.
     """
     p = np.sqrt(q)
     if not p.all():
@@ -286,7 +265,7 @@ def _continue_sqrt(q: np.ndarray, closure_tol: float) -> np.ndarray:
     p0, first, last = complex(p[0]), complex(s[0]), complex(s[-1])
     s_close = p0 if abs(p0 - last) <= abs(-p0 - last) else -p0
     defect = abs(s_close - first) / abs(first)
-    if defect > closure_tol:
+    if defect > NumericsConfig.closure_tol:
         raise BranchTrackingError(
             f"sqrt(Q) is not single-valued on this contour "
             f"(closure defect {defect:.3g}); it must enclose exactly two simple zeros"
@@ -402,8 +381,11 @@ def action_integrals(
     sub-sums of fewer than cfg.initial_nodes nodes are never used.  The
     first pass, and any doubling whose midpoints fail the branch tests,
     evaluates every node and continues sqrt(Q) in full, with the closure
-    check.  A pass that finds a phase step of pi/2 or more is retried in full
-    at twice the count.
+    check.  A full pass in which the square roots at two adjacent nodes are
+    exactly a quarter turn apart (neither sign is nearer) is retried in full
+    at twice the count.  A wider gap is not detected there: the nearer sign
+    is taken, and only the closure check, or on a doubling the midpoint
+    tests, can catch a branch it lost.
 
     Doubling stops early, with a QuadratureError that names the order, node
     count, difference, floor and target, once an unconverged order has hit
@@ -463,7 +445,7 @@ def action_integrals(
                 q_derivs, dz = _node_batch(V, E, c, nodes, kmax)
                 evaluated += nodes
                 try:
-                    sqrt_q = _continue_sqrt(q_derivs[0], cfg.closure_tol)
+                    sqrt_q = _continue_sqrt(q_derivs[0])
                 except NodeCountError:
                     nodes *= 2
                     continue
@@ -496,7 +478,7 @@ def action_integrals(
                 unconverged = [i for i in range(count) if not diffs[i] <= targets[i]]
                 if not unconverged:
                     return Actions(
-                        {n: _take_real(v, n, cfg) for n, v in zip(orders, vals)},
+                        {n: _take_real(v, n) for n, v in zip(orders, vals)},
                         nodes, evaluated,
                         {n: v.real for n, v in zip(orders, trapezoid(slope_sums, nodes))},
                     )
@@ -523,8 +505,8 @@ def action_integrals(
     )
 
 
-def _take_real(value: complex, n: int, cfg: NumericsConfig) -> float:
-    if abs(value.imag) >= cfg.reality_tol * (1.0 + abs(value.real)):
+def _take_real(value: complex, n: int) -> float:
+    if abs(value.imag) >= NumericsConfig.reality_tol * (1.0 + abs(value.real)):
         raise QuadratureError(
             f"B_{n} has non-negligible imaginary part {value.imag:.3g} "
             "(branch or contour inconsistency)"

@@ -45,9 +45,13 @@ class ContourConstructionError(DunhamError):
 
 
 class NodeCountError(DunhamError):
-    """Branch tracking saw a phase step >= pi/2; the node count is too small.
+    """Branch tracking found the square roots at two adjacent nodes exactly a
+    quarter turn apart, so neither sign is nearer; the node count is too
+    small.
 
-    Callers double the node count and retry.
+    Callers double the node count and retry.  A wider gap raises nothing
+    here: the nearer sign is taken, and only the closure check, which raises
+    BranchTrackingError, can catch a branch it lost.
     """
 
 

@@ -128,30 +128,6 @@ class Potential:
             out += [zero] * (max_order - d)
         return out
 
-    @cached_property
-    def _root_columns(self) -> tuple[np.ndarray, ...]:
-        """Column j of the rows V and V' of float_deriv_table, as complex,
-        each entry repeated degree times: the coefficients of Horner's rule
-        in _value_and_slope."""
-        d = self.degree
-        table = self.float_deriv_table.astype(complex)
-        return tuple(np.repeat(table[:2, j], d) for j in range(d + 1))
-
-    def _value_and_slope(self, roots: np.ndarray) -> tuple[list, list]:
-        """V and V' at the degree points `roots` (the roots of V - E), as
-        lists, bit for bit as derivs(roots, 1) gives them: one Horner loop
-        over [roots, roots] and the zero-padded rows, which on a handful of
-        points costs half the array operations of derivs' two loops."""
-        d = self.degree
-        cols = self._root_columns
-        z = np.concatenate((roots, roots))
-        acc = cols[d].copy()
-        for j in range(d - 1, -1, -1):
-            np.multiply(acc, z, out=acc)
-            np.add(acc, cols[j], out=acc)
-        values = acc.tolist()
-        return values[:d], values[d:]
-
     def real_minimum(self) -> tuple[float, float]:
         """(x_min, V(x_min)) over the real line; exists since V is confining.
         Computed once per potential."""

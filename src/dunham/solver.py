@@ -153,8 +153,8 @@ def _eval_phase(
 ) -> tuple[float, Actions]:
     """Phi(E) and the actions behind it, with quadrature starting at `nodes`;
     acts.slopes holds dB_2n/dE from the same nodes (see _phase_slope)."""
-    tp = turning_points(req.V, E, cfg)
-    c = build_contour(tp, cfg.margin, cfg, nodes)
+    tp = turning_points(req.V, E)
+    c = build_contour(tp, cfg, nodes)
     orders = range(0, 2 * req.order + 1, 2)
     acts = action_integrals(_integrands(req.order), orders, req.V, E, c, cfg)
     phase = acts[0] - 0.5 * math.pi
@@ -189,10 +189,19 @@ def _seed_energy(
     `phase_at` (Phi, not Phi - K*pi).  Probes at Vmin + 1, 2, 4, ... until
     one succeeds; each failed probe is logged at DEBUG level, and when none
     succeeds the NoSolutionError names the last probe's failure and chains
-    its error.
+    its error.  A cfg.bracket_seed is the seed itself.  No level lies at or
+    below Vmin, and the solver tells no energies apart within
+    bisection_rtol*(1+|E|), so a seed no further than that above Vmin raises
+    a ValueError naming both.
     """
     _, vmin = req.V.real_minimum()
     if cfg.bracket_seed is not None:
+        resolution = cfg.bisection_rtol * (1.0 + abs(vmin))
+        if not cfg.bracket_seed - vmin > resolution:
+            raise ValueError(
+                f"bracket seed {cfg.bracket_seed!r} is not above the potential's "
+                f"minimum Vmin = {vmin!r} by more than {resolution:.3g}"
+            )
         return vmin, cfg.bracket_seed
     d = req.V.degree
     p = (d + 2.0) / (2.0 * d)
@@ -217,22 +226,21 @@ def _seed_energy(
     ) from cause
 
 
-def truncation_diagnostics(
-    actions: tuple[float, ...], floor: float = DEFAULT_CONFIG.truncation_floor
-) -> tuple[int, tuple[str, ...]]:
+def truncation_diagnostics(actions: tuple[float, ...]) -> tuple[int, tuple[str, ...]]:
     """Optimal truncation index for the even-order increments B_2..B_2N.
 
     The index is the n with the smallest |B_2n| increment; stopping there is
     the standard rule for an asymptotic tail.  A final increment below
-    `floor` means the series has effectively converged (the harmonic
-    oscillator case, where every correction vanishes): the index is then N
-    and no warning is attached.  Otherwise, a requested order beyond the
-    optimal index draws a warning; nothing is resummed.
+    NumericsConfig.truncation_floor means the series has effectively
+    converged (the harmonic oscillator case, where every correction
+    vanishes): the index is then N and no warning is attached.  Otherwise,
+    a requested order beyond the optimal index draws a warning; nothing is
+    resummed.
     """
     order = len(actions) - 1
     if order == 0:
         return 0, ()
-    if abs(actions[-1]) < floor:
+    if abs(actions[-1]) < NumericsConfig.truncation_floor:
         return order, ()
     increments = [abs(a) for a in actions[1:]]
     trunc = 1 + increments.index(min(increments))
@@ -315,7 +323,7 @@ def _newton(
     goal = math.log(target + 0.5 * math.pi)
     phase, acts = evaluate(E)
     for steps in itertools.count():
-        if truncation_diagnostics(tuple(acts.values()), cfg.truncation_floor)[1]:
+        if truncation_diagnostics(tuple(acts.values()))[1]:
             return E, steps, "truncation"
         growth = _phase_slope(acts) * (E - vmin)  # dPhi/dlog(E - vmin)
         if not (math.isfinite(growth) and growth > 0.0):
@@ -446,7 +454,7 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
     if actions[0] <= 0:
         raise NoSolutionError(f"leading action must be positive, got {actions[0]}")
 
-    trunc, warnings = truncation_diagnostics(actions, cfg.truncation_floor)
+    trunc, warnings = truncation_diagnostics(actions)
     _log.debug(
         "K=%d order=%d E=%r phase_evals=%d newton_steps=%d bracket_steps=%d "
         "root_steps=%d slope=%r fallback=%s nodes=%d nodes_evaluated=%d",

@@ -112,7 +112,7 @@ def test_criterion_5_maslov_constant(series15):
     for name in GRID_POTENTIALS:
         V = parse_potential(name)
         for E in GRID_ENERGIES:
-            c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
+            c = ct.build_contour(ct.turning_points(V, E))
             b1 = ct.action_integrals(series15.terms, [1], V, E, c)[1]
             assert abs(b1 + math.pi / 2.0) < 1e-10, (name, E, b1)
 
@@ -122,7 +122,7 @@ def test_criterion_6_odd_orders_vanish(series15):
     for name in GRID_POTENTIALS:
         V = parse_potential(name)
         for E in GRID_ENERGIES:
-            c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
+            c = ct.build_contour(ct.turning_points(V, E))
             acts = ct.action_integrals(series15.terms, [3, 5], V, E, c)
             assert abs(acts[3]) < 1e-8, (name, E, acts[3])
             assert abs(acts[5]) < 1e-8, (name, E, acts[5])
@@ -169,7 +169,7 @@ def test_criterion_9_contour_robustness(series15, quartic, mixed):
             vals = {}
             for margin in (0.3, 0.7):
                 cfg = dataclasses.replace(DEFAULT_CONFIG, margin=margin)
-                c = ct.build_contour(tp, margin, cfg)
+                c = ct.build_contour(tp, cfg)
                 vals[margin] = ct.action_integrals(series15.terms, [0, 2, 4, 6], V, E, c, cfg)
             for n in (0, 2, 4, 6):
                 a, b = vals[0.3][n], vals[0.7][n]
@@ -186,7 +186,7 @@ def test_criterion_10_oracle_provenance():
     # harmonic closed form B_0 = pi E / 2 against the contour route
     series = ws.gen_terms(1)
     ho = parse_potential("x^2")
-    c = ct.build_contour(ct.turning_points(ho, 3.0), margin=0.5)
+    c = ct.build_contour(ct.turning_points(ho, 3.0))
     assert ct.action_integrals(series.terms, [0], ho, 3.0, c)[0] == pytest.approx(
         1.5 * math.pi, abs=1e-10
     )

@@ -122,6 +122,13 @@ class TestSpectrum:
         # argparse treats "-x^2" after -- as positional
         assert code in (EXIT_NUMERIC, EXIT_USAGE)
 
+    @pytest.mark.parametrize("seed", ["-3", "0", "1e-300"])
+    def test_seed_not_above_the_minimum_names_both(self, capsys, seed):
+        code, out, err = run(capsys, "spectrum", "x^4", "--levels", "2", "--seed-bracket", seed)
+        assert code == EXIT_NUMERIC and out == ""
+        assert f"seed {float(seed)!r} is not above" in err and "Vmin = 0.0" in err
+        assert "turning point" not in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "spectrum", "x^2", "--levels", "2",
                            "--order", "1", "--format", "csv")
@@ -339,7 +346,9 @@ class TestManifest:
             assert "timestamp" in m1
             assert m1["command"][0] == "dunham"
             if command == "spectrum":
-                assert m1["config"]["margin"] == 0.5
+                # the settable fields; the tool version identifies the constants
+                assert m1["config"] == {"margin": 0.5, "quad_rel_tol": 1e-10,
+                                        "bracket_seed": None, "levels": 2, "order": 1}
 
     def test_verify_odd_timings_live_in_the_manifest(self, tmp_path, capsys):
         out = tmp_path / "odd.txt"

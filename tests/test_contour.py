@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scipy.special import beta
 import dunham.contour as ct
 import dunham.diffpoly as dp
 import dunham.solver as sv
-from dunham.config import DEFAULT_CONFIG
+from dunham.config import DEFAULT_CONFIG, NumericsConfig
 from dunham.diffpoly import eval_numeric_array
 from dunham.errors import (
     BranchTrackingError,
@@ -120,24 +121,47 @@ class TestTurningPoints:
 
     @given(wells(), st.floats(-20.0, 60.0))
     @settings(max_examples=300, deadline=None)
-    def test_newton_step_is_bit_identical_to_the_array_polish(self, V, E):
+    def test_newton_step_agrees_with_the_array_polish(self, V, E):
         coeffs = list(V._float_rows[0])
         coeffs[0] -= E
         roots = ct._poly_roots(coeffs)
-        got = np.array(ct._newton_step(V, E, roots))
-        assert got.tobytes() == np.array(_array_newton_step(V, E, roots)).tobytes()
+        v_row, slope_row = V._float_rows[:2]
+        for z, got, want in zip(
+            roots.tolist(), ct._newton_step(V, E, roots), _array_newton_step(V, E, roots)
+        ):
+            # the two Horner loops round V - E and V' differently (numpy may
+            # fuse its complex multiply); the step divides that by |V'|
+            r, slope = abs(z), abs(V._horner(slope_row, complex(z)))
+            bound = 0.0 if slope == 0 else 4 * ct._EPS * (
+                abs(want)
+                + (abs(E) + sum(abs(c) * r**k for k, c in enumerate(v_row))
+                   + abs(z - want) * sum(abs(c) * r**k for k, c in enumerate(slope_row)))
+                / slope
+            )
+            assert abs(got - want) <= bound, (z, got, want)
+
+        def outcome():
+            try:
+                tp = ct.turning_points(V, E)
+            except TurningPointError as exc:
+                return type(exc), str(exc)
+            return tp.x1.hex(), tp.x2.hex()
+
+        got = outcome()
+        with mock.patch.object(ct, "_newton_step", _array_newton_step):
+            assert got == outcome()  # x1 and x2 bit for bit, or the same error
 
 
 class TestContour:
     def test_harmonic_geometry(self, ho):
-        c = ct.build_contour(ct.turning_points(ho, 1.0), margin=0.5)
+        c = ct.build_contour(ct.turning_points(ho, 1.0))
         assert c.center == 0
         assert c.semi_major == pytest.approx(1.5)
         assert c.nodes >= 64 and c.nodes % 2 == 0
 
     def test_quartic_excludes_imaginary_roots(self, quartic):
         tp = ct.turning_points(quartic, 1.0)
-        c = ct.build_contour(tp, margin=0.5)
+        c = ct.build_contour(tp)
         # roots at +-i must clear the ellipse by the configured margin
         for r in tp.all_roots:
             if abs(r.imag) > 0.5:
@@ -156,10 +180,11 @@ class TestContour:
             v = np.array([r.imag for r in others])
             assert ct._min_radius(u, v, b).hex() == float(scalar).hex()
 
-    def test_bad_margin(self, ho):
+    def test_bad_margin(self):
+        # build_contour reads the margin from a config, which refuses these
         for margin in (0.0, math.inf, math.nan):  # inf used to loop forever
             with pytest.raises(ValueError, match="margin"):
-                ct.build_contour(ct.turning_points(ho, 1.0), margin=margin)
+                NumericsConfig(margin=margin)
 
     def test_root_on_segment_is_unseparable(self):
         # V - E = (x^2 - 1)(x^2 + 1e-8): the complex pair hugs the segment
@@ -167,39 +192,39 @@ class TestContour:
         V = parse_potential("x^4 - 0.99999999*x^2")
         tp = ct.turning_points(V, 1e-8)
         with pytest.raises(ContourConstructionError):
-            ct.build_contour(tp, margin=0.5)
+            ct.build_contour(tp)
 
 
 class TestBranchTrace:
     def test_constant_q_is_flat(self):
         q = np.full(64, 4.0, dtype=complex)
-        s = ct._continue_sqrt(q, 1e-8)
+        s = ct._continue_sqrt(q)
         assert np.allclose(s, 2.0)
 
     def test_single_zero_fails_closure(self):
         # sqrt(z) around the unit circle flips sign: monodromy must be caught
         z = np.exp(2j * np.pi * np.arange(128) / 128)
         with pytest.raises(BranchTrackingError):
-            ct._continue_sqrt(z, 1e-8)
+            ct._continue_sqrt(z)
 
     def test_quarter_turn_step_needs_more_nodes(self):
         # adjacent square roots at exactly 90 degrees are ambiguous
         q = np.array([1.0, -1.0, 1.0, -1.0], dtype=complex)
         with pytest.raises(NodeCountError):
-            ct._continue_sqrt(q, 1e-8)
+            ct._continue_sqrt(q)
 
     def test_two_enclosed_zeros_close(self, ho):
-        c = ct.build_contour(ct.turning_points(ho, 1.0), margin=0.5)
+        c = ct.build_contour(ct.turning_points(ho, 1.0))
         z, _ = ct.ellipse_nodes(c)
-        s = ct._continue_sqrt(ho(z) - 1.0, DEFAULT_CONFIG.closure_tol)
+        s = ct._continue_sqrt(ho(z) - 1.0)
         assert np.allclose(s * s, z * z - 1.0, rtol=1e-12)
         # principal value at the rightmost node, where Q > 0
         assert s[0].real > 0 and abs(s[0].imag) < 1e-12
 
     def test_trace_shape_matches_contour(self, ho):
-        c = ct.build_contour(ct.turning_points(ho, 1.0), margin=0.5)
+        c = ct.build_contour(ct.turning_points(ho, 1.0))
         z, _ = ct.ellipse_nodes(c)
-        s = ct._continue_sqrt(ho(z) - 1.0, DEFAULT_CONFIG.closure_tol)
+        s = ct._continue_sqrt(ho(z) - 1.0)
         assert z.shape == s.shape == (c.nodes,)
 
 
@@ -207,12 +232,12 @@ class TestActionIntegrals:
     def test_harmonic_leading_action_closed_form(self, ho, series15):
         # (1/2i) contour integral of -sqrt(V-E) equals the real action
         # integral of sqrt(E-V), which is pi*E/2 for V = x^2
-        c = ct.build_contour(ct.turning_points(ho, 5.0), margin=0.5)
+        c = ct.build_contour(ct.turning_points(ho, 5.0))
         b0 = ct.action_integrals(series15.terms, [0], ho, 5.0, c)[0]
         assert b0 == pytest.approx(5.0 * math.pi / 2.0, abs=1e-11)
 
     def test_harmonic_maslov(self, ho, series15):
-        c = ct.build_contour(ct.turning_points(ho, 5.0), margin=0.5)
+        c = ct.build_contour(ct.turning_points(ho, 5.0))
         b1 = ct.action_integrals(series15.terms, [1], ho, 5.0, c)[1]
         assert b1 == pytest.approx(-math.pi / 2.0, abs=1e-12)
 
@@ -229,26 +254,26 @@ class TestActionIntegrals:
         assert err < 1e-10
         # cross-check the quadrature against the closed Euler-beta form
         assert ref == pytest.approx(0.5 * beta(0.25, 1.5), abs=1e-11)
-        c = ct.build_contour(ct.turning_points(quartic, E), margin=0.5)
+        c = ct.build_contour(ct.turning_points(quartic, E))
         b0 = ct.action_integrals(series15.terms, [0], quartic, E, c)[0]
         assert b0 == pytest.approx(ref, abs=1e-10)
 
     def test_quartic_odd_orders_vanish(self, quartic, series15):
-        c = ct.build_contour(ct.turning_points(quartic, 1.0), margin=0.5)
+        c = ct.build_contour(ct.turning_points(quartic, 1.0))
         acts = ct.action_integrals(series15.terms, [3, 5], quartic, 1.0, c)
         assert abs(acts[3]) < 1e-10
         assert abs(acts[5]) < 1e-10
 
     def test_imaginary_part_is_rejected(self):
         with pytest.raises(QuadratureError, match="imaginary part") as info:
-            ct._take_real(1.0 + 1e-3j, 2, DEFAULT_CONFIG)
+            ct._take_real(1.0 + 1e-3j, 2)
         assert info.value.floor is None
 
-    def test_node_cap(self, quartic, series15):
-        cfg = dataclasses.replace(DEFAULT_CONFIG, max_nodes=128)
-        c = ct.build_contour(ct.turning_points(quartic, 1.0), margin=0.5, cfg=cfg)
+    def test_node_cap(self, quartic, series15, monkeypatch):
+        monkeypatch.setattr(NumericsConfig, "max_nodes", 128)
+        c = ct.build_contour(ct.turning_points(quartic, 1.0))
         with pytest.raises(QuadratureError, match="within 128 nodes") as info:
-            ct.action_integrals(series15.terms, [0, 8], quartic, 1.0, c, cfg)
+            ct.action_integrals(series15.terms, [0, 8], quartic, 1.0, c)
         assert info.value.floor is None
 
     @pytest.mark.parametrize("diff, prev_diff, stalled", [
@@ -263,7 +288,7 @@ class TestActionIntegrals:
         ) is stalled
 
     def test_order_out_of_range(self, ho, series15):
-        c = ct.build_contour(ct.turning_points(ho, 5.0), margin=0.5)
+        c = ct.build_contour(ct.turning_points(ho, 5.0))
         for orders in ([16], [-1, 0]):
             with pytest.raises(ValueError, match="no integrand"):
                 ct.action_integrals(series15.terms, orders, ho, 5.0, c)
@@ -271,7 +296,7 @@ class TestActionIntegrals:
             ct.action_integrals({0: series15.terms[0]}, [0, 2], ho, 5.0, c)
 
     def test_integrands_by_order_from_a_mapping(self, quartic, series15):
-        c = ct.build_contour(ct.turning_points(quartic, 2.0), margin=0.5)
+        c = ct.build_contour(ct.turning_points(quartic, 2.0))
         from_series = ct.action_integrals(series15.terms, [0, 4], quartic, 2.0, c)
         chosen = {0: series15.terms[0], 4: series15.terms[4]}
         assert ct.action_integrals(chosen, [0, 4], quartic, 2.0, c) == from_series
@@ -281,7 +306,7 @@ class TestActionIntegrals:
         # doubling cannot help: the first pass ends the quadrature, naming
         # the cause, and numpy warns of nothing
         E = 1e300
-        c = ct.build_contour(ct.turning_points(quartic, E), margin=0.5)
+        c = ct.build_contour(ct.turning_points(quartic, E))
         integrands = sv._integrands(1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -295,7 +320,7 @@ class TestEnergySlopes:
 
     @staticmethod
     def actions(V, E, order):
-        c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
+        c = ct.build_contour(ct.turning_points(V, E))
         return ct.action_integrals(sv._integrands(order), range(0, 2 * order + 1, 2), V, E, c)
 
     @pytest.mark.parametrize("E", [1.0, 3.0])
@@ -333,7 +358,7 @@ class TestEnergySlopes:
         # the plan's values are the integrands times dz/dt, bit for bit, at
         # node counts on both sides of the block boundary
         V = parse_potential(potential)
-        c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
+        c = ct.build_contour(ct.turning_points(V, E))
         integrands = sv._integrands(3)
         terms = [integrands[n] for n in sorted(integrands)]
         plan = dp.compile_batch(terms)
@@ -341,14 +366,14 @@ class TestEnergySlopes:
             z, dz = ct.ellipse_nodes(c, m)
             q_derivs = V.derivs(z, plan.need)
             q_derivs[0] -= E
-            sqrt_q = ct._continue_sqrt(q_derivs[0], DEFAULT_CONFIG.closure_tol)
+            sqrt_q = ct._continue_sqrt(q_derivs[0])
             values = plan(q_derivs, sqrt_q, dz)[0]
             want = dp.eval_numeric_batch(terms, q_derivs, sqrt_q) * dz
             assert values.tobytes() == want.tobytes()
 
 
 def _contour(V, E, nodes=None):
-    c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
+    c = ct.build_contour(ct.turning_points(V, E))
     return c if nodes is None else dataclasses.replace(c, nodes=nodes)
 
 
@@ -379,8 +404,8 @@ class TestNestedDoubling:
         z_even, _ = ct.ellipse_nodes(c, n)
         z_mid, _ = ct.ellipse_nodes(dataclasses.replace(c, offset=0.5), n)
         assert np.array_equal(z_full[0::2], z_even) and np.array_equal(z_full[1::2], z_mid)
-        full = ct._continue_sqrt(V(z_full) - E, DEFAULT_CONFIG.closure_tol)
-        coarse = ct._continue_sqrt(V(z_even) - E, DEFAULT_CONFIG.closure_tol)
+        full = ct._continue_sqrt(V(z_full) - E)
+        coarse = ct._continue_sqrt(V(z_even) - E)
         mid = ct._midpoint_sqrt(coarse, V(z_mid) - E)
         assert np.array_equal(full[0::2], coarse)
         assert np.array_equal(full[1::2], mid)
@@ -404,7 +429,7 @@ class TestNestedDoubling:
         z, dz = ct.ellipse_nodes(c, acts.nodes)
         q = V.derivs(z, 2 * max(orders))
         q[0] = q[0] - E
-        sqrt_q = ct._continue_sqrt(q[0], DEFAULT_CONFIG.closure_tol)
+        sqrt_q = ct._continue_sqrt(q[0])
         w = 2.0 * np.pi / acts.nodes
         for n in orders:
             f_dz = eval_numeric_array(series15.terms[n], q, sqrt_q) * dz
@@ -420,13 +445,13 @@ class TestNestedDoubling:
         assert batches[1:] == [(m, 0.5) for m in (c.nodes * 2**k for k in range(len(batches) - 1))]
         assert acts.evaluated == acts.nodes == sum(m for m, _ in batches)
 
-    def test_no_sum_on_fewer_than_initial_nodes(self, ho, series15):
+    def test_no_sum_on_fewer_than_initial_nodes(self, ho, series15, monkeypatch):
         # B_0 of x^2 converges by 128 nodes, but with initial_nodes = 256 the
         # coarsest sum a test may compare is the 256-node one
-        cfg = dataclasses.replace(DEFAULT_CONFIG, initial_nodes=256)
-        c = ct.build_contour(ct.turning_points(ho, 5.0), 0.5, cfg)
         assert ct.action_integrals(series15.terms, [0], ho, 5.0, _contour(ho, 5.0)).nodes == 128
-        acts = ct.action_integrals(series15.terms, [0], ho, 5.0, c, cfg)
+        monkeypatch.setattr(NumericsConfig, "initial_nodes", 256)
+        c = ct.build_contour(ct.turning_points(ho, 5.0))
+        acts = ct.action_integrals(series15.terms, [0], ho, 5.0, c)
         assert acts.nodes == acts.evaluated == 512
 
     def test_offset_node_sets_nest_too(self, quartic, series15):
@@ -465,11 +490,11 @@ class TestNestedDoubling:
         for n in orders:
             assert acts[n] == pytest.approx(ref[n], rel=2 * DEFAULT_CONFIG.quad_rel_tol)
 
-    def test_node_cap_from_a_warm_start(self, quartic, series15):
-        cfg = dataclasses.replace(DEFAULT_CONFIG, max_nodes=128)
+    def test_node_cap_from_a_warm_start(self, quartic, series15, monkeypatch):
+        monkeypatch.setattr(NumericsConfig, "max_nodes", 128)
         with pytest.raises(QuadratureError, match="within 128 nodes") as info:
             ct.action_integrals(
-                series15.terms, [0, 8], quartic, 1.0, _contour(quartic, 1.0, 128), cfg)
+                series15.terms, [0, 8], quartic, 1.0, _contour(quartic, 1.0, 128))
         assert info.value.floor is None
 
     @pytest.mark.parametrize("start, passes", [(64, 8), (16384, 1)])
@@ -549,14 +574,14 @@ class TestInvariants:
         for V in (ho, quartic, mixed):
             values = []
             for E in (0.5, 1.0, 2.0, 4.0, 8.0):
-                c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
+                c = ct.build_contour(ct.turning_points(V, E))
                 values.append(ct.action_integrals(series15.terms, [0], V, E, c)[0])
             assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_maslov_constant_everywhere(self, series15, ho, quartic, mixed):
         for V in (ho, quartic, mixed):
             for E in (0.7, 2.3, 6.1):
-                c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
+                c = ct.build_contour(ct.turning_points(V, E))
                 b1 = ct.action_integrals(series15.terms, [1], V, E, c)[1]
                 assert abs(b1 + math.pi / 2.0) < 1e-10
 
@@ -566,7 +591,7 @@ class TestInvariants:
         results = {}
         for margin in (0.3, 0.7):
             cfg = dataclasses.replace(DEFAULT_CONFIG, margin=margin)
-            c = ct.build_contour(tp, margin, cfg)
+            c = ct.build_contour(tp, cfg)
             results[margin] = ct.action_integrals(series15.terms, [0, 2, 4, 6],
                                                   quartic, E, c, cfg)
         for n in (0, 2, 4, 6):
@@ -580,7 +605,7 @@ class TestInvariants:
         p = (m + 1.0) / (2.0 * m)
 
         def b0(E):
-            c = ct.build_contour(ct.turning_points(V, E), margin=0.5)
+            c = ct.build_contour(ct.turning_points(V, E))
             return ct.action_integrals(series15.terms, [0], V, E, c)[0]
 
         ref = b0(1.0)

@@ -202,10 +202,10 @@ def _contour_inputs(m, kmax=8):
     from dunham.potential import parse_potential
 
     V, E = parse_potential("x^4 - x^3 + x^2"), 3.0
-    z, _ = ct.ellipse_nodes(ct.build_contour(ct.turning_points(V, E), 0.5), m)
+    z, _ = ct.ellipse_nodes(ct.build_contour(ct.turning_points(V, E)), m)
     q_derivs = V.derivs(z, kmax)
     q_derivs[0] = q_derivs[0] - E
-    return q_derivs, ct._continue_sqrt(q_derivs[0], 1e-8)
+    return q_derivs, ct._continue_sqrt(q_derivs[0])
 
 
 def _magnitude_sums(terms, q_derivs, sqrt_q):
@@ -273,11 +273,11 @@ class TestEvalNumeric:
         from dunham.potential import parse_potential
 
         V, E = parse_potential("x^4 - x^3 + x^2"), 3.0
-        c = ct.build_contour(ct.turning_points(V, E), 0.5)
+        c = ct.build_contour(ct.turning_points(V, E))
         z, _ = ct.ellipse_nodes(c, 96)
         q, q1 = V.derivs(z, 1)
         q = q - E
-        got = dp.eval_numeric_array(series15.terms[1], [q, q1], ct._continue_sqrt(q, 1e-8))
+        got = dp.eval_numeric_array(series15.terms[1], [q, q1], ct._continue_sqrt(q))
         want = -q1 / (4.0 * q)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 4 * EPS
 

@@ -14,7 +14,7 @@ import dunham.contour as ct
 import dunham.diffpoly as dp
 import dunham.solver as sv
 import dunham.wkb_series as ws
-from dunham.config import DEFAULT_CONFIG
+from dunham.config import DEFAULT_CONFIG, NumericsConfig
 from dunham.errors import (
     DegenerateTurningPointError,
     DunhamError,
@@ -116,11 +116,20 @@ class TestQuantize:
         res = sv.quantize(req(ho, 1, 0), cfg)
         assert res.E == pytest.approx(3.0, abs=1e-8)
 
-    def test_bracket_cap_exhaustion(self, ho):
-        cfg = dataclasses.replace(DEFAULT_CONFIG, bracket_seed=1e6,
-                                  bracket_expansion_cap=3)
+    def test_bracket_cap_exhaustion(self, ho, monkeypatch):
+        monkeypatch.setattr(NumericsConfig, "bracket_expansion_cap", 3)
+        cfg = dataclasses.replace(DEFAULT_CONFIG, bracket_seed=1e6)
         with pytest.raises(sv.NoSolutionError):
             sv.quantize(req(ho, 0, 0), cfg)
+
+    @pytest.mark.parametrize("seed", [-3.0, 0.0, 1e-300])
+    def test_seed_not_above_the_minimum_is_refused_by_name(self, quartic, seed, monkeypatch):
+        # refused before any phase evaluation, which would end in a turning
+        # point error that names neither the seed nor Vmin
+        monkeypatch.setattr(sv, "_eval_phase", None)
+        cfg = dataclasses.replace(DEFAULT_CONFIG, bracket_seed=seed)
+        with pytest.raises(ValueError, match=rf"seed {seed!r} .* Vmin = 0\.0"):
+            sv.quantize(req(quartic, 1, 2), cfg)
 
     def test_truncation_diagnostics_quartic(self, quartic):
         res = sv.quantize(req(quartic, 3, 2))
@@ -432,12 +441,12 @@ class TestQuadratureFloor:
             res = sv.quantize(req(parse_potential(potential), 0, 3))
             assert res.E == 0.5662698559411267
 
-    def test_failed_seed_probes_name_the_last_error(self, quartic):
+    def test_failed_seed_probes_name_the_last_error(self, quartic, monkeypatch):
         # x^4 has two turning points at every E > 0: with three probes, each
         # stops at the floor of B_20 or B_22, and the error must say so
-        cfg = dataclasses.replace(DEFAULT_CONFIG, bracket_expansion_cap=3)
+        monkeypatch.setattr(NumericsConfig, "bracket_expansion_cap", 3)
         with pytest.raises(sv.NoSolutionError, match="rounding floor") as info:
-            sv.quantize(req(quartic, 4, 11), cfg)
+            sv.quantize(req(quartic, 4, 11))
         assert "E=4.0" in str(info.value)
         assert isinstance(info.value.__cause__, QuadratureError)
 
