@@ -152,6 +152,13 @@ def _emit(args, payload: str, manifest_config: dict, timings: dict | None = None
             fh.write("\n")
 
 
+def _csv(columns: list[str], rows) -> str:
+    """CSV text: the column names, then one line per row of values, each
+    written by repr (an int's repr is its str)."""
+    lines = [",".join(columns)] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_terms(args) -> int:
     if args.n_max < 0:
         print("error: --n-max must be >= 0", file=sys.stderr)
@@ -208,11 +215,14 @@ def cmd_spectrum(args) -> int:
             "order": args.order,
             "convention": "total phase matched to K*pi with the -pi/2 Maslov "
             "term on the left; equivalently B_0 + corrections = (K + 1/2)*pi",
-            "results": [sv.result_to_json(r) for r in results],
+            "results": [dataclasses.asdict(r) for r in results],
         }
         payload = json.dumps(doc, indent=2) + "\n"
     elif args.format == "csv":
-        payload = sv.results_to_csv(results)
+        columns = ["K", "E", "residual"] + [f"B_{2 * n}" for n in range(args.order + 1)]
+        columns.append("optimal_truncation_index")
+        payload = _csv(columns, [(r.K, r.E, r.residual, *r.actions, r.optimal_truncation_index)
+                                 for r in results])
     else:
         hdr = ["K", "E", "residual", "trunc"]
         rows = [
@@ -253,15 +263,15 @@ def cmd_oracle(args) -> int:
     _check_oracle_levels(args.levels, cfg)
     V = parse_potential(args.potential)
     spec = _eigensolve(V, args.levels, cfg)
+    levels = [(k, e, c) for k, (e, c) in
+              enumerate(zip(spec.eigenvalues, spec.convergence_estimate))]
     if args.format == "json":
-        payload = json.dumps(orc.oracle_to_json(spec), indent=2) + "\n"
+        doc = {"levels": [{"K": k, "E": e, "convergence_estimate": c} for k, e, c in levels]}
+        payload = json.dumps(doc, indent=2) + "\n"
     elif args.format == "csv":
-        payload = orc.oracle_to_csv(spec)
+        payload = _csv(["K", "E", "convergence_estimate"], levels)
     else:
-        rows = [
-            f"{k:>3} {e:>20.12f} {c:>10.2e}"
-            for k, (e, c) in enumerate(zip(spec.eigenvalues, spec.convergence_estimate))
-        ]
+        rows = [f"{k:>3} {e:>20.12f} {c:>10.2e}" for k, e, c in levels]
         payload = f"{'K':>3} {'E':>20} {'conv':>10}\n" + "\n".join(rows) + "\n"
     _emit(args, payload, {**dataclasses.asdict(cfg), "levels": args.levels})
     return EXIT_OK
@@ -291,31 +301,18 @@ def cmd_compare(args) -> int:
     V = parse_potential(args.potential)
     cfg = _config_from_args(args)
     reference = _eigensolve(V, args.levels, oracle_cfg)
+    columns = ["K", "order", "E_dunham", "E_oracle", "abs_error", "rel_error"]
     rows = []
     for order in orders:
         for r in sv.spectrum(V, args.levels, order, cfg):
             e_ref = reference.eigenvalues[r.K]
             abs_err = abs(r.E - e_ref)
-            rows.append(
-                {
-                    "K": r.K,
-                    "order": order,
-                    "E_dunham": r.E,
-                    "E_oracle": e_ref,
-                    "abs_error": abs_err,
-                    "rel_error": abs_err / abs(e_ref),
-                }
-            )
+            values = (r.K, order, r.E, e_ref, abs_err, abs_err / abs(e_ref))
+            rows.append(dict(zip(columns, values)))
     if args.format == "json":
         payload = json.dumps({"potential": str(V), "rows": rows}, indent=2) + "\n"
     elif args.format == "csv":
-        lines = ["K,order,E_dunham,E_oracle,abs_error,rel_error"]
-        for r in rows:
-            lines.append(
-                f"{r['K']},{r['order']},{r['E_dunham']!r},{r['E_oracle']!r},"
-                f"{r['abs_error']!r},{r['rel_error']!r}"
-            )
-        payload = "\n".join(lines) + "\n"
+        payload = _csv(columns, [r.values() for r in rows])
     else:
         lines = [f"{'K':>3} {'order':>5} {'E_dunham':>20} {'E_oracle':>20} {'rel_error':>12}"]
         for r in rows:

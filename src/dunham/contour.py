@@ -39,11 +39,10 @@ from .errors import (
     BranchTrackingError,
     ContourConstructionError,
     DegenerateTurningPointError,
-    NodeCountError,
     QuadratureError,
     TurningPointError,
 )
-from .potential import Potential
+from .potential import Potential, _poly_roots
 
 __all__ = [
     "TurningPair",
@@ -100,31 +99,6 @@ class ContourSpec:
             raise ValueError("node count must be even and >= 64")
         if self.semi_major <= 0 or self.semi_minor <= 0:
             raise ValueError("ellipse axes must be positive")
-
-
-@lru_cache(maxsize=None)
-def _subdiagonal(n: int) -> np.ndarray:
-    """Read-only n x n matrix of ones on the sub-diagonal: what a companion
-    matrix holds below its first row."""
-    m = np.eye(n, k=-1)
-    m.flags.writeable = False
-    return m
-
-
-def _poly_roots(coeffs) -> np.ndarray:
-    """Roots of the polynomial with these coefficients, lowest order first:
-    the bits ``np.roots(coeffs[::-1])`` gives, from the same companion
-    matrix, without np.roots' argument handling.  As there, each vanishing
-    low-order coefficient is a root at 0, appended last."""
-    nonzero = [k for k, c in enumerate(coeffs) if c]
-    zeros, top = nonzero[0], nonzero[-1]
-    if top > zeros:
-        companion = _subdiagonal(top - zeros).copy()
-        companion[0] = [-coeffs[k] / coeffs[top] for k in range(top - 1, zeros - 1, -1)]
-        roots = np.linalg.eigvals(companion)
-    else:
-        roots = np.zeros(0)
-    return np.concatenate((roots, np.zeros(zeros, roots.dtype))) if zeros else roots
 
 
 def _newton_step(V: Potential, E: float, roots: np.ndarray) -> list[complex]:
@@ -236,18 +210,20 @@ def _unit_angles(m: int, offset: float) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _continue_sqrt(q: np.ndarray) -> np.ndarray:
+def _continue_sqrt(q: np.ndarray) -> np.ndarray | None:
     """Nearest-branch continuation of sqrt along a closed node sequence.
 
     Starts from the principal square root at node 0.  The nearest choice
     between +/- principal values flips exactly when the real part of the
     ratio p_i * conj(p_{i-1}) goes negative, so the sign chain is a
     cumulative product, and every step from node i-1 to node i is then
-    below pi/2.  Raises NodeCountError when a step is exactly pi/2 (neither
-    sign is nearer) and BranchTrackingError when Q vanishes at a node or the
-    continuation fails to close by NumericsConfig.closure_tol; the wrap from
-    the last node back to node 0 is judged by the closure check alone.  q
-    must be complex.
+    below pi/2.  Returns None when a step is exactly pi/2: neither sign is
+    nearer, so the node count is too small, and the caller doubles it and
+    retries.  A wider gap returns a continuation: the nearer sign is taken,
+    and only the closure check can catch a branch it lost.  Raises
+    BranchTrackingError when Q vanishes at a node or the continuation fails
+    to close by NumericsConfig.closure_tol; the wrap from the last node back
+    to node 0 is judged by the closure check alone.  q must be complex.
     """
     p = np.sqrt(q)
     if not p.all():
@@ -256,7 +232,7 @@ def _continue_sqrt(q: np.ndarray) -> np.ndarray:
     overlap = pr[1:] * pr[:-1]  # Re(p_i * conj(p_{i-1}))
     overlap += pi[1:] * pi[:-1]
     if not overlap.all():
-        raise NodeCountError("phase step of pi/2 between adjacent nodes")
+        return None
     signs = np.empty(p.size)
     signs[0] = 1.0
     np.sign(overlap, out=signs[1:])
@@ -444,9 +420,8 @@ def action_integrals(
             if sqrt_q is None:  # first pass, or the midpoints failed their branch tests
                 q_derivs, dz = _node_batch(V, E, c, nodes, kmax)
                 evaluated += nodes
-                try:
-                    sqrt_q = _continue_sqrt(q_derivs[0])
-                except NodeCountError:
+                sqrt_q = _continue_sqrt(q_derivs[0])
+                if sqrt_q is None:  # a quarter-turn step: retry at twice the count
                     nodes *= 2
                     continue
                 f_dz, slope_sums = plan(q_derivs, sqrt_q, dz)

@@ -32,9 +32,9 @@ picks a branch itself.  A tuple of expressions is compiled once into a plan
 that builds each derivative product from a shorter one, shares the products
 across expressions, and takes the points in fixed-size blocks; it weights
 each point by a caller's dz and, from the same rows, sums each expression's
-derivative in E (for Q = V - E) over the points.  :func:`eval_numeric_batch`
-evaluates the tuple and :func:`eval_numeric_array` one expression, through
-the same plan, at unit weights.
+derivative in E (for Q = V - E) over the points.  :func:`compile_batch`
+returns the plan of a tuple, and :func:`eval_numeric_array` evaluates one
+expression through its plan at unit weights.
 
 Plain-text rendering is a bijection with the canonical form and round-trips
 through :func:`parse_plain`.  Grammar of one monomial (factors joined by
@@ -73,7 +73,6 @@ __all__ = [
     "differentiate",
     "equals",
     "eval_numeric_array",
-    "eval_numeric_batch",
     "compile_batch",
     "max_deriv_order",
     "has_half_powers",
@@ -534,11 +533,11 @@ def _plan(exprs: _Exprs) -> _Plan:
 
 
 def compile_batch(exprs: Sequence[DiffExpr]) -> _Plan:
-    """The compiled plan :func:`eval_numeric_batch` evaluates exprs with,
-    cached by the identity of the expressions: call it as
-    ``plan(q_derivs, sqrt_q, dz)`` for the values times the weights dz and
-    the weighted sums of the E-derivatives (see :class:`_Plan`);
-    ``plan.need`` is the highest derivative order it reads."""
+    """The compiled plan of exprs, cached by the identity of the
+    expressions: call it as ``plan(q_derivs, sqrt_q, dz)`` for the values
+    times the weights dz and the weighted sums of the E-derivatives (see
+    :class:`_Plan`); ``plan.need`` is the highest derivative order it
+    reads."""
     return _plan(_Exprs(exprs))
 
 
@@ -554,23 +553,9 @@ def eval_numeric_array(
     never touch it.  Raises InputShapeError when q_derivs is shorter than the
     highest derivative order present, and BranchConsistencyError when the
     expression has half-integer powers of Q but no sqrt_q is given.  This is
-    :func:`eval_numeric_batch` on the one expression.
+    the plan of :func:`compile_batch` on the one expression, at unit weights.
     """
     return _plan(_Exprs((a,)))(q_derivs, sqrt_q, 1.0)[0][0]
-
-
-def eval_numeric_batch(
-    exprs: Sequence[DiffExpr],
-    q_derivs: Sequence[np.ndarray],
-    sqrt_q: np.ndarray | None = None,
-) -> np.ndarray:
-    """Every expression of exprs at arrays of points, stacked on a new first
-    axis, from one compiled plan (see :class:`_Plan`) whose derivative
-    products all expressions share; inputs and errors as for
-    :func:`eval_numeric_array`.  Points are taken _BLOCK at a time, so the
-    memory beyond the result does not grow with their number.
-    """
-    return compile_batch(exprs)(q_derivs, sqrt_q, 1.0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -44,17 +44,6 @@ class ContourConstructionError(DunhamError):
     """No valid ellipse separates the turning points from the other roots."""
 
 
-class NodeCountError(DunhamError):
-    """Branch tracking found the square roots at two adjacent nodes exactly a
-    quarter turn apart, so neither sign is nearer; the node count is too
-    small.
-
-    Callers double the node count and retry.  A wider gap raises nothing
-    here: the nearer sign is taken, and only the closure check, which raises
-    BranchTrackingError, can catch a branch it lost.
-    """
-
-
 class BranchTrackingError(DunhamError):
     """The square root failed to return to its starting value around the
     contour (monodromy: the contour does not enclose exactly two simple

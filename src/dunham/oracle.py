@@ -6,6 +6,9 @@ mode with the contour method:
 * finite_difference: second-order central differences on [-L, L] with
   Dirichlet ends, symmetric tridiagonal eigensolve at grid sizes M and
   2M + 1 (which halves the step exactly), followed by a Richardson step.
+  M is the constant OracleConfig.grid_points (8000), and the box is always
+  the automatic one: the smallest L whose walls and tunneling tails bound
+  the Dirichlet truncation bias of every requested level.
   The returned eigenvalues are the extrapolated pair combination
   (4 E_fine - E_coarse)/3; the per-level convergence estimate is the raw
   two-grid difference |E(M) - E(2M)|.
@@ -22,8 +25,9 @@ A convergence gate rejects spectra whose estimate exceeds the configured
 tolerance.  Note the gate default of 1e-9 is realistic only for the
 oscillator mode: a raw two-grid difference in double-precision finite
 differences bottoms out near eps * 2/h^2, orders of magnitude above 1e-9
-at any tractable grid.  Relax the gate explicitly when exercising the
-finite-difference route; its Richardson values are still accurate to ~1e-9.
+at any tractable grid.  Relax convergence_tolerance explicitly when
+exercising the finite-difference route; its Richardson values are still
+accurate to ~1e-9.
 
 The convergence estimate is a two-resolution difference, not an error bound.
 Below about 1e-11 it understates how far rounding moves a level: a one-ulp
@@ -36,6 +40,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,8 +52,6 @@ __all__ = [
     "OracleConfig",
     "OracleSpectrum",
     "eigensolve",
-    "oracle_to_json",
-    "oracle_to_csv",
 ]
 
 
@@ -60,25 +63,20 @@ class OracleMode(enum.Enum):
 @dataclass(frozen=True)
 class OracleConfig:
     basis_size: int = 256
-    domain_half_width: float | None = None  # None: auto from V(L) >= E_max + 25
-    grid_points: int = 8000
     mode: OracleMode = OracleMode.OSCILLATOR_BASIS
     convergence_tolerance: float = 1e-9
+    grid_points: ClassVar[int] = 8000  # finite-difference M: grids of M and 2M + 1 points
 
     def __post_init__(self):
         # a NaN tolerance would switch the gate off: estimate > nan is never true
-        floats = {"convergence_tolerance": self.convergence_tolerance}
-        if self.domain_half_width is not None:
-            floats["domain_half_width"] = self.domain_half_width
-        for name, value in floats.items():
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        for name, least in (("basis_size", 16), ("grid_points", 200)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+        tol = self.convergence_tolerance
+        if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"convergence_tolerance must be finite and > 0, got {tol!r}")
+        size = self.basis_size
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise ValueError(f"basis_size must be an int, got {size!r}")
+        if size < 16:
+            raise ValueError(f"basis_size must be >= 16, got {size}")
 
     @property
     def max_levels(self) -> int:
@@ -219,7 +217,7 @@ def eigensolve(V: Potential, count: int, cfg: OracleConfig = OracleConfig()) -> 
     else:
         # estimate E_max cheaply (oscillator pre-solve) to place the box
         e_max = float(_oscillator_levels(shifted, count, max(4 * count, 64), omega)[-1])
-        L = cfg.domain_half_width or _auto_half_width(V, e_max)
+        L = _auto_half_width(V, e_max)
         coarse = _fd_levels(V, count, L, cfg.grid_points)
         fine = _fd_levels(V, count, L, 2 * cfg.grid_points + 1)
         estimate = np.abs(coarse - fine)
@@ -240,19 +238,3 @@ def eigensolve(V: Potential, count: int, cfg: OracleConfig = OracleConfig()) -> 
         eigenvalues=tuple(float(e) for e in returned),
         convergence_estimate=tuple(float(e) for e in estimate),
     )
-
-
-def oracle_to_json(spec: OracleSpectrum) -> dict:
-    return {
-        "levels": [
-            {"K": k, "E": e, "convergence_estimate": c}
-            for k, (e, c) in enumerate(zip(spec.eigenvalues, spec.convergence_estimate))
-        ]
-    }
-
-
-def oracle_to_csv(spec: OracleSpectrum) -> str:
-    lines = ["K,E,convergence_estimate"]
-    for k, (e, c) in enumerate(zip(spec.eigenvalues, spec.convergence_estimate)):
-        lines.append(f"{k},{e!r},{c!r}")
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +31,31 @@ def _as_fraction(value) -> Fraction:
             "decimal string (parsed exactly)"
         )
     return Fraction(value)
+
+
+@lru_cache(maxsize=None)
+def _subdiagonal(n: int) -> np.ndarray:
+    """Read-only n x n matrix of ones on the sub-diagonal: what a companion
+    matrix holds below its first row."""
+    m = np.eye(n, k=-1)
+    m.flags.writeable = False
+    return m
+
+
+def _poly_roots(coeffs) -> np.ndarray:
+    """Roots of the polynomial with these coefficients, lowest order first:
+    the bits ``np.roots(coeffs[::-1])`` gives, from the same companion
+    matrix, without np.roots' argument handling.  As there, each vanishing
+    low-order coefficient is a root at 0, appended last."""
+    nonzero = [k for k, c in enumerate(coeffs) if c]
+    zeros, top = nonzero[0], nonzero[-1]
+    if top > zeros:
+        companion = _subdiagonal(top - zeros).copy()
+        companion[0] = [-coeffs[k] / coeffs[top] for k in range(top - 1, zeros - 1, -1)]
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.zeros(0)
+    return np.concatenate((roots, np.zeros(zeros, roots.dtype))) if zeros else roots
 
 
 @dataclass(frozen=True)
@@ -63,34 +88,14 @@ class Potential:
         return tuple(rows)
 
     @cached_property
-    def float_deriv_table(self) -> np.ndarray:
-        """Float coefficients of V, V', ..., V^(degree), one read-only row
-        each, converted once from the exact table; row k is zero-padded past
-        its degree - k."""
-        d = self.degree
-        table = np.zeros((d + 1, d + 1))
-        for k, row in enumerate(self._deriv_coeff_table):
-            table[k, : d + 1 - k] = [float(c) for c in row]
-        table.flags.writeable = False
-        return table
-
-    @cached_property
     def _float_rows(self) -> tuple[list[float], ...]:
-        """The rows of float_deriv_table as Python floats, without the
-        padding, for Horner's rule at a scalar point."""
-        d = self.degree
-        return tuple(row[: d + 1 - k].tolist() for k, row in enumerate(self.float_deriv_table))
-
-    def deriv_coefficients(self, order: int) -> tuple[Fraction, ...]:
-        """Exact coefficients of the order-th derivative ((0,) past the degree)."""
-        table = self._deriv_coeff_table
-        if order < len(table):
-            return table[order]
-        return (Fraction(0),)
+        """The rows of the exact table as Python floats, converted once: the
+        one float view of V that evaluation and root finding read."""
+        return tuple([float(c) for c in row] for row in self._deriv_coeff_table)
 
     def __call__(self, z):
         """Evaluate V at a real/complex scalar or array by Horner's rule."""
-        return self._horner(self.float_deriv_table[0], z)
+        return self._horner(self._float_rows[0], z)
 
     @staticmethod
     def _horner(coeffs, z):
@@ -105,10 +110,8 @@ class Potential:
         of the shape of z.
 
         At an array z each order is one Horner loop of in-place array
-        operations, started at its own leading coefficient: the zero-padded
-        table's leading zeros would only add exact zeros, so the bits are
-        those of one loop over the whole padded table, at fewer operations;
-        the rows are views of one array.
+        operations over its float row, started at its own leading
+        coefficient; the rows are views of one array.
         """
         d = self.degree
         rows = min(max_order, d) + 1
@@ -135,7 +138,7 @@ class Potential:
 
     @cached_property
     def _real_minimum(self) -> tuple[float, float]:
-        roots = np.roots(self.float_deriv_table[1, : self.degree][::-1])
+        roots = _poly_roots(self._float_rows[1])
         best_x, best_v = 0.0, float(np.real(self(0.0)))
         for r in roots:
             if abs(r.imag) < 1e-9 * (1.0 + abs(r)):

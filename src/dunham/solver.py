@@ -62,8 +62,6 @@ __all__ = [
     "truncation_diagnostics",
     "quantize",
     "spectrum",
-    "result_to_json",
-    "results_to_csv",
 ]
 
 _log = logging.getLogger("dunham.solver")
@@ -192,7 +190,8 @@ def _seed_energy(
     its error.  A cfg.bracket_seed is the seed itself.  No level lies at or
     below Vmin, and the solver tells no energies apart within
     bisection_rtol*(1+|E|), so a seed no further than that above Vmin raises
-    a ValueError naming both.
+    a ValueError naming both, and one at which the phase fails raises a
+    NoSolutionError (see _no_bracket).
     """
     _, vmin = req.V.real_minimum()
     if cfg.bracket_seed is not None:
@@ -202,6 +201,10 @@ def _seed_energy(
                 f"bracket seed {cfg.bracket_seed!r} is not above the potential's "
                 f"minimum Vmin = {vmin!r} by more than {resolution:.3g}"
             )
+        try:
+            phase_at(cfg.bracket_seed)
+        except DunhamError as exc:
+            raise _no_bracket(req.K, cfg.bracket_seed, cfg.bracket_seed, vmin, exc) from exc
         return vmin, cfg.bracket_seed
     d = req.V.degree
     p = (d + 2.0) / (2.0 * d)
@@ -349,12 +352,25 @@ def _newton(
         E = nxt
 
 
+def _no_bracket(
+    K: int, seed: float, E: float, vmin: float, exc: DunhamError
+) -> NoSolutionError:
+    """The error of level K when the phase fails at a caller's seed, or at E
+    on the walk's halving of E - vmin from the seed toward the bottom of the
+    well: it names the seed, E, vmin and the cause, which the caller chains."""
+    return NoSolutionError(
+        f"no bracket for level K={K} from the seed E={seed!r}: the phase fails at "
+        f"E={E!r} (Vmin = {vmin!r}) with {type(exc).__name__}: {exc}"
+    )
+
+
 def _walk(
     phase_at: Callable[[float], float], seed: float, vmin: float, K: int, cfg: NumericsConfig
 ) -> tuple[float, float, float, float, int]:
     """(lo, f(lo), hi, f(hi), steps): a sign-change bracket of phase_at,
     found by doubling E - vmin from the seed while the phase is too small,
-    or halving it while the phase is too large."""
+    or halving it while the phase is too large.  A halving at which the
+    phase fails raises NoSolutionError (see _no_bracket)."""
     f_seed = phase_at(seed)
     lo = hi = seed
     flo = fhi = f_seed
@@ -376,7 +392,10 @@ def _walk(
         for steps in range(1, cfg.bracket_expansion_cap + 1):
             hi, fhi = lo, flo
             lo = vmin + 0.5 * (lo - vmin)
-            flo = phase_at(lo)
+            try:
+                flo = phase_at(lo)
+            except DunhamError as exc:
+                raise _no_bracket(K, seed, lo, vmin, exc) from exc
             if flo <= 0.0:
                 break
         else:
@@ -393,7 +412,10 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
     is at most bisection_rtol*(1+|E|) (see _newton).  Where a guard of
     _newton fires, the level falls back to a bracket walk from the seed and
     Brent's method on the bracket until it is at most bisection_rtol*(1+|E|)
-    wide; the fallback reuses every evaluation already made.
+    wide; the fallback reuses every evaluation already made.  A phase that
+    fails at a cfg.bracket_seed, or on the walk's halving toward the bottom
+    of the well, ends the level in a NoSolutionError that names the seed,
+    the energy and Vmin, and chains the failure.
 
     Phi is evaluated at most once per energy; the residual and actions of the
     result come from the evaluation at the returned root.  Each evaluation's
@@ -507,31 +529,3 @@ def spectrum(
             f"spectrum is not strictly increasing in K: {energies}", results=results
         )
     return results
-
-
-def result_to_json(res: QuantizationResult) -> dict:
-    return {
-        "K": res.K,
-        "order": res.order,
-        "E": res.E,
-        "residual": res.residual,
-        "actions": list(res.actions),
-        "optimal_truncation_index": res.optimal_truncation_index,
-        "warnings": list(res.warnings),
-    }
-
-
-def results_to_csv(results: list[QuantizationResult]) -> str:
-    """One row per K: K, E, residual, B_0..B_2N, optimal_truncation_index."""
-    if not results:
-        return ""
-    order = results[0].order
-    cols = ["K", "E", "residual"] + [f"B_{2*n}" for n in range(order + 1)]
-    cols.append("optimal_truncation_index")
-    lines = [",".join(cols)]
-    for r in results:
-        row = [str(r.K), repr(r.E), repr(r.residual)]
-        row += [repr(a) for a in r.actions]
-        row.append(str(r.optimal_truncation_index))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

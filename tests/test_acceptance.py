@@ -195,10 +195,6 @@ def test_criterion_10_oracle_provenance():
     fd = orc.eigensolve(
         parse_potential("x^4"),
         1,
-        orc.OracleConfig(
-            mode=orc.OracleMode.FINITE_DIFFERENCE,
-            convergence_tolerance=1e-4,
-            grid_points=8000,
-        ),
+        orc.OracleConfig(mode=orc.OracleMode.FINITE_DIFFERENCE, convergence_tolerance=1e-4),
     )
     assert osc.eigenvalues[0] == pytest.approx(fd.eigenvalues[0], abs=1e-8)

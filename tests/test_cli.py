@@ -153,6 +153,25 @@ class TestSpectrum:
                                  before)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_json_bytes_pinned(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "x^4", "--levels", "6", "--order", "2",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9dadd574e8dd9b02de6cf5de538283ba5d2babebc8f4af0ab9e9187e4f2df277")
+
+    @pytest.mark.parametrize("seed", ["1e-10", "0.05"])
+    def test_seed_near_the_bottom_names_seed_and_vmin(self, capsys, seed):
+        # every level used to end in "turning point near x = -0.00316228 is
+        # degenerate (V' vanishes)", which names neither the seed nor Vmin
+        code, out, err = run(capsys, "spectrum", "x^4", "--levels", "2",
+                             "--seed-bracket", seed)
+        assert code == EXIT_NUMERIC and out == ""
+        for K in (0, 1):
+            assert re.search(rf"K={K}: no bracket for level K={K} from the seed E={seed}: "
+                             r"the phase fails at E=\S+ \(Vmin = 0\.0\) with "
+                             r"DegenerateTurningPointError: ", err)
+
     def test_oracle_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # the dense oracle failed its gate on x^6 with 2 threads (1.51e-9)
         # and passed with 1; the banded one gives the same bytes at both
@@ -255,6 +274,15 @@ class TestOracle:
         code, _, _ = run(capsys, "oracle", "x^4", "--levels", "56", "--format", "csv")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "db432bedc54226f7960dd37503b19d32936131ba1f769f72211fe92fd64b0431"),
+        ("json", "33d7d328ddf4df5bedef3d33b0f514bc00e4b0519040189d639f0fbe392bd35f"),
+    ])
+    def test_bytes_pinned(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "oracle", "x^6", "--levels", "6", "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "oracle", "x^4", "--levels", "2", "--format", "csv")
         assert code == EXIT_OK
@@ -274,6 +302,13 @@ class TestCompare:
         assert len(rows) == 6
         for row in rows:
             assert abs(float(row[4])) < 1e-8  # abs_error column
+
+    def test_json_bytes_pinned(self, capsys):
+        code, out, _ = run(capsys, "compare", "x^4", "--levels", "6", "--order", "0,1,2",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b01326a1640fda0f1f82666bf0f978c5fcb538195dcefc0f93c5665b619f5ee9")
 
     def test_empty_orders_usage(self, capsys):
         code, _, err = run(capsys, "compare", "x^2", "--order", "")
@@ -362,8 +397,7 @@ class TestManifest:
         assert main(self.COMMANDS["compare"] + ["--output", str(out)]) == EXIT_OK
         doc = json.loads((tmp_path / "cmp.csv.manifest.json").read_text())
         assert doc["config"]["oracle"] == {
-            "basis_size": 256, "domain_half_width": None, "grid_points": 8000,
-            "mode": "oscillator_basis", "convergence_tolerance": 1e-9,
+            "basis_size": 256, "mode": "oscillator_basis", "convergence_tolerance": 1e-9,
         }
 
     def test_manifest_out_override(self, tmp_path, capsys):

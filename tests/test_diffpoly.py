@@ -208,6 +208,12 @@ def _contour_inputs(m, kmax=8):
     return q_derivs, ct._continue_sqrt(q_derivs[0])
 
 
+def _batch(terms, q_derivs, sqrt_q=None):
+    """Every term at the points, stacked on a new first axis, from one
+    compiled plan at unit weights."""
+    return dp.compile_batch(terms)(q_derivs, sqrt_q, 1.0)[0]
+
+
 def _magnitude_sums(terms, q_derivs, sqrt_q):
     """sum |monomial| of each term at each point: the terms with |coeff|,
     evaluated at |Q^(k)| and |sqrt(Q)|."""
@@ -215,7 +221,7 @@ def _magnitude_sums(terms, q_derivs, sqrt_q):
         dp.DiffExpr(tuple(dp.Monomial(abs(m.coeff), m.q_half, m.derivs) for m in t.monomials))
         for t in terms
     ]
-    return dp.eval_numeric_batch(plus, [np.abs(a) for a in q_derivs], np.abs(sqrt_q)).real
+    return _batch(plus, [np.abs(a) for a in q_derivs], np.abs(sqrt_q)).real
 
 
 class TestEvalNumeric:
@@ -305,26 +311,26 @@ class TestEvalNumeric:
     def test_batch_equals_single_calls(self, series15):
         q_derivs, sqrt_q = _contour_inputs(200)
         terms = series15.terms[:9]
-        both = dp.eval_numeric_batch(terms, q_derivs, sqrt_q)
+        both = _batch(terms, q_derivs, sqrt_q)
         assert both.shape == (9, 200)
         for t, row in zip(terms, both):
             assert row.tobytes() == dp.eval_numeric_array(t, q_derivs, sqrt_q).tobytes()
-        evens = dp.eval_numeric_batch(terms[::2], q_derivs, sqrt_q)
+        evens = _batch(terms[::2], q_derivs, sqrt_q)
         assert evens.tobytes() == both[::2].tobytes()
 
     @pytest.mark.parametrize("m", [64, dp._BLOCK, dp._BLOCK + 2, 2**14])
     def test_result_does_not_depend_on_block_split(self, series15, m, monkeypatch):
         q_derivs, sqrt_q = _contour_inputs(m)
         terms = series15.terms[:9]
-        blocked = dp.eval_numeric_batch(terms, q_derivs, sqrt_q)
+        blocked = _batch(terms, q_derivs, sqrt_q)
         monkeypatch.setattr(dp, "_BLOCK", m)
-        whole = dp.eval_numeric_batch(terms, q_derivs, sqrt_q)
+        whole = _batch(terms, q_derivs, sqrt_q)
         assert np.all(np.abs(blocked - whole) <= EPS * _magnitude_sums(terms, q_derivs, sqrt_q))
 
     def test_batch_keeps_point_shape(self, series15):
         q_derivs, sqrt_q = _contour_inputs(12)
-        flat = dp.eval_numeric_batch(series15.terms[:3], q_derivs, sqrt_q)
-        square = dp.eval_numeric_batch(
+        flat = _batch(series15.terms[:3], q_derivs, sqrt_q)
+        square = _batch(
             series15.terms[:3], [a.reshape(3, 4) for a in q_derivs], sqrt_q.reshape(3, 4)
         )
         assert square.shape == (3, 3, 4)
@@ -333,10 +339,10 @@ class TestEvalNumeric:
     def test_batch_errors(self, series15):
         q_derivs, sqrt_q = _contour_inputs(64)
         with pytest.raises(InputShapeError):
-            dp.eval_numeric_batch(series15.terms[:5], q_derivs[:4], sqrt_q)
+            _batch(series15.terms[:5], q_derivs[:4], sqrt_q)
         with pytest.raises(BranchConsistencyError):
-            dp.eval_numeric_batch(series15.terms[:3], q_derivs)
-        assert dp.eval_numeric_batch([dp.ZERO, dp.ONE], q_derivs[:1]).tolist() == [
+            _batch(series15.terms[:3], q_derivs)
+        assert _batch([dp.ZERO, dp.ONE], q_derivs[:1]).tolist() == [
             [0j] * 64, [1 + 0j] * 64]
 
 

@@ -1,5 +1,7 @@
 """Diagonalization oracle: both discretizations and their gates."""
 
+import dataclasses
+import json
 import math
 import sys
 from pathlib import Path
@@ -9,14 +11,11 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import dunham.oracle as orc
+from dunham.cli import main
 from dunham.errors import ResolutionError
 from dunham.potential import parse_potential
 
-FD_RELAXED = orc.OracleConfig(
-    mode=orc.OracleMode.FINITE_DIFFERENCE,
-    convergence_tolerance=1e-4,
-    grid_points=8000,
-)
+FD_RELAXED = orc.OracleConfig(mode=orc.OracleMode.FINITE_DIFFERENCE, convergence_tolerance=1e-4)
 
 
 def _taylor_and_omega(V):
@@ -156,25 +155,21 @@ class TestFiniteDifferenceMode:
             overlap = float(v @ v[::-1])
             assert overlap == pytest.approx((-1.0) ** k, abs=1e-8)
 
-    def test_explicit_domain_respected(self, ho):
-        cfg = orc.OracleConfig(
-            mode=orc.OracleMode.FINITE_DIFFERENCE,
-            convergence_tolerance=1e-3,
-            grid_points=4000,
-            domain_half_width=9.0,
-        )
-        spec = orc.eigensolve(ho, 2, cfg)
-        assert spec.eigenvalues[0] == pytest.approx(1.0, abs=1e-7)
-
 
 class TestConfigValidation:
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             orc.OracleConfig(basis_size=8)
-        with pytest.raises(ValueError):
-            orc.OracleConfig(grid_points=100)
-        with pytest.raises(ValueError):
-            orc.OracleConfig(domain_half_width=-1.0)
+
+    def test_fields_are_basis_mode_and_tolerance(self):
+        names = [f.name for f in dataclasses.fields(orc.OracleConfig)]
+        assert names == ["basis_size", "mode", "convergence_tolerance"]
+        assert orc.OracleConfig().grid_points == orc.OracleConfig.grid_points == 8000
+
+    @pytest.mark.parametrize("name", ["grid_points", "domain_half_width"])
+    def test_removed_knobs_cannot_be_set(self, name):
+        with pytest.raises(TypeError, match=name):
+            orc.OracleConfig(**{name: 4000})
 
     @pytest.mark.parametrize("name, value", [
         ("convergence_tolerance", math.nan),  # would switch the gate off
@@ -182,16 +177,9 @@ class TestConfigValidation:
         ("convergence_tolerance", 0.0),
         ("convergence_tolerance", -1e-9),
         ("convergence_tolerance", True),
-        ("domain_half_width", math.nan),
-        ("domain_half_width", math.inf),
-        ("domain_half_width", 0.0),
-        ("domain_half_width", True),
         ("basis_size", True),
         ("basis_size", 256.0),
         ("basis_size", -256),
-        ("grid_points", True),
-        ("grid_points", 8000.0),
-        ("grid_points", -8000),
     ])
     def test_out_of_range_value_fails_by_name(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -205,12 +193,15 @@ class TestConfigValidation:
 
 
 class TestSerialization:
-    def test_json_shape(self, ho):
-        spec = orc.eigensolve(ho, 2)
-        doc = orc.oracle_to_json(spec)
+    # the command line writes the oracle's payloads
+    def test_json_shape(self, capsys):
+        assert main(["oracle", "x^2", "--levels", "2", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert [lvl["K"] for lvl in doc["levels"]] == [0, 1]
-        assert {"K", "E", "convergence_estimate"} == set(doc["levels"][0])
+        assert ["K", "E", "convergence_estimate"] == list(doc["levels"][0])
 
-    def test_csv_header(self, ho):
-        text = orc.oracle_to_csv(orc.eigensolve(ho, 2))
-        assert text.splitlines()[0] == "K,E,convergence_estimate"
+    def test_csv_header(self, capsys):
+        assert main(["oracle", "x^2", "--levels", "2", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "K,E,convergence_estimate"
+        assert len(lines) == 3 and lines[1].startswith("0,")

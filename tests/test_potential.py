@@ -79,11 +79,11 @@ class TestEvaluation:
         assert np.allclose(V(z), ref, rtol=1e-14)
 
     def test_exact_derivative_coefficients(self):
-        V = parse_potential("x^4")
-        assert V.deriv_coefficients(1) == (F(0), F(0), F(0), F(4))
-        assert V.deriv_coefficients(3) == (F(0), F(24))
-        assert V.deriv_coefficients(4) == (F(24),)
-        assert V.deriv_coefficients(5) == (F(0),)
+        table = parse_potential("x^4")._deriv_coeff_table
+        assert len(table) == 5
+        assert table[1] == (F(0), F(0), F(0), F(4))
+        assert table[3] == (F(0), F(24))
+        assert table[4] == (F(24),)
 
     def test_derivs_stack(self):
         V = parse_potential("x^2 + x^4")
@@ -125,7 +125,8 @@ class TestEvaluation:
         "text", ["x^4", "x^4 + 0.5*x^3", "x^2 + x^4", "x^6 - x^4 + x^3 + 5/4*x^2 - x"]
     )
     def test_derivs_bitwise_equal_per_row_horner(self, text):
-        # one Horner loop over the padded table against one loop per row
+        # one Horner loop per row against one over the row zero-padded to
+        # the degree
         V = parse_potential(text)
         d = V.degree
         rng = np.random.default_rng(3)
@@ -138,18 +139,18 @@ class TestEvaluation:
         for z in points:
             vals = V.derivs(z, d + 1)
             for k in range(d + 1):
-                ref = Potential._horner(V.float_deriv_table[k, : d + 1 - k], z)
+                ref = Potential._horner(V._float_rows[k] + [0.0] * k, z)
                 assert np.shape(vals[k]) == np.shape(z)
                 assert np.asarray(vals[k]).tobytes() == np.asarray(ref).tobytes()
 
     def test_float_table_rows_are_the_exact_rows(self):
         V = parse_potential("0.5*x^2 + 0.1*x^4 - 1/3*x^3 + 7")
-        table = V.float_deriv_table
-        assert table.shape == (V.degree + 1, V.degree + 1)
-        for k in range(V.degree + 1):
-            exact = [float(c) for c in V.deriv_coefficients(k)]
-            assert list(table[k]) == exact + [0.0] * k
-        assert not table.flags.writeable
+        rows = V._float_rows
+        assert len(rows) == V.degree + 1
+        for k, (row, exact) in enumerate(zip(rows, V._deriv_coeff_table)):
+            assert len(row) == V.degree + 1 - k
+            assert all(type(c) is float for c in row)
+            assert row == [float(c) for c in exact]
 
     def test_real_minimum_shifted_well(self):
         V = parse_potential("x^2 - 2*x + 5")  # (x-1)^2 + 4

@@ -14,6 +14,7 @@ import dunham.contour as ct
 import dunham.diffpoly as dp
 import dunham.solver as sv
 import dunham.wkb_series as ws
+from dunham.cli import main
 from dunham.config import DEFAULT_CONFIG, NumericsConfig
 from dunham.errors import (
     DegenerateTurningPointError,
@@ -131,6 +132,21 @@ class TestQuantize:
         with pytest.raises(ValueError, match=rf"seed {seed!r} .* Vmin = 0\.0"):
             sv.quantize(req(quartic, 1, 2), cfg)
 
+    @pytest.mark.parametrize("seed, at", [
+        (1e-10, 1e-10),  # the turning points near +-0.003 coalesce at the seed itself
+        (0.01, 5.960464477539063e-10),  # the walk halves E toward Vmin until they do
+    ])
+    def test_seed_near_the_bottom_names_seed_and_vmin(self, quartic, seed, at):
+        cfg = dataclasses.replace(DEFAULT_CONFIG, bracket_seed=seed)
+        with pytest.raises(NoSolutionError) as info:
+            sv.quantize(req(quartic, 1, 2), cfg)
+        cause = info.value.__cause__
+        assert isinstance(cause, DegenerateTurningPointError)
+        assert str(info.value) == (
+            f"no bracket for level K=1 from the seed E={seed!r}: the phase fails at "
+            f"E={at!r} (Vmin = 0.0) with DegenerateTurningPointError: {cause}"
+        )
+
     def test_truncation_diagnostics_quartic(self, quartic):
         res = sv.quantize(req(quartic, 3, 2))
         # increments shrink through order 2 here: no divergence warning
@@ -150,8 +166,10 @@ class TestNewton:
     the bracket walk and Brent's method instead."""
 
     @pytest.mark.parametrize("error, potential", [
-        (DegenerateTurningPointError, "x^4"),
-        (NoSolutionError, "x^4 + 0.5*x^3"),
+        # no root: the bracket walk halves E - Vmin until the turning points
+        # coalesce, and the error names the seed and Vmin
+        (NoSolutionError, "x^4"),
+        (NoSolutionError, "x^4 + 0.5*x^3"),  # the residual stays above its tolerance
     ])
     def test_failing_order3_ground_states_keep_their_error(self, error, potential):
         with pytest.raises(error):
@@ -687,19 +705,21 @@ class TestSpectrum:
 
 
 class TestSerialization:
-    def test_json_fields(self, ho):
-        res = sv.quantize(req(ho, 1, 1))
-        doc = json.loads(json.dumps(sv.result_to_json(res)))
-        assert set(doc) == {
+    # the command line writes a result's payloads
+    def test_json_fields(self, capsys):
+        assert main(["spectrum", "x^2", "--levels", "2", "--order", "1",
+                     "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)["results"][1]
+        assert list(doc) == [
             "K", "order", "E", "residual", "actions",
             "optimal_truncation_index", "warnings",
-        }
+        ]
         assert doc["K"] == 1 and len(doc["actions"]) == 2
 
-    def test_csv_layout(self, ho):
-        results = sv.spectrum(ho, 2, 1)
-        text = sv.results_to_csv(results)
-        lines = text.strip().splitlines()
+    def test_csv_layout(self, capsys):
+        assert main(["spectrum", "x^2", "--levels", "2", "--order", "1",
+                     "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "K,E,residual,B_0,B_2,optimal_truncation_index"
         assert len(lines) == 3
         assert lines[1].startswith("0,")
