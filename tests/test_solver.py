@@ -167,13 +167,14 @@ class TestNewton:
 
     @pytest.mark.parametrize("error, potential", [
         # no root: the bracket walk halves E - Vmin until the turning points
-        # coalesce, and the error names the seed and Vmin
-        (NoSolutionError, "x^4"),
+        # coalesce; the NoSolutionError naming the seed and Vmin carries it
+        (DegenerateTurningPointError, "x^4"),
         (NoSolutionError, "x^4 + 0.5*x^3"),  # the residual stays above its tolerance
     ])
     def test_failing_order3_ground_states_keep_their_error(self, error, potential):
-        with pytest.raises(error):
+        with pytest.raises(NoSolutionError) as info:
             sv.quantize(req(parse_potential(potential), 0, 3))
+        assert type(info.value.__cause__ or info.value) is error
 
     @pytest.mark.parametrize("potential, order, K, E, evals", [
         # without the truncation guard, Newton's method takes the sextic from
