@@ -11,12 +11,16 @@ Subcommands:
 Exit codes: 0 success, 2 usage or parse error, 3 numeric failure,
 4 verification failure.
 
+The numeric tolerances are fixed (NumericsConfig); the one numeric value
+spectrum and compare take is --seed-bracket, the seed energy of every level.
+
 Every payload written to a file gets a run manifest next to it
 (<output>.manifest.json, or the --manifest-out path): command line,
-configuration (for the numeric commands, the fields of NumericsConfig; the
-tool version identifies its fixed constants), tool version, a timestamp,
-and wall times where a command measures them.  Payload bytes contain no timestamps or timings, so reruns
-with equal manifests (minus those) produce byte-identical data files.
+arguments, configuration (the command's own values; the tool version
+identifies the fixed numeric constants), tool version, a timestamp, and
+wall times where a command measures them.  Payload bytes contain no
+timestamps or timings, so reruns with equal manifests (minus those) produce
+byte-identical data files.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -33,7 +38,6 @@ from . import diffpoly as dp
 from . import oracle as orc
 from . import solver as sv
 from . import wkb_series as ws
-from .config import DEFAULT_CONFIG
 from .errors import DunhamError, PotentialParseError, ResolutionError
 from .potential import parse_potential
 
@@ -44,18 +48,7 @@ EXIT_VERIFICATION = 4
 
 
 class _UsageError(Exception):
-    """A flag value out of range (as NumericsConfig or the oracle's level cap
-    judges it); exits with EXIT_USAGE."""
-
-
-def _add_numeric_flags(p: argparse.ArgumentParser) -> None:
-    """The flags of spectrum and compare that set NumericsConfig fields."""
-    p.add_argument("--margin", type=float, default=DEFAULT_CONFIG.margin,
-                   help="contour margin (default %(default)s)")
-    p.add_argument("--tol", type=float, default=DEFAULT_CONFIG.quad_rel_tol,
-                   help="quadrature doubling tolerance (default %(default)s)")
-    p.add_argument("--seed-bracket", type=float, default=None,
-                   help="override the bracketing seed energy")
+    """A flag value the command refuses; exits with EXIT_USAGE."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,6 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
             help="run manifest path (default: <output>.manifest.json when --output is set)",
         )
 
+    def add_seed_flag(p):
+        p.add_argument("--seed-bracket", type=float, default=None,
+                       help="override the bracketing seed energy")
+
     p = sub.add_parser("terms", help="print the series terms T_0..T_n")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--format", choices=["plain", "latex", "json"], default="plain")
@@ -89,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=2,
                    help="include terms up to T_{2*order} (default %(default)s)")
     p.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    _add_numeric_flags(p)
+    add_seed_flag(p)
     add_output_flags(p)
 
     p = sub.add_parser("oracle", help="diagonalization reference eigenvalues")
@@ -104,24 +101,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default="0,2",
                    help="comma-separated list of orders (default %(default)s)")
     p.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
-    _add_numeric_flags(p)
+    add_seed_flag(p)
     add_output_flags(p)
     return parser
 
 
-def _config_from_args(args):
-    cfg = DEFAULT_CONFIG
-    updates = {}
-    if getattr(args, "margin", None) is not None:
-        updates["margin"] = args.margin
-    if getattr(args, "tol", None) is not None:
-        updates["quad_rel_tol"] = args.tol
-    if getattr(args, "seed_bracket", None) is not None:
-        updates["bracket_seed"] = args.seed_bracket
-    try:
-        return dataclasses.replace(cfg, **updates) if updates else cfg
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+def _seed(args) -> float | None:
+    """--seed-bracket, refused unless finite (whether it lies above Vmin
+    only the solve can tell)."""
+    seed = args.seed_bracket
+    if seed is not None and not math.isfinite(seed):
+        raise _UsageError(f"bracket_seed must be finite or None, got {seed!r}")
+    return seed
 
 
 def _emit(args, payload: str, manifest_config: dict, timings: dict | None = None) -> None:
@@ -161,8 +152,7 @@ def _csv(columns: list[str], rows) -> str:
 
 def cmd_terms(args) -> int:
     if args.n_max < 0:
-        print("error: --n-max must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--n-max must be >= 0")
     series = ws.gen_terms(args.n_max)
     if args.format == "json":
         payload = ws._series_json_text(series) + "\n"
@@ -177,8 +167,7 @@ def cmd_terms(args) -> int:
 
 def cmd_verify_odd(args) -> int:
     if args.n_max < 1:
-        print("error: --n-max must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--n-max must be >= 1")
     series = ws.gen_terms(2 * args.n_max + 1)
     lines = []
     elapsed = {}
@@ -201,14 +190,11 @@ def cmd_verify_odd(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.levels < 1:
-        print("error: --levels must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--levels must be >= 1")
     if args.order < 0:
-        print("error: --order must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--order must be >= 0")
     V = parse_potential(args.potential)
-    cfg = _config_from_args(args)
-    results = sv.spectrum(V, args.levels, args.order, cfg)
+    results = sv.spectrum(V, args.levels, args.order, _seed(args))
     if args.format == "json":
         doc = {
             "potential": str(V),
@@ -231,7 +217,7 @@ def cmd_spectrum(args) -> int:
             for r in results
         ]
         payload = f"{hdr[0]:>3} {hdr[1]:>20} {hdr[2]:>10} {hdr[3]:>5}\n" + "\n".join(rows) + "\n"
-    _emit(args, payload, {**dataclasses.asdict(cfg), "levels": args.levels, "order": args.order})
+    _emit(args, payload, {"levels": args.levels, "order": args.order})
     return EXIT_OK
 
 
@@ -296,15 +282,14 @@ def cmd_compare(args) -> int:
     try:
         orders = _parse_orders(args.order)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from exc
     V = parse_potential(args.potential)
-    cfg = _config_from_args(args)
+    seed = _seed(args)
     reference = _eigensolve(V, args.levels, oracle_cfg)
     columns = ["K", "order", "E_dunham", "E_oracle", "abs_error", "rel_error"]
     rows = []
     for order in orders:
-        for r in sv.spectrum(V, args.levels, order, cfg):
+        for r in sv.spectrum(V, args.levels, order, seed):
             e_ref = reference.eigenvalues[r.K]
             abs_err = abs(r.E - e_ref)
             values = (r.K, order, r.E, e_ref, abs_err, abs_err / abs(e_ref))
@@ -321,7 +306,7 @@ def cmd_compare(args) -> int:
                 f"{r['E_oracle']:>20.12f} {r['rel_error']:>12.3e}"
             )
         payload = "\n".join(lines) + "\n"
-    _emit(args, payload, {**dataclasses.asdict(cfg), "levels": args.levels, "orders": orders,
+    _emit(args, payload, {"levels": args.levels, "orders": orders,
                           "oracle": dataclasses.asdict(oracle_cfg)})
     return EXIT_OK
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import diffpoly as dp
-from .config import DEFAULT_CONFIG, NumericsConfig
+from .config import NumericsConfig
 from .errors import (
     BranchTrackingError,
     ContourConstructionError,
@@ -151,15 +151,13 @@ def turning_points(V: Potential, E: float) -> TurningPair:
     return TurningPair(real_roots[0], real_roots[1], tuple(roots))
 
 
-def build_contour(
-    tp: TurningPair, cfg: NumericsConfig = DEFAULT_CONFIG, nodes: int | None = None
-) -> ContourSpec:
+def build_contour(tp: TurningPair, nodes: int | None = None) -> ContourSpec:
     """Ellipse centered between the turning points, wide enough to enclose
-    them with margin cfg.margin and narrow enough to exclude all other roots
-    of V - E with relative clearance cfg.root_clearance.  Quadrature on it
-    starts at `nodes` nodes (cfg.initial_nodes when None)."""
+    them with margin NumericsConfig.margin and narrow enough to exclude all
+    other roots of V - E with relative clearance root_clearance.  Quadrature
+    on it starts at `nodes` nodes (initial_nodes when None)."""
     center = 0.5 * (tp.x1 + tp.x2)
-    a = (1.0 + cfg.margin) * 0.5 * (tp.x2 - tp.x1)
+    a = (1.0 + NumericsConfig.margin) * 0.5 * (tp.x2 - tp.x1)
     others = [
         r
         for r in tp.all_roots
@@ -169,18 +167,18 @@ def build_contour(
     v = np.array([r.imag for r in others])
 
     b = a / 2.0
-    needed = 1.0 + cfg.root_clearance
+    needed = 1.0 + NumericsConfig.root_clearance
     while others and _min_radius(u, v, b) < needed:
         b /= 2.0
-        if b < cfg.min_minor_ratio * a:
+        if b < NumericsConfig.min_minor_ratio * a:
             raise ContourConstructionError(
                 "cannot separate the turning points from the other roots of "
                 "V - E with any ellipse (a root lies too close to the segment "
                 "between the turning points)"
             )
-    return ContourSpec(
-        complex(center), float(a), float(b), cfg.initial_nodes if nodes is None else nodes
-    )
+    if nodes is None:
+        nodes = NumericsConfig.initial_nodes
+    return ContourSpec(complex(center), float(a), float(b), nodes)
 
 
 def _min_radius(u: np.ndarray, v: np.ndarray, b: float) -> float:
@@ -326,7 +324,6 @@ def action_integrals(
     V: Potential,
     E: float,
     c: ContourSpec,
-    cfg: NumericsConfig = DEFAULT_CONFIG,
 ) -> Actions:
     """B_n(E) and dB_n/dE for each requested order n, sharing one
     node-doubling loop.
@@ -354,7 +351,7 @@ def action_integrals(
     their sums to the running ones.  A pass at N nodes holds the sums S_N,
     S_N/2 (its even nodes) and S_N/4, so one pass decides convergence,
     |S_N - S_N/2|, and has the previous difference the floor stop needs;
-    sub-sums of fewer than cfg.initial_nodes nodes are never used.  The
+    sub-sums of fewer than initial_nodes nodes are never used.  The
     first pass, and any doubling whose midpoints fail the branch tests,
     evaluates every node and continues sqrt(Q) in full, with the closure
     check.  A full pass in which the square roots at two adjacent nodes are
@@ -384,6 +381,9 @@ def action_integrals(
     if exprs is None or orders[0] < 0:
         raise ValueError(f"terms hold no integrand for some of the orders {orders}")
     count = len(orders)
+    cap, rel_tol, abs_tol = (
+        NumericsConfig.max_nodes, NumericsConfig.quad_rel_tol, NumericsConfig.quad_abs_tol
+    )
     plan = dp.compile_batch(exprs)
     kmax = plan.need
 
@@ -398,7 +398,7 @@ def action_integrals(
     abs_sums = None  # sum of |f dz| on the current node set, one entry per order
     offset = c.offset  # node offset of the current set, in units of its step
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
-        while nodes <= cfg.max_nodes:
+        while nodes <= cap:
             half, quarter = nodes // 2, nodes // 4
             if sqrt_q is not None:  # doubling: evaluate the midpoints only
                 q_derivs, dz = _node_batch(
@@ -429,7 +429,7 @@ def action_integrals(
                 totals = {
                     nodes // k: f_dz[:, ::k].sum(axis=1)
                     for k in (1, 2, 4)
-                    if k == 1 or (nodes % k == 0 and nodes // k >= cfg.initial_nodes)
+                    if k == 1 or (nodes % k == 0 and nodes // k >= NumericsConfig.initial_nodes)
                 }
                 abs_sums = _abs_sums(f_dz)
                 offset = c.offset
@@ -448,7 +448,7 @@ def action_integrals(
                 # |B_n| and |B_n - coarser B_n| by numpy's complex abs, whose
                 # bits Python's abs does not always give
                 mags = np.abs(vals + [v - u for v, u in zip(vals, coarse)]).tolist()
-                targets = [max(cfg.quad_rel_tol * m, cfg.quad_abs_tol) for m in mags[:count]]
+                targets = [max(rel_tol * m, abs_tol) for m in mags[:count]]
                 diffs = mags[count:]
                 unconverged = [i for i in range(count) if not diffs[i] <= targets[i]]
                 if not unconverged:
@@ -465,7 +465,7 @@ def action_integrals(
                         n, diff, target = orders[i], diffs[i], targets[i]
                         floor = _EPS * w * scales[i] / 2.0
                         if _stalled_at_floor(
-                            diff, prev_diffs[i], floor, target, nodes, cfg.max_nodes
+                            diff, prev_diffs[i], floor, target, nodes, cap
                         ):
                             raise QuadratureError(
                                 f"contour quadrature of B_{n} stopped at its rounding floor "
@@ -476,7 +476,7 @@ def action_integrals(
                             )
             nodes *= 2
     raise QuadratureError(
-        f"contour quadrature did not converge within {cfg.max_nodes} nodes"
+        f"contour quadrature did not converge within {cap} nodes"
     )
 
 

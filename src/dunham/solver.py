@@ -50,7 +50,7 @@ from types import MappingProxyType
 
 from . import diffpoly as dp
 from . import wkb_series as ws
-from .config import DEFAULT_CONFIG, NumericsConfig
+from .config import NumericsConfig
 from .contour import Actions, action_integrals, build_contour, turning_points
 from .errors import DunhamError, NoSolutionError, SpectrumError
 from .potential import Potential
@@ -146,15 +146,13 @@ def _integrands(order: int) -> Mapping[int, dp.DiffExpr]:
     return MappingProxyType({**lower, 2 * order: even.r_2n})
 
 
-def _eval_phase(
-    req: QuantizationRequest, E: float, cfg: NumericsConfig, nodes: int
-) -> tuple[float, Actions]:
+def _eval_phase(req: QuantizationRequest, E: float, nodes: int) -> tuple[float, Actions]:
     """Phi(E) and the actions behind it, with quadrature starting at `nodes`;
     acts.slopes holds dB_2n/dE from the same nodes (see _phase_slope)."""
     tp = turning_points(req.V, E)
-    c = build_contour(tp, cfg, nodes)
+    c = build_contour(tp, nodes)
     orders = range(0, 2 * req.order + 1, 2)
-    acts = action_integrals(_integrands(req.order), orders, req.V, E, c, cfg)
+    acts = action_integrals(_integrands(req.order), orders, req.V, E, c)
     phase = acts[0] - 0.5 * math.pi
     for n in range(1, req.order + 1):
         phase += acts[2 * n]
@@ -166,50 +164,44 @@ def _phase_slope(acts: Actions) -> float:
     return sum(acts.slopes.values())
 
 
-def total_phase(
-    req: QuantizationRequest, E: float, cfg: NumericsConfig = DEFAULT_CONFIG
-) -> float:
+def total_phase(req: QuantizationRequest, E: float) -> float:
     """Phi(E); the quantization condition is Phi(E) = K*pi."""
     _integrands(req.order)
-    return _eval_phase(req, E, cfg, cfg.initial_nodes)[0]
+    return _eval_phase(req, E, NumericsConfig.initial_nodes)[0]
 
 
 def _seed_energy(
     req: QuantizationRequest,
     target: float,
-    cfg: NumericsConfig,
+    seed: float | None,
     phase_at: Callable[[float], float],
 ) -> tuple[float, float]:
     """Reference offset and seed energy above the potential minimum.
 
-    Uses the homogeneous growth of the leading action, B_0 ~ (E - Vmin)^p
-    with p = (d+2)/(2d) for degree d, anchored at one evaluation of
-    `phase_at` (Phi, not Phi - K*pi).  Probes at Vmin + 1, 2, 4, ... until
-    one succeeds; each failed probe is logged at DEBUG level, and when none
-    succeeds the NoSolutionError names the last probe's failure and chains
-    its error.  A cfg.bracket_seed is the seed itself.  No level lies at or
+    A caller's seed is the seed itself, unevaluated.  No level lies at or
     below Vmin, and the solver tells no energies apart within
     bisection_rtol*(1+|E|), so a seed no further than that above Vmin raises
-    a ValueError naming both, and one at which the phase fails raises a
-    NoSolutionError (see _no_bracket).
+    a ValueError naming both.  Without one, the seed comes from the
+    homogeneous growth of the leading action, B_0 ~ (E - Vmin)^p with
+    p = (d+2)/(2d) for degree d, anchored at one evaluation of `phase_at`
+    (Phi, not Phi - K*pi).  Probes at Vmin + 1, 2, 4, ... until one
+    succeeds; each failed probe is logged at DEBUG level, and when none
+    succeeds the NoSolutionError names the last probe's failure and chains
+    its error.
     """
     _, vmin = req.V.real_minimum()
-    if cfg.bracket_seed is not None:
-        resolution = cfg.bisection_rtol * (1.0 + abs(vmin))
-        if not cfg.bracket_seed - vmin > resolution:
+    if seed is not None:
+        resolution = NumericsConfig.bisection_rtol * (1.0 + abs(vmin))
+        if not seed - vmin > resolution:
             raise ValueError(
-                f"bracket seed {cfg.bracket_seed!r} is not above the potential's "
+                f"bracket seed {seed!r} is not above the potential's "
                 f"minimum Vmin = {vmin!r} by more than {resolution:.3g}"
             )
-        try:
-            phase_at(cfg.bracket_seed)
-        except DunhamError as exc:
-            raise _no_bracket(req.K, cfg.bracket_seed, cfg.bracket_seed, vmin, exc) from exc
-        return vmin, cfg.bracket_seed
+        return vmin, seed
     d = req.V.degree
     p = (d + 2.0) / (2.0 * d)
     delta = 1.0
-    for _ in range(cfg.bracket_expansion_cap):
+    for _ in range(NumericsConfig.bracket_expansion_cap):
         E = vmin + delta
         try:
             phase_ref = phase_at(E)
@@ -224,8 +216,8 @@ def _seed_energy(
             last, cause = f"had phase + pi/2 = {b0_ref!r} <= 0", None
         delta *= 2.0
     raise NoSolutionError(
-        f"no reference energy for the seed in {cfg.bracket_expansion_cap} probe(s); "
-        f"the last, at E={E!r}, {last}"
+        f"no reference energy for the seed in {NumericsConfig.bracket_expansion_cap} "
+        f"probe(s); the last, at E={E!r}, {last}"
     ) from cause
 
 
@@ -306,7 +298,6 @@ def _newton(
     E: float,
     vmin: float,
     target: float,
-    cfg: NumericsConfig,
     bracket: Callable[[], tuple[float, float]],
 ) -> tuple[float, int, str]:
     """Newton's method on Phi(E) = target from the evaluated energy E, in
@@ -338,7 +329,7 @@ def _newton(
         if not abs(log_step) <= _NEWTON_MAX_LOG_STEP:
             return E, steps, "step"
         nxt = vmin + (E - vmin) * math.exp(log_step)
-        if abs(nxt - E) <= cfg.bisection_rtol * (1.0 + abs(E)):
+        if abs(nxt - E) <= NumericsConfig.bisection_rtol * (1.0 + abs(E)):
             return E, steps, "none"
         lo, hi = bracket()
         if not lo < nxt < hi:
@@ -355,9 +346,10 @@ def _newton(
 def _no_bracket(
     K: int, seed: float, E: float, vmin: float, exc: DunhamError
 ) -> NoSolutionError:
-    """The error of level K when the phase fails at a caller's seed, or at E
-    on the walk's halving of E - vmin from the seed toward the bottom of the
-    well: it names the seed, E, vmin and the cause, which the caller chains."""
+    """The error of level K when the phase fails at the seed (E = seed), or
+    at E on the walk's halving of E - vmin from the seed toward the bottom of
+    the well: it names the seed, E, vmin and the cause, which the caller
+    chains."""
     return NoSolutionError(
         f"no bracket for level K={K} from the seed E={seed!r}: the phase fails at "
         f"E={E!r} (Vmin = {vmin!r}) with {type(exc).__name__}: {exc}"
@@ -365,19 +357,20 @@ def _no_bracket(
 
 
 def _walk(
-    phase_at: Callable[[float], float], seed: float, vmin: float, K: int, cfg: NumericsConfig
+    phase_at: Callable[[float], float], seed: float, vmin: float, K: int
 ) -> tuple[float, float, float, float, int]:
     """(lo, f(lo), hi, f(hi), steps): a sign-change bracket of phase_at,
     found by doubling E - vmin from the seed while the phase is too small,
     or halving it while the phase is too large.  A halving at which the
     phase fails raises NoSolutionError (see _no_bracket)."""
+    cap = NumericsConfig.bracket_expansion_cap
     f_seed = phase_at(seed)
     lo = hi = seed
     flo = fhi = f_seed
     steps = 0
     if f_seed < 0.0:
         # phase too small at the seed: walk the upper end outward
-        for steps in range(1, cfg.bracket_expansion_cap + 1):
+        for steps in range(1, cap + 1):
             lo, flo = hi, fhi
             hi = vmin + 2.0 * (hi - vmin)
             fhi = phase_at(hi)
@@ -385,11 +378,10 @@ def _walk(
                 break
         else:
             raise NoSolutionError(
-                f"failed to bracket level K={K} from above within "
-                f"{cfg.bracket_expansion_cap} expansions"
+                f"failed to bracket level K={K} from above within {cap} expansions"
             )
     elif f_seed > 0.0:
-        for steps in range(1, cfg.bracket_expansion_cap + 1):
+        for steps in range(1, cap + 1):
             hi, fhi = lo, flo
             lo = vmin + 0.5 * (lo - vmin)
             try:
@@ -400,27 +392,28 @@ def _walk(
                 break
         else:
             raise NoSolutionError(
-                f"failed to bracket level K={K} from below within "
-                f"{cfg.bracket_expansion_cap} halvings"
+                f"failed to bracket level K={K} from below within {cap} halvings"
             )
     return lo, flo, hi, fhi, steps
 
 
-def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> QuantizationResult:
-    """Solve Phi(E) = K*pi by Newton's method from a leading-order seed,
-    with the exact dPhi/dE that each phase evaluation carries, until a step
-    is at most bisection_rtol*(1+|E|) (see _newton).  Where a guard of
-    _newton fires, the level falls back to a bracket walk from the seed and
-    Brent's method on the bracket until it is at most bisection_rtol*(1+|E|)
-    wide; the fallback reuses every evaluation already made.  A phase that
-    fails at a cfg.bracket_seed, or on the walk's halving toward the bottom
-    of the well, ends the level in a NoSolutionError that names the seed,
-    the energy and Vmin, and chains the failure.
+def quantize(req: QuantizationRequest, seed: float | None = None) -> QuantizationResult:
+    """Solve Phi(E) = K*pi by Newton's method from the seed energy, with
+    the exact dPhi/dE that each phase evaluation carries, until a step is at
+    most bisection_rtol*(1+|E|) (see _newton).  The seed is the caller's,
+    which must be finite and above Vmin (else a ValueError), or when None a
+    leading-order one (see _seed_energy).  Where a guard of _newton fires,
+    the level falls back to a bracket walk from the seed and Brent's method
+    on the bracket until it is at most bisection_rtol*(1+|E|) wide; the
+    fallback reuses every evaluation already made.  A phase that fails at
+    the seed, or on the walk's halving toward the bottom of the well, ends
+    the level in a NoSolutionError that names the seed, the energy and Vmin,
+    and chains the failure.
 
     Phi is evaluated at most once per energy; the residual and actions of the
     result come from the evaluation at the returned root.  Each evaluation's
     quadrature starts at the node count the previous successful one
-    converged at (cold, at cfg.initial_nodes, for the first), unless that
+    converged at (cold, at initial_nodes, for the first), unless that
     count exceeds _WARM_START_MAX_NODES.  One DEBUG record per solved level,
     and one per failed seed probe, goes to the "dunham.solver" logger; the
     level's record carries its Newton, bracket and root-finder steps, dPhi/dE
@@ -428,17 +421,19 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
     did), the node count at the root and the nodes its successful phase
     evaluations evaluated.
     """
+    if seed is not None and not math.isfinite(seed):
+        raise ValueError(f"seed must be finite or None, got {seed!r}")
     _integrands(req.order)
     target = req.K * math.pi
     evaluated: dict[float, tuple[float, Actions]] = {}
     evals = nodes_evaluated = 0
-    start_nodes = cfg.initial_nodes
+    start_nodes = NumericsConfig.initial_nodes
 
     def evaluate(E: float) -> tuple[float, Actions]:
         nonlocal evals, nodes_evaluated, start_nodes
         if E not in evaluated:
             evals += 1
-            evaluated[E] = _eval_phase(req, E, cfg, start_nodes)
+            evaluated[E] = _eval_phase(req, E, start_nodes)
             acts = evaluated[E][1]
             nodes_evaluated += acts.evaluated
             if acts.nodes <= _WARM_START_MAX_NODES:
@@ -458,19 +453,24 @@ def quantize(req: QuantizationRequest, cfg: NumericsConfig = DEFAULT_CONFIG) -> 
                 hi = min(hi, E)
         return lo, hi
 
-    vmin, seed = _seed_energy(req, target, cfg, lambda E: evaluate(E)[0])
-    e_star, newton_steps, fallback = _newton(evaluate, seed, vmin, target, cfg, bracket)
+    vmin, seed = _seed_energy(req, target, seed, lambda E: evaluate(E)[0])
+    try:
+        evaluate(seed)
+    except DunhamError as exc:
+        raise _no_bracket(req.K, seed, seed, vmin, exc) from exc
+    e_star, newton_steps, fallback = _newton(evaluate, seed, vmin, target, bracket)
     bracket_steps = root_steps = 0
     if fallback != "none":
-        lo, flo, hi, fhi, bracket_steps = _walk(phase_at, seed, vmin, req.K, cfg)
+        lo, flo, hi, fhi, bracket_steps = _walk(phase_at, seed, vmin, req.K)
         bracket_evals = evals
-        e_star = _brent(phase_at, lo, flo, hi, fhi, cfg.bisection_rtol)
+        e_star = _brent(phase_at, lo, flo, hi, fhi, NumericsConfig.bisection_rtol)
         root_steps = evals - bracket_evals
     phase, acts = evaluate(e_star)
     residual = phase - target
-    if abs(residual) > cfg.residual_tol:
+    if abs(residual) > NumericsConfig.residual_tol:
         raise NoSolutionError(
-            f"residual {residual:.3g} exceeds tolerance {cfg.residual_tol} at E={e_star}"
+            f"residual {residual:.3g} exceeds tolerance {NumericsConfig.residual_tol} "
+            f"at E={e_star}"
         )
     actions = tuple(acts[2 * n] for n in range(0, req.order + 1))
     if actions[0] <= 0:
@@ -498,9 +498,10 @@ def spectrum(
     V: Potential,
     levels: int,
     order: int,
-    cfg: NumericsConfig = DEFAULT_CONFIG,
+    seed: float | None = None,
 ) -> list[QuantizationResult]:
-    """Quantize K = 0 .. levels-1 independently.
+    """Quantize K = 0 .. levels-1 independently, each from `seed` (see
+    quantize).
 
     Per-level failures do not abort the remaining levels; if any occurred,
     a SpectrumError carrying the partial results is raised at the end.
@@ -513,7 +514,7 @@ def spectrum(
     for K in range(levels):
         req = QuantizationRequest(V=V, K=K, order=order)
         try:
-            results.append(quantize(req, cfg))
+            results.append(quantize(req, seed))
         except DunhamError as exc:
             failures[K] = exc
     if failures:

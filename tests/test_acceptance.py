@@ -5,7 +5,6 @@ the captured output of a failing run), so a transcript doubles as the
 acceptance report.
 """
 
-import dataclasses
 import functools
 import math
 import time
@@ -20,7 +19,7 @@ import dunham.diffpoly as dp
 import dunham.oracle as orc
 import dunham.solver as sv
 import dunham.wkb_series as ws
-from dunham.config import DEFAULT_CONFIG
+from dunham.config import NumericsConfig
 from dunham.potential import parse_potential
 
 
@@ -162,15 +161,15 @@ def test_criterion_8_quartic_vs_oracle(quartic):
 
 
 @criterion(9, "contours with margins 0.3 and 0.7 agree to 1e-9 relative")
-def test_criterion_9_contour_robustness(series15, quartic, mixed):
+def test_criterion_9_contour_robustness(series15, quartic, mixed, monkeypatch):
     for V in (quartic, mixed):
         for E in (1.0, 4.0):
             tp = ct.turning_points(V, E)
             vals = {}
             for margin in (0.3, 0.7):
-                cfg = dataclasses.replace(DEFAULT_CONFIG, margin=margin)
-                c = ct.build_contour(tp, cfg)
-                vals[margin] = ct.action_integrals(series15.terms, [0, 2, 4, 6], V, E, c, cfg)
+                monkeypatch.setattr(NumericsConfig, "margin", margin)
+                c = ct.build_contour(tp)
+                vals[margin] = ct.action_integrals(series15.terms, [0, 2, 4, 6], V, E, c)
             for n in (0, 2, 4, 6):
                 a, b = vals[0.3][n], vals[0.7][n]
                 assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (str(V), E, n)

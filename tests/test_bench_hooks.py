@@ -9,7 +9,7 @@ run.  Only reads bench/.
 import sys
 from pathlib import Path
 
-from dunham import oracle, solver
+from dunham import config, oracle, solver
 from dunham.potential import parse_potential
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -32,6 +32,10 @@ def test_benchmark_constructors_resolve():
     assert oracle.OracleConfig(mode=mode).mode is mode
     req = solver.QuantizationRequest(parse_potential("x^2"), 0, 0)
     assert abs(solver.total_phase(req, 1.0)) < 1e-10
+    # bench/workloads.py checks each level against the residual contract and
+    # solves it as quantize(req), with no config
+    tol = config.DEFAULT_CONFIG.residual_tol
+    assert abs(solver.quantize(req).residual) <= tol
 
 
 def test_traced_solve_counts_its_work(monkeypatch):

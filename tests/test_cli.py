@@ -19,7 +19,6 @@ from dunham.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
-    _add_numeric_flags,
     _build_parser,
     main,
 )
@@ -247,6 +246,14 @@ class TestSpectrum:
         assert code == EXIT_USAGE
         assert "--include-odd-numeric" in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "compare"])
+    @pytest.mark.parametrize("flag", ["--margin", "--tol"])
+    def test_tolerance_flags_are_gone(self, capsys, command, flag):
+        # the contour margin and quadrature tolerance are fixed constants
+        code, out, err = run(capsys, command, "x^4", flag, "0.7")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"unrecognized arguments: {flag} 0.7" in err
+
 
 class TestOracle:
     def test_harmonic(self, capsys):
@@ -353,11 +360,16 @@ class TestReadme:
         assert named and named <= known, named - known
 
     def test_every_numeric_flag_is_documented(self):
-        p = argparse.ArgumentParser()
-        _add_numeric_flags(p)
+        # the float-valued flags of spectrum and compare: the seed energy
+        parser = _build_parser()
+        (subparsers,) = [a for a in parser._actions
+                         if isinstance(a, argparse._SubParsersAction)]
         section = self.readme_cli_section()
-        flags = [f for a in p._actions for f in a.option_strings if f not in ("-h", "--help")]
-        assert flags and all(f"`{flag}`" in section for flag in flags)
+        flags = {f for name in ("spectrum", "compare")
+                 for a in subparsers.choices[name]._actions if a.type is float
+                 for f in a.option_strings}
+        assert flags == {"--seed-bracket"}
+        assert all(f"`{flag}`" in section for flag in flags)
 
 
 class TestManifest:
@@ -381,9 +393,20 @@ class TestManifest:
             assert "timestamp" in m1
             assert m1["command"][0] == "dunham"
             if command == "spectrum":
-                # the settable fields; the tool version identifies the constants
-                assert m1["config"] == {"margin": 0.5, "quad_rel_tol": 1e-10,
-                                        "bracket_seed": None, "levels": 2, "order": 1}
+                # the command's own values; the tool version identifies the
+                # numeric constants, and a given seed is an argument
+                assert m1["config"] == {"levels": 2, "order": 1}
+                assert "seed_bracket" not in m1["arguments"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "compare"])
+    def test_a_given_seed_is_recorded_as_an_argument(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        args = self.COMMANDS[command] + ["--seed-bracket", "2.5", "--output", str(out)]
+        assert main(args) == EXIT_OK
+        doc = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert doc["arguments"]["seed_bracket"] == 2.5
+        assert set(doc["config"]) == ({"levels", "order"} if command == "spectrum"
+                                      else {"levels", "orders", "oracle"})
 
     def test_verify_odd_timings_live_in_the_manifest(self, tmp_path, capsys):
         out = tmp_path / "odd.txt"

@@ -1,26 +1,31 @@
-"""NumericsConfig refuses values no solve can end with, fast and by name; its
-settable fields are the ones the command line sets, and the rest are fixed
-constants that keep the invariants a solve needs."""
+"""NumericsConfig has no fields: every tolerance and cap is a fixed constant
+that keeps the invariants a solve needs, and no call or flag sets one.  The
+one numeric value a caller gives, the seed energy, is a solve argument that
+is refused fast and by name unless finite."""
 
 import dataclasses
+import inspect
 import math
 import time
 
 import pytest
 
-from dunham.cli import EXIT_USAGE, _build_parser, _config_from_args, main
+import dunham.contour as ct
+import dunham.solver as sv
+from dunham.cli import EXIT_NUMERIC, EXIT_USAGE, _build_parser, main
 from dunham.config import DEFAULT_CONFIG, NumericsConfig
 from dunham.potential import parse_potential
 from dunham.solver import QuantizationRequest, quantize
 
-SETTABLE = {f.name for f in dataclasses.fields(NumericsConfig)}
-TOLERANCES = ("root_clearance", "min_minor_ratio", "quad_abs_tol", "reality_tol",
-              "closure_tol", "real_root_imag_tol", "degeneracy_tol", "bisection_rtol",
-              "residual_tol")
+TOLERANCES = ("margin", "root_clearance", "min_minor_ratio", "quad_rel_tol", "quad_abs_tol",
+              "reality_tol", "closure_tol", "real_root_imag_tol", "degeneracy_tol",
+              "bisection_rtol", "residual_tol")
 CONSTANTS = TOLERANCES + ("initial_nodes", "max_nodes", "bracket_expansion_cap",
                           "truncation_floor")
+# flags that once set a tolerance; the command line now refuses them as unknown
+RETIRED_FLAGS = ("--margin", "--tol")
 
-# (field, value, CLI flag that sets the field or None)
+# (name, value, CLI flag that sets or once set the value, or None)
 OUT_OF_RANGE = [
     ("margin", math.inf, "--margin"),
     ("margin", math.nan, "--margin"),
@@ -45,20 +50,26 @@ OUT_OF_RANGE = [
 
 @pytest.mark.parametrize("name, value, flag", OUT_OF_RANGE)
 def test_out_of_range_value_fails_fast_by_name(name, value, flag, capsys):
-    # a settable field refuses the value; a constant refuses any value
+    # the record refuses any value; the command line refuses a non-finite
+    # seed by its name, and a retired flag as an unknown argument
     start = time.perf_counter()
-    with pytest.raises(ValueError if name in SETTABLE else TypeError, match=name):
+    with pytest.raises(TypeError, match=name):
         dataclasses.replace(DEFAULT_CONFIG, **{name: value})
     if flag is not None:
         assert main(["spectrum", "x^4", flag, str(value)]) == EXIT_USAGE
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert (f"unrecognized arguments: {flag}" if flag in RETIRED_FLAGS else name) in err
     assert time.perf_counter() - start < 1.0
 
 
-def test_boundary_values_accepted():
-    # any finite seed: only the solve knows the potential's minimum
-    cfg = NumericsConfig(margin=5e-324, quad_rel_tol=5e-324, bracket_seed=-3.0)
-    assert cfg.margin == cfg.quad_rel_tol == 5e-324 and cfg.bracket_seed == -3.0
+def test_boundary_values_accepted(capsys):
+    # any finite seed passes the finiteness check: only the solve knows the
+    # potential's minimum, and refuses one not above it as a numeric error
+    for seed in (5e-324, -3.0):
+        with pytest.raises(ValueError, match=rf"bracket seed {seed!r} .* Vmin = 0\.0"):
+            quantize(QuantizationRequest(parse_potential("x^4"), 0, 0), seed)
+        assert main(["spectrum", "x^4", "--seed-bracket", repr(seed)]) == EXIT_NUMERIC
+        assert "Vmin = 0.0" in capsys.readouterr().err
 
 
 def test_smallest_max_nodes_solves(monkeypatch):
@@ -69,11 +80,27 @@ def test_smallest_max_nodes_solves(monkeypatch):
 
 
 def test_fields_are_the_ones_the_command_line_sets():
-    args = _build_parser().parse_args(
-        ["spectrum", "x^4", "--margin", "0.7", "--tol", "1e-9", "--seed-bracket", "5"])
-    cfg = _config_from_args(args)
-    assert SETTABLE == {"margin", "quad_rel_tol", "bracket_seed"}
-    assert {n for n in SETTABLE if getattr(cfg, n) != getattr(DEFAULT_CONFIG, n)} == SETTABLE
+    # none: the command line's one numeric value, the seed, is a solve argument
+    assert dataclasses.fields(NumericsConfig) == ()
+    args = _build_parser().parse_args(["spectrum", "x^4", "--seed-bracket", "5"])
+    assert args.seed_bracket == 5.0
+    assert not set(vars(args)) & {*CONSTANTS, "tol", "bracket_seed"}
+
+
+@pytest.mark.parametrize("fn", [
+    ct.build_contour, ct.action_integrals, sv._eval_phase, sv.total_phase, sv._seed_energy,
+    sv._newton, sv._walk, sv.quantize, sv.spectrum,
+], ids=lambda fn: fn.__name__)
+def test_no_function_takes_a_config(fn):
+    params = inspect.signature(fn).parameters
+    assert "cfg" not in params
+    assert not any(p.annotation in (NumericsConfig, "NumericsConfig") for p in params.values())
+
+
+def test_a_seed_is_the_one_argument_a_solve_takes():
+    assert list(inspect.signature(quantize).parameters) == ["req", "seed"]
+    assert list(inspect.signature(sv.spectrum).parameters) == ["V", "levels", "order", "seed"]
+    assert inspect.signature(quantize).parameters["seed"].default is None
 
 
 def test_constants_cannot_be_set():
@@ -83,7 +110,6 @@ def test_constants_cannot_be_set():
         dataclasses.replace(DEFAULT_CONFIG, max_nodes=2**30)
     with pytest.raises(dataclasses.FrozenInstanceError):
         DEFAULT_CONFIG.residual_tol = 1.0
-    assert not SETTABLE & set(CONSTANTS)
     for name in CONSTANTS:
         assert getattr(DEFAULT_CONFIG, name) is getattr(NumericsConfig, name)
 

@@ -186,10 +186,12 @@ class TestContour:
             assert ct._min_radius(u, v, b).hex() == float(scalar).hex()
 
     def test_bad_margin(self):
-        # build_contour reads the margin from a config, which refuses these
-        for margin in (0.0, math.inf, math.nan):  # inf used to loop forever
-            with pytest.raises(ValueError, match="margin"):
+        # the margin is a fixed constant: no call can hand build_contour one
+        # of these (inf used to loop forever)
+        for margin in (0.0, math.inf, math.nan):
+            with pytest.raises(TypeError, match="margin"):
                 NumericsConfig(margin=margin)
+        assert math.isfinite(NumericsConfig.margin) and NumericsConfig.margin > 0
 
     def test_root_on_segment_is_unseparable(self):
         # V - E = (x^2 - 1)(x^2 + 1e-8): the complex pair hugs the segment
@@ -538,7 +540,7 @@ class TestWorkPerEvaluation:
         # so a warm evaluation that converges in one pass reads the potential
         # once, at its nodes
         request = sv.QuantizationRequest(quartic, 0, 0)
-        _, cold = sv._eval_phase(request, 5.3, DEFAULT_CONFIG, DEFAULT_CONFIG.initial_nodes)
+        _, cold = sv._eval_phase(request, 5.3, DEFAULT_CONFIG.initial_nodes)
         calls = Counter()
 
         def counted(name, fn):
@@ -549,7 +551,7 @@ class TestWorkPerEvaluation:
 
         monkeypatch.setattr(Potential, "derivs", counted("derivs", Potential.derivs))
         monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
-        _, warm = sv._eval_phase(request, 5.3, DEFAULT_CONFIG, cold.nodes)
+        _, warm = sv._eval_phase(request, 5.3, cold.nodes)
         assert warm.evaluated == warm.nodes == cold.nodes
         assert calls == {"derivs": 1, "eigvals": 1}
 
@@ -589,15 +591,14 @@ class TestInvariants:
                 b1 = ct.action_integrals(series15.terms, [1], V, E, c)[1]
                 assert abs(b1 + math.pi / 2.0) < 1e-10
 
-    def test_contour_independence(self, series15, quartic):
+    def test_contour_independence(self, series15, quartic, monkeypatch):
         E = 2.0
         tp = ct.turning_points(quartic, E)
         results = {}
         for margin in (0.3, 0.7):
-            cfg = dataclasses.replace(DEFAULT_CONFIG, margin=margin)
-            c = ct.build_contour(tp, cfg)
-            results[margin] = ct.action_integrals(series15.terms, [0, 2, 4, 6],
-                                                  quartic, E, c, cfg)
+            monkeypatch.setattr(NumericsConfig, "margin", margin)
+            c = ct.build_contour(tp)
+            results[margin] = ct.action_integrals(series15.terms, [0, 2, 4, 6], quartic, E, c)
         for n in (0, 2, 4, 6):
             a, b = results[0.3][n], results[0.7][n]
             assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))

@@ -52,7 +52,7 @@ class TestTotalPhase:
     ])
     def test_exact_slope_matches_a_central_difference(self, potential, E):
         request = req(parse_potential(potential), 0, 2)
-        acts = sv._eval_phase(request, E, DEFAULT_CONFIG, DEFAULT_CONFIG.initial_nodes)[1]
+        acts = sv._eval_phase(request, E, DEFAULT_CONFIG.initial_nodes)[1]
         h = 1e-3
         central = (sv.total_phase(request, E + h) - sv.total_phase(request, E - h)) / (2 * h)
         assert sv._phase_slope(acts) == pytest.approx(central, rel=1e-6)
@@ -113,33 +113,38 @@ class TestQuantize:
         assert a.residual == b.residual
 
     def test_seed_override(self, ho):
-        cfg = dataclasses.replace(DEFAULT_CONFIG, bracket_seed=40.0)
-        res = sv.quantize(req(ho, 1, 0), cfg)
+        res = sv.quantize(req(ho, 1, 0), seed=40.0)
         assert res.E == pytest.approx(3.0, abs=1e-8)
 
     def test_bracket_cap_exhaustion(self, ho, monkeypatch):
         monkeypatch.setattr(NumericsConfig, "bracket_expansion_cap", 3)
-        cfg = dataclasses.replace(DEFAULT_CONFIG, bracket_seed=1e6)
         with pytest.raises(sv.NoSolutionError):
-            sv.quantize(req(ho, 0, 0), cfg)
+            sv.quantize(req(ho, 0, 0), seed=1e6)
+
+    @pytest.mark.parametrize("seed", [math.inf, -math.inf, math.nan])
+    def test_non_finite_seed_is_a_value_error(self, quartic, seed, monkeypatch):
+        # refused before any work: no certificate, minimum or phase evaluation
+        monkeypatch.setattr(sv, "_integrands", None)
+        with pytest.raises(ValueError, match=rf"seed must be finite or None, got {seed!r}"):
+            sv.quantize(req(quartic, 1, 2), seed)
+        with pytest.raises(ValueError, match="seed must be finite"):
+            sv.spectrum(quartic, 2, 2, seed)
 
     @pytest.mark.parametrize("seed", [-3.0, 0.0, 1e-300])
     def test_seed_not_above_the_minimum_is_refused_by_name(self, quartic, seed, monkeypatch):
         # refused before any phase evaluation, which would end in a turning
         # point error that names neither the seed nor Vmin
         monkeypatch.setattr(sv, "_eval_phase", None)
-        cfg = dataclasses.replace(DEFAULT_CONFIG, bracket_seed=seed)
         with pytest.raises(ValueError, match=rf"seed {seed!r} .* Vmin = 0\.0"):
-            sv.quantize(req(quartic, 1, 2), cfg)
+            sv.quantize(req(quartic, 1, 2), seed)
 
     @pytest.mark.parametrize("seed, at", [
         (1e-10, 1e-10),  # the turning points near +-0.003 coalesce at the seed itself
         (0.01, 5.960464477539063e-10),  # the walk halves E toward Vmin until they do
     ])
     def test_seed_near_the_bottom_names_seed_and_vmin(self, quartic, seed, at):
-        cfg = dataclasses.replace(DEFAULT_CONFIG, bracket_seed=seed)
         with pytest.raises(NoSolutionError) as info:
-            sv.quantize(req(quartic, 1, 2), cfg)
+            sv.quantize(req(quartic, 1, 2), seed)
         cause = info.value.__cause__
         assert isinstance(cause, DegenerateTurningPointError)
         assert str(info.value) == (
@@ -205,7 +210,7 @@ class TestNewton:
             b0 = phase(x) + 0.5 * math.pi
             return phase(x), ct.Actions({0: b0}, 64, 64, {0: slope(x)})
 
-        return sv._newton(evaluate, E, vmin, target, DEFAULT_CONFIG, lambda: (lo, hi)), seen
+        return sv._newton(evaluate, E, vmin, target, lambda: (lo, hi)), seen
 
     def test_exact_on_a_power_law(self):
         # B_0 = 2 (E - 1/2)^(3/4): one step lands on the root
@@ -238,8 +243,7 @@ class TestNewton:
                 raise QuadratureError("synthetic failure")
             return x - 0.5 * math.pi, ct.Actions({0: x}, 64, 64, {0: 1.0})
 
-        got = sv._newton(evaluate, 1.0, 0.0, math.pi, DEFAULT_CONFIG,
-                         lambda: (0.0, math.inf))
+        got = sv._newton(evaluate, 1.0, 0.0, math.pi, lambda: (0.0, math.inf))
         assert got == (1.0, 0, "error")
 
     def test_truncation_guard_reads_the_iterate(self):
@@ -248,8 +252,7 @@ class TestNewton:
             acts = ct.Actions({0: 5.0, 2: -0.1, 4: 0.5}, 64, 64, {0: 1.0, 2: 0.0, 4: 0.0})
             return 5.4 - 0.5 * math.pi, acts
 
-        got = sv._newton(evaluate, 1.0, 0.0, math.pi, DEFAULT_CONFIG,
-                         lambda: (0.0, math.inf))
+        got = sv._newton(evaluate, 1.0, 0.0, math.pi, lambda: (0.0, math.inf))
         assert got == (1.0, 0, "truncation")
 
 
@@ -338,9 +341,9 @@ class TestSolveCost:
         calls = []
         original = sv._eval_phase
 
-        def counted(request, E, cfg, nodes):
+        def counted(request, E, nodes):
             calls.append((request.K, E))
-            return original(request, E, cfg, nodes)
+            return original(request, E, nodes)
 
         monkeypatch.setattr(sv, "_eval_phase", counted)
         sv.spectrum(quartic, 7, 2)
@@ -351,9 +354,9 @@ class TestSolveCost:
         starts, reached = [], []
         original = sv._eval_phase
 
-        def recorded(request, E, cfg, nodes):
+        def recorded(request, E, nodes):
             starts[-1].append(nodes)
-            phase, acts = original(request, E, cfg, nodes)
+            phase, acts = original(request, E, nodes)
             reached[-1].append(acts.nodes)
             return phase, acts
 
@@ -391,7 +394,7 @@ class TestSolveCost:
             assert int(evals) == 2 + int(newton) <= 5
             # dPhi/dE at the root, as the root's own evaluation gives it
             request = req(quartic, res.K, 2)
-            acts = sv._eval_phase(request, res.E, DEFAULT_CONFIG, int(nodes))[1]
+            acts = sv._eval_phase(request, res.E, int(nodes))[1]
             assert float(slope) == sv._phase_slope(acts) > 0
             # a power-of-two multiple of the cold start, reached by the root's
             # own evaluation, which evaluated at least that many nodes
@@ -470,10 +473,16 @@ class TestQuadratureFloor:
         assert isinstance(info.value.__cause__, QuadratureError)
 
     def test_failed_seed_probes_are_logged(self, quartic, caplog):
+        # the automatic seed itself fails too: the NoSolutionError naming the
+        # seed and Vmin carries B_20's floor stop
         with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
-            with pytest.raises(QuadratureError, match="rounding floor") as info:
+            with pytest.raises(NoSolutionError, match="Vmin = 0.0") as info:
                 sv.quantize(req(quartic, 1, 10))
-        assert info.value.order == 20
+        cause = info.value.__cause__
+        assert isinstance(cause, QuadratureError) and cause.order == 20
+        assert "rounding floor" in str(cause)
+        seed = re.match(r"no bracket for level K=1 from the seed E=(\S+):", str(info.value))
+        assert f"the phase fails at E={seed.group(1)} " in str(info.value)
         probes = [r.getMessage() for r in caplog.records
                   if r.getMessage().startswith("seed probe failed")]
         assert [re.match(r"seed probe failed at E=(\S+):", m).group(1) for m in probes] == [
@@ -693,10 +702,10 @@ class TestSpectrum:
         calls = {}
         original = sv.quantize
 
-        def flaky(request, cfg=DEFAULT_CONFIG):
+        def flaky(request, seed=None):
             if request.K == 1:
                 raise sv.NoSolutionError("synthetic failure")
-            return original(request, cfg)
+            return original(request, seed)
 
         monkeypatch.setattr(sv, "quantize", flaky)
         with pytest.raises(SpectrumError) as err:
