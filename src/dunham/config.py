@@ -24,11 +24,12 @@ class NumericsConfig:
     min_minor_ratio: ClassVar[float] = 1e-3  # give up shrinking semi_minor below this * semi_major
 
     # Quadrature
-    initial_nodes: ClassVar[int] = 64  # cold-start trapezoidal node count (even, >= 64: the fewest
-                                       # nodes a contour takes), and the fewest nodes a convergence
-                                       # test uses; quantize warm-starts later energies
-    max_nodes: ClassVar[int] = 2**20   # doubling cap, >= 2 * initial_nodes as a cold pass decides
-                                       # convergence only after one doubling (QuadratureError;
+    initial_nodes: ClassVar[int] = 64  # the fewest nodes a convergence test uses (even, >= 64: the
+                                       # fewest nodes a contour takes); a cold quadrature starts at
+                                       # min(4 * this, max_nodes), and quantize warm-starts later
+                                       # energies
+    max_nodes: ClassVar[int] = 2**20   # doubling cap, >= 2 * initial_nodes as a pass decides
+                                       # convergence only on at least that many (QuadratureError;
                                        # sooner at the rounding floor)
     quad_rel_tol: ClassVar[float] = 1e-10  # doubling stops when successive results agree to this
     quad_abs_tol: ClassVar[float] = 1e-12  # absolute floor for near-zero integrals

@@ -19,7 +19,8 @@ The node count doubles until the sums converge.  Doubling is nested: the
 2N-node set is the N-node set plus the N midpoints, so each doubling
 evaluates only the midpoints and adds their sums to the running ones, and
 one pass holds every coarser sum its convergence and rounding-floor tests
-need.  The count to start at travels in ContourSpec.nodes, and the count
+need.  The count to start at travels in ContourSpec.nodes: cold, it is
+cold_start_nodes(), whose first pass already decides both tests.  The count
 reached comes back with the result, so a caller can start the next energy
 where the last one converged.
 """
@@ -48,6 +49,7 @@ __all__ = [
     "TurningPair",
     "ContourSpec",
     "turning_points",
+    "cold_start_nodes",
     "build_contour",
     "ellipse_nodes",
     "Actions",
@@ -151,11 +153,20 @@ def turning_points(V: Potential, E: float) -> TurningPair:
     return TurningPair(real_roots[0], real_roots[1], tuple(roots))
 
 
+def cold_start_nodes() -> int:
+    """The node count a quadrature starts at when no earlier one suggests
+    another: min(4 * initial_nodes, max_nodes).  It is the fewest whose one
+    full pass holds S_N, S_N/2 and S_N/4 with at least initial_nodes nodes
+    each, so that pass decides both the convergence test and the floor stop
+    (see action_integrals)."""
+    return min(4 * NumericsConfig.initial_nodes, NumericsConfig.max_nodes)
+
+
 def build_contour(tp: TurningPair, nodes: int | None = None) -> ContourSpec:
     """Ellipse centered between the turning points, wide enough to enclose
     them with margin NumericsConfig.margin and narrow enough to exclude all
     other roots of V - E with relative clearance root_clearance.  Quadrature
-    on it starts at `nodes` nodes (initial_nodes when None)."""
+    on it starts at `nodes` nodes (cold_start_nodes() when None)."""
     center = 0.5 * (tp.x1 + tp.x2)
     a = (1.0 + NumericsConfig.margin) * 0.5 * (tp.x2 - tp.x1)
     others = [
@@ -177,7 +188,7 @@ def build_contour(tp: TurningPair, nodes: int | None = None) -> ContourSpec:
                 "between the turning points)"
             )
     if nodes is None:
-        nodes = NumericsConfig.initial_nodes
+        nodes = cold_start_nodes()
     return ContourSpec(complex(center), float(a), float(b), nodes)
 
 
@@ -351,12 +362,14 @@ def action_integrals(
     their sums to the running ones.  A pass at N nodes holds the sums S_N,
     S_N/2 (its even nodes) and S_N/4, so one pass decides convergence,
     |S_N - S_N/2|, and has the previous difference the floor stop needs;
-    sub-sums of fewer than initial_nodes nodes are never used.  The
-    first pass, and any doubling whose midpoints fail the branch tests,
-    evaluates every node and continues sqrt(Q) in full, with the closure
-    check.  A full pass in which the square roots at two adjacent nodes are
-    exactly a quarter turn apart (neither sign is nearer) is retried in full
-    at twice the count.  A wider gap is not detected there: the nearer sign
+    sub-sums of fewer than initial_nodes nodes are never used.  So a first
+    pass at cold_start_nodes() or more decides both tests at once, and a
+    cold quadrature that converges there takes one pass.  The first pass,
+    and any doubling whose midpoints fail the branch tests, evaluates every
+    node and continues sqrt(Q) in full, with the closure check.  A full
+    pass in which the square roots at two adjacent nodes are exactly a
+    quarter turn apart (neither sign is nearer) is retried in full at twice
+    the count.  A wider gap is not detected there: the nearer sign
     is taken, and only the closure check, or on a doubling the midpoint
     tests, can catch a branch it lost.
 

@@ -51,7 +51,13 @@ from types import MappingProxyType
 from . import diffpoly as dp
 from . import wkb_series as ws
 from .config import NumericsConfig
-from .contour import Actions, action_integrals, build_contour, turning_points
+from .contour import (
+    Actions,
+    action_integrals,
+    build_contour,
+    cold_start_nodes,
+    turning_points,
+)
 from .errors import DunhamError, NoSolutionError, SpectrumError
 from .potential import Potential
 
@@ -167,7 +173,7 @@ def _phase_slope(acts: Actions) -> float:
 def total_phase(req: QuantizationRequest, E: float) -> float:
     """Phi(E); the quantization condition is Phi(E) = K*pi."""
     _integrands(req.order)
-    return _eval_phase(req, E, NumericsConfig.initial_nodes)[0]
+    return _eval_phase(req, E, cold_start_nodes())[0]
 
 
 def _seed_energy(
@@ -413,13 +419,13 @@ def quantize(req: QuantizationRequest, seed: float | None = None) -> Quantizatio
     Phi is evaluated at most once per energy; the residual and actions of the
     result come from the evaluation at the returned root.  Each evaluation's
     quadrature starts at the node count the previous successful one
-    converged at (cold, at initial_nodes, for the first), unless that
-    count exceeds _WARM_START_MAX_NODES.  One DEBUG record per solved level,
-    and one per failed seed probe, goes to the "dunham.solver" logger; the
-    level's record carries its Newton, bracket and root-finder steps, dPhi/dE
-    at the root, the guard that sent it to the fallback ("none" when none
-    did), the node count at the root and the nodes its successful phase
-    evaluations evaluated.
+    converged at (cold, at contour.cold_start_nodes(), for the first),
+    unless that count exceeds _WARM_START_MAX_NODES.  One DEBUG record per
+    solved level, and one per failed seed probe, goes to the "dunham.solver"
+    logger; the level's record carries its Newton, bracket and root-finder
+    steps, dPhi/dE at the root, the guard that sent it to the fallback
+    ("none" when none did), the node count at the root and the nodes its
+    successful phase evaluations evaluated.
     """
     if seed is not None and not math.isfinite(seed):
         raise ValueError(f"seed must be finite or None, got {seed!r}")
@@ -427,7 +433,7 @@ def quantize(req: QuantizationRequest, seed: float | None = None) -> Quantizatio
     target = req.K * math.pi
     evaluated: dict[float, tuple[float, Actions]] = {}
     evals = nodes_evaluated = 0
-    start_nodes = NumericsConfig.initial_nodes
+    start_nodes = cold_start_nodes()
 
     def evaluate(E: float) -> tuple[float, Actions]:
         nonlocal evals, nodes_evaluated, start_nodes

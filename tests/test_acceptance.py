@@ -10,7 +10,6 @@ import math
 import time
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from scipy.special import beta
 

@@ -39,7 +39,7 @@ OUT_OF_RANGE = [
     ("quad_abs_tol", -1e-12, None),
     ("truncation_floor", -1e-12, None),
     ("max_nodes", 32, None),
-    ("max_nodes", 127, None),  # a cold pass needs one doubling to converge
+    ("max_nodes", 127, None),  # a convergence test needs 2 * initial_nodes
     ("initial_nodes", 63, None),
     ("initial_nodes", 32, None),
     ("initial_nodes", 0, None),
@@ -73,7 +73,8 @@ def test_boundary_values_accepted(capsys):
 
 
 def test_smallest_max_nodes_solves(monkeypatch):
-    # one doubling past the cold pass is all a converged quadrature needs
+    # the cold start falls to the cap, where one pass holds the two sums a
+    # convergence test compares
     monkeypatch.setattr(NumericsConfig, "max_nodes", 2 * NumericsConfig.initial_nodes)
     res = quantize(QuantizationRequest(parse_potential("x^2"), 0, 0))
     assert res.E == pytest.approx(1.0, abs=1e-8)
@@ -118,8 +119,8 @@ def test_constants_keep_the_invariants_a_solve_needs():
     cfg = DEFAULT_CONFIG
     for name in ("initial_nodes", "max_nodes", "bracket_expansion_cap"):
         assert type(getattr(cfg, name)) is int, name
-    # even and at least 64: the fewest nodes a contour takes; a cold pass
-    # decides convergence only after one doubling
+    # even and at least 64: the fewest nodes a contour takes; a convergence
+    # test compares sums on initial_nodes and twice that
     assert cfg.initial_nodes % 2 == 0 and cfg.initial_nodes >= 64
     assert cfg.max_nodes >= 2 * cfg.initial_nodes
     assert cfg.bracket_expansion_cap >= 1

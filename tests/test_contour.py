@@ -28,7 +28,6 @@ from dunham.errors import (
     TurningPointError,
 )
 from dunham.potential import Potential, _poly_roots, parse_potential
-from dunham.wkb_series import gen_terms
 
 
 def _array_newton_step(V, E, roots):
@@ -452,13 +451,27 @@ class TestNestedDoubling:
         assert acts.evaluated == acts.nodes == sum(m for m, _ in batches)
 
     def test_no_sum_on_fewer_than_initial_nodes(self, ho, series15, monkeypatch):
-        # B_0 of x^2 converges by 128 nodes, but with initial_nodes = 256 the
-        # coarsest sum a test may compare is the 256-node one
-        assert ct.action_integrals(series15.terms, [0], ho, 5.0, _contour(ho, 5.0)).nodes == 128
+        # B_0 of x^2 converges by 128 nodes, so a start at 256 converges
+        # there; but with initial_nodes = 256 the coarsest sum a test may
+        # compare is the 256-node one
+        c = _contour(ho, 5.0, 256)
+        assert ct.action_integrals(series15.terms, [0], ho, 5.0, c).nodes == 256
         monkeypatch.setattr(NumericsConfig, "initial_nodes", 256)
-        c = ct.build_contour(ct.turning_points(ho, 5.0))
         acts = ct.action_integrals(series15.terms, [0], ho, 5.0, c)
         assert acts.nodes == acts.evaluated == 512
+
+    def test_cold_start_decides_in_its_first_pass(self, ho, series15, batches, monkeypatch):
+        # the cold count holds S_N, S_N/2 and S_N/4 on initial_nodes or more,
+        # so B_0 of x^2, converged by 128 nodes, takes the one pass
+        assert ct.cold_start_nodes() == 4 * DEFAULT_CONFIG.initial_nodes == 256
+        c = ct.build_contour(ct.turning_points(ho, 5.0))
+        acts = ct.action_integrals(series15.terms, [0], ho, 5.0, c)
+        assert batches == [(256, 0.0)]
+        assert acts.nodes == acts.evaluated == 256
+        monkeypatch.setattr(NumericsConfig, "initial_nodes", 128)
+        assert ct.build_contour(ct.turning_points(ho, 5.0)).nodes == 512
+        monkeypatch.setattr(NumericsConfig, "max_nodes", 256)
+        assert ct.cold_start_nodes() == 256  # never above the cap
 
     def test_offset_node_sets_nest_too(self, quartic, series15):
         orders = [0, 2, 4, 6]
@@ -540,7 +553,7 @@ class TestWorkPerEvaluation:
         # so a warm evaluation that converges in one pass reads the potential
         # once, at its nodes
         request = sv.QuantizationRequest(quartic, 0, 0)
-        _, cold = sv._eval_phase(request, 5.3, DEFAULT_CONFIG.initial_nodes)
+        _, cold = sv._eval_phase(request, 5.3, ct.cold_start_nodes())
         calls = Counter()
 
         def counted(name, fn):

@@ -52,7 +52,7 @@ class TestTotalPhase:
     ])
     def test_exact_slope_matches_a_central_difference(self, potential, E):
         request = req(parse_potential(potential), 0, 2)
-        acts = sv._eval_phase(request, E, DEFAULT_CONFIG.initial_nodes)[1]
+        acts = sv._eval_phase(request, E, ct.cold_start_nodes())[1]
         h = 1e-3
         central = (sv.total_phase(request, E + h) - sv.total_phase(request, E - h)) / (2 * h)
         assert sv._phase_slope(acts) == pytest.approx(central, rel=1e-6)
@@ -350,6 +350,22 @@ class TestSolveCost:
         assert len(calls) <= 36
         assert len(set(calls)) == len(calls)  # no energy evaluated twice per level
 
+    def test_node_pass_budget(self, quartic, monkeypatch):
+        # a cold start at initial_nodes took 52 passes, doubling each seed
+        # probe through counts that could decide nothing; a cold pass at
+        # 4 * initial_nodes decides at once, and the nodes stay 15,872
+        passes = []
+        original = ct._node_batch
+
+        def counted(V, E, c, m, kmax):
+            passes.append(m)
+            return original(V, E, c, m, kmax)
+
+        monkeypatch.setattr(ct, "_node_batch", counted)
+        sv.spectrum(quartic, 7, 2)
+        assert len(passes) <= 38
+        assert sum(passes) <= 15872
+
     def test_warm_start_carries_counts_up_to_its_bound(self, quartic, monkeypatch):
         starts, reached = [], []
         original = sv._eval_phase
@@ -369,12 +385,12 @@ class TestSolveCost:
             sv.quantize(req(quartic, K, 9))
         assert max(map(max, reached)) > sv._WARM_START_MAX_NODES
         for run_starts, run_reached in zip(starts, reached, strict=True):
-            expected = DEFAULT_CONFIG.initial_nodes
+            expected = ct.cold_start_nodes()
             for start, end in zip(run_starts, run_reached, strict=True):
                 assert start == expected
                 if end <= sv._WARM_START_MAX_NODES:
                     expected = end
-            assert max(run_starts) > DEFAULT_CONFIG.initial_nodes
+            assert max(run_starts) > ct.cold_start_nodes()
 
     def test_debug_record_per_level(self, quartic, caplog):
         with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
@@ -398,8 +414,8 @@ class TestSolveCost:
             assert float(slope) == sv._phase_slope(acts) > 0
             # a power-of-two multiple of the cold start, reached by the root's
             # own evaluation, which evaluated at least that many nodes
-            assert int(nodes) % DEFAULT_CONFIG.initial_nodes == 0
-            assert int(evaluated) >= int(nodes) >= DEFAULT_CONFIG.initial_nodes
+            assert int(nodes) % ct.cold_start_nodes() == 0
+            assert int(evaluated) >= int(nodes) >= ct.cold_start_nodes()
 
 
 class TestQuadratureFloor:
@@ -473,16 +489,19 @@ class TestQuadratureFloor:
         assert isinstance(info.value.__cause__, QuadratureError)
 
     def test_failed_seed_probes_are_logged(self, quartic, caplog):
-        # the automatic seed itself fails too: the NoSolutionError naming the
-        # seed and Vmin carries B_20's floor stop
+        # the probe at E = 1 fails, and so does the walk's halving from the
+        # seed toward the bottom of the well: the NoSolutionError naming the
+        # seed, that energy and Vmin carries B_20's floor stop
         with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
             with pytest.raises(NoSolutionError, match="Vmin = 0.0") as info:
                 sv.quantize(req(quartic, 1, 10))
         cause = info.value.__cause__
         assert isinstance(cause, QuadratureError) and cause.order == 20
         assert "rounding floor" in str(cause)
-        seed = re.match(r"no bracket for level K=1 from the seed E=(\S+):", str(info.value))
-        assert f"the phase fails at E={seed.group(1)} " in str(info.value)
+        seed, failed = map(float, re.match(
+            r"no bracket for level K=1 from the seed E=(\S+): the phase fails at E=(\S+) ",
+            str(info.value)).groups())
+        assert 0.0 < failed < seed
         probes = [r.getMessage() for r in caplog.records
                   if r.getMessage().startswith("seed probe failed")]
         assert [re.match(r"seed probe failed at E=(\S+):", m).group(1) for m in probes] == [

@@ -8,7 +8,6 @@ import pytest
 
 import dunham.diffpoly as dp
 import dunham.wkb_series as ws
-from dunham.errors import DunhamError
 
 
 def mono(coeff, q_half, derivs=None):
