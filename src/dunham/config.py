@@ -41,7 +41,7 @@ class NumericsConfig:
     degeneracy_tol: ClassVar[float] = 1e-7      # |Q'(root)| below this * scale means a double root
 
     # Quantization solver
-    bisection_rtol: ClassVar[float] = 1e-12   # quantize stops once its last Newton step (or, on
+    bisection_rtol: ClassVar[float] = 1e-12   # quantize stops once its last root step (or, on
                                               # fallback, the bracket) is at most this * (1 + |E|)
     residual_tol: ClassVar[float] = 1e-10     # |total_phase(E*) - K*pi| contract
     bracket_expansion_cap: ClassVar[int] = 200  # doublings/halvings before NoSolutionError

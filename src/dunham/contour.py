@@ -13,7 +13,8 @@ The integrands are passed in by order, as a series' terms or a mapping;
 the solver integrates T_0 and, for each even order 2n >= 2, the reduced
 R_2n = T_2n - dPsi_2n/dx, whose closed-contour integral is that of T_2n.
 E enters them only through Q = V - E, so the evaluation that sums B_n also
-sums dB_n/dE, from the same rows on the same nodes.
+sums dB_n/dE, and the second and third E-derivatives of the sum of the B_n,
+from the same rows on the same nodes.
 
 The node count doubles until the sums converge.  Doubling is nested: the
 2N-node set is the N-node set plus the N midpoints, so each doubling
@@ -317,16 +318,23 @@ def _stalled_at_floor(
 class Actions(dict):
     """B_n by order n, as action_integrals returns them, plus the node count
     the quadrature converged at (`nodes`), the number of nodes it evaluated
-    on the way (`evaluated`) and dB_n/dE by order n from the same nodes
-    (`slopes`)."""
+    on the way (`evaluated`), dB_n/dE by order n from the same nodes
+    (`slopes`), and the second and third E-derivatives of the sum of the B_n
+    over the orders, from the same nodes (`higher_slopes`)."""
 
     def __init__(
-        self, values: dict[int, float], nodes: int, evaluated: int, slopes: dict[int, float]
+        self,
+        values: dict[int, float],
+        nodes: int,
+        evaluated: int,
+        slopes: dict[int, float],
+        higher_slopes: tuple[float, float],
     ):
         super().__init__(values)
         self.nodes = nodes
         self.evaluated = evaluated
         self.slopes = slopes
+        self.higher_slopes = higher_slopes
 
 
 def action_integrals(
@@ -336,16 +344,18 @@ def action_integrals(
     E: float,
     c: ContourSpec,
 ) -> Actions:
-    """B_n(E) and dB_n/dE for each requested order n, sharing one
-    node-doubling loop.
+    """B_n(E) and dB_n/dE for each requested order n, and the second and
+    third E-derivatives of their sum, sharing one node-doubling loop.
 
     terms[n] is the integrand of B_n: a series' ``terms`` tuple, or a
     mapping from order to integrand that holds the requested orders.  The
-    plan that sums B_n also sums the E-derivative of terms[n] on the same
-    nodes (see dp.compile_batch), and the real part of that sum comes back
-    as Actions.slopes[n] = dB_n/dE.  It takes no part in the convergence,
-    floor, finiteness or reality tests, which judge B alone: it is as
-    converged as the node count B needed makes it.
+    plan that sums B_n also sums the first three E-derivatives of terms[n]
+    on the same nodes (see dp.compile_batch).  The real part of the first
+    comes back as Actions.slopes[n] = dB_n/dE, and the real parts of the
+    second and third, summed over the orders, as Actions.higher_slopes.
+    They take no part in the convergence, floor, finiteness or reality
+    tests, which judge B alone: they are as converged as the node count B
+    needed makes them.
 
     Quadrature starts at c.nodes nodes and doubles until every requested
     order moves by less than quad_rel_tol relatively (quad_abs_tol
@@ -386,7 +396,7 @@ def action_integrals(
     """
     orders = sorted(set(orders))
     if not orders:
-        return Actions({}, c.nodes, 0, {})
+        return Actions({}, c.nodes, 0, {}, (0.0, 0.0))
     try:
         exprs = tuple(terms[n] for n in orders)
     except LookupError:
@@ -407,7 +417,9 @@ def action_integrals(
     nodes, evaluated = c.nodes, 0
     sqrt_q = None  # continued sqrt(Q) on the current node set; None forces a full pass
     totals: dict[int, np.ndarray] = {}  # node count -> sum of f dz, one entry per order
-    slope_sums = None  # sum of (df/dE) dz on the current node set, one entry per order
+    # sums of (d^j f/dE^j) dz on the current node set, for j = 1, 2, 3 by
+    # column, one row per order
+    deriv_sums = None
     abs_sums = None  # sum of |f dz| on the current node set, one entry per order
     offset = c.offset  # node offset of the current set, in units of its step
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
@@ -422,9 +434,9 @@ def action_integrals(
                 if mid is None:
                     sqrt_q = None
                 else:
-                    f_dz, mid_slopes = plan(q_derivs, mid, dz)
+                    f_dz, mid_derivs = plan(q_derivs, mid, dz)
                     totals[nodes] = totals[half] + f_dz.sum(axis=1)
-                    slope_sums += mid_slopes
+                    deriv_sums += mid_derivs
                     abs_sums += _abs_sums(f_dz)
                     interleaved = np.empty(nodes, dtype=complex)
                     interleaved[0::2], interleaved[1::2] = sqrt_q, mid
@@ -437,7 +449,7 @@ def action_integrals(
                 if sqrt_q is None:  # a quarter-turn step: retry at twice the count
                     nodes *= 2
                     continue
-                f_dz, slope_sums = plan(q_derivs, sqrt_q, dz)
+                f_dz, deriv_sums = plan(q_derivs, sqrt_q, dz)
                 # the sums on every node, every 2nd and every 4th: S_N, S_N/2, S_N/4
                 totals = {
                     nodes // k: f_dz[:, ::k].sum(axis=1)
@@ -468,7 +480,8 @@ def action_integrals(
                     return Actions(
                         {n: _take_real(v, n) for n, v in zip(orders, vals)},
                         nodes, evaluated,
-                        {n: v.real for n, v in zip(orders, trapezoid(slope_sums, nodes))},
+                        {n: v.real for n, v in zip(orders, trapezoid(deriv_sums[:, 0], nodes))},
+                        tuple(v.real for v in trapezoid(deriv_sums[:, 1:].sum(axis=0), nodes)),
                     )
                 if quarter in totals:
                     coarser = trapezoid(totals[quarter], quarter)

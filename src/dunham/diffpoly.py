@@ -32,9 +32,10 @@ picks a branch itself.  A tuple of expressions is compiled once into a plan
 that builds each derivative product from a shorter one, shares the products
 across expressions, and takes the points in fixed-size blocks; it weights
 each point by a caller's dz and, from the same rows, sums each expression's
-derivative in E (for Q = V - E) over the points.  :func:`compile_batch`
-returns the plan of a tuple, and :func:`eval_numeric_array` evaluates one
-expression through its plan at unit weights.
+first three derivatives in E (for Q = V - E) over the points.
+:func:`compile_batch` returns the plan of a tuple, and
+:func:`eval_numeric_array` evaluates one expression through its plan at
+unit weights.
 
 Plain-text rendering is a bijection with the canonical form and round-trips
 through :func:`parse_plain`.  Grammar of one monomial (factors joined by
@@ -387,6 +388,16 @@ _BLOCK = 2048
 _MAX_PLANS = 64
 
 
+def _energy_factors(m: Monomial) -> tuple[float, float, float]:
+    """c (-1)^j (h/2)(h/2 - 1)...(h/2 - j + 1) for j = 1, 2, 3: the factors
+    d^j/dE^j puts on the monomial c Q^(h/2) prod_k (Q^(k))^e_k, over Q^j."""
+    factors, f = [], m.coeff
+    for j in range(3):
+        f *= -Fraction(m.q_half - 2 * j, 2)
+        factors.append(float(f))
+    return tuple(factors)
+
+
 def _parent(derivs: tuple) -> tuple:
     """The derivative product with one factor of its highest order removed."""
     k, e = derivs[-1]
@@ -409,12 +420,15 @@ class _Plan:
     and the sum is multiplied by the weight dz of its point.  An expression
     thus comes out the same, bit for bit, alone or in a batch.
 
-    The same rows also give each expression's E-derivative summed over the
-    points.  For Q = V - E, d/dE takes c Q^(h/2) prod_k (Q^(k))^e_k to
-    -(h/2) c Q^(h/2) prod_k (Q^(k))^e_k / Q, as dQ/dE = -1 and the Q^(k) do
-    not depend on E.  So each block reduces its rows against dz / Q, once
-    for all expressions, and each expression's second coefficient vector
-    -(h/2) c sums its share; no row of E-derivatives is held per point.
+    The same rows also give each expression's first three E-derivatives
+    summed over the points.  For Q = V - E, d^j/dE^j takes
+    c Q^(h/2) prod_k (Q^(k))^e_k to
+    (-1)^j (h/2)(h/2 - 1)...(h/2 - j + 1) c Q^(h/2) prod_k (Q^(k))^e_k / Q^j,
+    as dQ/dE = -1 and the Q^(k) do not depend on E.  So each block reduces
+    its rows against dz / Q, dz / Q^2 and dz / Q^3 in one product, once for
+    all expressions, then weights each row by its E-derivative factors and
+    sums the rows of each expression; no row of E-derivatives is held per
+    point.
     """
 
     def __init__(self, exprs: Sequence[DiffExpr]):
@@ -422,7 +436,8 @@ class _Plan:
         self.half = any(map(has_half_powers, exprs))
         rows = []  # the derivative product of each row
         self.groups = []  # (h, first row, end row) of each power of Q but Q^0
-        self.sums = []  # (first row, end row, c, -(h/2) c) of each expression
+        self.sums = []  # (first row, end row, c) of each expression
+        factors = []  # the E-derivative factors of each monomial row
         for a in exprs:
             lo = len(rows)
             monos = sorted(a.monomials, key=lambda m: (m.q_half, m.weight, m.derivs))
@@ -433,12 +448,14 @@ class _Plan:
                     self.groups[-1][2] = r + 1
                 elif m.q_half:
                     self.groups.append([m.q_half, r, r + 1])
-            self.sums.append((
-                lo, len(rows),
-                np.array([float(m.coeff) for m in monos]),
-                np.array([float(m.coeff * Fraction(-m.q_half, 2)) for m in monos]),
-            ))
+            self.sums.append((lo, len(rows), np.array([float(m.coeff) for m in monos])))
+            factors.extend(map(_energy_factors, monos))
         self.monomial_rows = len(rows)  # rows that some monomial carries
+        self.energy = np.array(factors).reshape(-1, 3)
+        # select[i, r] is 1 where monomial row r belongs to expression i
+        self.select = np.zeros((len(self.sums), self.monomial_rows))
+        for i, (lo, hi, _) in enumerate(self.sums):
+            self.select[i, lo:hi] = 1.0
         row_of: dict[tuple, int] = {}
         for r, d in enumerate(rows):
             row_of.setdefault(d, r)
@@ -460,10 +477,11 @@ class _Plan:
     def __call__(
         self, q_derivs: Sequence[np.ndarray], sqrt_q: np.ndarray | None, dz
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(values, slopes): each expression times dz at each point, stacked
-        on a new first axis, and the sum over the points of each
-        expression's E-derivative times dz.  dz is an array of the points'
-        shape or a scalar."""
+        """(values, derivs): each expression times dz at each point, stacked
+        on a new first axis, and the sums over the points of each
+        expression's E-derivatives times dz, derivs[i, j - 1] the j-th
+        derivative of expression i for j = 1, 2, 3.  dz is an array of the
+        points' shape or a scalar."""
         if len(q_derivs) < self.need + 1:
             raise InputShapeError(
                 f"expression uses derivatives up to order {self.need}, "
@@ -482,16 +500,17 @@ class _Plan:
         s = None if sqrt_q is None else np.ravel(sqrt_q)
         w = np.ravel(np.broadcast_to(dz, shape))
         out = np.empty((len(self.sums), q[0].size), dtype=complex)
-        slopes = np.zeros(len(self.sums), dtype=complex)
+        derivs = np.zeros((len(self.sums), 3), dtype=complex)
         for lo in range(0, q[0].size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
-            slopes += self._block(
+            derivs += self._block(
                 [a[block] for a in q], None if s is None else s[block], w[block], out[:, block]
             )
-        return out.reshape((len(self.sums),) + shape), slopes
+        return out.reshape((len(self.sums),) + shape), derivs
 
     def _block(self, q: list, s: np.ndarray | None, dz, out: np.ndarray) -> np.ndarray:
-        """Fill out with the block's values times dz; return its slope sums."""
+        """Fill out with the block's values times dz; return its sums of
+        E-derivatives times dz, one row per expression."""
         table = np.empty((self.rows, out.shape[1]), dtype=complex)
         for r, p, k in self.steps:
             if p is not None:
@@ -505,14 +524,19 @@ class _Plan:
             table[lo:hi] *= pw[h]
         # real coefficients act on real and imaginary parts alike
         flat = table.view(float)
-        for i, (lo, hi, c, _) in enumerate(self.sums):
+        for i, (lo, hi, c) in enumerate(self.sums):
             out[i] = (c @ flat[lo:hi]).view(complex)
         out *= dz
-        # a point where Q = 0 makes the slopes, and only them, not finite;
-        # callers that evaluate there do not read them
+        # a point where Q = 0 makes the E-derivatives, and only them, not
+        # finite; callers that evaluate there do not read them
         with np.errstate(divide="ignore", invalid="ignore"):
-            reduced = table[: self.monomial_rows] @ (dz / q[0])
-            return np.array([cs @ reduced[lo:hi] for lo, hi, _, cs in self.sums], dtype=complex)
+            inv = 1.0 / q[0]
+            weights = np.empty((3, out.shape[1]), dtype=complex)
+            np.multiply(dz, inv, out=weights[0])
+            np.multiply(weights[0], inv, out=weights[1])
+            np.multiply(weights[1], inv, out=weights[2])
+            reduced = table[: self.monomial_rows] @ weights.T
+            return self.select @ (self.energy * reduced)
 
 
 class _Exprs(tuple):

@@ -20,13 +20,15 @@ evaluation that needs it, together with the odd term of the same n.
 
 E enters every integrand only through Q = V - E, so the quadrature that
 gives each B_2n also gives its exact dB_2n/dE, from the same rows on the
-same nodes, and each phase evaluation carries dPhi/dE.  quantize uses it
-for Newton's method from a power-law seed, in the variables log(E - Vmin)
-and log(Phi + pi/2), where a leading action B_0 ~ (E - Vmin)^p makes the
-step exact.  Guards hand a level to a bracket walk and Brent's method from
-the same seed wherever Newton's method is not to be trusted, above all where
-the truncated phase is past its optimal truncation and may have roots that
-are not levels.
+same nodes, and each phase evaluation carries dPhi/dE, d2Phi/dE2 and
+d3Phi/dE3.  quantize uses them for fourth-order Householder steps from a
+power-law seed, in the variables log(E - Vmin) and log(Phi + pi/2), where a
+leading action B_0 ~ (E - Vmin)^p makes the step Newton's, and exact.  A
+step that the higher derivatives cannot be trusted to improve is Newton's
+step instead.  Guards hand a level to a bracket walk and Brent's method from
+the same seed wherever the steps are not to be trusted, above all where the
+truncated phase is past its optimal truncation and may have roots that are
+not levels.
 
 Reporting convention: results quote Phi(E) = K*pi with the -pi/2 on the
 left-hand side, equivalent to the textbook B_0 + corrections = (K + 1/2)*pi.
@@ -78,7 +80,7 @@ _log = logging.getLogger("dunham.solver")
 # energy there made x^4 at order 9 (K = 1..3) 3 to 4 times slower than with
 # this bound.
 _WARM_START_MAX_NODES = 4096
-# Newton steps a level may take, and the largest |log((E' - Vmin)/(E - Vmin))|
+# Root steps a level may take, and the largest |log((E' - Vmin)/(E - Vmin))|
 # of one step, before the level falls back to the bracket walk and Brent.
 _NEWTON_MAX_STEPS = 8
 _NEWTON_MAX_LOG_STEP = 2.0
@@ -154,7 +156,8 @@ def _integrands(order: int) -> Mapping[int, dp.DiffExpr]:
 
 def _eval_phase(req: QuantizationRequest, E: float, nodes: int) -> tuple[float, Actions]:
     """Phi(E) and the actions behind it, with quadrature starting at `nodes`;
-    acts.slopes holds dB_2n/dE from the same nodes (see _phase_slope)."""
+    acts.slopes holds dB_2n/dE from the same nodes (see _phase_slope), and
+    acts.higher_slopes the second and third E-derivatives of Phi."""
     tp = turning_points(req.V, E)
     c = build_contour(tp, nodes)
     orders = range(0, 2 * req.order + 1, 2)
@@ -299,6 +302,22 @@ def _brent(
             d = e = b - a
 
 
+def _root_step(g0: float, g1: float, g2: float, g3: float) -> float:
+    """The fourth-order Householder step on G(u) = 0 from G and its first
+    three derivatives g0..g3 at u, or Newton's step -g0/g1 when the
+    Householder denominator is not finite and positive, or the step
+    disagrees in sign with Newton's or is more than twice as long; g1 must
+    be positive.  With g2 = g3 = 0 the two steps agree."""
+    newton = -g0 / g1
+    den = g1 * g1 * g1 - g0 * g1 * g2 + g0 * g0 * g3 / 6.0
+    if not (math.isfinite(den) and den > 0.0):
+        return newton
+    step = -g0 * (g1 * g1 - 0.5 * g0 * g2) / den
+    if not (step * newton >= 0.0 and abs(step) <= 2.0 * abs(newton)):
+        return newton
+    return step
+
+
 def _newton(
     evaluate: Callable[[float], tuple[float, Actions]],
     E: float,
@@ -306,9 +325,15 @@ def _newton(
     target: float,
     bracket: Callable[[], tuple[float, float]],
 ) -> tuple[float, int, str]:
-    """Newton's method on Phi(E) = target from the evaluated energy E, in
-    the variables log(E - vmin) and log(Phi + pi/2), where a leading action
-    B_0 ~ (E - vmin)^p makes the step exact.
+    """Root steps on Phi(E) = target from the evaluated energy E, in the
+    variables u = log(E - vmin) and G = log(Phi + pi/2) - log(target + pi/2),
+    where a leading action B_0 ~ (E - vmin)^p makes G linear in u.
+
+    With eps = E - vmin and F = Phi + pi/2, the derivatives of G in u are
+    G1 = eps Phi'/F, G2 = (eps Phi' + eps^2 Phi'')/F - G1^2 and
+    G3 = (eps Phi' + 3 eps^2 Phi'' + eps^3 Phi''')/F - 3 G1 G2 - G1^3, from
+    the E-derivatives each evaluation carries.  Each step is _root_step's,
+    which on a pure power law is Newton's step, and exact.
 
     Returns (E, steps, fallback): the iterate whose next step is at most
     bisection_rtol*(1+|E|), with fallback "none", or the last iterate
@@ -325,16 +350,22 @@ def _newton(
     for steps in itertools.count():
         if truncation_diagnostics(tuple(acts.values()))[1]:
             return E, steps, "truncation"
-        growth = _phase_slope(acts) * (E - vmin)  # dPhi/dlog(E - vmin)
+        eps = E - vmin
+        growth = _phase_slope(acts) * eps  # dPhi/du
         if not (math.isfinite(growth) and growth > 0.0):
             return E, steps, "slope"
         b0 = phase + 0.5 * math.pi
         if not b0 > 0.0:
             return E, steps, "phase"
-        log_step = (goal - math.log(b0)) * b0 / growth
+        d2, d3 = acts.higher_slopes
+        g1 = growth / b0
+        bend = eps * eps * d2 / b0
+        g2 = g1 + bend - g1 * g1
+        g3 = g1 + 3.0 * bend + eps * eps * eps * d3 / b0 - 3.0 * g1 * g2 - g1 * g1 * g1
+        log_step = _root_step(math.log(b0) - goal, g1, g2, g3)
         if not abs(log_step) <= _NEWTON_MAX_LOG_STEP:
             return E, steps, "step"
-        nxt = vmin + (E - vmin) * math.exp(log_step)
+        nxt = vmin + eps * math.exp(log_step)
         if abs(nxt - E) <= NumericsConfig.bisection_rtol * (1.0 + abs(E)):
             return E, steps, "none"
         lo, hi = bracket()
@@ -404,9 +435,11 @@ def _walk(
 
 
 def quantize(req: QuantizationRequest, seed: float | None = None) -> QuantizationResult:
-    """Solve Phi(E) = K*pi by Newton's method from the seed energy, with
-    the exact dPhi/dE that each phase evaluation carries, until a step is at
-    most bisection_rtol*(1+|E|) (see _newton).  The seed is the caller's,
+    """Solve Phi(E) = K*pi by fourth-order Householder steps from the seed
+    energy, with the exact dPhi/dE, d2Phi/dE2 and d3Phi/dE3 that each phase
+    evaluation carries, until a step is at most bisection_rtol*(1+|E|); a
+    step the higher derivatives cannot be trusted to improve is Newton's
+    step instead (see _newton and _root_step).  The seed is the caller's,
     which must be finite and above Vmin (else a ValueError), or when None a
     leading-order one (see _seed_energy).  Where a guard of _newton fires,
     the level falls back to a bracket walk from the seed and Brent's method
@@ -422,8 +455,9 @@ def quantize(req: QuantizationRequest, seed: float | None = None) -> Quantizatio
     converged at (cold, at contour.cold_start_nodes(), for the first),
     unless that count exceeds _WARM_START_MAX_NODES.  One DEBUG record per
     solved level, and one per failed seed probe, goes to the "dunham.solver"
-    logger; the level's record carries its Newton, bracket and root-finder
-    steps, dPhi/dE at the root, the guard that sent it to the fallback
+    logger; the level's record carries its root steps (newton_steps, each
+    Householder's or Newton's), bracket steps and root-finder steps,
+    dPhi/dE at the root, the guard that sent it to the fallback
     ("none" when none did), the node count at the root and the nodes its
     successful phase evaluations evaluated.
     """

@@ -136,12 +136,13 @@ class TestSpectrum:
     # `before`: the energies of the bracket walk and Brent's method, before
     # Newton's method moved them within the root finder's width.  Starting
     # cold quadratures at 256 nodes moved x^2+x^4 (order 4) by at most
-    # 5.4e-16 relative
+    # 5.4e-16 relative; fourth-order root steps moved x^4 (order 2) by at
+    # most 3.4e-13 and x^2+x^4 by at most 6.2e-16 relative
     @pytest.mark.parametrize("potential, levels, order, digest, before", [
-        ("x^4", "6", "2", "4ad3244bb414c4127d16570f384183fc7bd1c93c59f612c5275ddf2b2f8b1c13",
+        ("x^4", "6", "2", "012f016c1dda79782845c00ae5c600bdd303a983976e36d9be5720d36aee9659",
          (0.951643031492925, 3.8083772608430615, 7.455282447600405, 11.644778692674349,
           16.261828561550416, 21.23837444314955)),
-        ("x^2+x^4", "4", "4", "bf892b026dceb117b26281000d11bd02c8cb42a7b2808b0d7684fd9231fc5ef2",
+        ("x^2+x^4", "4", "4", "c420b60dcd3fa1ddda00c9023d140fb7b90e9a72a9d9e6d0785fe262ef193f1e",
          (1.2611880033769918, 4.6503264580976875, 8.654983170276324, 13.156806092181661)),
     ], ids=["x^4-6-2", "x^2+x^4-4-4"])
     def test_csv_bytes_pinned(self, capsys, potential, levels, order, digest, before):
@@ -158,7 +159,7 @@ class TestSpectrum:
                            "--format", "json")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "9dadd574e8dd9b02de6cf5de538283ba5d2babebc8f4af0ab9e9187e4f2df277")
+            "4e8598a1c76850714fe9d3e4f1713967d34346428c3fc3c3478c15364cd06b99")
 
     @pytest.mark.parametrize("seed", ["1e-10", "0.05"])
     def test_seed_near_the_bottom_names_seed_and_vmin(self, capsys, seed):
@@ -212,7 +213,7 @@ class TestSpectrum:
         assert_within_root_width(
             [float(line.split(",")[2]) for line in compare.splitlines()[1:]], before)
         assert hashlib.sha256(payloads["1"][1]).hexdigest() == (
-            "51937d81eb08818694d64ac147324ef6772ad06904bf5df48b578a6b077856d0")
+            "37f10f0b33291f399d974b5e50c25e87b97c4120805f2e4e87af0441840d626d")
 
     def test_json_format_states_convention(self, capsys):
         code, out, _ = run(capsys, "spectrum", "x^2", "--levels", "1",
@@ -316,7 +317,7 @@ class TestCompare:
                            "--format", "json")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "b01326a1640fda0f1f82666bf0f978c5fcb538195dcefc0f93c5665b619f5ee9")
+            "d34020a3a174a1a3c67c92306fa2185491610d18168d8df647e7b0afd59839fc")
 
     def test_empty_orders_usage(self, capsys):
         code, _, err = run(capsys, "compare", "x^2", "--order", "")

@@ -124,57 +124,67 @@ class TestDifferentiate:
 
 
 class TestEnergyDerivative:
-    """d/dE at fixed x, for Q = V - E (only the power of Q moves), as the
-    plan's second output gives it: times dz and summed over the points."""
+    """d/dE, d2/dE2 and d3/dE3 at fixed x, for Q = V - E (only the power of
+    Q moves), as the plan's second output gives them: times dz and summed
+    over the points."""
 
     @staticmethod
-    def slope(expr, q_derivs, sqrt_q, dz=1.0):
+    def derivs(expr, q_derivs, sqrt_q, dz=1.0):
         return dp.compile_batch([expr])(q_derivs, sqrt_q, dz)[1][0]
 
     def test_sqrt_q(self):
-        # T_0 = Q^(1/2) -> -1/2 Q^(-1/2); at Q = 4 that is -1/4
-        assert self.slope(dp.q_power(1), [one(4.0)], one(2.0)) == -0.25
+        # T_0 = Q^(1/2) -> -1/2 Q^(-1/2), -1/4 Q^(-3/2), -3/8 Q^(-5/2); at
+        # Q = 4 these are -1/4, -1/32 and -3/256
+        got = self.derivs(dp.q_power(1), [one(4.0)], one(2.0))
+        assert got.tolist() == [-0.25, -1 / 32, -3 / 256]
 
     def test_reduced_second_order_term(self):
-        # R_2 = -1/48 Q'' Q^(-3/2) -> -1/32 Q'' Q^(-5/2); at Q = 4, Q'' = 8
-        # that is -1/128
+        # R_2 = -1/48 Q'' Q^(-3/2) -> -1/32 Q'' Q^(-5/2), -5/64 Q'' Q^(-7/2),
+        # -35/128 Q'' Q^(-9/2); at Q = 4, Q'' = 8 these are -1/128, -5/1024
+        # and -35/8192
         r2 = dp.parse_plain("-1/48 * Q'' * Q^(-3/2)")
-        got = self.slope(r2, [one(4.0), one(3.0), one(8.0)], one(2.0))
-        assert got == pytest.approx(-1 / 128, rel=4 * EPS)
+        got = self.derivs(r2, [one(4.0), one(3.0), one(8.0)], one(2.0))
+        assert got.tolist() == pytest.approx([-1 / 128, -5 / 1024, -35 / 8192], rel=4 * EPS)
 
     def test_monomials_free_of_q_vanish(self):
         e = dp.add(dp.constant(3), mono(2, 0, {1: 2, 3: 1}))
         q_derivs = [one(0.7), one(-0.3), one(1.1), one(2.5)]
-        assert self.slope(e, q_derivs, None) == 0
-        assert self.slope(dp.add(e, dp.q_power(2)), q_derivs, None) == pytest.approx(-1.0)
+        assert self.derivs(e, q_derivs, None).tolist() == [0, 0, 0]
+        got = self.derivs(dp.add(e, dp.q_power(2)), q_derivs, None)
+        assert got.tolist() == pytest.approx([-1.0, 0, 0])
 
     def test_matches_a_central_difference_in_q(self, series15):
-        # dQ/dE = -1 with Q', Q'', ... fixed, at a point with Q > 0
+        # dQ/dE = -1 with Q', Q'', ... fixed, at a point with Q > 0: each
+        # derivative against central differences of the one below it
         rng = np.random.default_rng(3)
         derivs = [one(v) for v in rng.uniform(-1.0, 1.0, 12)]
         q, h = 0.7, 1e-5
 
         def at(expr, q):
-            return dp.eval_numeric_array(expr, [one(q)] + derivs, one(math.sqrt(q)))[0]
+            q_derivs, sqrt_q = [one(q)] + derivs, one(math.sqrt(q))
+            return np.concatenate([dp.eval_numeric_array(expr, q_derivs, sqrt_q),
+                                   self.derivs(expr, q_derivs, sqrt_q)])
 
         for term in series15.terms[:8]:
+            exact = at(term, q)
             central = (at(term, q - h) - at(term, q + h)) / (2 * h)
-            exact = self.slope(term, [one(q)] + derivs, one(math.sqrt(q)))
-            assert abs(central - exact) <= 1e-7 * (1.0 + abs(exact))
+            assert np.all(np.abs(central[:3] - exact[1:]) <= 1e-7 * (1.0 + np.abs(exact[1:])))
 
     def test_weighted_sum_over_blocks(self, series15, monkeypatch):
-        # the sum of each point's slope times its weight, whatever the block
-        # split: against single-point calls, summed here exactly rounded
+        # the sum of each point's derivatives times its weight, whatever the
+        # block split: against single-point calls, summed here exactly rounded
         q_derivs, sqrt_q = _contour_inputs(3 * dp._BLOCK // 2)
         dz = np.exp(1j * np.linspace(0.0, 6.0, sqrt_q.size))
         terms = series15.terms[:6]
         plan = dp.compile_batch(terms)
-        points = np.array([
+        points = np.moveaxis(np.array([
             plan([a[j : j + 1] for a in q_derivs], sqrt_q[j : j + 1], dz[j])[1]
             for j in range(sqrt_q.size)
-        ]).T
-        want = np.array([complex(math.fsum(p.real), math.fsum(p.imag)) for p in points])
-        scale = np.abs(points).sum(axis=1)
+        ]), 0, -1)
+        want = np.array([
+            [complex(math.fsum(p.real), math.fsum(p.imag)) for p in row] for row in points
+        ])
+        scale = np.abs(points).sum(axis=-1)
         for block in (dp._BLOCK, 64):
             monkeypatch.setattr(dp, "_BLOCK", block)
             got = dp.compile_batch(terms)(q_derivs, sqrt_q, dz)[1]
@@ -252,16 +262,18 @@ class TestEvalNumeric:
         assert dp.eval_numeric_array(e, [one(4.0)], one(-2.0))[0] == -2.0
 
     def test_zero_of_q_warns_of_nothing(self):
-        # the plan's slope sums divide by Q; at Q = 0 only they are not
-        # finite, and evaluating an expression with no negative power of Q
-        # there neither warns nor returns anything but its values
+        # the plan's E-derivative sums divide by Q, Q^2 and Q^3; at Q = 0
+        # only they are not finite, and evaluating an expression with no
+        # negative power of Q there neither warns nor returns anything but
+        # its values
         e = dp.add(dp.q_power(1), mono(F(1, 3), 2, {1: 1}))
+        q_derivs, sqrt_q = [np.array([0j, 4]), np.array([1 + 0j, 2])], np.array([0j, 2])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = dp.eval_numeric_array(
-                e, [np.array([0j, 4]), np.array([1 + 0j, 2])], np.array([0j, 2])
-            )
+            got = dp.eval_numeric_array(e, q_derivs, sqrt_q)
+            derivs = dp.compile_batch([e])(q_derivs, sqrt_q, 1.0)[1]
         assert got.tolist() == [0j, pytest.approx(2 + 8 / 3)]
+        assert derivs.shape == (1, 3) and not np.isfinite(derivs).any()
 
     def test_array_eval_matches_scalar(self, series15, exact_eval):
         # each point against the exact scalar reference, within a few eps of

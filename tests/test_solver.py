@@ -167,8 +167,20 @@ def debug_records(caplog) -> list[dict[str, str]]:
 
 
 class TestNewton:
-    """Newton's method from the seed, and the guards that send a level to
-    the bracket walk and Brent's method instead."""
+    """Fourth-order Householder steps from the seed, Newton's step where
+    one is not trusted, and the guards that send a level to the bracket walk
+    and Brent's method instead."""
+
+    @pytest.mark.parametrize("g, step", [
+        ((-1.0, 1.0, 0.0, 0.0), 1.0),  # a power law: Newton's step
+        ((1.0, 1.0, 0.5, 0.0), -1.5),  # Householder's step
+        ((1.0, 1.0, 0.5, math.inf), -1.0),  # denominator not finite
+        ((1.0, 1.0, 10.0, 0.0), -1.0),  # denominator negative
+        ((1.0, 1.0, 4.0, 30.0), -1.0),  # Householder's step of 0.5 has the wrong sign
+        ((1.0, 1.0, 0.0, -5.4), -1.0),  # Householder's step of -10 is too long
+    ])
+    def test_root_step_falls_back_to_newton(self, g, step):
+        assert sv._root_step(*g) == pytest.approx(step, rel=1e-15)
 
     @pytest.mark.parametrize("error, potential", [
         # no root: the bracket walk halves E - Vmin until the turning points
@@ -200,15 +212,18 @@ class TestNewton:
         assert int(record["phase_evals"]) == 2 + steps == evals
 
     @staticmethod
-    def newton(phase, slope, E=1.0, vmin=0.0, target=math.pi, lo=0.0, hi=math.inf):
-        """_newton on a synthetic order-0 phase and slope; returns its
-        (E, steps, fallback) and the energies it evaluated."""
+    def newton(phase, slope, higher=lambda x: (0.0, 0.0), E=1.0, vmin=0.0, target=math.pi,
+               lo=0.0, hi=math.inf):
+        """_newton on a synthetic order-0 phase, its slope and its second
+        and third derivatives (`higher`, zero by default: exact for a phase
+        linear in E); returns its (E, steps, fallback) and the energies it
+        evaluated."""
         seen = []
 
         def evaluate(x):
             seen.append(x)
             b0 = phase(x) + 0.5 * math.pi
-            return phase(x), ct.Actions({0: b0}, 64, 64, {0: slope(x)})
+            return phase(x), ct.Actions({0: b0}, 64, 64, {0: slope(x)}, higher(x))
 
         return sv._newton(evaluate, E, vmin, target, lambda: (lo, hi)), seen
 
@@ -216,7 +231,9 @@ class TestNewton:
         # B_0 = 2 (E - 1/2)^(3/4): one step lands on the root
         (E, steps, fallback), seen = self.newton(
             lambda x: 2.0 * (x - 0.5) ** 0.75 - 0.5 * math.pi,
-            lambda x: 1.5 * (x - 0.5) ** -0.25, E=3.0, vmin=0.5)
+            lambda x: 1.5 * (x - 0.5) ** -0.25,
+            lambda x: (-0.375 * (x - 0.5) ** -1.25, 0.46875 * (x - 0.5) ** -2.25),
+            E=3.0, vmin=0.5)
         root = 0.5 + (0.75 * math.pi) ** (4.0 / 3.0)
         assert fallback == "none" and steps == len(seen) - 1 <= 2
         assert E == pytest.approx(root, rel=DEFAULT_CONFIG.bisection_rtol)
@@ -241,7 +258,7 @@ class TestNewton:
         def evaluate(x):
             if x != 1.0:
                 raise QuadratureError("synthetic failure")
-            return x - 0.5 * math.pi, ct.Actions({0: x}, 64, 64, {0: 1.0})
+            return x - 0.5 * math.pi, ct.Actions({0: x}, 64, 64, {0: 1.0}, (0.0, 0.0))
 
         got = sv._newton(evaluate, 1.0, 0.0, math.pi, lambda: (0.0, math.inf))
         assert got == (1.0, 0, "error")
@@ -249,7 +266,9 @@ class TestNewton:
     def test_truncation_guard_reads_the_iterate(self):
         # a growing last increment would warn: the walk stops before stepping
         def evaluate(x):
-            acts = ct.Actions({0: 5.0, 2: -0.1, 4: 0.5}, 64, 64, {0: 1.0, 2: 0.0, 4: 0.0})
+            acts = ct.Actions(
+                {0: 5.0, 2: -0.1, 4: 0.5}, 64, 64, {0: 1.0, 2: 0.0, 4: 0.0}, (0.0, 0.0)
+            )
             return 5.4 - 0.5 * math.pi, acts
 
         got = sv._newton(evaluate, 1.0, 0.0, math.pi, lambda: (0.0, math.inf))
@@ -335,9 +354,9 @@ class TestBrent:
 
 
 class TestSolveCost:
-    def test_phase_evaluation_budget(self, quartic, monkeypatch):
-        # bisection to the width contract took 258 evaluations for the first
-        # six levels, and the bracket walk with Brent's method 54 for all seven
+    @staticmethod
+    def evaluations(V, monkeypatch) -> list[tuple[int, float]]:
+        """(K, E) of each phase evaluation of spectrum(V, 7, 2)."""
         calls = []
         original = sv._eval_phase
 
@@ -346,9 +365,20 @@ class TestSolveCost:
             return original(request, E, nodes)
 
         monkeypatch.setattr(sv, "_eval_phase", counted)
-        sv.spectrum(quartic, 7, 2)
+        sv.spectrum(V, 7, 2)
+        return calls
+
+    def test_phase_evaluation_budget(self, quartic, monkeypatch):
+        # bisection to the width contract took 258 evaluations for the first
+        # six levels, and the bracket walk with Brent's method 54 for all seven
+        calls = self.evaluations(quartic, monkeypatch)
         assert len(calls) <= 36
         assert len(set(calls)) == len(calls)  # no energy evaluated twice per level
+
+    def test_fourth_order_steps_save_evaluations(self, mixed, monkeypatch):
+        # Newton's steps alone took 35 evaluations for these seven levels;
+        # the second and third E-derivatives land each level one step sooner
+        assert len(self.evaluations(mixed, monkeypatch)) <= 28
 
     def test_node_pass_budget(self, quartic, monkeypatch):
         # a cold start at initial_nodes took 52 passes, doubling each seed
@@ -405,7 +435,7 @@ class TestSolveCost:
             K, order, E, evals, newton, bracket, root, slope, fallback, nodes, evaluated = (
                 re.fullmatch(pattern, rec.getMessage()).groups())
             assert (int(K), int(order), float(E)) == (res.K, 2, res.E)
-            # seed reference + seed + one per Newton step; no level falls back
+            # seed reference + seed + one per root step; no level falls back
             assert (fallback, int(bracket), int(root)) == ("none", 0, 0)
             assert int(evals) == 2 + int(newton) <= 5
             # dPhi/dE at the root, as the root's own evaluation gives it
@@ -463,7 +493,7 @@ class TestQuadratureFloor:
     def test_seed_probe_at_floor_stops_early(self, quartic, pass_nodes):
         # the seed probes at E = 1, 2 and 4 end at the floor of B_20 or B_22
         res = sv.quantize(req(quartic, 4, 11))
-        assert res.E == 16.26182494937916
+        assert res.E == 16.261824949378543
         # where the bracket walk and Brent's method stopped, within their width
         before = 16.261824949379807
         assert abs(res.E - before) <= 2 * DEFAULT_CONFIG.bisection_rtol * (1 + before)
