@@ -232,14 +232,16 @@ def _check_oracle_levels(levels: int, cfg: orc.OracleConfig) -> None:
 
 def _eigensolve(V, levels: int, cfg: orc.OracleConfig) -> orc.OracleSpectrum:
     """orc.eigensolve, whose refusal here names the remedy the command line
-    offers: fewer --levels, since no flag sets the basis size."""
+    offers: fewer --levels, since no flag sets the basis size; when level 0
+    fails, there is none."""
     try:
         return orc.eigensolve(V, levels, cfg)
     except ResolutionError as exc:
+        remedy = (f"ask for fewer --levels (at most {exc.level})" if exc.level else
+                  "no --levels value passes at this fixed basis")
         raise ResolutionError(
-            f"level {exc.level} converged only to {exc.estimate:.3g} "
-            f"(> {cfg.convergence_tolerance:g}) in the oracle's basis of {cfg.basis_size}; "
-            f"ask for fewer --levels (at most {exc.level})",
+            f"level {exc.level} converged only to {exc.estimate:.3g} (> "
+            f"{cfg.convergence_tolerance:g}) in the oracle's basis of {cfg.basis_size}; {remedy}",
             level=exc.level, estimate=exc.estimate,
         ) from exc
 

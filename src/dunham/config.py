@@ -34,7 +34,6 @@ class NumericsConfig:
     quad_rel_tol: ClassVar[float] = 1e-10  # doubling stops when successive results agree to this
     quad_abs_tol: ClassVar[float] = 1e-12  # absolute floor for near-zero integrals
     reality_tol: ClassVar[float] = 1e-8    # |Im B| must stay below this * (1 + |Re B|)
-    closure_tol: ClassVar[float] = 1e-8    # sqrt(Q) closure defect bound around the contour
 
     # Turning points
     real_root_imag_tol: ClassVar[float] = 1e-9  # |Im root| below this * scale counts as real

@@ -20,10 +20,13 @@ The node count doubles until the sums converge.  Doubling is nested: the
 2N-node set is the N-node set plus the N midpoints, so each doubling
 evaluates only the midpoints and adds their sums to the running ones, and
 one pass holds every coarser sum its convergence and rounding-floor tests
-need.  The count to start at travels in ContourSpec.nodes: cold, it is
-cold_start_nodes(), whose first pass already decides both tests.  The count
-reached comes back with the result, so a caller can start the next energy
-where the last one converged.
+need.  One branch tracer serves both kinds of pass: a doubling runs it over
+the coarse set's continued roots interleaved with the midpoints' principal
+roots, which continues sqrt(Q) as a full pass on the doubled set would, and
+keeps the coarse sums only if no old node changes sign.  The count to start
+at travels in ContourSpec.nodes: cold, it is cold_start_nodes(), whose first
+pass already decides both tests.  The count reached comes back with the
+result, so a caller can start the next energy where the last one converged.
 """
 
 from __future__ import annotations
@@ -220,22 +223,22 @@ def _unit_angles(m: int, offset: float) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _continue_sqrt(q: np.ndarray) -> np.ndarray | None:
-    """Nearest-branch continuation of sqrt along a closed node sequence.
+def _continue_sqrt(p: np.ndarray) -> np.ndarray | None:
+    """Nearest-branch continuation along a closed node sequence of square
+    roots p of Q, each of either sign, keeping p[0] as it is.
 
-    Starts from the principal square root at node 0.  The nearest choice
-    between +/- principal values flips exactly when the real part of the
-    ratio p_i * conj(p_{i-1}) goes negative, so the sign chain is a
-    cumulative product, and every step from node i-1 to node i is then
-    below pi/2.  Returns None when a step is exactly pi/2: neither sign is
-    nearer, so the node count is too small, and the caller doubles it and
-    retries.  A wider gap returns a continuation: the nearer sign is taken,
-    and only the closure check can catch a branch it lost.  Raises
-    BranchTrackingError when Q vanishes at a node or the continuation fails
-    to close by NumericsConfig.closure_tol; the wrap from the last node back
-    to node 0 is judged by the closure check alone.  q must be complex.
+    The nearest choice between +/- p_i flips exactly when the real part of
+    p_i * conj(p_{i-1}) goes negative, so the sign chain is a cumulative
+    product, and every step from node i-1 to node i is then below pi/2.
+    Flipping one p_i flips the two overlaps beside it and p_i itself, so the
+    result depends on no sign but p[0]'s.  Returns None when a step is
+    exactly pi/2: neither sign is nearer, so the node count is too small, and
+    the caller doubles it and retries.  A wider gap returns a continuation:
+    the nearer sign is taken, and only the closure check can catch a branch
+    it lost.  Raises BranchTrackingError when a p_i is zero, or, the closure
+    check, when the wrap back to node 0 lands nearer -p[0] than p[0].  p must
+    be complex.
     """
-    p = np.sqrt(q)
     if not p.all():
         raise BranchTrackingError("contour passes through a zero of Q")
     pr, pi = p.real, p.imag
@@ -248,13 +251,12 @@ def _continue_sqrt(q: np.ndarray) -> np.ndarray | None:
     np.sign(overlap, out=signs[1:])
     np.cumprod(signs, out=signs)
     s = signs * p
-    p0, first, last = complex(p[0]), complex(s[0]), complex(s[-1])
-    s_close = p0 if abs(p0 - last) <= abs(-p0 - last) else -p0
-    defect = abs(s_close - first) / abs(first)
-    if defect > NumericsConfig.closure_tol:
+    p0, last = complex(p[0]), complex(s[-1])
+    if not abs(p0 - last) <= abs(-p0 - last):
         raise BranchTrackingError(
-            f"sqrt(Q) is not single-valued on this contour "
-            f"(closure defect {defect:.3g}); it must enclose exactly two simple zeros"
+            "sqrt(Q) is not single-valued on this contour (its continuation "
+            "returns to node 0 with the opposite sign); it must enclose exactly "
+            "two simple zeros"
         )
     return s
 
@@ -277,30 +279,6 @@ def _abs_sums(f_dz: np.ndarray) -> np.ndarray:
     return np.concatenate(
         [np.abs(f_dz[i : i + step]).sum(axis=1) for i in range(0, len(f_dz), step)]
     )
-
-
-def _midpoint_sqrt(s: np.ndarray, q_mid: np.ndarray) -> np.ndarray | None:
-    """sqrt(Q) at the midpoints between consecutive nodes of the closed,
-    continued sequence s (the last midpoint lies between s[-1] and s[0]).
-
-    Each midpoint takes the sign nearest its left neighbour and must also
-    step by less than pi/2 to its right neighbour; then interleaving gives
-    what _continue_sqrt returns on the doubled node set.  Returns None when
-    either test fails, so that a full pass decides.  q_mid must be complex.
-    """
-    p = np.sqrt(q_mid)
-    sr, si = s.real, s.imag
-    left = p.real * sr  # Re(p_i * conj(s_i))
-    left += p.imag * si
-    if not left.all():
-        return None
-    mid = np.sign(left) * p
-    mr, mi = mid.real, mid.imag
-    right = mr[:-1] * sr[1:]  # Re(mid_i * conj(s_i+1)); the last one wraps to s_0
-    right += mi[:-1] * si[1:]
-    if (right <= 0).any() or mr[-1] * sr[0] + mi[-1] * si[0] <= 0:
-        return None
-    return mid
 
 
 def _stalled_at_floor(
@@ -368,20 +346,23 @@ def action_integrals(
 
     The trapezoid rule on the periodic ellipse is nested: the 2N-node set is
     the N-node set plus the N midpoints.  So a doubling evaluates only the
-    midpoints, continues sqrt(Q) onto them from their neighbours, and adds
-    their sums to the running ones.  A pass at N nodes holds the sums S_N,
+    midpoints and adds their sums to the running ones.  Its sqrt(Q) is the
+    one tracer's chain (_continue_sqrt) over the continued coarse roots
+    interleaved with the midpoints' principal roots, bit for bit what a full
+    pass on the doubled set continues; the doubling stands if the chain
+    leaves every old node as it was.  A pass at N nodes holds the sums S_N,
     S_N/2 (its even nodes) and S_N/4, so one pass decides convergence,
     |S_N - S_N/2|, and has the previous difference the floor stop needs;
     sub-sums of fewer than initial_nodes nodes are never used.  So a first
     pass at cold_start_nodes() or more decides both tests at once, and a
     cold quadrature that converges there takes one pass.  The first pass,
-    and any doubling whose midpoints fail the branch tests, evaluates every
-    node and continues sqrt(Q) in full, with the closure check.  A full
-    pass in which the square roots at two adjacent nodes are exactly a
-    quarter turn apart (neither sign is nearer) is retried in full at twice
-    the count.  A wider gap is not detected there: the nearer sign
-    is taken, and only the closure check, or on a doubling the midpoint
-    tests, can catch a branch it lost.
+    and any doubling whose chain would flip an old node or has a quarter
+    turn between neighbours, evaluates every node at that count and
+    continues sqrt(Q) in full.  A full pass in which the square roots at two
+    adjacent nodes are exactly a quarter turn apart (neither sign is nearer)
+    is retried in full at twice the count.  A wider gap is not detected: the
+    nearer sign is taken, and only the closure check, on the wrap back to
+    node 0, or on a doubling an old node's flip, can catch a branch it lost.
 
     Doubling stops early, with a QuadratureError that names the order, node
     count, difference, floor and target, once an unconverged order has hit
@@ -430,22 +411,23 @@ def action_integrals(
                     V, E, replace(c, offset=offset + 0.5), half, kmax
                 )
                 evaluated += half
-                mid = _midpoint_sqrt(sqrt_q, q_derivs[0])
-                if mid is None:
+                chain = np.empty(nodes, dtype=complex)
+                chain[0::2], chain[1::2] = sqrt_q, np.sqrt(q_derivs[0])
+                chain = _continue_sqrt(chain)
+                if chain is None or not np.array_equal(chain[0::2], sqrt_q):
                     sqrt_q = None
                 else:
+                    mid = np.ascontiguousarray(chain[1::2])
                     f_dz, mid_derivs = plan(q_derivs, mid, dz)
                     totals[nodes] = totals[half] + f_dz.sum(axis=1)
                     deriv_sums += mid_derivs
                     abs_sums += _abs_sums(f_dz)
-                    interleaved = np.empty(nodes, dtype=complex)
-                    interleaved[0::2], interleaved[1::2] = sqrt_q, mid
-                    sqrt_q = interleaved
+                    sqrt_q = chain
                     offset *= 2.0
-            if sqrt_q is None:  # first pass, or the midpoints failed their branch tests
+            if sqrt_q is None:  # first pass, or the chain would change an old node
                 q_derivs, dz = _node_batch(V, E, c, nodes, kmax)
                 evaluated += nodes
-                sqrt_q = _continue_sqrt(q_derivs[0])
+                sqrt_q = _continue_sqrt(np.sqrt(q_derivs[0]))
                 if sqrt_q is None:  # a quarter-turn step: retry at twice the count
                     nodes *= 2
                     continue

@@ -60,7 +60,8 @@ def _poly_roots(coeffs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Potential:
-    """V(x) = sum_k coefficients[k] x^k, confining: degree >= 2, leading > 0."""
+    """V(x) = sum_k coefficients[k] x^k, confining: even degree >= 2,
+    leading > 0."""
 
     coefficients: tuple[Fraction, ...]
 
@@ -71,6 +72,11 @@ class Potential:
         object.__setattr__(self, "coefficients", coeffs)
         if self.degree < 2:
             raise ValueError("potential must have degree >= 2")
+        if self.degree % 2:
+            raise ValueError(
+                f"potential has odd degree {self.degree}, so it falls without bound "
+                "on one side (not confining); the degree must be even"
+            )
         if coeffs[-1] <= 0:
             raise ValueError("leading coefficient must be positive (confining)")
 

@@ -380,15 +380,17 @@ def _newton(
         E = nxt
 
 
-def _no_bracket(
-    K: int, seed: float, E: float, vmin: float, exc: DunhamError
+def _phase_failure(
+    K: int, seed: float, E: float, vmin: float, exc: DunhamError,
+    bracket: tuple[float, float] | None = None,
 ) -> NoSolutionError:
-    """The error of level K when the phase fails at the seed (E = seed), or
-    at E on the walk's halving of E - vmin from the seed toward the bottom of
-    the well: it names the seed, E, vmin and the cause, which the caller
-    chains."""
+    """The error of level K when the phase fails at E: at the seed
+    (E = seed), on the walk from the seed, or, when `bracket` is given,
+    inside that bracket as Brent's method narrows it.  It names the seed, E,
+    vmin and the cause, which the caller chains."""
+    where = "no bracket" if bracket is None else "no root in the bracket [%r, %r]" % bracket
     return NoSolutionError(
-        f"no bracket for level K={K} from the seed E={seed!r}: the phase fails at "
+        f"{where} for level K={K} from the seed E={seed!r}: the phase fails at "
         f"E={E!r} (Vmin = {vmin!r}) with {type(exc).__name__}: {exc}"
     )
 
@@ -398,8 +400,7 @@ def _walk(
 ) -> tuple[float, float, float, float, int]:
     """(lo, f(lo), hi, f(hi), steps): a sign-change bracket of phase_at,
     found by doubling E - vmin from the seed while the phase is too small,
-    or halving it while the phase is too large.  A halving at which the
-    phase fails raises NoSolutionError (see _no_bracket)."""
+    or halving it while the phase is too large."""
     cap = NumericsConfig.bracket_expansion_cap
     f_seed = phase_at(seed)
     lo = hi = seed
@@ -421,10 +422,7 @@ def _walk(
         for steps in range(1, cap + 1):
             hi, fhi = lo, flo
             lo = vmin + 0.5 * (lo - vmin)
-            try:
-                flo = phase_at(lo)
-            except DunhamError as exc:
-                raise _no_bracket(K, seed, lo, vmin, exc) from exc
+            flo = phase_at(lo)
             if flo <= 0.0:
                 break
         else:
@@ -445,9 +443,9 @@ def quantize(req: QuantizationRequest, seed: float | None = None) -> Quantizatio
     the level falls back to a bracket walk from the seed and Brent's method
     on the bracket until it is at most bisection_rtol*(1+|E|) wide; the
     fallback reuses every evaluation already made.  A phase that fails at
-    the seed, or on the walk's halving toward the bottom of the well, ends
-    the level in a NoSolutionError that names the seed, the energy and Vmin,
-    and chains the failure.
+    the seed, on the walk or inside Brent's bracket ends the level in a
+    NoSolutionError that names the seed, the energy and Vmin, and chains the
+    failure.
 
     Phi is evaluated at most once per energy; the residual and actions of the
     result come from the evaluation at the returned root.  Each evaluation's
@@ -480,8 +478,12 @@ def quantize(req: QuantizationRequest, seed: float | None = None) -> Quantizatio
                 start_nodes = acts.nodes
         return evaluated[E]
 
-    def phase_at(E: float) -> float:
-        return evaluate(E)[0] - target
+    def phase_at(E: float, bracket: tuple[float, float] | None = None) -> float:
+        """Phi(E) - K*pi; a failed evaluation ends the level (_phase_failure)."""
+        try:
+            return evaluate(E)[0] - target
+        except DunhamError as exc:
+            raise _phase_failure(req.K, seed, E, vmin, exc, bracket) from exc
 
     def bracket() -> tuple[float, float]:
         """The largest energy seen below the target and the smallest above."""
@@ -494,16 +496,15 @@ def quantize(req: QuantizationRequest, seed: float | None = None) -> Quantizatio
         return lo, hi
 
     vmin, seed = _seed_energy(req, target, seed, lambda E: evaluate(E)[0])
-    try:
-        evaluate(seed)
-    except DunhamError as exc:
-        raise _no_bracket(req.K, seed, seed, vmin, exc) from exc
+    phase_at(seed)
     e_star, newton_steps, fallback = _newton(evaluate, seed, vmin, target, bracket)
     bracket_steps = root_steps = 0
     if fallback != "none":
         lo, flo, hi, fhi, bracket_steps = _walk(phase_at, seed, vmin, req.K)
         bracket_evals = evals
-        e_star = _brent(phase_at, lo, flo, hi, fhi, NumericsConfig.bisection_rtol)
+        e_star = _brent(
+            lambda E: phase_at(E, (lo, hi)), lo, flo, hi, fhi, NumericsConfig.bisection_rtol
+        )
         root_steps = evals - bracket_evals
     phase, acts = evaluate(e_star)
     residual = phase - target

@@ -120,6 +120,14 @@ class TestSpectrum:
         # argparse treats "-x^2" after -- as positional
         assert code in (EXIT_NUMERIC, EXIT_USAGE)
 
+    @pytest.mark.parametrize("command", ["spectrum", "oracle", "compare"])
+    def test_odd_degree_is_refused_by_name(self, capsys, command):
+        # refused before any probe: x^3 + x^2 once walked to E = 8e59 and
+        # blamed the seed, and the oracle advised "at most 0" levels
+        code, out, err = run(capsys, command, "x^3 + x^2")
+        assert code == EXIT_NUMERIC and out == ""
+        assert "odd degree 3" in err
+
     @pytest.mark.parametrize("seed", ["-3", "0", "1e-300"])
     def test_seed_not_above_the_minimum_names_both(self, capsys, seed):
         code, out, err = run(capsys, "spectrum", "x^4", "--levels", "2", "--seed-bracket", seed)
@@ -280,6 +288,14 @@ class TestOracle:
         assert code == EXIT_NUMERIC and out == ""
         assert "level 56 converged only to" in err
         assert "fewer --levels (at most 56)" in err and "basis_size" not in err
+
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_unresolved_ground_state_offers_no_level_count(self, capsys, command):
+        # level 0 of x^40 misses the gate: fewer --levels cannot help
+        code, out, err = run(capsys, command, "x^40", "--levels", "1")
+        assert code == EXIT_NUMERIC and out == ""
+        assert "level 0 converged only to" in err
+        assert "no --levels value passes at this fixed basis" in err and "at most" not in err
         code, _, _ = run(capsys, "oracle", "x^4", "--levels", "56", "--format", "csv")
         assert code == EXIT_OK
 

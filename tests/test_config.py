@@ -18,7 +18,7 @@ from dunham.potential import parse_potential
 from dunham.solver import QuantizationRequest, quantize
 
 TOLERANCES = ("margin", "root_clearance", "min_minor_ratio", "quad_rel_tol", "quad_abs_tol",
-              "reality_tol", "closure_tol", "real_root_imag_tol", "degeneracy_tol",
+              "reality_tol", "real_root_imag_tol", "degeneracy_tol",
               "bisection_rtol", "residual_tol")
 CONSTANTS = TOLERANCES + ("initial_nodes", "max_nodes", "bracket_expansion_cap",
                           "truncation_floor")
@@ -105,14 +105,16 @@ def test_a_seed_is_the_one_argument_a_solve_takes():
 
 
 def test_constants_cannot_be_set():
-    with pytest.raises(TypeError, match="closure_tol"):
-        NumericsConfig(closure_tol=1e-3)
+    with pytest.raises(TypeError, match="reality_tol"):
+        NumericsConfig(reality_tol=1e-3)
     with pytest.raises(TypeError, match="max_nodes"):
         dataclasses.replace(DEFAULT_CONFIG, max_nodes=2**30)
     with pytest.raises(dataclasses.FrozenInstanceError):
         DEFAULT_CONFIG.residual_tol = 1.0
     for name in CONSTANTS:
         assert getattr(DEFAULT_CONFIG, name) is getattr(NumericsConfig, name)
+    # the 14 constants are the whole record
+    assert len(CONSTANTS) == 14 and set(NumericsConfig.__annotations__) == set(CONSTANTS)
 
 
 def test_constants_keep_the_invariants_a_solve_needs():

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import beta
@@ -215,24 +215,24 @@ class TestContour:
 class TestBranchTrace:
     def test_constant_q_is_flat(self):
         q = np.full(64, 4.0, dtype=complex)
-        s = ct._continue_sqrt(q)
+        s = ct._continue_sqrt(np.sqrt(q))
         assert np.allclose(s, 2.0)
 
     def test_single_zero_fails_closure(self):
         # sqrt(z) around the unit circle flips sign: monodromy must be caught
         z = np.exp(2j * np.pi * np.arange(128) / 128)
         with pytest.raises(BranchTrackingError):
-            ct._continue_sqrt(z)
+            ct._continue_sqrt(np.sqrt(z))
 
     def test_quarter_turn_step_needs_more_nodes(self):
         # adjacent square roots at exactly 90 degrees are ambiguous
         q = np.array([1.0, -1.0, 1.0, -1.0], dtype=complex)
-        assert ct._continue_sqrt(q) is None
+        assert ct._continue_sqrt(np.sqrt(q)) is None
 
     def test_two_enclosed_zeros_close(self, ho):
         c = ct.build_contour(ct.turning_points(ho, 1.0))
         z, _ = ct.ellipse_nodes(c)
-        s = ct._continue_sqrt(ho(z) - 1.0)
+        s = ct._continue_sqrt(np.sqrt(ho(z) - 1.0))
         assert np.allclose(s * s, z * z - 1.0, rtol=1e-12)
         # principal value at the rightmost node, where Q > 0
         assert s[0].real > 0 and abs(s[0].imag) < 1e-12
@@ -240,7 +240,7 @@ class TestBranchTrace:
     def test_trace_shape_matches_contour(self, ho):
         c = ct.build_contour(ct.turning_points(ho, 1.0))
         z, _ = ct.ellipse_nodes(c)
-        s = ct._continue_sqrt(ho(z) - 1.0)
+        s = ct._continue_sqrt(np.sqrt(ho(z) - 1.0))
         assert z.shape == s.shape == (c.nodes,)
 
 
@@ -410,10 +410,17 @@ class TestEnergySlopes:
             z, dz = ct.ellipse_nodes(c, m)
             q_derivs = V.derivs(z, plan.need)
             q_derivs[0] -= E
-            sqrt_q = ct._continue_sqrt(q_derivs[0])
+            sqrt_q = ct._continue_sqrt(np.sqrt(q_derivs[0]))
             values = plan(q_derivs, sqrt_q, dz)[0]
             want = plan(q_derivs, sqrt_q, 1.0)[0] * dz
             assert values.tobytes() == want.tobytes()
+
+
+def _interleave(coarse, mid):
+    """The coarse values at the even places, the midpoints' at the odd."""
+    out = np.empty(2 * coarse.size, dtype=complex)
+    out[0::2], out[1::2] = coarse, mid
+    return out
 
 
 def _contour(V, E, nodes=None):
@@ -448,19 +455,97 @@ class TestNestedDoubling:
         z_even, _ = ct.ellipse_nodes(c, n)
         z_mid, _ = ct.ellipse_nodes(dataclasses.replace(c, offset=0.5), n)
         assert np.array_equal(z_full[0::2], z_even) and np.array_equal(z_full[1::2], z_mid)
-        full = ct._continue_sqrt(V(z_full) - E)
-        coarse = ct._continue_sqrt(V(z_even) - E)
-        mid = ct._midpoint_sqrt(coarse, V(z_mid) - E)
+        full = ct._continue_sqrt(np.sqrt(V(z_full) - E))
+        coarse = ct._continue_sqrt(np.sqrt(V(z_even) - E))
+        doubled = ct._continue_sqrt(_interleave(coarse, np.sqrt(V(z_mid) - E)))
         assert np.array_equal(full[0::2], coarse)
-        assert np.array_equal(full[1::2], mid)
+        assert doubled.tobytes() == full.tobytes()
 
-    @pytest.mark.parametrize("q_mid", [
-        [1j, 1j],    # 1/8 of a turn from node 0 but 3/8 of a turn from node 1
-        [-1.0, 1j],  # exactly pi/2 from node 0: no nearest sign
+    @given(wells(), st.floats(1e-3, 50.0))
+    @settings(max_examples=150, deadline=None)
+    def test_doubling_chain_is_the_full_continuation(self, V, rise):
+        # the one tracer over the continued coarse roots and the midpoints'
+        # principal roots returns, bit for bit, what it returns from the
+        # principal roots of the doubled set: the same continuation, the
+        # same quarter turn or the same failed closure
+        E = V.real_minimum()[1] + rise
+        try:
+            c = ct.build_contour(ct.turning_points(V, E))
+            coarse = ct._continue_sqrt(np.sqrt(V(ct.ellipse_nodes(c)[0]) - E))
+        except (TurningPointError, ContourConstructionError, BranchTrackingError):
+            assume(False)
+        assume(coarse is not None)
+        z_full, _ = ct.ellipse_nodes(c, 2 * c.nodes)
+        z_mid, _ = ct.ellipse_nodes(dataclasses.replace(c, offset=0.5))
+
+        def outcome(p):
+            try:
+                s = ct._continue_sqrt(p)
+            except BranchTrackingError as exc:
+                return str(exc)
+            return None if s is None else s.tobytes()
+
+        doubled = outcome(_interleave(coarse, np.sqrt(V(z_mid) - E)))
+        assert doubled == outcome(np.sqrt(V(z_full) - E))
+
+    def test_wrap_that_flips_raises(self):
+        # sqrt(z) on the unit circle around its one zero: every step is an
+        # eighth of a turn, but the wrap back to node 0 lands on -1
+        t = np.pi * np.arange(8) / 4
+        coarse = np.exp(1j * t[0::2] / 2)
+        mid = np.sqrt(np.exp(1j * t[1::2]))
+        with pytest.raises(BranchTrackingError, match="opposite sign"):
+            ct._continue_sqrt(_interleave(coarse, mid))
+
+    @pytest.mark.parametrize("q_mid, old_nodes", [
+        # 1/8 of a turn from node 0 but 3/8 of a turn from node 1, which flips
+        pytest.param([1j, 1j], [1.0, 1.0], id="q_mid0"),
+        # exactly pi/2 from node 0: no nearest sign
+        pytest.param([-1.0, 1j], None, id="q_mid1"),
     ])
-    def test_midpoint_sqrt_refuses_ambiguous_steps(self, q_mid):
+    def test_midpoint_sqrt_refuses_ambiguous_steps(self, q_mid, old_nodes):
+        # neither doubling stands: action_integrals evaluates the set in full
         s = np.array([1.0, -1.0], dtype=complex)
-        assert ct._midpoint_sqrt(s, np.array(q_mid, dtype=complex)) is None
+        chain = ct._continue_sqrt(_interleave(s, np.sqrt(np.array(q_mid, dtype=complex))))
+        if old_nodes is None:
+            assert chain is None
+        else:
+            assert chain[0::2].tolist() == old_nodes != s.tolist()
+
+    def test_midpoint_that_flips_an_old_node_leads_to_a_full_pass(
+        self, quartic, series15, batches, monkeypatch
+    ):
+        # the first doubling's first two midpoints are each moved to just
+        # under a quarter turn from the old node before them, away from the
+        # old node after them, so each flips the chain there: old node 1
+        # changes sign and old node 2 changes back.  The doubling gives way
+        # to a full pass at the same count, on the true values
+        orders = [0, 2, 4]
+        ref = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
+        batches.clear()
+        original, moved = ct._node_batch, []
+
+        def node_batch(V, E, c, m, kmax):
+            q_derivs, dz = original(V, E, c, m, kmax)
+            if c.offset == 0.5 and not moved:
+                t = 2 * np.pi * np.arange(3) / m  # old nodes 0, 1 and 2
+                old = np.sqrt(V(c.center + c.semi_major * np.cos(t)
+                                + 1j * c.semi_minor * np.sin(t)) - E)
+                for j in (0, 1):
+                    step = np.angle(old[j + 1] / old[j])
+                    away = -np.sign(step) * (np.pi / 2 - abs(step) / 2)
+                    q_derivs[0][j] = (old[j] * np.exp(1j * away)) ** 2
+                moved.append(m)
+            return q_derivs, dz
+
+        monkeypatch.setattr(ct, "_node_batch", node_batch)
+        acts = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
+        first = 2 * moved[0]
+        assert batches[1:3] == [(first // 2, 0.5), (first, 0.0)]
+        assert acts.nodes == ref.nodes
+        assert acts.evaluated == sum(m for m, _ in batches) == ref.evaluated + first
+        for n in orders:
+            assert acts[n] == pytest.approx(ref[n], rel=2 * DEFAULT_CONFIG.quad_rel_tol)
 
     @pytest.mark.parametrize("potential, E", [("x^4", 1.0), ("x^4 + 0.5*x^3", 2.0)])
     def test_nested_sums_agree_with_direct_sum(self, series15, potential, E):
@@ -473,7 +558,7 @@ class TestNestedDoubling:
         z, dz = ct.ellipse_nodes(c, acts.nodes)
         q = V.derivs(z, 2 * max(orders))
         q[0] = q[0] - E
-        sqrt_q = ct._continue_sqrt(q[0])
+        sqrt_q = ct._continue_sqrt(np.sqrt(q[0]))
         w = 2.0 * np.pi / acts.nodes
         for n in orders:
             f_dz = eval_numeric_array(series15.terms[n], q, sqrt_q) * dz
@@ -538,7 +623,10 @@ class TestNestedDoubling:
         orders = [0, 2, 4]
         ref = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
         batches.clear()
-        monkeypatch.setattr(ct, "_midpoint_sqrt", lambda s, q_mid: None)
+        # a doubling's chain is the one the tracer runs after a midpoint batch
+        trace = ct._continue_sqrt
+        monkeypatch.setattr(
+            ct, "_continue_sqrt", lambda p: None if batches[-1][1] == 0.5 else trace(p))
         acts = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
         # each doubling evaluates its midpoints, then the doubled set in full
         full = [m for m, offset in batches if offset == 0.0]

@@ -215,7 +215,7 @@ def _contour_inputs(m, kmax=8):
     z, _ = ct.ellipse_nodes(ct.build_contour(ct.turning_points(V, E)), m)
     q_derivs = V.derivs(z, kmax)
     q_derivs[0] = q_derivs[0] - E
-    return q_derivs, ct._continue_sqrt(q_derivs[0])
+    return q_derivs, ct._continue_sqrt(np.sqrt(q_derivs[0]))
 
 
 def _batch(terms, q_derivs, sqrt_q=None):
@@ -295,7 +295,7 @@ class TestEvalNumeric:
         z, _ = ct.ellipse_nodes(c, 96)
         q, q1 = V.derivs(z, 1)
         q = q - E
-        got = dp.eval_numeric_array(series15.terms[1], [q, q1], ct._continue_sqrt(q))
+        got = dp.eval_numeric_array(series15.terms[1], [q, q1], ct._continue_sqrt(np.sqrt(q)))
         want = -q1 / (4.0 * q)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 4 * EPS
 

@@ -62,6 +62,12 @@ class TestInvariants:
         with pytest.raises(ValueError):
             parse_potential("-x^2")
 
+    @pytest.mark.parametrize("text, degree", [("x^3", 3), ("x^3 + x^2", 3), ("x^5 + x^2", 5)])
+    def test_odd_degree_rejected(self, text, degree):
+        # V falls without bound as x -> -inf: no level is confined
+        with pytest.raises(ValueError, match=rf"odd degree {degree}\b"):
+            parse_potential(text)
+
     def test_trailing_zeros_stripped(self):
         V = Potential((F(0), F(0), F(1), F(0)))
         assert V.degree == 2

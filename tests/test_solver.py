@@ -152,6 +152,40 @@ class TestQuantize:
             f"E={at!r} (Vmin = 0.0) with DegenerateTurningPointError: {cause}"
         )
 
+    def test_a_failure_inside_brents_bracket_names_the_level(self):
+        # x^4 + x^3/2 at order 6, K = 0: Brent's method meets B_12's rounding
+        # floor inside its bracket, which once escaped as a bare QuadratureError
+        V = parse_potential("x^4 + 0.5*x^3")
+        with pytest.raises(NoSolutionError) as info:
+            sv.quantize(req(V, 0, 6))
+        cause = info.value.__cause__
+        assert isinstance(cause, QuadratureError) and cause.order == 12
+        fields = re.fullmatch(
+            r"no root in the bracket \[(\S+), (\S+)\] for level K=0 from the seed E=(\S+): "
+            r"the phase fails at E=(\S+) \(Vmin = (\S+)\) with QuadratureError: (.*)",
+            str(info.value))
+        lo, hi, seed, at, vmin = map(float, fields.groups()[:5])
+        assert fields.group(6) == str(cause)
+        assert vmin == V.real_minimum()[1] < lo < at < hi and seed in (lo, hi)
+
+    def test_a_failure_on_the_walk_up_names_the_level(self, ho, monkeypatch):
+        # the walk doubles E - Vmin from the seed at E = 1 and fails at E = 2
+        def eval_phase(request, E, nodes):
+            if E > 1.5:
+                raise QuadratureError("no quadrature above E = 1.5")
+            return phase(request, E, nodes)
+
+        phase = sv._eval_phase
+        monkeypatch.setattr(sv, "_eval_phase", eval_phase)
+        monkeypatch.setattr(sv, "_newton", lambda evaluate, E, *rest: (E, 0, "cap"))
+        with pytest.raises(NoSolutionError) as info:
+            sv.quantize(req(ho, 1, 0), seed=1.0)
+        assert isinstance(info.value.__cause__, QuadratureError)
+        assert str(info.value) == (
+            "no bracket for level K=1 from the seed E=1.0: the phase fails at E=2.0 "
+            "(Vmin = 0.0) with QuadratureError: no quadrature above E = 1.5"
+        )
+
     def test_truncation_diagnostics_quartic(self, quartic):
         res = sv.quantize(req(quartic, 3, 2))
         # increments shrink through order 2 here: no divergence warning
