@@ -125,12 +125,18 @@ def turning_points(V: Potential, E: float) -> TurningPair:
     Past the eigenvalues everything runs on Python complex and float values,
     which for a handful of roots costs less than array operations do: the
     polish and the checks evaluate V and V' by Horner's rule.  A non-finite
-    E raises ValueError."""
+    E raises ValueError, and a TurningPointError names an E at which V - E
+    over its leading coefficient overflows a float."""
     if not math.isfinite(E):
         raise ValueError(f"energy must be finite, got E = {E!r}")
     rows = V._float_rows
     coeffs = list(rows[0])
     coeffs[0] -= E
+    if not all(math.isfinite(c / coeffs[-1]) for c in coeffs):
+        raise TurningPointError(
+            f"V - E over its leading coefficient {coeffs[-1]!r} overflows a float at "
+            f"E = {E!r}, so its roots cannot be computed"
+        )
     roots = _newton_step(V, E, _poly_roots(coeffs))
 
     scale = 1.0 + max(map(abs, roots))

@@ -37,28 +37,23 @@ first three derivatives in E (for Q = V - E) over the points.
 :func:`eval_numeric_array` evaluates one expression through its plan at
 unit weights.
 
-Plain-text rendering is a bijection with the canonical form and round-trips
-through :func:`parse_plain`.  Grammar of one monomial (factors joined by
-``*``):
-
-    coefficient   int or int/int, sign leading the monomial
-    derivative    Q', Q'', Q''' and Q(k) for k >= 4, optional ^int exponent
-    power of Q    Q, Q^int for integer powers; Q^(p/2) for half powers
+Expressions are written out, never read back in: :func:`to_plain` and
+:func:`to_latex` render them as text and :func:`expr_to_json` as the JSON
+layout the README documents.
 """
 
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BranchConsistencyError, ExprParseError, InputShapeError
+from .errors import BranchConsistencyError, InputShapeError
 
 __all__ = [
     "Monomial",
@@ -66,7 +61,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "q_power",
-    "constant",
     "add",
     "negate",
     "scale",
@@ -79,9 +73,7 @@ __all__ = [
     "has_half_powers",
     "to_plain",
     "to_latex",
-    "parse_plain",
     "expr_to_json",
-    "expr_from_json",
 ]
 
 
@@ -120,14 +112,6 @@ class Monomial:
     def weight(self) -> int:
         """Total derivative weight sum(k * e_k); the canonical primary key."""
         return _weight(self.derivs)
-
-    def key(self) -> tuple:
-        return (self.weight, self.q_half, self.derivs)
-
-
-def _mono(coeff: Fraction, q_half: int, derivs: Mapping[int, int]) -> Monomial:
-    pairs = tuple(sorted((k, e) for k, e in derivs.items() if e != 0))
-    return Monomial(coeff, q_half, pairs)
 
 
 @dataclass(frozen=True)
@@ -328,13 +312,6 @@ def _exact(value) -> Fraction:
             "Fraction, an int or a string such as '1/10'"
         )
     return Fraction(value)
-
-
-def constant(value) -> DiffExpr:
-    c = _exact(value)
-    if c == 0:
-        return ZERO
-    return DiffExpr((Monomial(c, 0, ()),))
 
 
 def add(a: DiffExpr, b: DiffExpr) -> DiffExpr:
@@ -583,7 +560,7 @@ def eval_numeric_array(
 
 
 # ---------------------------------------------------------------------------
-# rendering and parsing
+# rendering
 
 _PRIMES = {1: "Q'", 2: "Q''", 3: "Q'''"}
 
@@ -618,18 +595,22 @@ def _monomial_plain(m: Monomial) -> str:
     return " * ".join([_coeff_plain(c)] + factors)
 
 
-def to_plain(a: DiffExpr) -> str:
-    """Deterministic plain-text form; bijective with the canonical form."""
+def _join(a: DiffExpr, render) -> str:
+    """The rendered monomials of a, joined by " + " or, for a monomial
+    rendered with a leading "-", by " - "; "0" for the empty sum."""
     if not a.monomials:
         return "0"
-    parts = [_monomial_plain(a.monomials[0])]
+    parts = [render(a.monomials[0])]
     for m in a.monomials[1:]:
-        s = _monomial_plain(m)
-        if s.startswith("-"):
-            parts.append(" - " + s[1:])
-        else:
-            parts.append(" + " + s)
+        s = render(m)
+        parts.append(" - " + s[1:] if s.startswith("-") else " + " + s)
     return "".join(parts)
+
+
+def to_plain(a: DiffExpr) -> str:
+    """Deterministic plain-text form, one string per canonical form: the
+    output of ``dunham terms`` (grammar in the README)."""
+    return _join(a, _monomial_plain)
 
 
 def _latex_deriv(k: int, e: int) -> str:
@@ -677,123 +658,7 @@ def _q_latex_power(h: int) -> str:
 
 
 def to_latex(a: DiffExpr) -> str:
-    if not a.monomials:
-        return "0"
-    parts = [_monomial_latex(a.monomials[0])]
-    for m in a.monomials[1:]:
-        s = _monomial_latex(m)
-        if s.startswith("-"):
-            parts.append(" - " + s[1:])
-        else:
-            parts.append(" + " + s)
-    return "".join(parts)
-
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<qderiv>Q'{1,3}|Q\(\d+\))
-  | (?P<qhalf>Q\^\(-?\d+/2\))
-  | (?P<qpow>Q(\^-?\d+)?)
-  | (?P<number>\d+(/\d+)?)
-  | (?P<caret>\^)
-  | (?P<op>[+\-*])
-  | (?P<bad>\S+)
-    """,
-    re.VERBOSE,
-)
-
-
-def parse_plain(text: str) -> DiffExpr:
-    """Parse the plain rendering back into an expression.
-
-    Accepts exactly the grammar produced by :func:`to_plain` (plus redundant
-    whitespace and explicit "1 *" coefficients).  Raises ExprParseError with
-    the failing position otherwise.
-    """
-    tokens = []
-    for mt in _TOKEN_RE.finditer(text):
-        kind = mt.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ExprParseError(
-                f"unexpected token {mt.group()!r} at position {mt.start()}",
-                position=mt.start(),
-                token=mt.group(),
-            )
-        tokens.append((kind, mt.group(), mt.start()))
-    if not tokens:
-        raise ExprParseError("empty expression", position=0)
-    if len(tokens) == 1 and tokens[0][1] == "0":
-        return ZERO
-
-    monomials: list[Monomial] = []
-    i = 0
-    n = len(tokens)
-
-    def fail(pos, msg):
-        raise ExprParseError(f"{msg} at position {pos}", position=pos)
-
-    while i < n:
-        sign = 1
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            fail(len(text), "dangling sign")
-        coeff = Fraction(sign)
-        q_half = 0
-        derivs: dict[int, int] = {}
-        expect_factor = True
-        while i < n:
-            kind, val, pos = tokens[i]
-            if kind == "op" and val in "+-":
-                break
-            if kind == "op" and val == "*":
-                if expect_factor:
-                    fail(pos, "unexpected '*'")
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                fail(pos, f"missing '*' before {val!r}")
-            if kind == "number":
-                coeff *= Fraction(val)
-                i += 1
-            elif kind == "qhalf":
-                q_half += int(val[3:-3])  # strip "Q^(" and "/2)"
-                i += 1
-            elif kind == "qpow":
-                p = 1 if val == "Q" else int(val[2:])
-                q_half += 2 * p
-                i += 1
-            elif kind == "qderiv":
-                if val.startswith("Q'"):
-                    k = len(val) - 1
-                else:
-                    k = int(val[2:-1])
-                    if k < 1:
-                        fail(pos, "derivative order must be >= 1")
-                e = 1
-                if i + 2 < n and tokens[i + 1][0] == "caret" and tokens[i + 2][0] == "number":
-                    e = int(tokens[i + 2][1])
-                    i += 2
-                elif i + 1 < n and tokens[i + 1][0] == "caret":
-                    fail(tokens[i + 1][2], "expected integer exponent after '^'")
-                derivs[k] = derivs.get(k, 0) + e
-                i += 1
-            elif kind == "caret":
-                fail(pos, "unexpected '^'")
-            else:
-                fail(pos, f"unexpected token {val!r}")
-            expect_factor = False
-        if expect_factor:
-            fail(len(text), "monomial ended after '*'")
-        if coeff != 0:
-            monomials.append(_mono(coeff, q_half, derivs))
-    return _collect(monomials)
+    return _join(a, _monomial_latex)
 
 
 # ---------------------------------------------------------------------------
@@ -813,15 +678,3 @@ def expr_to_json(a: DiffExpr) -> dict:
         ]
     }
 
-
-def expr_from_json(doc: dict) -> DiffExpr:
-    monos = []
-    for entry in doc["monomials"]:
-        monos.append(
-            _mono(
-                Fraction(entry["coeff"]),
-                int(entry["q_half"]),
-                {int(k): int(e) for k, e in entry["derivs"]},
-            )
-        )
-    return _collect(monos)

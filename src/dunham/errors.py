@@ -13,8 +13,8 @@ class BranchConsistencyError(DunhamError, ValueError):
     """The supplied square-root branch value does not square to Q."""
 
 
-class ExprParseError(DunhamError, ValueError):
-    """Plain-text expression could not be parsed.
+class PotentialParseError(DunhamError, ValueError):
+    """Potential text (e.g. "0.5*x^2 + 0.1*x^4") could not be parsed.
 
     Attributes:
         position: 0-based character offset of the offending token.
@@ -25,10 +25,6 @@ class ExprParseError(DunhamError, ValueError):
         super().__init__(message)
         self.position = position
         self.token = token
-
-
-class PotentialParseError(ExprParseError):
-    """Potential text (e.g. "0.5*x^2 + 0.1*x^4") could not be parsed."""
 
 
 class TurningPointError(DunhamError):

@@ -12,8 +12,10 @@ are parsed as exact decimal fractions (0.1 -> 1/10), never binary floats.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -31,6 +33,35 @@ def _as_fraction(value) -> Fraction:
             "decimal string (parsed exactly)"
         )
     return Fraction(value)
+
+
+def _float_size(c: Fraction) -> float:
+    """|c| as a float, inf where it overflows."""
+    try:
+        return abs(float(c))
+    except OverflowError:
+        return math.inf
+
+
+def _refuse_unheld(c: Fraction, k: int) -> None:
+    """Raise a ValueError when a float cannot hold a nonzero coefficient that the
+    term c x^k gives V or one of its derivatives, naming its power and
+    derivative order.  That coefficient, c k!/(k - j)! in derivative order j,
+    grows with j from c to c k!, so c rounds to 0.0 or c k! overflows
+    exactly when one does, and the table need not be built to tell."""
+    if _float_size(c) == 0.0:
+        what, j = "rounds to 0 as a float", 0
+    elif _float_size(c * math.factorial(k)) == math.inf:
+        what, j = "overflows a float", 0
+        while _float_size(c) < math.inf:
+            c *= k - j
+            j += 1
+    else:
+        return
+    approx = Decimal(c.numerator) / Decimal(c.denominator)
+    raise ValueError(
+        f"the x^{k - j} coefficient of derivative order {j} of V, {approx:.3e}, {what}"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -79,6 +110,9 @@ class Potential:
             )
         if coeffs[-1] <= 0:
             raise ValueError("leading coefficient must be positive (confining)")
+        for k, c in enumerate(coeffs):
+            if c:
+                _refuse_unheld(c, k)
 
     @property
     def degree(self) -> int:
@@ -96,7 +130,9 @@ class Potential:
     @cached_property
     def _float_rows(self) -> tuple[list[float], ...]:
         """The rows of the exact table as Python floats, converted once: the
-        one float view of V that evaluation and root finding read."""
+        one float view of V that evaluation and root finding read.  The
+        constructor has refused every nonzero coefficient that a float
+        cannot hold."""
         return tuple([float(c) for c in row] for row in self._deriv_coeff_table)
 
     def __call__(self, z):

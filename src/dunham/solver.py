@@ -395,6 +395,15 @@ def _phase_failure(
     )
 
 
+def _root_failure(K: int, seed: float, E: float, vmin: float, what: str) -> NoSolutionError:
+    """The error of level K when the root the solver found at E fails a
+    gate (`what`); worded like _phase_failure's."""
+    return NoSolutionError(
+        f"no root for level K={K} from the seed E={seed!r}: the solver stopped at "
+        f"E={E!r}, where the {what} (Vmin = {vmin!r})"
+    )
+
+
 def _walk(
     phase_at: Callable[[float], float], seed: float, vmin: float, K: int
 ) -> tuple[float, float, float, float, int]:
@@ -509,13 +518,15 @@ def quantize(req: QuantizationRequest, seed: float | None = None) -> Quantizatio
     phase, acts = evaluate(e_star)
     residual = phase - target
     if abs(residual) > NumericsConfig.residual_tol:
-        raise NoSolutionError(
-            f"residual {residual:.3g} exceeds tolerance {NumericsConfig.residual_tol} "
-            f"at E={e_star}"
+        raise _root_failure(
+            req.K, seed, e_star, vmin,
+            f"residual {residual:.3g} exceeds tolerance {NumericsConfig.residual_tol}",
         )
     actions = tuple(acts[2 * n] for n in range(0, req.order + 1))
     if actions[0] <= 0:
-        raise NoSolutionError(f"leading action must be positive, got {actions[0]}")
+        raise _root_failure(
+            req.K, seed, e_star, vmin, f"leading action {actions[0]!r} is not positive"
+        )
 
     trunc, warnings = truncation_diagnostics(actions)
     _log.debug(

@@ -65,8 +65,6 @@ __all__ = [
     "reduce_even_term",
     "certify_even_reduction",
     "series_to_json",
-    "series_from_json",
-    "certificate_to_json",
 ]
 
 # -1/(2 T_0) = (1/2) Q^(-1/2): the exact inverse factor used by the recursion
@@ -371,19 +369,3 @@ def _series_json_text(series: WkbSeries) -> str:
         )
     return f'{{\n  "max_order": {series.max_order},\n  "terms": {_json_list(terms, 2)}\n}}'
 
-
-def series_from_json(doc: dict) -> WkbSeries:
-    n_max = int(doc["max_order"])
-    terms = [dp.ZERO] * (n_max + 1)
-    for entry in doc["terms"]:
-        terms[int(entry["order"])] = dp.expr_from_json(entry["expr"])
-    return WkbSeries(n_max, tuple(terms))
-
-
-def certificate_to_json(cert: OddTermCertificate) -> dict:
-    return {
-        "n": cert.n,
-        "f": dp.expr_to_json(cert.f_n),
-        "phi": dp.expr_to_json(cert.phi_n),
-        "verified": cert.verified,
-    }

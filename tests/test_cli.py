@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import dunham
-import dunham.diffpoly as dp
 import dunham.wkb_series as ws
 from dunham.cli import (
     EXIT_NUMERIC,
@@ -47,6 +46,11 @@ class TestTerms:
         assert lines[0] == "T_0 = -Q^(1/2)"
         assert lines[1] == "T_1 = -1/4 * Q' * Q^-1"
 
+    def test_plain_matches_golden(self, capsys):
+        code, out, _ = run(capsys, "terms", "--n-max", "4")
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "terms_plain_n4.txt").read_text()
+
     def test_latex_matches_golden(self, capsys):
         code, out, _ = run(capsys, "terms", "--n-max", "3", "--format", "latex")
         assert code == EXIT_OK
@@ -55,10 +59,7 @@ class TestTerms:
     def test_json_roundtrips_to_fresh_terms(self, capsys):
         code, out, _ = run(capsys, "terms", "--n-max", "5", "--format", "json")
         assert code == EXIT_OK
-        back = ws.series_from_json(json.loads(out))
-        fresh = ws.gen_terms(5)
-        for a, b in zip(back.terms, fresh.terms):
-            assert dp.equals(a, b)
+        assert json.loads(out) == ws.series_to_json(ws.gen_terms(5))
 
     def test_single_term_json(self, capsys):
         code, out, _ = run(capsys, "terms", "--n-max", "0", "--format", "json")
@@ -127,6 +128,17 @@ class TestSpectrum:
         code, out, err = run(capsys, command, "x^3 + x^2")
         assert code == EXIT_NUMERIC and out == ""
         assert "odd degree 3" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "oracle"])
+    @pytest.mark.parametrize("potential", [
+        "x^2 + 1e400", "1e307*x^20", "1e-400*x^2", "1e-300*x^2",
+    ])
+    def test_coefficients_at_the_float_limits_exit_cleanly(self, capsys, command, potential):
+        # each once ended in a traceback: OverflowError, IndexError or
+        # numpy's LinAlgError
+        code, out, err = run(capsys, command, potential)
+        assert code in (EXIT_USAGE, EXIT_NUMERIC) and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize("seed", ["-3", "0", "1e-300"])
     def test_seed_not_above_the_minimum_names_both(self, capsys, seed):

@@ -87,6 +87,12 @@ class TestTurningPoints:
         ):
             ct.turning_points(ho, 0.0)
 
+    def test_overflow_names_the_energy(self):
+        # (V - E) / 1e-300 overflows a float from E = 2^28 on
+        V = parse_potential("1e-300*x^2")
+        with pytest.raises(TurningPointError, match=r"overflows a float at E = 268435456\.0"):
+            ct.turning_points(V, 2.0**28)
+
     @pytest.mark.parametrize(
         "text, E",
         [

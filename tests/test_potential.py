@@ -1,5 +1,8 @@
 """Potential construction, text parsing, and evaluation."""
 
+import math
+import re
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -75,6 +78,29 @@ class TestInvariants:
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
             Potential((0, 0, 0.1))
+
+    @pytest.mark.parametrize("text, message", [
+        ("x^2 + 1e400", "x^0 coefficient of derivative order 0 of V, 1.000e+400, overflows"),
+        # 20 * 1e307 in V' is past the largest float
+        ("1e307*x^20", "x^19 coefficient of derivative order 1 of V, 2.000e+308, overflows"),
+        # 1e300 * 20!/13! in V^(7)
+        ("1e300*x^20", "x^13 coefficient of derivative order 7 of V, 3.907e+308, overflows"),
+        ("1e-400*x^2", "x^2 coefficient of derivative order 0 of V, 1.000e-400, rounds to 0"),
+    ], ids=["overflow", "derivative-overflow", "deep-derivative-overflow", "underflow"])
+    def test_coefficients_a_float_cannot_hold_rejected(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_potential(text)
+
+    @pytest.mark.parametrize("degree", [2, 6, 20])
+    def test_coefficients_at_the_float_limits_accepted(self, degree):
+        # the largest leading coefficient whose V^(degree) still fits, and
+        # the smallest float: every entry of the float table is finite and
+        # nonzero where the exact one is
+        top = F(sys.float_info.max) / math.factorial(degree)
+        for c in (top, F(5e-324)):
+            V = Potential((0,) * degree + (c,))
+            for exact, floats in zip(V._deriv_coeff_table, V._float_rows):
+                assert all(0 < abs(f) < math.inf for e, f in zip(exact, floats) if e)
 
 
 class TestEvaluation:

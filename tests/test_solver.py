@@ -22,6 +22,7 @@ from dunham.errors import (
     NoSolutionError,
     QuadratureError,
     SpectrumError,
+    TurningPointError,
 )
 from dunham.potential import parse_potential
 
@@ -185,6 +186,36 @@ class TestQuantize:
             "no bracket for level K=1 from the seed E=1.0: the phase fails at E=2.0 "
             "(Vmin = 0.0) with QuadratureError: no quadrature above E = 1.5"
         )
+
+    def test_a_residual_failure_names_the_level(self):
+        # x^2 + x^4 at order 5, K = 0: the root finder stops where the phase
+        # is still 2.2e-8 from K*pi
+        V = parse_potential("x^2 + x^4")
+        with pytest.raises(NoSolutionError) as info:
+            sv.quantize(req(V, 0, 5))
+        fields = re.fullmatch(
+            r"no root for level K=0 from the seed E=(\S+): the solver stopped at E=(\S+), "
+            r"where the residual (\S+) exceeds tolerance 1e-10 \(Vmin = 0\.0\)",
+            str(info.value))
+        seed, at, residual = map(float, fields.groups())
+        assert 0.0 < at < seed and abs(residual) > NumericsConfig.residual_tol
+
+    def test_a_negative_leading_action_names_the_level(self, ho, monkeypatch):
+        def eval_phase(request, E, nodes):
+            value, acts = phase(request, E, nodes)
+            acts[0] = -acts[0]  # the phase itself is unchanged
+            return value, acts
+
+        phase = sv._eval_phase
+        monkeypatch.setattr(sv, "_eval_phase", eval_phase)
+        with pytest.raises(NoSolutionError) as info:
+            sv.quantize(req(ho, 1, 0), seed=2.5)
+        fields = re.fullmatch(
+            r"no root for level K=1 from the seed E=2\.5: the solver stopped at E=(\S+), "
+            r"where the leading action (\S+) is not positive \(Vmin = 0\.0\)",
+            str(info.value))
+        assert float(fields.group(1)) == pytest.approx(3.0, rel=1e-9)
+        assert float(fields.group(2)) == pytest.approx(-1.5 * math.pi, rel=1e-9)
 
     def test_truncation_diagnostics_quartic(self, quartic):
         res = sv.quantize(req(quartic, 3, 2))
@@ -780,6 +811,17 @@ class TestSpectrum:
         # second-order truncation error shrinks fast with K
         assert rels[2] < rels[1] < rels[0]
         assert rels[2] < 1e-4
+
+    def test_turning_point_overflow_is_a_level_failure(self):
+        # every seed probe fails, the last by overflow in turning_points,
+        # which once escaped as numpy's LinAlgError and aborted the spectrum
+        with pytest.raises(SpectrumError) as err:
+            sv.spectrum(parse_potential("1e-300*x^2"), 2, 0)
+        assert sorted(err.value.failures) == [0, 1]
+        for exc in err.value.failures.values():
+            assert isinstance(exc, NoSolutionError)
+            assert type(exc.__cause__) is TurningPointError
+            assert "overflows a float" in str(exc.__cause__)
 
     def test_partial_failure_collects(self, ho, monkeypatch):
         calls = {}

@@ -227,7 +227,11 @@ class TestCertificates:
     def test_phi1_to_phi8_bytes_pinned(self):
         # the k/n factors of build_phi make these the only non-dyadic coefficients
         series = ws.gen_terms(17)
-        doc = [ws.certificate_to_json(ws.certify_total_derivative(series, n)) for n in range(1, 9)]
+        doc = []
+        for n in range(1, 9):
+            cert = ws.certify_total_derivative(series, n)
+            doc.append({"n": cert.n, "f": dp.expr_to_json(cert.f_n),
+                        "phi": dp.expr_to_json(cert.phi_n), "verified": cert.verified})
         digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
         assert digest == "08bbed78f2b986768c1bf37a3e99bc8ac6b4bc91a61e53394be31636eb0f7d08"
 
@@ -274,19 +278,6 @@ class TestEvenReduction:
 
 
 class TestSerialization:
-    def test_series_json_roundtrip(self, series15):
-        doc = json.loads(json.dumps(ws.series_to_json(series15)))
-        back = ws.series_from_json(doc)
-        assert back.max_order == series15.max_order
-        for a, b in zip(back.terms, series15.terms):
-            assert dp.equals(a, b)
-
-    def test_certificate_json_shape(self, series15):
-        cert = ws.certify_total_derivative(series15, 2)
-        doc = ws.certificate_to_json(cert)
-        assert doc["n"] == 2 and doc["verified"] is True
-        assert dp.equals(dp.expr_from_json(doc["phi"]), cert.phi_n)
-
     def test_series_json_golden(self):
         from pathlib import Path
 
