@@ -46,7 +46,6 @@ from .wkb_series import (
     WkbSeries,
     build_phi,
     certify_total_derivative,
-    check_f_recursion,
     f_term,
     g_term,
     gen_terms,
@@ -68,7 +67,6 @@ __all__ = [
     "gen_terms",
     "g_term",
     "f_term",
-    "check_f_recursion",
     "build_phi",
     "certify_total_derivative",
     "Potential",

@@ -179,8 +179,8 @@ def cmd_verify_odd(args) -> int:
         all_ok &= cert.verified
         lines.append(
             f"n={n} verified={cert.verified} "
-            f"F_monomials={len(cert.f_n.monomials)} "
-            f"Phi_monomials={len(cert.phi_n.monomials)}"
+            f"F_monomials={len(cert.f_n)} "
+            f"Phi_monomials={len(cert.phi_n)}"
         )
     lines.append("all verified" if all_ok else "VERIFICATION FAILED")
     _emit(args, "\n".join(lines) + "\n", {"n_max": args.n_max},

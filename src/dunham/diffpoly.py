@@ -7,24 +7,28 @@ An expression is a finite sum of monomials
 with an arbitrary-precision rational coefficient, a half-integer power of Q
 (stored as the integer ``h`` counting halves, so all exponent arithmetic is
 exact), and positive integer exponents on the derivatives Q', Q'', ...
-Everything is immutable and kept in a canonical form: monomials with equal
-(h, derivative-exponent) keys are merged, zero coefficients dropped, and the
-list sorted by (total derivative weight sum(k*e_k), h, derivative exponents).
+Everything is immutable, and an expression's monomials are in a canonical
+form: monomials with equal (h, derivative-exponent) keys are merged, zero
+coefficients dropped, and the list sorted by (total derivative weight
+sum(k*e_k), h, derivative exponents).
 
-Coefficients are exact ``Fraction`` values, but sums and products are not
-computed one ``Fraction`` at a time: each expression caches its coefficients
-as integer numerators over their common denominator, the accumulator behind
-:func:`mul`, :func:`add` and :func:`differentiate` adds plain integer
-numerators over one running denominator, and one ``Fraction`` is built per
-output monomial.  Next to each numerator the cache holds the monomial's
-(h, derivative-exponent) key packed into one int of ``_FIELD_BITS``-bit
-fields (packed exponent vectors, Monagan & Pearce, CASC 2007), so the key of
-a product is one integer addition and that of a derivative one more.  Each
-surviving key is decoded once, when the sum is finalized.  Packing refuses,
+What an expression is, though, is its packed form: its coefficients as
+integer numerators over one common denominator D, each next to its
+monomial's (h, derivative-exponent) key packed into one int of
+``_FIELD_BITS``-bit fields (packed exponent vectors, Monagan & Pearce,
+CASC 2007), the keys increasing and D reduced against the numerators.  The
+accumulator behind :func:`mul`, :func:`add` and :func:`differentiate` adds
+plain integer numerators over one running denominator; the key of a product
+is one integer addition and that of a derivative one more, and a finished
+sum is its packed form, with no key decoded.  Comparison, hashing,
+:func:`negate`, :func:`scale` and the queries read only keys and
+numerators.  The ``Fraction`` coefficients and :class:`Monomial` objects of
+``DiffExpr.monomials`` are built when an expression is first read out
+(rendered, or compiled for numeric evaluation), and kept.  Packing refuses,
 with a ValueError, |h|, an exponent or a derivative order past
-``_PACK_LIMIT`` (16383).  On gen_terms(20) plus the certificates of
-Phi_1..Phi_8 this took the algebra from about 0.32 to 0.10 s (2 cores,
-Python 3.11.7).
+``_PACK_LIMIT`` (16383).  With this, gen_terms(29), the odd certificates
+for n <= 14 and the even reductions for n <= 14 went from 0.67, 0.95 and
+1.54 s to 0.35, 0.36 and 0.41 s (2 cores, Python 3.11.7).
 
 Numeric evaluation takes the values of Q and its derivatives at an array of
 points plus an externally chosen branch of sqrt(Q) there; this module never
@@ -44,9 +48,10 @@ layout the README documents.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -114,38 +119,112 @@ class Monomial:
         return _weight(self.derivs)
 
 
-@dataclass(frozen=True)
 class DiffExpr:
-    """Canonical sum of :class:`Monomial`; the empty sum is zero."""
+    """Canonical sum of :class:`Monomial`; the empty sum is zero.
 
-    monomials: tuple[Monomial, ...]
+    An expression is its packed form ``(D, ((key, numerator), ...))``: each
+    monomial's packed key (see :func:`_pack`) with its coefficient as an
+    integer numerator over D, the keys increasing and D reduced against the
+    numerators, so that equal sums have equal forms.  ``==``, ``hash``,
+    ``len`` and the arithmetic read only this form.  :attr:`monomials` is a
+    view of it, built on first read and kept.  ``DiffExpr(monomials)`` merges
+    like monomials, drops zeros and sorts, and packs on first use, so an
+    expression past the packing limit can be built and read, and packing it
+    raises the ValueError of :func:`_pack`.
+    """
 
-    def __bool__(self):
-        return bool(self.monomials)
+    __slots__ = ("_form", "_monomials", "_checked")
+
+    def __init__(self, monomials: Iterable[Monomial]):
+        merged: dict[tuple, Fraction] = {}
+        for m in monomials:
+            key = m.q_half, m.derivs
+            merged[key] = merged.get(key, 0) + m.coeff
+        self._monomials = tuple(
+            sorted(
+                (_trusted(c, h, d) for (h, d), c in merged.items() if c),
+                key=lambda m: (m.weight, m.q_half, m.derivs),
+            )
+        )
+        self._form = None
+        self._checked = False
+
+    @property
+    def monomials(self) -> tuple[Monomial, ...]:
+        """The monomials, sorted by (weight, q_half, derivs)."""
+        if self._monomials is None:
+            self._monomials = _view(*self._form)
+        return self._monomials
+
+    @property
+    def _packed(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The packed form ``(D, ((key, numerator), ...))``."""
+        if self._form is None:
+            den = lcm(*(m.coeff.denominator for m in self._monomials))
+            self._form = den, tuple(
+                sorted(
+                    (_pack(m), m.coeff.numerator * (den // m.coeff.denominator))
+                    for m in self._monomials
+                )
+            )
+        return self._form
+
+    def _operand(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The packed form, checked once to be within the packing limit, so
+        that the keys of a product or a derivative stay inside their fields."""
+        form = self._packed
+        if not self._checked:
+            _check_limit(form[1])
+            self._checked = True
+        return form
+
+    def __len__(self):
+        """The number of monomials."""
+        return len(self._monomials if self._form is None else self._form[1])
+
+    def __eq__(self, other):
+        if not isinstance(other, DiffExpr):
+            return NotImplemented
+        return self._packed == other._packed
+
+    def __hash__(self):
+        return hash(self._packed)
+
+    def __repr__(self):
+        return f"DiffExpr({self.monomials!r})"
 
     def __str__(self):
         return to_plain(self)
 
-    @cached_property
-    def _ints(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """``(D, ((key, numerator), ...))``: every monomial's packed key (see
-        :func:`_pack`) with its coefficient as an integer numerator over D,
-        the lcm of the coefficient denominators."""
-        den = lcm(*(m.coeff.denominator for m in self.monomials))
-        return den, tuple(
-            (_pack(m), m.coeff.numerator * (den // m.coeff.denominator))
-            for m in self.monomials
-        )
+
+def _packed_expr(den: int, rows: tuple) -> DiffExpr:
+    """The expression whose packed form is (den, rows), already canonical."""
+    e = object.__new__(DiffExpr)
+    e._form = den, rows
+    e._monomials = None
+    e._checked = False
+    return e
 
 
-# Packed monomial keys.  Inside the accumulator a monomial's (q_half, derivs)
-# is one int of fixed-width fields: the low field holds q_half + _BIAS and
-# field k holds the exponent of Q^(k).  A product's key is then ka + kb -
-# _BIAS and a derivative's a constant offset.  Packing accepts |q_half|,
-# exponents and derivative orders up to _PACK_LIMIT, so the sum of two
-# packed fields, or a field moved by a derivative, stays inside its field
-# and never carries into the next one.  16-bit fields measured faster than
-# 32-bit ones: the keys of gen_terms(20) stay shorter ints.
+def _reduced(den: int, keys: list, nums: list) -> DiffExpr:
+    """The expression of the numerators nums over den at the increasing
+    packed keys, with den reduced against the numerators."""
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [c // g for c in nums]
+    return _packed_expr(den, tuple(zip(keys, nums)))
+
+
+# Packed monomial keys.  A monomial's (q_half, derivs) is one int of
+# fixed-width fields: the low field holds q_half + _BIAS and field k holds
+# the exponent of Q^(k).  A product's key is then ka + kb - _BIAS and a
+# derivative's a constant offset.  Keys are packed and used as operands only
+# up to _PACK_LIMIT in |q_half|, every exponent and every derivative order,
+# so the sum of two packed fields, or a field moved by a derivative, stays
+# inside its field and never carries into the next one.  16-bit fields
+# measured faster than 32-bit ones: the keys of gen_terms(20) stay shorter
+# ints.
 _FIELD_BITS = 16
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 _BIAS = 1 << (_FIELD_BITS - 1)
@@ -154,18 +233,24 @@ _PACK_LIMIT = (1 << (_FIELD_BITS - 2)) - 1
 _Q_STEP = (1 << _FIELD_BITS) - 2
 
 
-def _pack(m: Monomial) -> int:
-    """The packed key of m's (q_half, derivs); ValueError past _PACK_LIMIT."""
-    h = m.q_half
+def _within_limit(h: int, derivs: tuple) -> None:
+    """Raise ValueError if |h|, an exponent or a derivative order is past
+    _PACK_LIMIT."""
     if not -_PACK_LIMIT <= h <= _PACK_LIMIT:
         raise ValueError(f"q_half {h} is outside the packing limit +-{_PACK_LIMIT}")
-    key = h + _BIAS
-    for k, e in m.derivs:
+    for k, e in derivs:
         if k > _PACK_LIMIT or e > _PACK_LIMIT:
             raise ValueError(
                 f"derivative order {k} with exponent {e} exceeds the packing limit "
                 f"{_PACK_LIMIT}"
             )
+
+
+def _pack(m: Monomial) -> int:
+    """The packed key of m's (q_half, derivs); ValueError past _PACK_LIMIT."""
+    _within_limit(m.q_half, m.derivs)
+    key = m.q_half + _BIAS
+    for k, e in m.derivs:
         key += e << (_FIELD_BITS * k)
     return key
 
@@ -176,27 +261,53 @@ _MAX_DECODED = 1 << 13
 
 
 @lru_cache(maxsize=_MAX_DECODED)
-def _unpack_derivs(fields: int) -> tuple[int, tuple, bool]:
-    """(weight, derivs, packs) of a packed key's derivative fields, key >>
-    _FIELD_BITS; packs is whether every order and exponent is within
-    _PACK_LIMIT, so that the fields can go into another product as they are."""
+def _unpack_derivs(fields: int) -> tuple[int, tuple, tuple]:
+    """(weight, derivs, steps) of a packed key's derivative fields, key >>
+    _FIELD_BITS.  steps holds (step, 2 e) for each factor (Q^(k))^e: d/dx
+    takes it to e (Q^(k))^(e-1) Q^(k+1), which adds step to the key, and the
+    sums of add_derivative are over twice the denominator."""
     derivs = []
+    steps = []
     weight = 0
     k = 1
     while fields:
         e = fields & _FIELD_MASK
         if e:
             derivs.append((k, e))
+            steps.append(((1 << (_FIELD_BITS * (k + 1))) - (1 << (_FIELD_BITS * k)), 2 * e))
             weight += k * e
         fields >>= _FIELD_BITS
         k += 1
-    packs = k - 1 <= _PACK_LIMIT and all(e <= _PACK_LIMIT for _, e in derivs)
-    return weight, tuple(derivs), packs
+    return weight, tuple(derivs), tuple(steps)
+
+
+# The top two bits of the exponent fields 1 .. _PACK_LIMIT of a key
+_HIGH_BITS = (
+    ((1 << (_FIELD_BITS * _PACK_LIMIT)) - 1) // _FIELD_MASK * (_FIELD_MASK ^ _PACK_LIMIT)
+) << _FIELD_BITS
+
+
+def _refuse(key: int) -> None:
+    """Raise the ValueError of :func:`_within_limit` for a key past the limit."""
+    _within_limit((key & _FIELD_MASK) - _BIAS, _unpack_derivs(key >> _FIELD_BITS)[1])
+
+
+def _check_limit(rows: tuple) -> None:
+    """Raise ValueError if a key of the increasing rows is past _PACK_LIMIT.
+    Keys made by the accumulator from keys within the limit never overflow a
+    field, so a field is past the limit exactly when one of its top two bits
+    is set, or, for q_half, when it is outside _BIAS +- _PACK_LIMIT."""
+    # the largest key is last; past field _PACK_LIMIT, _HIGH_BITS sees nothing
+    if rows and rows[-1][0].bit_length() > _FIELD_BITS * (_PACK_LIMIT + 1):
+        _refuse(rows[-1][0])
+    for key, _ in rows:
+        if key & _HIGH_BITS or not -_PACK_LIMIT <= (key & _FIELD_MASK) - _BIAS <= _PACK_LIMIT:
+            _refuse(key)
 
 
 def _trusted(coeff: Fraction, q_half: int, derivs: tuple) -> Monomial:
     """A Monomial built without the checks of __post_init__, for terms that
-    come canonical out of the accumulator."""
+    are canonical already."""
     m = object.__new__(Monomial)
     d = m.__dict__
     d["coeff"] = coeff
@@ -205,15 +316,31 @@ def _trusted(coeff: Fraction, q_half: int, derivs: tuple) -> Monomial:
     return m
 
 
+def _decoded(rows: tuple) -> list[tuple[int, int, tuple, int]]:
+    """(weight, q_half, derivs, numerator) of each packed row, in canonical
+    order."""
+    out = []
+    for key, num in rows:
+        weight, derivs, _ = _unpack_derivs(key >> _FIELD_BITS)
+        out.append((weight, (key & _FIELD_MASK) - _BIAS, derivs, num))
+    out.sort()  # (weight, q_half, derivs) differ between rows
+    return out
+
+
+def _view(den: int, rows: tuple) -> tuple[Monomial, ...]:
+    """The monomials of the packed form (den, rows), in canonical order."""
+    return tuple(_trusted(Fraction(num, den), h, d) for _, h, d, num in _decoded(rows))
+
+
 class _Sum:
-    """Running exact sum of monomial products, finalized once.
+    """Running exact sum of monomial products.
 
     Terms accumulate as packed key -> int numerator over one common
     denominator D, without a ``Fraction`` or a :class:`Monomial` per
     product.  An incoming term whose denominator does not divide D grows D to
     the lcm and rescales the numerators held so far.  :meth:`result` drops
-    zero numerators, decodes each surviving key once, builds one ``Fraction``
-    and one monomial per key and sorts by the canonical key.
+    zero numerators, sorts the keys and reduces D: the packed form of the
+    sum, with no key decoded.
     """
 
     __slots__ = ("_acc", "_den")
@@ -232,10 +359,15 @@ class _Sum:
             self._den *= grow
         return self._den // den
 
+    def add_term(self, key: int, coeff: Fraction) -> None:
+        """Add coeff times the monomial of a packed key."""
+        c = coeff.numerator * self._over(coeff.denominator)
+        self._acc[key] = self._acc.get(key, 0) + c
+
     def add_product(self, a: DiffExpr, b: DiffExpr, factor=1) -> None:
         """Add factor * a * b; factor is an int or a Fraction."""
-        den_a, ta = a._ints
-        den_b, tb = b._ints
+        den_a, ta = a._operand()
+        den_b, tb = b._operand()
         mult = factor.numerator * self._over(den_a * den_b * factor.denominator)
         acc = self._acc
         get = acc.get
@@ -249,47 +381,25 @@ class _Sum:
     def add_derivative(self, a: DiffExpr) -> None:
         """Add d/dx a, by the product rule (see :func:`differentiate`); the
         h/2 factor puts the result over 2 * D_a."""
-        den, ta = a._ints
+        den, ta = a._operand()
         mult = self._over(2 * den)
         acc = self._acc
         get = acc.get
-        for m, (key, num) in zip(a.monomials, ta):
+        for key, num in ta:
             c = num * mult
-            h = m.q_half
+            h = (key & _FIELD_MASK) - _BIAS
             if h != 0:
                 k2 = key + _Q_STEP
                 acc[k2] = get(k2, 0) + c * h
-            for k, e in m.derivs:
-                step = 1 << (_FIELD_BITS * k)
-                k2 = key + (step << _FIELD_BITS) - step
-                acc[k2] = get(k2, 0) + c * 2 * e
+            for step, f in _unpack_derivs(key >> _FIELD_BITS)[2]:
+                k2 = key + step
+                acc[k2] = get(k2, 0) + c * f
 
     def result(self) -> DiffExpr:
-        """The canonical sum.  When every surviving key is within the packing
-        limit, the keys and their numerators, over the reduced common
-        denominator, become the result's ``_ints`` without packing again."""
-        rows = []
-        packs = True
-        for key, c in self._acc.items():
-            if c:
-                weight, derivs, ok = _unpack_derivs(key >> _FIELD_BITS)
-                h = (key & _FIELD_MASK) - _BIAS
-                packs = packs and ok and -_PACK_LIMIT <= h <= _PACK_LIMIT
-                rows.append(((weight, h, derivs), c, key))
-        rows.sort()
-        den = self._den
-        out = DiffExpr(tuple(_trusted(Fraction(c, den), h, d) for (_, h, d), c, _ in rows))
-        if packs:
-            g = gcd(den, *(c for _, c, _ in rows))
-            out.__dict__["_ints"] = (den // g, tuple((key, c // g) for _, c, key in rows))
-        return out
-
-
-def _collect(monomials: Iterable[Monomial]) -> DiffExpr:
-    """Merge like monomials, drop zeros, sort by the canonical key."""
-    s = _Sum()
-    s.add_product(DiffExpr(tuple(monomials)), ONE)
-    return s.result()
+        """The sum, in its packed form."""
+        acc = self._acc
+        keys = sorted(k for k, c in acc.items() if c)
+        return _reduced(self._den, keys, [acc[k] for k in keys])
 
 
 ZERO = DiffExpr(())
@@ -297,7 +407,11 @@ ONE = DiffExpr((Monomial(Fraction(1), 0, ()),))
 
 
 def q_power(half_exponent: int) -> DiffExpr:
-    """Q raised to half_exponent/2, e.g. q_power(1) is sqrt(Q), q_power(-2) is 1/Q."""
+    """Q raised to half_exponent/2, e.g. q_power(1) is sqrt(Q), q_power(-2) is
+    1/Q; half_exponent is a Python or numpy integer, and anything else (a
+    bool, a float) raises a TypeError naming it."""
+    if isinstance(half_exponent, bool) or not isinstance(half_exponent, numbers.Integral):
+        raise TypeError(f"half_exponent must be an integer, got {half_exponent!r}")
     if half_exponent == 0:
         return ONE
     return DiffExpr((Monomial(Fraction(1), int(half_exponent), ()),))
@@ -315,18 +429,25 @@ def _exact(value) -> Fraction:
 
 
 def add(a: DiffExpr, b: DiffExpr) -> DiffExpr:
-    return _collect(a.monomials + b.monomials)
+    s = _Sum()
+    s.add_product(a, ONE)
+    s.add_product(b, ONE)
+    return s.result()
 
 
 def negate(a: DiffExpr) -> DiffExpr:
-    return DiffExpr(tuple(Monomial(-m.coeff, m.q_half, m.derivs) for m in a.monomials))
+    den, rows = a._packed
+    return _packed_expr(den, tuple((key, -num) for key, num in rows))
 
 
 def scale(a: DiffExpr, factor) -> DiffExpr:
     f = _exact(factor)
     if f == 0:
         return ZERO
-    return DiffExpr(tuple(Monomial(m.coeff * f, m.q_half, m.derivs) for m in a.monomials))
+    den, rows = a._packed
+    return _reduced(
+        den * f.denominator, [key for key, _ in rows], [num * f.numerator for _, num in rows]
+    )
 
 
 def mul(a: DiffExpr, b: DiffExpr) -> DiffExpr:
@@ -345,16 +466,19 @@ def differentiate(a: DiffExpr) -> DiffExpr:
 
 def equals(a: DiffExpr, b: DiffExpr) -> bool:
     """Exact structural equality of canonical forms (never numeric)."""
-    return a.monomials == b.monomials
+    return a == b
 
 
 def max_deriv_order(a: DiffExpr) -> int:
-    """Highest derivative order appearing in the expression (0 if none)."""
-    return max((k for m in a.monomials for k, _ in m.derivs), default=0)
+    """Highest derivative order appearing in the expression (0 if none): the
+    top field of the largest key."""
+    rows = a._packed[1]
+    return (rows[-1][0].bit_length() - 1) // _FIELD_BITS if rows else 0
 
 
 def has_half_powers(a: DiffExpr) -> bool:
-    return any(m.q_half % 2 != 0 for m in a.monomials)
+    # _BIAS is even, so a key is odd exactly when its q_half is
+    return any(key & 1 for key, _ in a._packed[1])
 
 
 # Nodes per block of numeric evaluation.  A plan's product table holds one

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
 from . import diffpoly as dp
@@ -54,11 +55,8 @@ __all__ = [
     "OddTermCertificate",
     "EvenTermCertificate",
     "gen_terms",
-    "gen_terms_alt",
-    "recursion_residual",
     "g_term",
     "f_term",
-    "check_f_recursion",
     "compositions",
     "build_phi",
     "certify_total_derivative",
@@ -69,8 +67,6 @@ __all__ = [
 
 # -1/(2 T_0) = (1/2) Q^(-1/2): the exact inverse factor used by the recursion
 _HALF_INV_SQRT = dp.scale(dp.q_power(-1), Fraction(1, 2))
-# 1/T_0 = -Q^(-1/2)
-_INV_T0 = dp.scale(dp.q_power(-1), -1)
 
 
 @dataclass(frozen=True)
@@ -127,51 +123,6 @@ def gen_terms(N: int) -> WkbSeries:
     return WkbSeries(N, tuple(terms))
 
 
-def gen_terms_alt(N: int) -> WkbSeries:
-    """Cross-check generator using the rewritten recursion
-
-        T_n = -(1/2) [ d/dx (T_{n-1}/T_0) + (1/T_0) sum_{m=2}^{n-2} T_m T_{n-m} ]
-
-    for n >= 3 (the interior sum is empty for n = 3), with T_1 and T_2 from
-    their defining forms.  Must generate terms identical to gen_terms; the
-    pair of routes guards against index-limit mistakes.
-    """
-    if N < 0:
-        raise ValueError("series order must be >= 0")
-    t0 = dp.negate(dp.q_power(1))
-    terms = [t0]
-    if N >= 1:
-        # T_1 = -T_0'/(2 T_0)
-        terms.append(dp.mul(_HALF_INV_SQRT, dp.differentiate(t0)))
-    if N >= 2:
-        # T_2 = -(T_1' + T_1^2)/(2 T_0)
-        t1 = terms[1]
-        terms.append(dp.mul(_HALF_INV_SQRT, dp.add(dp.differentiate(t1), dp.mul(t1, t1))))
-    for n in range(3, N + 1):
-        interior = dp._Sum()
-        for m in range(2, n - 1):
-            interior.add_product(terms[m], terms[n - m])
-        total = dp._Sum()
-        total.add_derivative(dp.mul(terms[n - 1], _INV_T0))
-        total.add_product(_INV_T0, interior.result())
-        terms.append(dp.scale(total.result(), Fraction(-1, 2)))
-    return WkbSeries(N, tuple(terms))
-
-
-def recursion_residual(series: WkbSeries, n: int) -> DiffExpr:
-    """2 T_0 T_n + sum_{j=1}^{n-1} T_j T_{n-j} + T_{n-1}'; exactly zero for a
-    correctly generated series (n >= 1)."""
-    if not 1 <= n <= series.max_order:
-        raise ValueError(f"n must be in 1..{series.max_order}")
-    t = series.terms
-    res = dp._Sum()
-    res.add_product(t[0], t[n], 2)
-    for j in range(1, n):
-        res.add_product(t[j], t[n - j])
-    res.add_derivative(t[n - 1])
-    return res.result()
-
-
 def _require_integer_powers(e: DiffExpr, what: str) -> DiffExpr:
     if dp.has_half_powers(e):
         raise DunhamError(f"{what} unexpectedly contains half powers of Q")
@@ -194,15 +145,6 @@ def f_term(series: WkbSeries, j: int) -> DiffExpr:
     if 2 * j + 1 > series.max_order:
         raise ValueError(f"F_{j} needs T_{2*j+1}; series holds orders 0..{series.max_order}")
     return _require_integer_powers(dp.scale(series.terms[2 * j + 1], 2), f"F_{j}")
-
-
-def check_f_recursion(series: WkbSeries, n: int) -> bool:
-    """True iff F_n = G_n' + sum_{m=1}^{n-1} G_m F_{n-m} exactly."""
-    rhs = dp._Sum()
-    rhs.add_derivative(g_term(series, n))
-    for m in range(1, n):
-        rhs.add_product(g_term(series, m), f_term(series, n - m))
-    return dp.equals(f_term(series, n), rhs.result())
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -259,9 +201,9 @@ def certify_total_derivative(series: WkbSeries, n: int) -> OddTermCertificate:
     return OddTermCertificate(n=n, f_n=f_n, phi_n=phi_n, verified=verified)
 
 
-def _q_prime_exponent(m: dp.Monomial) -> int:
-    """The exponent of Q' in m (derivative pairs are sorted by order)."""
-    return m.derivs[0][1] if m.derivs and m.derivs[0][0] == 1 else 0
+def _q_prime_exponent(key: int) -> int:
+    """The exponent of Q' in the monomial of a packed key: its field 1."""
+    return (key >> dp._FIELD_BITS) & dp._FIELD_MASK
 
 
 def reduce_even_term(t: DiffExpr) -> tuple[DiffExpr, DiffExpr]:
@@ -271,25 +213,27 @@ def reduce_even_term(t: DiffExpr) -> tuple[DiffExpr, DiffExpr]:
     exponent a, forms P = c 2/(h+2) Q'^(a-1) (rest) Q^((h+2)/2), and
     subtracts the derivative of the sum of those P's in one accumulator:
     dP/dx is the monomial itself plus terms with a - 1 or a - 2 factors Q',
-    so a round removes its level and the rounds end.  Raises ValueError on a
-    monomial Q'^a (rest) Q^(-1), which has no such P; no even term holds
-    one, as h is odd in all of them."""
+    so a round removes its level and the rounds end.  The rounds work on
+    packed keys: P's key is the monomial's with one off field 1 and two
+    added to q_half.  Raises ValueError on a monomial Q'^a (rest) Q^(-1),
+    which has no such P; no even term holds one, as h is odd in all of
+    them."""
     rest = t
     psi = dp._Sum()
     while True:
-        top = max(map(_q_prime_exponent, rest.monomials), default=0)
+        den, rows = rest._packed
+        top = max((_q_prime_exponent(key) for key, _ in rows), default=0)
         if top == 0:
             return rest, psi.result()
-        level = []
-        for m in rest.monomials:
-            if _q_prime_exponent(m) != top:
+        level = dp._Sum()
+        for key, num in rows:
+            if _q_prime_exponent(key) != top:
                 continue
-            h = m.q_half + 2
+            h = (key & dp._FIELD_MASK) - dp._BIAS + 2
             if h == 0:
                 raise ValueError(f"Q'^{top} Q^(-1) has no antiderivative in the ring")
-            derivs = (((1, top - 1),) if top > 1 else ()) + m.derivs[1:]
-            level.append(dp.Monomial(m.coeff * Fraction(2, h), h, derivs))
-        p = dp._collect(level)
+            level.add_term(key - (1 << dp._FIELD_BITS) + 2, Fraction(2 * num, den * h))
+        p = level.result()
         reduced = dp._Sum()
         reduced.add_product(rest, dp.ONE)
         reduced.add_derivative(dp.negate(p))
@@ -311,7 +255,7 @@ def certify_even_reduction(series: WkbSeries, n: int) -> EvenTermCertificate:
     back = dp._Sum()
     back.add_product(r, dp.ONE)
     back.add_derivative(psi)
-    verified = dp.equals(back.result(), t) and not any(map(_q_prime_exponent, r.monomials))
+    verified = back.result() == t and not any(_q_prime_exponent(key) for key, _ in r._packed[1])
     return EvenTermCertificate(n=n, r_2n=r, psi_2n=psi, verified=verified)
 
 
@@ -352,17 +296,17 @@ def _json_list(items: list, indent: int) -> str:
 def _series_json_text(series: WkbSeries) -> str:
     """``json.dumps(series_to_json(series), indent=2)``, the same bytes,
     written from the templates above instead of by the pure-Python encoder
-    that ``indent`` selects."""
-    derivs_text: dict[tuple, str] = {}
+    that ``indent`` selects, and from each term's packed rows, so that no
+    monomial view is built."""
     terms = []
     for n, t in enumerate(series.terms):
+        den, rows = t._packed
         monos = []
-        for m in t.monomials:
-            d = derivs_text.get(m.derivs)
-            if d is None:
-                d = _json_list([_PAIR_TEXT.format(k, e) for k, e in m.derivs], 12)
-                derivs_text[m.derivs] = d
-            monos.append(_MONOMIAL_TEXT.format(m.coeff, m.q_half, d))
+        for _, h, derivs, num in dp._decoded(rows):
+            g = gcd(num, den)  # the coefficient as str(Fraction(num, den)) has it
+            coeff = num // g if g == den else f"{num // g}/{den // g}"
+            pairs = _json_list([_PAIR_TEXT.format(k, e) for k, e in derivs], 12)
+            monos.append(_MONOMIAL_TEXT.format(coeff, h, pairs))
         terms.append(
             f'    {{\n      "order": {n},\n      "expr": {{\n'
             f'        "monomials": {_json_list(monos, 8)}\n      }}\n    }}'

@@ -20,6 +20,7 @@ import dunham.solver as sv
 import dunham.wkb_series as ws
 from dunham.config import NumericsConfig
 from dunham.potential import parse_potential
+from wkb_checks import gen_terms_alt, recursion_residual
 
 
 def criterion(number, description):
@@ -88,11 +89,11 @@ def test_criterion_2_total_derivative_theorem(series15):
 
 @criterion(3, "both recursion forms agree for n <= 15 and the residual is exactly zero")
 def test_criterion_3_recursion_cross_check(series15):
-    alt = ws.gen_terms_alt(15)
+    alt = gen_terms_alt(15)
     for n in range(16):
         assert dp.equals(series15.terms[n], alt.terms[n])
     for n in range(1, 16):
-        assert not ws.recursion_residual(series15, n), f"nonzero residual at n={n}"
+        assert not recursion_residual(series15, n), f"nonzero residual at n={n}"
 
 
 @criterion(4, "power parity: half-odd powers at even orders, integer at odd")

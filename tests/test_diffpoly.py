@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -34,6 +35,16 @@ class TestConstructors:
     def test_q_power_negative(self):
         assert dp.q_power(-3).monomials[0].q_half == -3
 
+    def test_q_power_takes_python_and_numpy_integers(self):
+        for h in (3, np.int64(3), np.int8(3)):
+            assert dp.equals(dp.q_power(h), mono(1, 3))
+            assert type(dp.q_power(h).monomials[0].q_half) is int
+
+    @pytest.mark.parametrize("h", [1.5, 3.0, True, F(3), "3", None])
+    def test_q_power_refuses_a_non_integer(self, h):
+        with pytest.raises(TypeError, match=re.escape(f"got {h!r}")):
+            dp.q_power(h)
+
     def test_constant_rejects_float(self):
         # a constant is a scaled ONE, so its coefficient is exact or refused
         with pytest.raises(TypeError, match="float"):
@@ -60,6 +71,22 @@ class TestConstructors:
     def test_non_int_q_half_rejected(self):
         with pytest.raises(TypeError):
             dp.Monomial(F(1), 1.0, ())
+
+    def test_constructor_merges_like_monomials(self):
+        m = dp.Monomial(F(1), 3, ())
+        twice = dp.DiffExpr((m, m))
+        assert dp.to_plain(twice) == "2 * Q^(3/2)"
+        assert dp.equals(twice, dp.scale(dp.q_power(3), 2))
+        assert len(twice) == 1
+
+    def test_constructor_drops_zeros_and_sorts(self):
+        a = dp.Monomial(F(1, 2), 0, ((2, 1),))
+        b = dp.Monomial(F(-1, 3), -2, ((1, 1),))
+        e = dp.DiffExpr((a, b, dp.Monomial(F(-1, 2), 0, ((2, 1),)), b))
+        assert e.monomials == (dp.Monomial(F(-2, 3), -2, ((1, 1),)),)
+        assert dp.DiffExpr((a, dp.Monomial(F(-1, 2), 0, ((2, 1),)))) == dp.ZERO
+        assert not dp.DiffExpr((a, dp.Monomial(F(-1, 2), 0, ((2, 1),))))
+        assert dp.DiffExpr((a, b)).monomials == (b, a)
 
     def test_repeated_derivative_order_rejected(self):
         # would render as Q' * Q'^2 and parse back as Q'^3

@@ -208,7 +208,7 @@ def _check_against_reference(seq):
     got = s.result()
     assert {(m.q_half, m.derivs): m.coeff for m in got.monomials} == _reference_sum(seq)
     # the keys and numerators result() hands on are those packing would give
-    assert got._ints == dp.DiffExpr(got.monomials)._ints
+    assert got._packed == dp.DiffExpr(got.monomials)._packed
     assert all(m.coeff != 0 for m in got.monomials)
     keys = [(m.weight, m.q_half, m.derivs) for m in got.monomials]
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
@@ -228,6 +228,48 @@ def test_sum_cancels_to_exact_zero(seq):
     undo = [(op[0], dp.negate(op[1])) + op[2:] for op in seq]
     _, got = _check_against_reference(seq + undo)
     assert got == dp.ZERO
+
+
+# An expression built from monomials and the same one made by the accumulator.
+
+
+def _from_coeffs(coeffs):
+    """The expression of a {(q_half, derivs): coeff} dict, built from monomials."""
+    return dp.DiffExpr(dp.Monomial(c, h, d) for (h, d), c in coeffs.items())
+
+
+def _same_expression(built, made):
+    """built (from monomials) and made (by the accumulator) agree in every
+    comparison; made's monomial view is read last, after == and hash."""
+    assert built == made and made == built
+    assert hash(built) == hash(made)
+    assert dp.equals(built, made) and dp.equals(made, built)
+    assert len(built) == len(made)
+    assert built.monomials == made.monomials
+    assert dp.DiffExpr(made.monomials) == made
+
+
+@given(exprs(), exprs())
+@settings(deadline=None)
+def test_both_forms_agree_for_mul(a, b):
+    _same_expression(_from_coeffs(_naive_product(a, b)), dp.mul(a, b))
+
+
+@given(exprs(), exprs())
+def test_both_forms_agree_for_add(a, b):
+    _same_expression(dp.DiffExpr(a.monomials + b.monomials), dp.add(a, b))
+
+
+@given(exprs())
+def test_both_forms_agree_for_differentiate(a):
+    _same_expression(_from_coeffs(_reference_sum([("derivative", a)])), dp.differentiate(a))
+
+
+@given(exprs(), exprs())
+def test_forms_that_differ_compare_unequal(a, b):
+    built = dp.DiffExpr(a.monomials)
+    assert (built == b) == (a.monomials == b.monomials)
+    assert built != dp.negate(built) or not built
 
 
 def _m(coeff, q_half, derivs=()):
@@ -307,3 +349,13 @@ def test_product_past_pack_limit_raises_when_reused():
     for a in (square, low):
         with pytest.raises(ValueError, match=str(LIMIT)):
             dp.mul(a, dp.ONE)
+
+
+def test_derivative_past_order_limit_raises_when_reused():
+    # d/dx takes the factor Q^(k) at k = LIMIT to Q^(k+1): readable, not reusable
+    past = dp.differentiate(_m(1, 0, [(LIMIT, 1)]))
+    assert past.monomials == (dp.Monomial(F(1), 0, ((LIMIT + 1, 1),)),)
+    assert dp.max_deriv_order(past) == LIMIT + 1
+    for op in (lambda: dp.mul(past, dp.ONE), lambda: dp.differentiate(past)):
+        with pytest.raises(ValueError, match=f"derivative order {LIMIT + 1} .*{LIMIT}"):
+            op()

@@ -8,6 +8,7 @@ import pytest
 
 import dunham.diffpoly as dp
 import dunham.wkb_series as ws
+from wkb_checks import check_f_recursion, gen_terms_alt, recursion_residual
 
 
 def mono(coeff, q_half, derivs=None):
@@ -56,10 +57,10 @@ class TestGeneration:
 
     def test_recursion_residual_is_exactly_zero(self, series15):
         for n in range(1, 16):
-            assert not ws.recursion_residual(series15, n)
+            assert not recursion_residual(series15, n)
 
     def test_alternate_recursion_identical(self, series15):
-        alt = ws.gen_terms_alt(15)
+        alt = gen_terms_alt(15)
         for n in range(16):
             assert dp.equals(alt.terms[n], series15.terms[n])
 
@@ -123,7 +124,7 @@ class TestRescalings:
 class TestOddRecursion:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_f_recursion_holds(self, series15, n):
-        assert ws.check_f_recursion(series15, n)
+        assert check_f_recursion(series15, n)
 
     def test_f4_expansion_has_eight_groups(self, series15):
         # F_4 = G_4' + G_1 F_3 + G_2 F_2 + G_3 F_1 expands to 8 composition
@@ -296,3 +297,38 @@ class TestSerialization:
             assert ws._series_json_text(series) == json.dumps(
                 ws.series_to_json(series), indent=2
             )
+
+
+class TestMonomialViews:
+    """The algebra stays packed: a monomial view is built only when an
+    expression is read out, and once per expression."""
+
+    @pytest.fixture
+    def views(self, monkeypatch):
+        built = []
+        view = dp._view
+
+        def counted(den, rows):
+            built.append(len(rows))
+            return view(den, rows)
+
+        monkeypatch.setattr(dp, "_view", counted)
+        return built
+
+    def test_generation_and_certificates_build_none(self, views):
+        series = ws.gen_terms(12)
+        for n in range(1, 6):
+            assert ws.certify_total_derivative(series, n).verified
+            assert ws.certify_even_reduction(series, n).verified
+        assert views == []
+        text = dp.to_plain(series.terms[12])
+        assert dp.to_latex(series.terms[12]) and dp.to_plain(series.terms[12]) == text
+        assert views == [len(series.terms[12])]
+
+    def test_verify_odd_builds_none(self, views, tmp_path):
+        from dunham.cli import EXIT_OK, main
+
+        out = tmp_path / "odd.txt"
+        assert main(["verify-odd", "--n-max", "8", "--output", str(out)]) == EXIT_OK
+        assert out.read_text().endswith("all verified\n")
+        assert views == []
