@@ -111,7 +111,7 @@ def _seed(args) -> float | None:
     only the solve can tell)."""
     seed = args.seed_bracket
     if seed is not None and not math.isfinite(seed):
-        raise _UsageError(f"bracket_seed must be finite or None, got {seed!r}")
+        raise _UsageError(f"--seed-bracket must be finite, got {seed!r}")
     return seed
 
 
@@ -269,7 +269,12 @@ def _parse_orders(text: str) -> list[int]:
     entries = [e.strip() for e in str(text).split(",") if e.strip()]
     if not entries:
         raise ValueError("at least one order is required")
-    orders = [int(e) for e in entries]
+    orders = []
+    for e in entries:
+        try:
+            orders.append(int(e))
+        except ValueError:
+            raise ValueError(f"--order takes comma-separated integers, got {e!r}") from None
     if any(o < 0 for o in orders):
         raise ValueError("orders must be >= 0")
     for o in orders:

@@ -12,9 +12,9 @@ where the higher-order terms diverge.
 The integrands are passed in by order, as a series' terms or a mapping;
 the solver integrates T_0 and, for each even order 2n >= 2, the reduced
 R_2n = T_2n - dPsi_2n/dx, whose closed-contour integral is that of T_2n.
-E enters them only through Q = V - E, so the evaluation that sums B_n also
-sums dB_n/dE, and the second and third E-derivatives of the sum of the B_n,
-from the same rows on the same nodes.
+E enters them only through Q = V - E, so the evaluation that sums the B_n
+also sums the first three E-derivatives of their sum, from the same rows on
+the same nodes.
 
 The node count doubles until the sums converge.  Doubling is nested: the
 2N-node set is the N-node set plus the N midpoints, so each doubling
@@ -302,23 +302,20 @@ def _stalled_at_floor(
 class Actions(dict):
     """B_n by order n, as action_integrals returns them, plus the node count
     the quadrature converged at (`nodes`), the number of nodes it evaluated
-    on the way (`evaluated`), dB_n/dE by order n from the same nodes
-    (`slopes`), and the second and third E-derivatives of the sum of the B_n
-    over the orders, from the same nodes (`higher_slopes`)."""
+    on the way (`evaluated`), and the first, second and third E-derivatives
+    of the sum of the B_n over the orders, from the same nodes (`slopes`)."""
 
     def __init__(
         self,
         values: dict[int, float],
         nodes: int,
         evaluated: int,
-        slopes: dict[int, float],
-        higher_slopes: tuple[float, float],
+        slopes: tuple[float, float, float],
     ):
         super().__init__(values)
         self.nodes = nodes
         self.evaluated = evaluated
         self.slopes = slopes
-        self.higher_slopes = higher_slopes
 
 
 def action_integrals(
@@ -328,18 +325,18 @@ def action_integrals(
     E: float,
     c: ContourSpec,
 ) -> Actions:
-    """B_n(E) and dB_n/dE for each requested order n, and the second and
-    third E-derivatives of their sum, sharing one node-doubling loop.
+    """B_n(E) for each requested order n, and the first three
+    E-derivatives of their sum, sharing one node-doubling loop.
 
     terms[n] is the integrand of B_n: a series' ``terms`` tuple, or a
     mapping from order to integrand that holds the requested orders.  The
-    plan that sums B_n also sums the first three E-derivatives of terms[n]
-    on the same nodes (see dp.compile_batch).  The real part of the first
-    comes back as Actions.slopes[n] = dB_n/dE, and the real parts of the
-    second and third, summed over the orders, as Actions.higher_slopes.
-    They take no part in the convergence, floor, finiteness or reality
-    tests, which judge B alone: they are as converged as the node count B
-    needed makes them.
+    plan that sums the B_n also sums the first three E-derivatives of the
+    sum of the requested terms[n] on the same nodes (see dp.compile_batch);
+    their real parts come back as Actions.slopes, (d/dE, d2/dE2, d3/dE3) of
+    the sum of the B_n.  A caller that wants dB_n/dE of one order asks for
+    that order alone.  The slopes take no part in the convergence, floor,
+    finiteness or reality tests, which judge B alone: they are as converged
+    as the node count B needed makes them.
 
     Quadrature starts at c.nodes nodes and doubles until every requested
     order moves by less than quad_rel_tol relatively (quad_abs_tol
@@ -383,7 +380,7 @@ def action_integrals(
     """
     orders = sorted(set(orders))
     if not orders:
-        return Actions({}, c.nodes, 0, {}, (0.0, 0.0))
+        return Actions({}, c.nodes, 0, (0.0, 0.0, 0.0))
     try:
         exprs = tuple(terms[n] for n in orders)
     except LookupError:
@@ -404,8 +401,8 @@ def action_integrals(
     nodes, evaluated = c.nodes, 0
     sqrt_q = None  # continued sqrt(Q) on the current node set; None forces a full pass
     totals: dict[int, np.ndarray] = {}  # node count -> sum of f dz, one entry per order
-    # sums of (d^j f/dE^j) dz on the current node set, for j = 1, 2, 3 by
-    # column, one row per order
+    # sums of (d^j f/dE^j) dz on the current node set, for j = 1, 2, 3, of
+    # the sum f of the requested integrands
     deriv_sums = None
     abs_sums = None  # sum of |f dz| on the current node set, one entry per order
     offset = c.offset  # node offset of the current set, in units of its step
@@ -468,8 +465,7 @@ def action_integrals(
                     return Actions(
                         {n: _take_real(v, n) for n, v in zip(orders, vals)},
                         nodes, evaluated,
-                        {n: v.real for n, v in zip(orders, trapezoid(deriv_sums[:, 0], nodes))},
-                        tuple(v.real for v in trapezoid(deriv_sums[:, 1:].sum(axis=0), nodes)),
+                        tuple(v.real for v in trapezoid(deriv_sums, nodes)),
                     )
                 if quarter in totals:
                     coarser = trapezoid(totals[quarter], quarter)

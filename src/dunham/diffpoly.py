@@ -26,18 +26,16 @@ numerators.  The ``Fraction`` coefficients and :class:`Monomial` objects of
 ``DiffExpr.monomials`` are built when an expression is first read out
 (rendered, or compiled for numeric evaluation), and kept.  Packing refuses,
 with a ValueError, |h|, an exponent or a derivative order past
-``_PACK_LIMIT`` (16383).  With this, gen_terms(29), the odd certificates
-for n <= 14 and the even reductions for n <= 14 went from 0.67, 0.95 and
-1.54 s to 0.35, 0.36 and 0.41 s (2 cores, Python 3.11.7).
+``_PACK_LIMIT`` (16383).
 
 Numeric evaluation takes the values of Q and its derivatives at an array of
 points plus an externally chosen branch of sqrt(Q) there; this module never
 picks a branch itself.  A tuple of expressions is compiled once into a plan
 that builds each derivative product from a shorter one, shares the products
 across expressions, and takes the points in fixed-size blocks; it weights
-each point by a caller's dz and, from the same rows, sums each expression's
-first three derivatives in E (for Q = V - E) over the points.
-:func:`compile_batch` returns the plan of a tuple, and
+each point by a caller's dz and, from the same rows, sums the first three
+derivatives in E (for Q = V - E) of the sum of the expressions over the
+points.  :func:`compile_batch` returns the plan of a tuple, and
 :func:`eval_numeric_array` evaluates one expression through its plan at
 unit weights.
 
@@ -49,7 +47,6 @@ layout the README documents.
 from __future__ import annotations
 
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -521,15 +518,15 @@ class _Plan:
     and the sum is multiplied by the weight dz of its point.  An expression
     thus comes out the same, bit for bit, alone or in a batch.
 
-    The same rows also give each expression's first three E-derivatives
-    summed over the points.  For Q = V - E, d^j/dE^j takes
+    The same rows also give the first three E-derivatives of the sum of the
+    expressions, summed over the points.  For Q = V - E, d^j/dE^j takes
     c Q^(h/2) prod_k (Q^(k))^e_k to
     (-1)^j (h/2)(h/2 - 1)...(h/2 - j + 1) c Q^(h/2) prod_k (Q^(k))^e_k / Q^j,
-    as dQ/dE = -1 and the Q^(k) do not depend on E.  So each block reduces
-    its rows against dz / Q, dz / Q^2 and dz / Q^3 in one product, once for
-    all expressions, then weights each row by its E-derivative factors and
-    sums the rows of each expression; no row of E-derivatives is held per
-    point.
+    as dQ/dE = -1 and the Q^(k) do not depend on E.  So each block takes
+    one real product of the (3 x monomial rows) matrix of these factors with
+    its monomial rows, for all expressions at once, and weights the three
+    rows it gets by dz / Q, dz / Q^2 and dz / Q^3 before summing them over
+    the points; no E-derivative is held per expression.
     """
 
     def __init__(self, exprs: Sequence[DiffExpr]):
@@ -552,11 +549,7 @@ class _Plan:
             self.sums.append((lo, len(rows), np.array([float(m.coeff) for m in monos])))
             factors.extend(map(_energy_factors, monos))
         self.monomial_rows = len(rows)  # rows that some monomial carries
-        self.energy = np.array(factors).reshape(-1, 3)
-        # select[i, r] is 1 where monomial row r belongs to expression i
-        self.select = np.zeros((len(self.sums), self.monomial_rows))
-        for i, (lo, hi, _) in enumerate(self.sums):
-            self.select[i, lo:hi] = 1.0
+        self.energy = np.reshape(factors, (-1, 3)).T
         row_of: dict[tuple, int] = {}
         for r, d in enumerate(rows):
             row_of.setdefault(d, r)
@@ -579,10 +572,10 @@ class _Plan:
         self, q_derivs: Sequence[np.ndarray], sqrt_q: np.ndarray | None, dz
     ) -> tuple[np.ndarray, np.ndarray]:
         """(values, derivs): each expression times dz at each point, stacked
-        on a new first axis, and the sums over the points of each
-        expression's E-derivatives times dz, derivs[i, j - 1] the j-th
-        derivative of expression i for j = 1, 2, 3.  dz is an array of the
-        points' shape or a scalar."""
+        on a new first axis, and the length-3 vector of the first, second
+        and third E-derivatives of the sum of the expressions, times dz and
+        summed over the points.  dz is an array of the points' shape or a
+        scalar."""
         if len(q_derivs) < self.need + 1:
             raise InputShapeError(
                 f"expression uses derivatives up to order {self.need}, "
@@ -601,7 +594,7 @@ class _Plan:
         s = None if sqrt_q is None else np.ravel(sqrt_q)
         w = np.ravel(np.broadcast_to(dz, shape))
         out = np.empty((len(self.sums), q[0].size), dtype=complex)
-        derivs = np.zeros((len(self.sums), 3), dtype=complex)
+        derivs = np.zeros(3, dtype=complex)
         for lo in range(0, q[0].size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             derivs += self._block(
@@ -610,8 +603,8 @@ class _Plan:
         return out.reshape((len(self.sums),) + shape), derivs
 
     def _block(self, q: list, s: np.ndarray | None, dz, out: np.ndarray) -> np.ndarray:
-        """Fill out with the block's values times dz; return its sums of
-        E-derivatives times dz, one row per expression."""
+        """Fill out with the block's values times dz; return the sums over
+        its points of the E-derivatives of the expressions' sum times dz."""
         table = np.empty((self.rows, out.shape[1]), dtype=complex)
         for r, p, k in self.steps:
             if p is not None:
@@ -636,34 +629,23 @@ class _Plan:
             np.multiply(dz, inv, out=weights[0])
             np.multiply(weights[0], inv, out=weights[1])
             np.multiply(weights[1], inv, out=weights[2])
-            reduced = table[: self.monomial_rows] @ weights.T
-            return self.select @ (self.energy * reduced)
-
-
-class _Exprs(tuple):
-    """A tuple of expressions that hashes and compares by identity, so that
-    looking up its plan hashes no coefficient; the cache entry holds the
-    expressions, so their ids cannot be reused while it lives."""
-
-    def __hash__(self):
-        return hash(tuple(map(id, self)))
-
-    def __eq__(self, other):
-        return len(self) == len(other) and all(map(operator.is_, self, other))
+            derivs = (self.energy @ flat[: self.monomial_rows]).view(complex)
+            derivs *= weights
+            return derivs.sum(axis=1)
 
 
 @lru_cache(maxsize=_MAX_PLANS)
-def _plan(exprs: _Exprs) -> _Plan:
+def _plan(exprs: tuple[DiffExpr, ...]) -> _Plan:
     return _Plan(exprs)
 
 
 def compile_batch(exprs: Sequence[DiffExpr]) -> _Plan:
-    """The compiled plan of exprs, cached by the identity of the
+    """The compiled plan of exprs, cached by the value of the tuple of
     expressions: call it as ``plan(q_derivs, sqrt_q, dz)`` for the values
-    times the weights dz and the weighted sums of the E-derivatives (see
-    :class:`_Plan`); ``plan.need`` is the highest derivative order it
-    reads."""
-    return _plan(_Exprs(exprs))
+    times the weights dz and the weighted sums of the first three
+    E-derivatives of their sum (see :class:`_Plan`); ``plan.need`` is the
+    highest derivative order it reads."""
+    return _plan(tuple(exprs))
 
 
 def eval_numeric_array(
@@ -680,7 +662,7 @@ def eval_numeric_array(
     expression has half-integer powers of Q but no sqrt_q is given.  This is
     the plan of :func:`compile_batch` on the one expression, at unit weights.
     """
-    return _plan(_Exprs((a,)))(q_derivs, sqrt_q, 1.0)[0][0]
+    return _plan((a,))(q_derivs, sqrt_q, 1.0)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ reduction is certified exactly, once per n, before the first phase
 evaluation that needs it, together with the odd term of the same n.
 
 E enters every integrand only through Q = V - E, so the quadrature that
-gives each B_2n also gives its exact dB_2n/dE, from the same rows on the
-same nodes, and each phase evaluation carries dPhi/dE, d2Phi/dE2 and
-d3Phi/dE3.  quantize uses them for fourth-order Householder steps from a
+gives the B_2n also gives the exact dPhi/dE, d2Phi/dE2 and d3Phi/dE3 of
+their sum, from the same rows on the same nodes, and each phase evaluation
+carries them.  quantize uses them for fourth-order Householder steps from a
 power-law seed, in the variables log(E - Vmin) and log(Phi + pi/2), where a
 leading action B_0 ~ (E - Vmin)^p makes the step Newton's, and exact.  A
 step that the higher derivatives cannot be trusted to improve is Newton's
@@ -156,8 +156,8 @@ def _integrands(order: int) -> Mapping[int, dp.DiffExpr]:
 
 def _eval_phase(req: QuantizationRequest, E: float, nodes: int) -> tuple[float, Actions]:
     """Phi(E) and the actions behind it, with quadrature starting at `nodes`;
-    acts.slopes holds dB_2n/dE from the same nodes (see _phase_slope), and
-    acts.higher_slopes the second and third E-derivatives of Phi."""
+    acts.slopes holds dPhi/dE, d2Phi/dE2 and d3Phi/dE3 from the same nodes
+    (the -pi/2 does not depend on E)."""
     tp = turning_points(req.V, E)
     c = build_contour(tp, nodes)
     orders = range(0, 2 * req.order + 1, 2)
@@ -166,11 +166,6 @@ def _eval_phase(req: QuantizationRequest, E: float, nodes: int) -> tuple[float, 
     for n in range(1, req.order + 1):
         phase += acts[2 * n]
     return phase, acts
-
-
-def _phase_slope(acts: Actions) -> float:
-    """dPhi/dE from the slopes an evaluation of _eval_phase carries."""
-    return sum(acts.slopes.values())
 
 
 def total_phase(req: QuantizationRequest, E: float) -> float:
@@ -351,13 +346,13 @@ def _newton(
         if truncation_diagnostics(tuple(acts.values()))[1]:
             return E, steps, "truncation"
         eps = E - vmin
-        growth = _phase_slope(acts) * eps  # dPhi/du
+        d1, d2, d3 = acts.slopes
+        growth = d1 * eps  # dPhi/du
         if not (math.isfinite(growth) and growth > 0.0):
             return E, steps, "slope"
         b0 = phase + 0.5 * math.pi
         if not b0 > 0.0:
             return E, steps, "phase"
-        d2, d3 = acts.higher_slopes
         g1 = growth / b0
         bend = eps * eps * d2 / b0
         g2 = g1 + bend - g1 * g1
@@ -533,7 +528,7 @@ def quantize(req: QuantizationRequest, seed: float | None = None) -> Quantizatio
         "K=%d order=%d E=%r phase_evals=%d newton_steps=%d bracket_steps=%d "
         "root_steps=%d slope=%r fallback=%s nodes=%d nodes_evaluated=%d",
         req.K, req.order, e_star, evals, newton_steps, bracket_steps, root_steps,
-        _phase_slope(acts), fallback, acts.nodes, nodes_evaluated,
+        acts.slopes[0], fallback, acts.nodes, nodes_evaluated,
     )
     return QuantizationResult(
         K=req.K,

@@ -157,9 +157,10 @@ class TestSpectrum:
     # Newton's method moved them within the root finder's width.  Starting
     # cold quadratures at 256 nodes moved x^2+x^4 (order 4) by at most
     # 5.4e-16 relative; fourth-order root steps moved x^4 (order 2) by at
-    # most 3.4e-13 and x^2+x^4 by at most 6.2e-16 relative
+    # most 3.4e-13 and x^2+x^4 by at most 6.2e-16 relative; taking the
+    # phase's E-derivatives as one sum moved x^4 (order 2, K = 1) by 1 ulp
     @pytest.mark.parametrize("potential, levels, order, digest, before", [
-        ("x^4", "6", "2", "012f016c1dda79782845c00ae5c600bdd303a983976e36d9be5720d36aee9659",
+        ("x^4", "6", "2", "c83fbffd98347dc1298564ab35ec16a205700fbdbedaf35a4648936e7173f300",
          (0.951643031492925, 3.8083772608430615, 7.455282447600405, 11.644778692674349,
           16.261828561550416, 21.23837444314955)),
         ("x^2+x^4", "4", "4", "c420b60dcd3fa1ddda00c9023d140fb7b90e9a72a9d9e6d0785fe262ef193f1e",
@@ -179,7 +180,7 @@ class TestSpectrum:
                            "--format", "json")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "4e8598a1c76850714fe9d3e4f1713967d34346428c3fc3c3478c15364cd06b99")
+            "3edac16a027070718e165c852c71260ccfda8cf0a7da4e00093ab33efeb7b8d8")
 
     @pytest.mark.parametrize("seed", ["1e-10", "0.05"])
     def test_seed_near_the_bottom_names_seed_and_vmin(self, capsys, seed):
@@ -233,7 +234,7 @@ class TestSpectrum:
         assert_within_root_width(
             [float(line.split(",")[2]) for line in compare.splitlines()[1:]], before)
         assert hashlib.sha256(payloads["1"][1]).hexdigest() == (
-            "37f10f0b33291f399d974b5e50c25e87b97c4120805f2e4e87af0441840d626d")
+            "fcb103cde2b8efef608f145f34823ea9cb74e0b306b28a727313f2c98836cf06")
 
     def test_json_format_states_convention(self, capsys):
         code, out, _ = run(capsys, "spectrum", "x^2", "--levels", "1",
@@ -345,11 +346,17 @@ class TestCompare:
                            "--format", "json")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "d34020a3a174a1a3c67c92306fa2185491610d18168d8df647e7b0afd59839fc")
+            "0d2ce8d22e01d0012b06a04f35a290baa06af35fb3d5916ffb55902a858b3ea6")
 
     def test_empty_orders_usage(self, capsys):
         code, _, err = run(capsys, "compare", "x^2", "--order", "")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("orders, entry", [("1.5", "1.5"), ("0,a", "a"), ("0, 2x", "2x")])
+    def test_non_integer_order_usage(self, capsys, orders, entry):
+        code, out, err = run(capsys, "compare", "x^4", "--order", orders)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: --order takes comma-separated integers, got {entry!r}\n"
 
     def test_zero_levels_usage(self, capsys):
         code, _, err = run(capsys, "compare", "x^4", "--levels", "0")

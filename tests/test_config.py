@@ -51,14 +51,15 @@ OUT_OF_RANGE = [
 @pytest.mark.parametrize("name, value, flag", OUT_OF_RANGE)
 def test_out_of_range_value_fails_fast_by_name(name, value, flag, capsys):
     # the record refuses any value; the command line refuses a non-finite
-    # seed by its name, and a retired flag as an unknown argument
+    # seed by its flag, and a retired flag as an unknown argument
     start = time.perf_counter()
     with pytest.raises(TypeError, match=name):
         dataclasses.replace(DEFAULT_CONFIG, **{name: value})
     if flag is not None:
         assert main(["spectrum", "x^4", flag, str(value)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert (f"unrecognized arguments: {flag}" if flag in RETIRED_FLAGS else name) in err
+        assert (f"unrecognized arguments: {flag}" if flag in RETIRED_FLAGS
+                else f"{flag} must be finite, got {value!r}") in err
     assert time.perf_counter() - start < 1.0
 
 

@@ -338,40 +338,43 @@ class TestActionIntegrals:
 
 
 class TestEnergySlopes:
-    """dB_n/dE from the rows of B_n, on B_n's nodes."""
+    """The first three E-derivatives of the sum of the requested B_n, from
+    their rows on their nodes."""
 
     @staticmethod
-    def actions(V, E, order):
-        c = ct.build_contour(ct.turning_points(V, E))
-        return ct.action_integrals(sv._integrands(order), range(0, 2 * order + 1, 2), V, E, c)
+    def actions(V, E, order, orders=None, nodes=None):
+        """B_n of `orders` (every even order up to 2 * order by default) from
+        the integrands of `order`, starting at `nodes` nodes."""
+        c = ct.build_contour(ct.turning_points(V, E), nodes)
+        if orders is None:
+            orders = range(0, 2 * order + 1, 2)
+        return ct.action_integrals(sv._integrands(order), orders, V, E, c)
 
     @pytest.mark.parametrize("E", [1.0, 3.0])
     def test_quartic_slopes_follow_the_scaling_law(self, quartic, E):
-        # B_2n(E) = B_2n(1) E^((3 - 6n)/4) for V = x^4
-        acts = self.actions(quartic, E, 4)
+        # B_2n(E) = B_2n(1) E^((3 - 6n)/4) for V = x^4; each order alone
         for n in range(5):
+            acts = self.actions(quartic, E, 4, [2 * n])
             want = (3 - 6 * n) / 4 * acts[2 * n] / E
-            assert acts.slopes[2 * n] == pytest.approx(want, rel=1e-9)
+            assert acts.slopes[0] == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("E", [1.0, 3.0])
     def test_quartic_higher_slopes_follow_the_scaling_law(self, quartic, E):
         # B_2n = B_2n(1) E^a with a = (3 - 6n)/4 for V = x^4, so its second
         # and third E-derivatives are a(a - 1) B_2n / E^2 and
         # a(a - 1)(a - 2) B_2n / E^3; each order alone, so the sums are its own
-        c = ct.build_contour(ct.turning_points(quartic, E))
         for n in range(5):
-            acts = ct.action_integrals(sv._integrands(4), [2 * n], quartic, E, c)
+            acts = self.actions(quartic, E, 4, [2 * n])
             a = (3 - 6 * n) / 4
             want = (a * (a - 1) * acts[2 * n] / E**2, a * (a - 1) * (a - 2) * acts[2 * n] / E**3)
-            assert acts.higher_slopes == pytest.approx(want, rel=1e-9)
+            assert acts.slopes[1:] == pytest.approx(want, rel=1e-9)
 
     def test_harmonic_slopes(self, ho):
         # B_0 = pi E / 2 and every correction vanishes for V = x^2
-        acts = self.actions(ho, 5.0, 3)
-        assert acts.slopes[0] == pytest.approx(math.pi / 2, abs=1e-12)
+        assert self.actions(ho, 5.0, 3, [0]).slopes[0] == pytest.approx(math.pi / 2, abs=1e-12)
         for n in (2, 4, 6):
-            assert abs(acts.slopes[n]) <= DEFAULT_CONFIG.quad_abs_tol
-        for d in acts.higher_slopes:
+            assert abs(self.actions(ho, 5.0, 3, [n]).slopes[0]) <= DEFAULT_CONFIG.quad_abs_tol
+        for d in self.actions(ho, 5.0, 3).slopes[1:]:
             assert abs(d) <= DEFAULT_CONFIG.quad_abs_tol
 
     @pytest.mark.parametrize("potential, E", [
@@ -379,15 +382,15 @@ class TestEnergySlopes:
         ("x^6 - x^4 + x^3 + x^2 - 1/2*x", 3.0),
     ])
     def test_each_slope_matches_a_central_difference(self, potential, E):
-        # dB_n/dE of every order 0..4 against (B_n(E + h) - B_n(E - h)) / 2h,
-        # each at its own converged node count; the difference's truncation
-        # error is h^2 |d^3 B_n/dE^3| / 6
+        # dB_n/dE of every order 0..4, each asked for alone, against
+        # (B_n(E + h) - B_n(E - h)) / 2h, each at its own converged node
+        # count; the difference's truncation error is h^2 |d^3 B_n/dE^3| / 6
         V, h = parse_potential(potential), 1e-3
-        acts, above, below = (self.actions(V, x, 4) for x in (E, E + h, E - h))
-        assert sorted(acts.slopes) == sorted(acts) == [0, 2, 4, 6, 8]
         for n in range(5):
+            acts, above, below = (self.actions(V, x, 4, [2 * n]) for x in (E, E + h, E - h))
+            assert sorted(acts) == [2 * n] and len(acts.slopes) == 3
             central = (above[2 * n] - below[2 * n]) / (2 * h)
-            assert acts.slopes[2 * n] == pytest.approx(central, rel=1e-5, abs=1e-9)
+            assert acts.slopes[0] == pytest.approx(central, rel=1e-5, abs=1e-9)
 
     @pytest.mark.parametrize("potential, E", [
         ("x^4 - x^3 + 1/2*x^2", 2.0),
@@ -395,13 +398,29 @@ class TestEnergySlopes:
     ])
     def test_higher_slopes_match_central_differences(self, potential, E):
         # the second and third E-derivatives of B_0 + ... + B_8 against the
-        # first and second central differences of its summed slopes
+        # first and second central differences of its slope
         V, h = parse_potential(potential), 1e-3
         acts, above, below = (self.actions(V, x, 4) for x in (E, E + h, E - h))
-        slope, up, down = (sum(a.slopes.values()) for a in (acts, above, below))
-        second, third = acts.higher_slopes
+        slope, up, down = (a.slopes[0] for a in (acts, above, below))
+        second, third = acts.slopes[1:]
         assert second == pytest.approx((up - down) / (2 * h), rel=1e-5, abs=1e-9)
         assert third == pytest.approx((up - 2 * slope + down) / h**2, rel=1e-5, abs=1e-9)
+
+    @pytest.mark.parametrize("potential, E", [
+        ("x^4 - x^3 + 1/2*x^2", 2.0),
+        ("x^6 - x^4 + x^3 + x^2 - 1/2*x", 3.0),
+    ])
+    def test_batch_slopes_are_the_sums_of_single_orders(self, potential, E):
+        # the slopes of B_0 + ... + B_8 in one batch against the sums of
+        # five single-order calls, each started at the node count the batch
+        # converged at, where it converges too
+        V = parse_potential(potential)
+        batch = self.actions(V, E, 4)
+        singles = [self.actions(V, E, 4, [2 * n], batch.nodes) for n in range(5)]
+        assert [a.nodes for a in singles] == [batch.nodes] * 5
+        for j in range(3):
+            want = math.fsum(a.slopes[j] for a in singles)
+            assert batch.slopes[j] == pytest.approx(want, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("potential, E", [("x^4", 0.3), ("x^4 - x^3 + 1/2*x^2", 2.0)])
     def test_value_rows_are_the_weighted_integrands(self, potential, E):

@@ -152,12 +152,12 @@ class TestDifferentiate:
 
 class TestEnergyDerivative:
     """d/dE, d2/dE2 and d3/dE3 at fixed x, for Q = V - E (only the power of
-    Q moves), as the plan's second output gives them: times dz and summed
-    over the points."""
+    Q moves), as the plan's second output gives them: of the sum of its
+    expressions, times dz and summed over the points."""
 
     @staticmethod
     def derivs(expr, q_derivs, sqrt_q, dz=1.0):
-        return dp.compile_batch([expr])(q_derivs, sqrt_q, dz)[1][0]
+        return dp.compile_batch([expr])(q_derivs, sqrt_q, dz)[1]
 
     def test_sqrt_q(self):
         # T_0 = Q^(1/2) -> -1/2 Q^(-1/2), -1/4 Q^(-3/2), -3/8 Q^(-5/2); at
@@ -198,19 +198,18 @@ class TestEnergyDerivative:
             assert np.all(np.abs(central[:3] - exact[1:]) <= 1e-7 * (1.0 + np.abs(exact[1:])))
 
     def test_weighted_sum_over_blocks(self, series15, monkeypatch):
-        # the sum of each point's derivatives times its weight, whatever the
-        # block split: against single-point calls, summed here exactly rounded
+        # the sum of each point's derivatives of the terms' sum times its
+        # weight, whatever the block split: against single-point calls,
+        # summed here exactly rounded
         q_derivs, sqrt_q = _contour_inputs(3 * dp._BLOCK // 2)
         dz = np.exp(1j * np.linspace(0.0, 6.0, sqrt_q.size))
         terms = series15.terms[:6]
         plan = dp.compile_batch(terms)
-        points = np.moveaxis(np.array([
+        points = np.array([
             plan([a[j : j + 1] for a in q_derivs], sqrt_q[j : j + 1], dz[j])[1]
             for j in range(sqrt_q.size)
-        ]), 0, -1)
-        want = np.array([
-            [complex(math.fsum(p.real), math.fsum(p.imag)) for p in row] for row in points
-        ])
+        ]).T
+        want = np.array([complex(math.fsum(p.real), math.fsum(p.imag)) for p in points])
         scale = np.abs(points).sum(axis=-1)
         for block in (dp._BLOCK, 64):
             monkeypatch.setattr(dp, "_BLOCK", block)
@@ -300,7 +299,7 @@ class TestEvalNumeric:
             got = dp.eval_numeric_array(e, q_derivs, sqrt_q)
             derivs = dp.compile_batch([e])(q_derivs, sqrt_q, 1.0)[1]
         assert got.tolist() == [0j, pytest.approx(2 + 8 / 3)]
-        assert derivs.shape == (1, 3) and not np.isfinite(derivs).any()
+        assert derivs.shape == (3,) and not np.isfinite(derivs).any()
 
     def test_array_eval_matches_scalar(self, series15, exact_eval):
         # each point against the exact scalar reference, within a few eps of
@@ -383,6 +382,17 @@ class TestEvalNumeric:
             _batch(series15.terms[:3], q_derivs)
         assert _batch([dp.ZERO, dp.ONE], q_derivs[:1]).tolist() == [
             [0j] * 64, [1 + 0j] * 64]
+
+    def test_equal_batches_share_one_plan(self):
+        # plans are keyed by value: two tuples built apart, equal term by
+        # term but holding other objects, get the same plan
+        def build():
+            return dp.q_power(1), dp.mul(mono(F(-1, 48), -3, {2: 1}), dp.q_power(2))
+
+        first, second = build(), build()
+        assert first == second and not any(a is b for a, b in zip(first, second))
+        assert dp.compile_batch(first) is dp.compile_batch(second)
+        assert dp.compile_batch(list(second)) is dp.compile_batch(first)
 
 
 class TestRendering:

@@ -56,7 +56,7 @@ class TestTotalPhase:
         acts = sv._eval_phase(request, E, ct.cold_start_nodes())[1]
         h = 1e-3
         central = (sv.total_phase(request, E + h) - sv.total_phase(request, E - h)) / (2 * h)
-        assert sv._phase_slope(acts) == pytest.approx(central, rel=1e-6)
+        assert acts.slopes[0] == pytest.approx(central, rel=1e-6)
 
 
 class TestQuantize:
@@ -288,7 +288,7 @@ class TestNewton:
         def evaluate(x):
             seen.append(x)
             b0 = phase(x) + 0.5 * math.pi
-            return phase(x), ct.Actions({0: b0}, 64, 64, {0: slope(x)}, higher(x))
+            return phase(x), ct.Actions({0: b0}, 64, 64, (slope(x), *higher(x)))
 
         return sv._newton(evaluate, E, vmin, target, lambda: (lo, hi)), seen
 
@@ -323,7 +323,7 @@ class TestNewton:
         def evaluate(x):
             if x != 1.0:
                 raise QuadratureError("synthetic failure")
-            return x - 0.5 * math.pi, ct.Actions({0: x}, 64, 64, {0: 1.0}, (0.0, 0.0))
+            return x - 0.5 * math.pi, ct.Actions({0: x}, 64, 64, (1.0, 0.0, 0.0))
 
         got = sv._newton(evaluate, 1.0, 0.0, math.pi, lambda: (0.0, math.inf))
         assert got == (1.0, 0, "error")
@@ -331,9 +331,7 @@ class TestNewton:
     def test_truncation_guard_reads_the_iterate(self):
         # a growing last increment would warn: the walk stops before stepping
         def evaluate(x):
-            acts = ct.Actions(
-                {0: 5.0, 2: -0.1, 4: 0.5}, 64, 64, {0: 1.0, 2: 0.0, 4: 0.0}, (0.0, 0.0)
-            )
+            acts = ct.Actions({0: 5.0, 2: -0.1, 4: 0.5}, 64, 64, (1.0, 0.0, 0.0))
             return 5.4 - 0.5 * math.pi, acts
 
         got = sv._newton(evaluate, 1.0, 0.0, math.pi, lambda: (0.0, math.inf))
@@ -506,7 +504,7 @@ class TestSolveCost:
             # dPhi/dE at the root, as the root's own evaluation gives it
             request = req(quartic, res.K, 2)
             acts = sv._eval_phase(request, res.E, int(nodes))[1]
-            assert float(slope) == sv._phase_slope(acts) > 0
+            assert float(slope) == acts.slopes[0] > 0
             # a power-of-two multiple of the cold start, reached by the root's
             # own evaluation, which evaluated at least that many nodes
             assert int(nodes) % ct.cold_start_nodes() == 0
