@@ -78,11 +78,12 @@ _ABS_BLOCK = 2**14
 
 @dataclass(frozen=True)
 class TurningPair:
-    """The two real simple roots of V - E, plus the full complex root list."""
+    """The two real simple roots of V - E, and its other roots, which are not
+    real."""
 
     x1: float
     x2: float
-    all_roots: tuple[complex, ...]
+    others: tuple[complex, ...]
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,7 @@ def turning_points(V: Potential, E: float) -> TurningPair:
 
     imag_tol, degeneracy_tol = NumericsConfig.real_root_imag_tol, NumericsConfig.degeneracy_tol
     real_roots = sorted(r.real for r in roots if abs(r.imag) < imag_tol * scale)
+    others = tuple(r for r in roots if abs(r.imag) >= imag_tol * scale)
     for r in real_roots:
         if abs(V._horner(rows[0], r) - E) > 1e-6 * dscale:
             continue  # polishing artifact, not an actual root
@@ -160,7 +162,7 @@ def turning_points(V: Potential, E: float) -> TurningPair:
             f"V - E has {len(real_roots)} real root(s); exactly two turning "
             f"points are supported (E = {E})"
         )
-    return TurningPair(real_roots[0], real_roots[1], tuple(roots))
+    return TurningPair(real_roots[0], real_roots[1], others)
 
 
 def cold_start_nodes() -> int:
@@ -179,17 +181,12 @@ def build_contour(tp: TurningPair, nodes: int | None = None) -> ContourSpec:
     on it starts at `nodes` nodes (cold_start_nodes() when None)."""
     center = 0.5 * (tp.x1 + tp.x2)
     a = (1.0 + NumericsConfig.margin) * 0.5 * (tp.x2 - tp.x1)
-    others = [
-        r
-        for r in tp.all_roots
-        if min(abs(r - tp.x1), abs(r - tp.x2)) > 1e-7 * (1.0 + abs(r))
-    ]
-    u = np.array([(r.real - center) / a for r in others])
-    v = np.array([r.imag for r in others])
+    u = np.array([(r.real - center) / a for r in tp.others])
+    v = np.array([r.imag for r in tp.others])
 
     b = a / 2.0
     needed = 1.0 + NumericsConfig.root_clearance
-    while others and _min_radius(u, v, b) < needed:
+    while tp.others and _min_radius(u, v, b) < needed:
         b /= 2.0
         if b < NumericsConfig.min_minor_ratio * a:
             raise ContourConstructionError(

@@ -22,11 +22,12 @@ plain integer numerators over one running denominator; the key of a product
 is one integer addition and that of a derivative one more, and a finished
 sum is its packed form, with no key decoded.  Comparison, hashing,
 :func:`negate`, :func:`scale` and the queries read only keys and
-numerators.  The ``Fraction`` coefficients and :class:`Monomial` objects of
-``DiffExpr.monomials`` are built when an expression is first read out
-(rendered, or compiled for numeric evaluation), and kept.  Packing refuses,
-with a ValueError, |h|, an exponent or a derivative order past
-``_PACK_LIMIT`` (16383).
+numerators.  ``DiffExpr(monomials)`` packs into the same accumulator, so an
+expression has one form however it was made, and every expression is within
+``_PACK_LIMIT`` (16383) in |h|, each exponent and each derivative order:
+what would make one past it raises a ValueError.  ``DiffExpr.monomials``,
+its ``Fraction`` coefficients and :class:`Monomial` objects, is a view built
+on first read-out (rendering, or compiling for numeric evaluation).
 
 Numeric evaluation takes the values of Q and its derivatives at an array of
 points plus an externally chosen branch of sqrt(Q) there; this module never
@@ -50,7 +51,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -124,60 +125,32 @@ class DiffExpr:
     integer numerator over D, the keys increasing and D reduced against the
     numerators, so that equal sums have equal forms.  ``==``, ``hash``,
     ``len`` and the arithmetic read only this form.  :attr:`monomials` is a
-    view of it, built on first read and kept.  ``DiffExpr(monomials)`` merges
-    like monomials, drops zeros and sorts, and packs on first use, so an
-    expression past the packing limit can be built and read, and packing it
-    raises the ValueError of :func:`_pack`.
+    view of it, built on first read and kept.  ``DiffExpr(monomials)`` adds
+    the packed monomials in a :class:`_Sum`, which merges like monomials,
+    drops zeros and sorts.  Every expression is within the packing limit: it
+    and each operation raise the ValueError of :func:`_within_limit` on a
+    monomial past it.
     """
 
-    __slots__ = ("_form", "_monomials", "_checked")
+    __slots__ = ("_packed", "_monomials")
 
     def __init__(self, monomials: Iterable[Monomial]):
-        merged: dict[tuple, Fraction] = {}
+        s = _Sum()
         for m in monomials:
-            key = m.q_half, m.derivs
-            merged[key] = merged.get(key, 0) + m.coeff
-        self._monomials = tuple(
-            sorted(
-                (_trusted(c, h, d) for (h, d), c in merged.items() if c),
-                key=lambda m: (m.weight, m.q_half, m.derivs),
-            )
-        )
-        self._form = None
-        self._checked = False
+            s.add_term(_pack(m), m.coeff)
+        self._packed = s.result()._packed
+        self._monomials = None
 
     @property
     def monomials(self) -> tuple[Monomial, ...]:
         """The monomials, sorted by (weight, q_half, derivs)."""
         if self._monomials is None:
-            self._monomials = _view(*self._form)
+            self._monomials = _view(*self._packed)
         return self._monomials
-
-    @property
-    def _packed(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """The packed form ``(D, ((key, numerator), ...))``."""
-        if self._form is None:
-            den = lcm(*(m.coeff.denominator for m in self._monomials))
-            self._form = den, tuple(
-                sorted(
-                    (_pack(m), m.coeff.numerator * (den // m.coeff.denominator))
-                    for m in self._monomials
-                )
-            )
-        return self._form
-
-    def _operand(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """The packed form, checked once to be within the packing limit, so
-        that the keys of a product or a derivative stay inside their fields."""
-        form = self._packed
-        if not self._checked:
-            _check_limit(form[1])
-            self._checked = True
-        return form
 
     def __len__(self):
         """The number of monomials."""
-        return len(self._monomials if self._form is None else self._form[1])
+        return len(self._packed[1])
 
     def __eq__(self, other):
         if not isinstance(other, DiffExpr):
@@ -195,11 +168,10 @@ class DiffExpr:
 
 
 def _packed_expr(den: int, rows: tuple) -> DiffExpr:
-    """The expression whose packed form is (den, rows), already canonical."""
+    """The expression of the packed form (den, rows), canonical, within the limit."""
     e = object.__new__(DiffExpr)
-    e._form = den, rows
+    e._packed = den, rows
     e._monomials = None
-    e._checked = False
     return e
 
 
@@ -216,10 +188,10 @@ def _reduced(den: int, keys: list, nums: list) -> DiffExpr:
 # Packed monomial keys.  A monomial's (q_half, derivs) is one int of
 # fixed-width fields: the low field holds q_half + _BIAS and field k holds
 # the exponent of Q^(k).  A product's key is then ka + kb - _BIAS and a
-# derivative's a constant offset.  Keys are packed and used as operands only
-# up to _PACK_LIMIT in |q_half|, every exponent and every derivative order,
-# so the sum of two packed fields, or a field moved by a derivative, stays
-# inside its field and never carries into the next one.  16-bit fields
+# derivative's a constant offset.  Every expression's keys are within
+# _PACK_LIMIT in |q_half|, every exponent and every derivative order, so the
+# sum of two of its fields, or a field moved by a derivative, stays inside
+# its field and never carries into the next one.  16-bit fields
 # measured faster than 32-bit ones: the keys of gen_terms(20) stay shorter
 # ints.
 _FIELD_BITS = 16
@@ -289,15 +261,15 @@ def _refuse(key: int) -> None:
     _within_limit((key & _FIELD_MASK) - _BIAS, _unpack_derivs(key >> _FIELD_BITS)[1])
 
 
-def _check_limit(rows: tuple) -> None:
-    """Raise ValueError if a key of the increasing rows is past _PACK_LIMIT.
-    Keys made by the accumulator from keys within the limit never overflow a
+def _check_limit(keys: list) -> None:
+    """Raise ValueError if one of the increasing keys of a sum is past
+    _PACK_LIMIT.  Keys made from keys within the limit never overflow a
     field, so a field is past the limit exactly when one of its top two bits
     is set, or, for q_half, when it is outside _BIAS +- _PACK_LIMIT."""
     # the largest key is last; past field _PACK_LIMIT, _HIGH_BITS sees nothing
-    if rows and rows[-1][0].bit_length() > _FIELD_BITS * (_PACK_LIMIT + 1):
-        _refuse(rows[-1][0])
-    for key, _ in rows:
+    if keys and keys[-1].bit_length() > _FIELD_BITS * (_PACK_LIMIT + 1):
+        _refuse(keys[-1])
+    for key in keys:
         if key & _HIGH_BITS or not -_PACK_LIMIT <= (key & _FIELD_MASK) - _BIAS <= _PACK_LIMIT:
             _refuse(key)
 
@@ -336,8 +308,9 @@ class _Sum:
     denominator D, without a ``Fraction`` or a :class:`Monomial` per
     product.  An incoming term whose denominator does not divide D grows D to
     the lcm and rescales the numerators held so far.  :meth:`result` drops
-    zero numerators, sorts the keys and reduces D: the packed form of the
-    sum, with no key decoded.
+    zero numerators, sorts the keys, refuses one past the packing limit and
+    reduces D: the packed form of the sum, with no key decoded.  Every
+    expression is made here, so every expression is within the limit.
     """
 
     __slots__ = ("_acc", "_den")
@@ -363,8 +336,8 @@ class _Sum:
 
     def add_product(self, a: DiffExpr, b: DiffExpr, factor=1) -> None:
         """Add factor * a * b; factor is an int or a Fraction."""
-        den_a, ta = a._operand()
-        den_b, tb = b._operand()
+        den_a, ta = a._packed
+        den_b, tb = b._packed
         mult = factor.numerator * self._over(den_a * den_b * factor.denominator)
         acc = self._acc
         get = acc.get
@@ -378,7 +351,7 @@ class _Sum:
     def add_derivative(self, a: DiffExpr) -> None:
         """Add d/dx a, by the product rule (see :func:`differentiate`); the
         h/2 factor puts the result over 2 * D_a."""
-        den, ta = a._operand()
+        den, ta = a._packed
         mult = self._over(2 * den)
         acc = self._acc
         get = acc.get
@@ -393,9 +366,10 @@ class _Sum:
                 acc[k2] = get(k2, 0) + c * f
 
     def result(self) -> DiffExpr:
-        """The sum, in its packed form."""
+        """The sum, in its packed form; ValueError past the packing limit."""
         acc = self._acc
         keys = sorted(k for k, c in acc.items() if c)
+        _check_limit(keys)
         return _reduced(self._den, keys, [acc[k] for k in keys])
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -43,24 +42,35 @@ def _float_size(c: Fraction) -> float:
         return math.inf
 
 
+def _approx(c: Fraction) -> str:
+    """c as the format ``.3e`` writes a float, at any size: from the log10 of
+    its numerator and denominator, as c need not fit a float."""
+    size = math.log10(abs(c.numerator)) - math.log10(c.denominator)
+    exp = math.floor(size)
+    mantissa = round(10 ** (size - exp), 3)
+    if mantissa >= 10:
+        mantissa, exp = mantissa / 10, exp + 1
+    return f"{'-' if c < 0 else ''}{mantissa:.3f}e{exp:+03d}"
+
+
 def _refuse_unheld(c: Fraction, k: int) -> None:
     """Raise a ValueError when a float cannot hold a nonzero coefficient that the
     term c x^k gives V or one of its derivatives, naming its power and
     derivative order.  That coefficient, c k!/(k - j)! in derivative order j,
-    grows with j from c to c k!, so c rounds to 0.0 or c k! overflows
-    exactly when one does, and the table need not be built to tell."""
+    grows with j from c to c k!, so c rounds to 0.0 or one of them overflows
+    exactly when one does.  The walk up the orders stops at the first that
+    overflows, so neither k! nor the table is built to tell."""
     if _float_size(c) == 0.0:
         what, j = "rounds to 0 as a float", 0
-    elif _float_size(c * math.factorial(k)) == math.inf:
+    else:
         what, j = "overflows a float", 0
         while _float_size(c) < math.inf:
+            if j == k:
+                return
             c *= k - j
             j += 1
-    else:
-        return
-    approx = Decimal(c.numerator) / Decimal(c.denominator)
     raise ValueError(
-        f"the x^{k - j} coefficient of derivative order {j} of V, {approx:.3e}, {what}"
+        f"the x^{k - j} coefficient of derivative order {j} of V, {_approx(c)}, {what}"
     )
 
 
@@ -311,6 +321,10 @@ def parse_potential(text: str) -> Potential:
         if k is not None and k != "sign":
             fail(p, f"expected '+', '-' or end, found {v!r}", token=v)
 
-    degree = max(powers) if powers else 0
-    coeffs = [powers.get(k, Fraction(0)) for k in range(degree + 1)]
-    return Potential(tuple(coeffs))
+    # terms that cancel do not count, and each term is checked before the
+    # coefficient list is built, so a huge power is refused before a list of
+    # its length is made
+    terms = {k: c for k, c in powers.items() if c}
+    for k, c in terms.items():
+        _refuse_unheld(c, k)
+    return Potential(tuple(terms.get(k, Fraction(0)) for k in range(max(terms, default=0) + 1)))

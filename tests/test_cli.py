@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,14 @@ class TestSpectrum:
         code, out, err = run(capsys, command, potential)
         assert code in (EXIT_USAGE, EXIT_NUMERIC) and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_coefficient_far_past_the_float_range_exits_fast(self, capsys):
+        # once 18 s in an exact decimal conversion, then a decimal.Overflow traceback
+        start = time.perf_counter()
+        code, out, err = run(capsys, "spectrum", "1e1000000*x^2")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_NUMERIC and out == ""
+        assert err.startswith("error: ") and "overflows a float" in err
 
     @pytest.mark.parametrize("seed", ["-3", "0", "1e-300"])
     def test_seed_not_above_the_minimum_names_both(self, capsys, seed):

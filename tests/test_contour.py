@@ -56,7 +56,7 @@ class TestTurningPoints:
         tp = ct.turning_points(quartic, 16.0)
         assert tp.x1 == pytest.approx(-2.0, abs=1e-12)
         assert tp.x2 == pytest.approx(2.0, abs=1e-12)
-        assert len(tp.all_roots) == 4
+        assert len(tp.others) == 2
 
     def test_mixed_factorized(self, mixed):
         # x^4 + x^2 - 2 = (x^2 - 1)(x^2 + 2)
@@ -184,7 +184,7 @@ class TestContour:
         tp = ct.turning_points(quartic, 1.0)
         c = ct.build_contour(tp)
         # roots at +-i must clear the ellipse by the configured margin
-        for r in tp.all_roots:
+        for r in tp.others:
             if abs(r.imag) > 0.5:
                 rho = math.hypot((r.real - c.center.real) / c.semi_major,
                                  r.imag / c.semi_minor)

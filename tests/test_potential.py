@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -90,6 +91,23 @@ class TestInvariants:
     def test_coefficients_a_float_cannot_hold_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_potential(text)
+
+    @pytest.mark.parametrize("text, message", [
+        # 10^6 * (10^6 - 1) * ... overflows 52 orders down, long before 10^6!
+        ("x^1000000", "x^999948 coefficient of derivative order 52 of V, 9.987e+311, overflows"),
+        ("1e1000000*x^2", "x^2 coefficient of derivative order 0 of V, 1.000e+1000000, overflows"),
+    ])
+    def test_coefficients_far_past_the_float_range_rejected_fast(self, text, message):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_potential(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cancelled_terms_do_not_count(self):
+        start = time.perf_counter()
+        V = parse_potential("x^1000000 - x^1000000 + x^2")
+        assert time.perf_counter() - start < 1.0
+        assert V.coefficients == (F(0), F(0), F(1))
 
     @pytest.mark.parametrize("degree", [2, 6, 20])
     def test_coefficients_at_the_float_limits_accepted(self, degree):
