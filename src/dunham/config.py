@@ -1,4 +1,4 @@
-"""Single record of every numeric tolerance and cap.
+"""Single record of the numeric tolerances and caps of a solve's contract.
 
 Every value is a class constant, read as NumericsConfig.x (or
 DEFAULT_CONFIG.x).  They sit near the double-precision floor with headroom
@@ -6,6 +6,9 @@ and are the documented contract values: no call, flag or field can set or
 loosen them, and run manifests identify them by the tool version.  The one
 value a solve takes from its caller, the seed energy, is an argument of
 solver.quantize and solver.spectrum (the command line's --seed-bracket).
+The method's own fixed constants live beside their code: contour's
+_FLOOR_MULTIPLE and _SHRINK_GUARD, and solver's _WARM_START_MAX_NODES,
+_NEWTON_MAX_STEPS and _NEWTON_MAX_LOG_STEP.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ class NumericsConfig:
     reality_tol: ClassVar[float] = 1e-8    # |Im B| must stay below this * (1 + |Re B|)
 
     # Turning points
-    real_root_imag_tol: ClassVar[float] = 1e-9  # |Im root| below this * scale counts as real
-    degeneracy_tol: ClassVar[float] = 1e-7      # |Q'(root)| below this * scale means a double root
+    degeneracy_tol: ClassVar[float] = 1e-7  # |Q'(root)| below this * scale means a double root
 
     # Quantization solver
     bisection_rtol: ClassVar[float] = 1e-12   # quantize stops once its last root step (or, on

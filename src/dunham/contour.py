@@ -122,6 +122,9 @@ def _newton_step(V: Potential, E: float, roots: np.ndarray) -> list[complex]:
 def turning_points(V: Potential, E: float) -> TurningPair:
     """All roots of V(x) - E by the companion-matrix eigenvalue method with
     one Newton polish step per root; requires exactly two simple real roots.
+    A root is real when its imaginary part is exactly 0.0: the eigensolver
+    gives the real eigenvalues of a real matrix so and the others in exact
+    conjugate pairs, and the polish keeps both.
 
     Past the eigenvalues everything runs on Python complex and float values,
     which for a handful of roots costs less than array operations do: the
@@ -143,12 +146,10 @@ def turning_points(V: Potential, E: float) -> TurningPair:
     scale = 1.0 + max(map(abs, roots))
     dscale = 1.0 + sum(abs(c) * scale**k for k, c in enumerate(rows[1]))
 
-    imag_tol, degeneracy_tol = NumericsConfig.real_root_imag_tol, NumericsConfig.degeneracy_tol
-    real_roots = sorted(r.real for r in roots if abs(r.imag) < imag_tol * scale)
-    others = tuple(r for r in roots if abs(r.imag) >= imag_tol * scale)
+    degeneracy_tol = NumericsConfig.degeneracy_tol
+    real_roots = sorted(r.real for r in roots if not r.imag)
+    others = tuple(r for r in roots if r.imag)
     for r in real_roots:
-        if abs(V._horner(rows[0], r) - E) > 1e-6 * dscale:
-            continue  # polishing artifact, not an actual root
         if abs(V._horner(rows[1], r)) < degeneracy_tol * dscale:
             raise DegenerateTurningPointError(
                 f"turning point near x = {r:.6g} is degenerate (V' vanishes)"
@@ -226,19 +227,17 @@ def _unit_angles(m: int, offset: float) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
-def _continue_sqrt(p: np.ndarray) -> np.ndarray | None:
+def _continue_sqrt(p: np.ndarray) -> np.ndarray:
     """Nearest-branch continuation along a closed node sequence of square
     roots p of Q, each of either sign, keeping p[0] as it is.
 
     The nearest choice between +/- p_i flips exactly when the real part of
-    p_i * conj(p_{i-1}) goes negative, so the sign chain is a cumulative
-    product, and every step from node i-1 to node i is then below pi/2.
-    Flipping one p_i flips the two overlaps beside it and p_i itself, so the
-    result depends on no sign but p[0]'s.  Returns None when a step is
-    exactly pi/2: neither sign is nearer, so the node count is too small, and
-    the caller doubles it and retries.  A wider gap returns a continuation:
-    the nearer sign is taken, and only the closure check can catch a branch
-    it lost.  Raises BranchTrackingError when a p_i is zero, or, the closure
+    p_i * conj(p_{i-1}) is negative (at zero neither is nearer, and its sign
+    bit decides), so the sign chain is a cumulative product, and every step
+    from node i-1 to node i is then at most pi/2.  Flipping one p_i flips the
+    two overlaps beside it and p_i itself, so the result depends on no sign
+    but p[0]'s.  Only the closure check can catch a branch lost to a step
+    too wide.  Raises BranchTrackingError when a p_i is zero, or, the closure
     check, when the wrap back to node 0 lands nearer -p[0] than p[0].  p must
     be complex.
     """
@@ -247,11 +246,9 @@ def _continue_sqrt(p: np.ndarray) -> np.ndarray | None:
     pr, pi = p.real, p.imag
     overlap = pr[1:] * pr[:-1]  # Re(p_i * conj(p_{i-1}))
     overlap += pi[1:] * pi[:-1]
-    if not overlap.all():
-        return None
     signs = np.empty(p.size)
     signs[0] = 1.0
-    np.sign(overlap, out=signs[1:])
+    np.copysign(1.0, overlap, out=signs[1:])
     np.cumprod(signs, out=signs)
     s = signs * p
     p0, last = complex(p[0]), complex(s[-1])
@@ -356,13 +353,11 @@ def action_integrals(
     sub-sums of fewer than initial_nodes nodes are never used.  So a first
     pass at cold_start_nodes() or more decides both tests at once, and a
     cold quadrature that converges there takes one pass.  The first pass,
-    and any doubling whose chain would flip an old node or has a quarter
-    turn between neighbours, evaluates every node at that count and
-    continues sqrt(Q) in full.  A full pass in which the square roots at two
-    adjacent nodes are exactly a quarter turn apart (neither sign is nearer)
-    is retried in full at twice the count.  A wider gap is not detected: the
-    nearer sign is taken, and only the closure check, on the wrap back to
-    node 0, or on a doubling an old node's flip, can catch a branch it lost.
+    and any doubling whose chain would flip an old node, evaluates every
+    node at that count and continues sqrt(Q) in full.  A step too wide is
+    not detected: the nearer sign is taken, and only the closure check, on
+    the wrap back to node 0, or on a doubling an old node's flip, can catch
+    a branch it lost.
 
     Doubling stops early, with a QuadratureError that names the order, node
     count, difference, floor and target, once an unconverged order has hit
@@ -414,7 +409,7 @@ def action_integrals(
                 chain = np.empty(nodes, dtype=complex)
                 chain[0::2], chain[1::2] = sqrt_q, np.sqrt(q_derivs[0])
                 chain = _continue_sqrt(chain)
-                if chain is None or not np.array_equal(chain[0::2], sqrt_q):
+                if not np.array_equal(chain[0::2], sqrt_q):
                     sqrt_q = None
                 else:
                     mid = np.ascontiguousarray(chain[1::2])
@@ -428,9 +423,6 @@ def action_integrals(
                 q_derivs, dz = _node_batch(V, E, c, nodes, kmax)
                 evaluated += nodes
                 sqrt_q = _continue_sqrt(np.sqrt(q_derivs[0]))
-                if sqrt_q is None:  # a quarter-turn step: retry at twice the count
-                    nodes *= 2
-                    continue
                 f_dz, deriv_sums = plan(q_derivs, sqrt_q, dz)
                 # the sums on every node, every 2nd and every 4th: S_N, S_N/2, S_N/4
                 totals = {

@@ -10,7 +10,8 @@ class InputShapeError(DunhamError, ValueError):
 
 
 class BranchConsistencyError(DunhamError, ValueError):
-    """The supplied square-root branch value does not square to Q."""
+    """An expression with half-integer powers of Q was evaluated with no
+    branch of sqrt(Q) given (no sqrt_q)."""
 
 
 class PotentialParseError(DunhamError, ValueError):

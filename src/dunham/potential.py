@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -42,15 +43,22 @@ def _float_size(c: Fraction) -> float:
         return math.inf
 
 
-def _approx(c: Fraction) -> str:
-    """c as the format ``.3e`` writes a float, at any size: from the log10 of
-    its numerator and denominator, as c need not fit a float."""
+def _approx(c: Fraction, e: int = 0) -> str:
+    """c * 10**e as the format ``.3e`` writes a float, at any size: from the
+    log10 of c's numerator and denominator, as neither need fit a float."""
     size = math.log10(abs(c.numerator)) - math.log10(c.denominator)
     exp = math.floor(size)
     mantissa = round(10 ** (size - exp), 3)
     if mantissa >= 10:
         mantissa, exp = mantissa / 10, exp + 1
-    return f"{'-' if c < 0 else ''}{mantissa:.3f}e{exp:+03d}"
+    return f"{'-' if c < 0 else ''}{mantissa:.3f}e{exp + e:+03d}"
+
+
+def _unheld(k: int, j: int, c: Fraction, e: int, what: str) -> ValueError:
+    """The refusal of a coefficient c 10^e of x^k in derivative order j."""
+    return ValueError(
+        f"the x^{k} coefficient of derivative order {j} of V, {_approx(c, e)}, {what}"
+    )
 
 
 def _refuse_unheld(c: Fraction, k: int) -> None:
@@ -69,9 +77,7 @@ def _refuse_unheld(c: Fraction, k: int) -> None:
                 return
             c *= k - j
             j += 1
-    raise ValueError(
-        f"the x^{k - j} coefficient of derivative order {j} of V, {_approx(c)}, {what}"
-    )
+    raise _unheld(k - j, j, c, 0, what)
 
 
 @lru_cache(maxsize=None)
@@ -190,15 +196,11 @@ class Potential:
 
     @cached_property
     def _real_minimum(self) -> tuple[float, float]:
-        roots = _poly_roots(self._float_rows[1])
-        best_x, best_v = 0.0, float(np.real(self(0.0)))
-        for r in roots:
-            if abs(r.imag) < 1e-9 * (1.0 + abs(r)):
-                x = float(r.real)
-                v = float(np.real(self(x)))
-                if v < best_v:
-                    best_x, best_v = x, v
-        return best_x, best_v
+        # the lowest of V at 0 and at the exactly real roots of V' (the
+        # realness rule of contour.turning_points); the first lowest wins
+        xs = [0.0] + [float(r.real) for r in _poly_roots(self._float_rows[1]) if not r.imag]
+        x = min(xs, key=lambda x: float(np.real(self(x))))
+        return x, float(np.real(self(x)))
 
     def __str__(self):
         parts = []
@@ -240,29 +242,31 @@ def parse_potential(text: str) -> Potential:
     """Parse a polynomial-in-x expression into a Potential.
 
     Raises PotentialParseError naming the offending token and position for
-    anything outside the grammar (e.g. "sin(x)"), and ValueError when the
-    parsed polynomial is not confining.
+    anything outside the grammar (e.g. "sin(x)") or a number longer than
+    sys.get_int_max_str_digits(), and ValueError when the parsed polynomial
+    is not confining or has a coefficient a float cannot hold.
     """
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     tokens = []
+
+    def fail(where, msg, token=None):
+        raise PotentialParseError(f"{msg} at position {where}", position=where, token=token)
+
     for mt in _POT_TOKEN_RE.finditer(text):
         kind = mt.lastgroup if mt.lastgroup != "exp" else "number"
         if kind == "ws":
             continue
         if kind == "bad":
-            raise PotentialParseError(
-                f"unexpected token {mt.group()!r} at position {mt.start()}",
-                position=mt.start(),
-                token=mt.group(),
-            )
+            fail(mt.start(), f"unexpected token {mt.group()!r}", token=mt.group())
+        if kind == "number" and limit and len(mt.group()) > limit:
+            fail(mt.start(), f"number of {len(mt.group())} characters, past the limit "
+                 f"of {limit} digits on an integer read from text")
         tokens.append((kind, mt.group(0), mt.start()))
     if not tokens:
         raise PotentialParseError("empty potential expression", position=0)
 
     pos = 0
     powers: dict[int, Fraction] = {}
-
-    def fail(where, msg, token=None):
-        raise PotentialParseError(f"{msg} at position {where}", position=where, token=token)
 
     def peek():
         return tokens[pos] if pos < len(tokens) else (None, None, len(text))
@@ -275,24 +279,28 @@ def parse_potential(text: str) -> Potential:
         pos += 1
         return v
 
-    def parse_number() -> Fraction:
+    def literal(v: str) -> tuple[Fraction, int]:
+        # the exact decimal digits and the power of ten, kept apart
+        digits, _, exp = v.lower().partition("e")
+        return Fraction(digits), int(exp or 0)
+
+    def parse_number() -> tuple[Fraction, int]:
         nonlocal pos
-        v = take("number")
-        value = Fraction(v)  # exact decimal (and exponent) parsing
+        value, exp = literal(take("number"))
         if peek()[0] == "slash":
             pos += 1
-            d = take("number")
-            den = Fraction(d)
+            den, den_exp = literal(take("number"))
             if den == 0:
                 fail(peek()[2], "zero denominator")
             value /= den
-        return value
+            exp -= den_exp
+        return value, exp
 
-    def parse_factor() -> tuple[Fraction, int]:
+    def parse_factor() -> tuple[Fraction, int, int]:
         nonlocal pos
         k, v, p = peek()
         if k == "number":
-            return parse_number(), 0
+            return *parse_number(), 0
         if k == "x":
             pos += 1
             if peek()[0] == "caret":
@@ -301,22 +309,29 @@ def parse_potential(text: str) -> Potential:
                 if k2 != "number" or not v2.isdigit():
                     fail(p2, f"expected integer exponent, found {v2!r}")
                 pos += 1
-                return Fraction(1), int(v2)
-            return Fraction(1), 1
+                return Fraction(1), 0, int(v2)
+            return Fraction(1), 0, 1
         fail(p, f"expected coefficient or x, found {v!r}", token=v)
 
     while pos < len(tokens):
-        sign = Fraction(1)
+        sign = 1
         while peek()[0] == "sign":
             if take("sign") == "-":
                 sign = -sign
-        coeff, power = parse_factor()
+        coeff, exp, power = parse_factor()
         while peek()[0] == "star":
             pos += 1
-            c2, p2 = parse_factor()
+            c2, e2, p2 = parse_factor()
             coeff *= c2
+            exp += e2
             power += p2
-        powers[power] = powers.get(power, Fraction(0)) + sign * coeff
+        # past 10^(+-limit), any float: refused from its size, unbuilt (10**exp is slow)
+        if coeff:
+            size = exp + round(math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator))
+            if limit and abs(size) > limit:
+                raise _unheld(power, 0, coeff, exp, "overflows a float" if size > 0
+                              else "rounds to 0 as a float")
+            powers[power] = powers.get(power, 0) + sign * coeff * Fraction(10) ** exp
         k, v, p = peek()
         if k is not None and k != "sign":
             fail(p, f"expected '+', '-' or end, found {v!r}", token=v)

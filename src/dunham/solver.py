@@ -407,33 +407,22 @@ def _walk(
     or halving it while the phase is too large."""
     cap = NumericsConfig.bracket_expansion_cap
     f_seed = phase_at(seed)
-    lo = hi = seed
-    flo = fhi = f_seed
-    steps = 0
-    if f_seed < 0.0:
-        # phase too small at the seed: walk the upper end outward
+    up = f_seed < 0.0
+    factor, sign = (2.0, -1.0) if up else (0.5, 1.0)
+    E, f, last, f_last, steps = seed, f_seed, seed, f_seed, 0
+    if up or f_seed > 0.0:
         for steps in range(1, cap + 1):
-            lo, flo = hi, fhi
-            hi = vmin + 2.0 * (hi - vmin)
-            fhi = phase_at(hi)
-            if fhi >= 0.0:
+            last, f_last = E, f
+            E = vmin + factor * (E - vmin)
+            f = phase_at(E)
+            if sign * f <= 0.0:
                 break
         else:
             raise NoSolutionError(
-                f"failed to bracket level K={K} from above within {cap} expansions"
+                f"failed to bracket level K={K} from "
+                + (f"above within {cap} expansions" if up else f"below within {cap} halvings")
             )
-    elif f_seed > 0.0:
-        for steps in range(1, cap + 1):
-            hi, fhi = lo, flo
-            lo = vmin + 0.5 * (lo - vmin)
-            flo = phase_at(lo)
-            if flo <= 0.0:
-                break
-        else:
-            raise NoSolutionError(
-                f"failed to bracket level K={K} from below within {cap} halvings"
-            )
-    return lo, flo, hi, fhi, steps
+    return (last, f_last, E, f, steps) if up else (E, f, last, f_last, steps)
 
 
 def quantize(req: QuantizationRequest, seed: float | None = None) -> QuantizationResult:

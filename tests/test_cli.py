@@ -142,12 +142,40 @@ class TestSpectrum:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_coefficient_far_past_the_float_range_exits_fast(self, capsys):
-        # once 18 s in an exact decimal conversion, then a decimal.Overflow traceback
-        start = time.perf_counter()
-        code, out, err = run(capsys, "spectrum", "1e1000000*x^2")
-        assert time.perf_counter() - start < 1.0
-        assert code == EXIT_NUMERIC and out == ""
-        assert err.startswith("error: ") and "overflows a float" in err
+        for potential, what in [
+            # once 18 s in an exact decimal conversion, then a decimal.Overflow traceback
+            ("1e1000000*x^2", "overflows a float"),
+            # each once 8 to 10 s building 10^10000000 exactly
+            ("1e10000000*x^2", "1.000e+10000000, overflows a float"),
+            ("1e-10000000*x^2", "1.000e-10000000, rounds to 0 as a float"),
+        ]:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "spectrum", potential)
+            assert time.perf_counter() - start < 1.0, potential
+            assert code == EXIT_NUMERIC and out == ""
+            assert err.startswith("error: ") and what in err
+
+    @pytest.mark.parametrize("potential, position", [
+        ("1" * 5000 + "*x^2", 0), ("x^" + "2" * 5000, 2),
+    ], ids=["coefficient", "exponent"])
+    def test_over_long_number_is_a_parse_error(self, capsys, potential, position):
+        # once exit 3 with Python's advice to call sys.set_int_max_str_digits()
+        code, out, err = run(capsys, "spectrum", potential)
+        assert code == EXIT_USAGE and out == ""
+        limit = sys.get_int_max_str_digits()
+        assert f"number of 5000 characters, past the limit of {limit} digits" in err
+        assert f"at position {position}" in err
+        assert "set_int_max_str_digits" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("spectrum", "--levels", "0", "--levels must be >= 1"),
+        ("spectrum", "--order", "-1", "--order must be >= 0"),
+        ("compare", "--order", "-1", "orders must be >= 0"),
+    ])
+    def test_count_out_of_range_is_usage_error(self, capsys, command, flag, value, message):
+        code, out, err = run(capsys, command, "x^4", flag, value)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("seed", ["-3", "0", "1e-300"])
     def test_seed_not_above_the_minimum_names_both(self, capsys, seed):
@@ -356,6 +384,22 @@ class TestCompare:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "0d2ce8d22e01d0012b06a04f35a290baa06af35fb3d5916ffb55902a858b3ea6")
+
+    def test_plain_output_agrees_with_csv(self, capsys):
+        argv = ["compare", "x^4", "--levels", "6", "--order", "0,1,2"]
+        code, plain, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        code, csv, _ = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_OK
+        header, *lines = plain.splitlines()
+        assert header.split() == ["K", "order", "E_dunham", "E_oracle", "rel_error"]
+        rows = [line.split(",") for line in csv.splitlines()[1:]]
+        assert len(lines) == len(rows) == 18
+        for line, row in zip(lines, rows):
+            K, order, e_dunham, e_oracle, rel_error = line.split()
+            assert (K, order) == (row[0], row[1])
+            assert e_dunham == f"{float(row[2]):.12f}" and e_oracle == f"{float(row[3]):.12f}"
+            assert rel_error == f"{float(row[5]):.3e}"
 
     def test_empty_orders_usage(self, capsys):
         code, _, err = run(capsys, "compare", "x^2", "--order", "")

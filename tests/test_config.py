@@ -18,7 +18,7 @@ from dunham.potential import parse_potential
 from dunham.solver import QuantizationRequest, quantize
 
 TOLERANCES = ("margin", "root_clearance", "min_minor_ratio", "quad_rel_tol", "quad_abs_tol",
-              "reality_tol", "real_root_imag_tol", "degeneracy_tol",
+              "reality_tol", "degeneracy_tol",
               "bisection_rtol", "residual_tol")
 CONSTANTS = TOLERANCES + ("initial_nodes", "max_nodes", "bracket_expansion_cap",
                           "truncation_floor")
@@ -114,8 +114,8 @@ def test_constants_cannot_be_set():
         DEFAULT_CONFIG.residual_tol = 1.0
     for name in CONSTANTS:
         assert getattr(DEFAULT_CONFIG, name) is getattr(NumericsConfig, name)
-    # the 14 constants are the whole record
-    assert len(CONSTANTS) == 14 and set(NumericsConfig.__annotations__) == set(CONSTANTS)
+    # the 13 constants are the whole record
+    assert len(CONSTANTS) == 13 and set(NumericsConfig.__annotations__) == set(CONSTANTS)
 
 
 def test_constants_keep_the_invariants_a_solve_needs():

@@ -118,6 +118,32 @@ class TestTurningPoints:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @given(wells(), st.floats(-20.0, 60.0))
+    @settings(max_examples=300, deadline=None)
+    def test_polished_roots_are_exactly_real_or_exact_conjugates(self, V, E):
+        # the invariant behind turning_points' exact test `not r.imag`: the
+        # eigensolver gives a real companion matrix's real eigenvalues with
+        # imaginary part 0.0 and the rest in exact conjugate pairs, and the
+        # polish keeps both so
+        coeffs = list(V._float_rows[0])
+        coeffs[0] -= E
+        roots = ct._newton_step(V, E, _poly_roots(coeffs))
+        for r in roots:
+            assert not r.imag or r.conjugate() in roots, (r, roots)
+
+    @pytest.mark.parametrize("E", [1e-17, 1e-18, 1e-19])
+    @pytest.mark.parametrize("text", ["x^4 - 2*x^2", "x^6 - 3*x^2"])
+    def test_just_above_the_barrier_top_is_unseparable(self, text, E):
+        # the inner pair is complex, within 1e-8 of 0 (+-2.2e-9 i for x^4 -
+        # 2x^2 at 1e-17), and hugs the segment between the turning points;
+        # an imaginary-part tolerance once counted it real and blamed a
+        # degenerate root near x = -5e-43
+        tp = ct.turning_points(parse_potential(text), E)
+        assert all(r.imag for r in tp.others)
+        assert min(map(abs, tp.others)) < 1e-8
+        with pytest.raises(ContourConstructionError, match="too close to the segment"):
+            ct.build_contour(tp)
+
     def test_double_well_above_barrier_is_two_point(self):
         V = parse_potential("x^4 - 2*x^2")
         tp = ct.turning_points(V, 1.0)
@@ -231,9 +257,11 @@ class TestBranchTrace:
             ct._continue_sqrt(np.sqrt(z))
 
     def test_quarter_turn_step_needs_more_nodes(self):
-        # adjacent square roots at exactly 90 degrees are ambiguous
+        # adjacent square roots at exactly 90 degrees: neither sign is
+        # nearer, and each overlap's sign bit (+0.0 here) keeps the sign
         q = np.array([1.0, -1.0, 1.0, -1.0], dtype=complex)
-        assert ct._continue_sqrt(np.sqrt(q)) is None
+        s = ct._continue_sqrt(np.sqrt(q))
+        assert s.tolist() == [1.0, 1j, 1.0, 1j]
 
     def test_two_enclosed_zeros_close(self, ho):
         c = ct.build_contour(ct.turning_points(ho, 1.0))
@@ -491,15 +519,14 @@ class TestNestedDoubling:
     def test_doubling_chain_is_the_full_continuation(self, V, rise):
         # the one tracer over the continued coarse roots and the midpoints'
         # principal roots returns, bit for bit, what it returns from the
-        # principal roots of the doubled set: the same continuation, the
-        # same quarter turn or the same failed closure
+        # principal roots of the doubled set: the same continuation or the
+        # same failed closure
         E = V.real_minimum()[1] + rise
         try:
             c = ct.build_contour(ct.turning_points(V, E))
             coarse = ct._continue_sqrt(np.sqrt(V(ct.ellipse_nodes(c)[0]) - E))
         except (TurningPointError, ContourConstructionError, BranchTrackingError):
             assume(False)
-        assume(coarse is not None)
         z_full, _ = ct.ellipse_nodes(c, 2 * c.nodes)
         z_mid, _ = ct.ellipse_nodes(dataclasses.replace(c, offset=0.5))
 
@@ -508,7 +535,7 @@ class TestNestedDoubling:
                 s = ct._continue_sqrt(p)
             except BranchTrackingError as exc:
                 return str(exc)
-            return None if s is None else s.tobytes()
+            return s.tobytes()
 
         doubled = outcome(_interleave(coarse, np.sqrt(V(z_mid) - E)))
         assert doubled == outcome(np.sqrt(V(z_full) - E))
@@ -525,17 +552,21 @@ class TestNestedDoubling:
     @pytest.mark.parametrize("q_mid, old_nodes", [
         # 1/8 of a turn from node 0 but 3/8 of a turn from node 1, which flips
         pytest.param([1j, 1j], [1.0, 1.0], id="q_mid0"),
-        # exactly pi/2 from node 0: no nearest sign
+        # exactly pi/2 from node 0 and from node 1: each tie keeps the sign
+        # (its overlap is +0.0), so node 1 stays -1, the last midpoint
+        # flips, and the wrap lands on -p[0]
         pytest.param([-1.0, 1j], None, id="q_mid1"),
     ])
     def test_midpoint_sqrt_refuses_ambiguous_steps(self, q_mid, old_nodes):
-        # neither doubling stands: action_integrals evaluates the set in full
+        # neither doubling stands: action_integrals evaluates the set in
+        # full after the first, and the closure check refuses the second
         s = np.array([1.0, -1.0], dtype=complex)
-        chain = ct._continue_sqrt(_interleave(s, np.sqrt(np.array(q_mid, dtype=complex))))
+        p = _interleave(s, np.sqrt(np.array(q_mid, dtype=complex)))
         if old_nodes is None:
-            assert chain is None
+            with pytest.raises(BranchTrackingError, match="opposite sign"):
+                ct._continue_sqrt(p)
         else:
-            assert chain[0::2].tolist() == old_nodes != s.tolist()
+            assert ct._continue_sqrt(p)[0::2].tolist() == old_nodes != s.tolist()
 
     def test_midpoint_that_flips_an_old_node_leads_to_a_full_pass(
         self, quartic, series15, batches, monkeypatch
@@ -648,10 +679,17 @@ class TestNestedDoubling:
         orders = [0, 2, 4]
         ref = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
         batches.clear()
-        # a doubling's chain is the one the tracer runs after a midpoint batch
+        # a doubling's chain is the one the tracer runs after a midpoint
+        # batch; each has old node 0 flipped
         trace = ct._continue_sqrt
-        monkeypatch.setattr(
-            ct, "_continue_sqrt", lambda p: None if batches[-1][1] == 0.5 else trace(p))
+
+        def flip_an_old_node(p):
+            s = trace(p)
+            if batches[-1][1] == 0.5:
+                s[0] = -s[0]
+            return s
+
+        monkeypatch.setattr(ct, "_continue_sqrt", flip_an_old_node)
         acts = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
         # each doubling evaluates its midpoints, then the doubled set in full
         full = [m for m, offset in batches if offset == 0.0]

@@ -96,11 +96,25 @@ class TestInvariants:
         # 10^6 * (10^6 - 1) * ... overflows 52 orders down, long before 10^6!
         ("x^1000000", "x^999948 coefficient of derivative order 52 of V, 9.987e+311, overflows"),
         ("1e1000000*x^2", "x^2 coefficient of derivative order 0 of V, 1.000e+1000000, overflows"),
+        # refused from its size: 10^10000000 is never built
+        ("2.5e10000000*x^4",
+         "x^4 coefficient of derivative order 0 of V, 2.500e+10000000, overflows"),
+        ("x^2 + 1/4e10000000",
+         "x^0 coefficient of derivative order 0 of V, 2.500e-10000001, rounds to 0"),
     ])
     def test_coefficients_far_past_the_float_range_rejected_fast(self, text, message):
         start = time.perf_counter()
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_potential(text)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "text", ["1e400*1e-400*x^2", "1/1e-5000*1e-5000*x^2", "0e10000000*x^4 + x^2"])
+    def test_a_term_is_judged_by_its_product(self, text):
+        # powers of ten cancel across a term's factors, and a zero factor
+        # makes any exponent harmless
+        start = time.perf_counter()
+        assert parse_potential(text).coefficients == (F(0), F(0), F(1))
         assert time.perf_counter() - start < 1.0
 
     def test_cancelled_terms_do_not_count(self):
