@@ -27,7 +27,6 @@ from .diffpoly import (
     Monomial,
     add,
     differentiate,
-    equals,
     mul,
     q_power,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "add",
     "mul",
     "differentiate",
-    "equals",
     "WkbSeries",
     "OddTermCertificate",
     "gen_terms",

@@ -122,8 +122,6 @@ def _emit(args, payload: str, manifest_config: dict, timings: dict | None = None
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-        if payload and not payload.endswith("\n"):
-            sys.stdout.write("\n")
     manifest_path = args.manifest_out or (args.output + ".manifest.json" if args.output else None)
     if manifest_path:
         manifest = {
@@ -155,7 +153,7 @@ def cmd_terms(args) -> int:
         raise _UsageError("--n-max must be >= 0")
     series = ws.gen_terms(args.n_max)
     if args.format == "json":
-        payload = ws._series_json_text(series) + "\n"
+        payload = ws.series_to_json(series) + "\n"
     else:
         render = dp.to_latex if args.format == "latex" else dp.to_plain
         payload = "".join(

@@ -47,7 +47,7 @@ from .errors import (
     QuadratureError,
     TurningPointError,
 )
-from .potential import Potential, _poly_roots
+from .potential import Potential, poly_roots
 
 __all__ = [
     "TurningPair",
@@ -111,11 +111,11 @@ class ContourSpec:
 def _newton_step(V: Potential, E: float, roots: np.ndarray) -> list[complex]:
     """One Newton step on each root of V - E, skipped where V' vanishes;
     V and V' by Horner's rule on Python complex values."""
-    rows = V._float_rows
+    rows = V.float_rows
     out = []
     for z in map(complex, roots.tolist()):
-        df = V._horner(rows[1], z)
-        out.append(z - (V._horner(rows[0], z) - E) / df if abs(df) > 0 else z)
+        df = V.horner(rows[1], z)
+        out.append(z - (V.horner(rows[0], z) - E) / df if abs(df) > 0 else z)
     return out
 
 
@@ -133,7 +133,7 @@ def turning_points(V: Potential, E: float) -> TurningPair:
     over its leading coefficient overflows a float."""
     if not math.isfinite(E):
         raise ValueError(f"energy must be finite, got E = {E!r}")
-    rows = V._float_rows
+    rows = V.float_rows
     coeffs = list(rows[0])
     coeffs[0] -= E
     if not all(math.isfinite(c / coeffs[-1]) for c in coeffs):
@@ -141,7 +141,7 @@ def turning_points(V: Potential, E: float) -> TurningPair:
             f"V - E over its leading coefficient {coeffs[-1]!r} overflows a float at "
             f"E = {E!r}, so its roots cannot be computed"
         )
-    roots = _newton_step(V, E, _poly_roots(coeffs))
+    roots = _newton_step(V, E, poly_roots(coeffs))
 
     scale = 1.0 + max(map(abs, roots))
     dscale = 1.0 + sum(abs(c) * scale**k for k, c in enumerate(rows[1]))
@@ -150,7 +150,7 @@ def turning_points(V: Potential, E: float) -> TurningPair:
     real_roots = sorted(r.real for r in roots if not r.imag)
     others = tuple(r for r in roots if r.imag)
     for r in real_roots:
-        if abs(V._horner(rows[1], r)) < degeneracy_tol * dscale:
+        if abs(V.horner(rows[1], r)) < degeneracy_tol * dscale:
             raise DegenerateTurningPointError(
                 f"turning point near x = {r:.6g} is degenerate (V' vanishes)"
             )

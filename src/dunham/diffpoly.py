@@ -16,18 +16,21 @@ What an expression is, though, is its packed form: its coefficients as
 integer numerators over one common denominator D, each next to its
 monomial's (h, derivative-exponent) key packed into one int of
 ``_FIELD_BITS``-bit fields (packed exponent vectors, Monagan & Pearce,
-CASC 2007), the keys increasing and D reduced against the numerators.  The
-accumulator behind :func:`mul`, :func:`add` and :func:`differentiate` adds
-plain integer numerators over one running denominator; the key of a product
-is one integer addition and that of a derivative one more, and a finished
-sum is its packed form, with no key decoded.  Comparison, hashing,
-:func:`negate`, :func:`scale` and the queries read only keys and
-numerators.  ``DiffExpr(monomials)`` packs into the same accumulator, so an
-expression has one form however it was made, and every expression is within
-``_PACK_LIMIT`` (16383) in |h|, each exponent and each derivative order:
-what would make one past it raises a ValueError.  ``DiffExpr.monomials``,
-its ``Fraction`` coefficients and :class:`Monomial` objects, is a view built
-on first read-out (rendering, or compiling for numeric evaluation).
+CASC 2007), the keys increasing and D reduced against the numerators.  This
+module alone reads that form.  The accumulator :class:`Sum`, behind
+:func:`mul`, :func:`add` and :func:`differentiate` and public for sums of
+many products, adds plain integer numerators over one running denominator;
+the key of a product is one integer addition and that of a derivative one
+more, and a finished sum is its packed form, with no key decoded.
+Comparison, hashing, :func:`negate`, :func:`scale`, the queries and
+:func:`reduce_q_prime`, which splits off the factors Q' of an even WKB term,
+read only keys and numerators.  ``DiffExpr(monomials)`` packs into the same
+accumulator, so an expression has one form however it was made, and every
+expression is within ``_PACK_LIMIT`` (16383) in |h|, each exponent and each
+derivative order: what would make one past it raises a ValueError.
+``DiffExpr.monomials``, its ``Fraction`` coefficients and :class:`Monomial`
+objects, is a view built on first read-out (rendering, or compiling for
+numeric evaluation).
 
 Numeric evaluation takes the values of Q and its derivatives at an array of
 points plus an externally chosen branch of sqrt(Q) there; this module never
@@ -41,8 +44,8 @@ points.  :func:`compile_batch` returns the plan of a tuple, and
 unit weights.
 
 Expressions are written out, never read back in: :func:`to_plain` and
-:func:`to_latex` render them as text and :func:`expr_to_json` as the JSON
-layout the README documents.
+:func:`to_latex` render them as text and :func:`expr_to_json` writes the
+JSON text of the layout the README documents, from the packed rows.
 """
 
 from __future__ import annotations
@@ -69,11 +72,13 @@ __all__ = [
     "scale",
     "mul",
     "differentiate",
-    "equals",
+    "Sum",
     "eval_numeric_array",
     "compile_batch",
     "max_deriv_order",
     "has_half_powers",
+    "has_q_prime",
+    "reduce_q_prime",
     "to_plain",
     "to_latex",
     "expr_to_json",
@@ -126,7 +131,7 @@ class DiffExpr:
     numerators, so that equal sums have equal forms.  ``==``, ``hash``,
     ``len`` and the arithmetic read only this form.  :attr:`monomials` is a
     view of it, built on first read and kept.  ``DiffExpr(monomials)`` adds
-    the packed monomials in a :class:`_Sum`, which merges like monomials,
+    the packed monomials in a :class:`Sum`, which merges like monomials,
     drops zeros and sorts.  Every expression is within the packing limit: it
     and each operation raise the ValueError of :func:`_within_limit` on a
     monomial past it.
@@ -135,9 +140,9 @@ class DiffExpr:
     __slots__ = ("_packed", "_monomials")
 
     def __init__(self, monomials: Iterable[Monomial]):
-        s = _Sum()
+        s = Sum()
         for m in monomials:
-            s.add_term(_pack(m), m.coeff)
+            s._add_term(_pack(m), m.coeff)
         self._packed = s.result()._packed
         self._monomials = None
 
@@ -301,8 +306,10 @@ def _view(den: int, rows: tuple) -> tuple[Monomial, ...]:
     return tuple(_trusted(Fraction(num, den), h, d) for _, h, d, num in _decoded(rows))
 
 
-class _Sum:
-    """Running exact sum of monomial products.
+class Sum:
+    """Running exact sum of products and derivatives of expressions:
+    :meth:`add_product` adds factor * a * b, :meth:`add_derivative` adds
+    d/dx a, and :meth:`result` is the expression of the sum so far.
 
     Terms accumulate as packed key -> int numerator over one common
     denominator D, without a ``Fraction`` or a :class:`Monomial` per
@@ -329,7 +336,7 @@ class _Sum:
             self._den *= grow
         return self._den // den
 
-    def add_term(self, key: int, coeff: Fraction) -> None:
+    def _add_term(self, key: int, coeff: Fraction) -> None:
         """Add coeff times the monomial of a packed key."""
         c = coeff.numerator * self._over(coeff.denominator)
         self._acc[key] = self._acc.get(key, 0) + c
@@ -400,7 +407,7 @@ def _exact(value) -> Fraction:
 
 
 def add(a: DiffExpr, b: DiffExpr) -> DiffExpr:
-    s = _Sum()
+    s = Sum()
     s.add_product(a, ONE)
     s.add_product(b, ONE)
     return s.result()
@@ -422,7 +429,7 @@ def scale(a: DiffExpr, factor) -> DiffExpr:
 
 
 def mul(a: DiffExpr, b: DiffExpr) -> DiffExpr:
-    s = _Sum()
+    s = Sum()
     s.add_product(a, b)
     return s.result()
 
@@ -430,14 +437,9 @@ def mul(a: DiffExpr, b: DiffExpr) -> DiffExpr:
 def differentiate(a: DiffExpr) -> DiffExpr:
     """d/dx by the product rule; d/dx Q^(h/2) = (h/2) Q^((h-2)/2) Q' and
     d/dx (Q^(k))^e = e (Q^(k))^(e-1) Q^(k+1)."""
-    s = _Sum()
+    s = Sum()
     s.add_derivative(a)
     return s.result()
-
-
-def equals(a: DiffExpr, b: DiffExpr) -> bool:
-    """Exact structural equality of canonical forms (never numeric)."""
-    return a == b
 
 
 def max_deriv_order(a: DiffExpr) -> int:
@@ -450,6 +452,50 @@ def max_deriv_order(a: DiffExpr) -> int:
 def has_half_powers(a: DiffExpr) -> bool:
     # _BIAS is even, so a key is odd exactly when its q_half is
     return any(key & 1 for key, _ in a._packed[1])
+
+
+def _q_prime_exponent(key: int) -> int:
+    """The exponent of Q' in the monomial of a packed key: its field 1."""
+    return (key >> _FIELD_BITS) & _FIELD_MASK
+
+
+def has_q_prime(a: DiffExpr) -> bool:
+    return any(_q_prime_exponent(key) for key, _ in a._packed[1])
+
+
+def reduce_q_prime(t: DiffExpr) -> tuple[DiffExpr, DiffExpr]:
+    """(R, Psi) with t = R + dPsi/dx and no factor Q' in R.
+
+    Each round takes every monomial c Q'^a (rest) Q^(h/2) of the highest Q'
+    exponent a, forms P = c 2/(h+2) Q'^(a-1) (rest) Q^((h+2)/2), and
+    subtracts the derivative of the sum of those P's in one accumulator:
+    dP/dx is the monomial itself plus terms with a - 1 or a - 2 factors Q',
+    so a round removes its level and the rounds end.  The rounds work on
+    packed keys: P's key is the monomial's with one off field 1 and two
+    added to q_half.  Raises ValueError on a monomial Q'^a (rest) Q^(-1),
+    which has no such P; no even WKB term holds one, as h is odd in all of
+    them."""
+    rest = t
+    psi = Sum()
+    while True:
+        den, rows = rest._packed
+        top = max((_q_prime_exponent(key) for key, _ in rows), default=0)
+        if top == 0:
+            return rest, psi.result()
+        level = Sum()
+        for key, num in rows:
+            if _q_prime_exponent(key) != top:
+                continue
+            h = (key & _FIELD_MASK) - _BIAS + 2
+            if h == 0:
+                raise ValueError(f"Q'^{top} Q^(-1) has no antiderivative in the ring")
+            level._add_term(key - (1 << _FIELD_BITS) + 2, Fraction(2 * num, den * h))
+        p = level.result()
+        reduced = Sum()
+        reduced.add_product(rest, ONE)
+        reduced.add_derivative(negate(p))
+        rest = reduced.result()
+        psi.add_product(p, ONE)
 
 
 # Nodes per block of numeric evaluation.  A plan's product table holds one
@@ -746,15 +792,23 @@ def to_latex(a: DiffExpr) -> str:
 #   {"monomials": [{"coeff": "p/q", "q_half": h, "derivs": [[k, e], ...]}, ...]}
 
 
-def expr_to_json(a: DiffExpr) -> dict:
-    return {
-        "monomials": [
-            {
-                "coeff": str(m.coeff),
-                "q_half": m.q_half,
-                "derivs": [[k, e] for k, e in m.derivs],
-            }
-            for m in a.monomials
-        ]
-    }
+def expr_to_json(a: DiffExpr, indent: int = 0) -> str:
+    """a in the JSON layout above, as ``json.dumps(..., indent=2)`` writes
+    it, with every line after the first indented `indent` more spaces.  It
+    is written from the packed rows, so no monomial view is built."""
+    nl = "\n" + " " * indent
+    den, rows = a._packed
+    monos = []
+    for _, h, derivs, num in _decoded(rows):
+        g = gcd(num, den)  # the coefficient as str(Fraction(num, den)) writes it
+        coeff = num // g if g == den else f"{num // g}/{den // g}"
+        pairs = ",".join(
+            f"{nl}        [{nl}          {k},{nl}          {e}{nl}        ]" for k, e in derivs
+        )
+        monos.append(
+            f'{nl}    {{{nl}      "coeff": "{coeff}",{nl}      "q_half": {h},'
+            f'{nl}      "derivs": {f"[{pairs}{nl}      ]" if pairs else "[]"}{nl}    }}'
+        )
+    body = f"[{','.join(monos)}{nl}  ]" if monos else "[]"
+    return f'{{{nl}  "monomials": {body}{nl}}}'
 

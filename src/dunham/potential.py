@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PotentialParseError
 
-__all__ = ["Potential", "parse_potential"]
+__all__ = ["Potential", "parse_potential", "poly_roots"]
 
 
 def _as_fraction(value) -> Fraction:
@@ -89,7 +89,7 @@ def _subdiagonal(n: int) -> np.ndarray:
     return m
 
 
-def _poly_roots(coeffs) -> np.ndarray:
+def poly_roots(coeffs) -> np.ndarray:
     """Roots of the polynomial with these coefficients, lowest order first:
     the bits ``np.roots(coeffs[::-1])`` gives, from the same companion
     matrix, without np.roots' argument handling.  As there, each vanishing
@@ -144,7 +144,7 @@ class Potential:
         return tuple(rows)
 
     @cached_property
-    def _float_rows(self) -> tuple[list[float], ...]:
+    def float_rows(self) -> tuple[list[float], ...]:
         """The rows of the exact table as Python floats, converted once: the
         one float view of V that evaluation and root finding read.  The
         constructor has refused every nonzero coefficient that a float
@@ -153,10 +153,12 @@ class Potential:
 
     def __call__(self, z):
         """Evaluate V at a real/complex scalar or array by Horner's rule."""
-        return self._horner(self._float_rows[0], z)
+        return self.horner(self.float_rows[0], z)
 
     @staticmethod
-    def _horner(coeffs, z):
+    def horner(coeffs, z):
+        """The polynomial with these coefficients, lowest order first, at a
+        scalar or array z by Horner's rule."""
         acc = np.zeros_like(np.asarray(z, dtype=complex)) if isinstance(z, np.ndarray) else 0.0
         for c in coeffs[::-1]:
             acc = acc * z + c
@@ -175,14 +177,14 @@ class Potential:
         rows = min(max_order, d) + 1
         if isinstance(z, np.ndarray):
             acc = np.empty((rows,) + z.shape, dtype=complex)
-            for row, a in zip(self._float_rows[:rows], acc):
+            for row, a in zip(self.float_rows[:rows], acc):
                 a[...] = row[-1]
                 for c in row[-2::-1]:
                     np.multiply(a, z, out=a)
                     np.add(a, c, out=a)
             out = list(acc)
         else:
-            out = [self._horner(row, z) for row in self._float_rows[:rows]]
+            out = [self.horner(row, z) for row in self.float_rows[:rows]]
         if max_order > d:
             zero = np.zeros(np.shape(z), dtype=complex)
             zero.flags.writeable = False
@@ -198,7 +200,7 @@ class Potential:
     def _real_minimum(self) -> tuple[float, float]:
         # the lowest of V at 0 and at the exactly real roots of V' (the
         # realness rule of contour.turning_points); the first lowest wins
-        xs = [0.0] + [float(r.real) for r in _poly_roots(self._float_rows[1]) if not r.imag]
+        xs = [0.0] + [float(r.real) for r in poly_roots(self.float_rows[1]) if not r.imag]
         x = min(xs, key=lambda x: float(np.real(self(x))))
         return x, float(np.real(self(x)))
 
@@ -252,6 +254,9 @@ def parse_potential(text: str) -> Potential:
     def fail(where, msg, token=None):
         raise PotentialParseError(f"{msg} at position {where}", position=where, token=token)
 
+    def found(v):
+        return f"found {v!r}" if v else "found end"
+
     for mt in _POT_TOKEN_RE.finditer(text):
         kind = mt.lastgroup if mt.lastgroup != "exp" else "number"
         if kind == "ws":
@@ -275,7 +280,7 @@ def parse_potential(text: str) -> Potential:
         nonlocal pos
         k, v, p = peek()
         if k != kind:
-            fail(p, f"expected {kind}, found {v!r}" if v else f"expected {kind}, found end")
+            fail(p, f"expected {kind}, {found(v)}")
         pos += 1
         return v
 
@@ -289,9 +294,10 @@ def parse_potential(text: str) -> Potential:
         value, exp = literal(take("number"))
         if peek()[0] == "slash":
             pos += 1
+            where = peek()[2]
             den, den_exp = literal(take("number"))
             if den == 0:
-                fail(peek()[2], "zero denominator")
+                fail(where, "zero denominator")
             value /= den
             exp -= den_exp
         return value, exp
@@ -307,11 +313,11 @@ def parse_potential(text: str) -> Potential:
                 pos += 1
                 k2, v2, p2 = peek()
                 if k2 != "number" or not v2.isdigit():
-                    fail(p2, f"expected integer exponent, found {v2!r}")
+                    fail(p2, f"expected integer exponent, {found(v2)}")
                 pos += 1
                 return Fraction(1), 0, int(v2)
             return Fraction(1), 0, 1
-        fail(p, f"expected coefficient or x, found {v!r}", token=v)
+        fail(p, f"expected coefficient or x, {found(v)}", token=v)
 
     while pos < len(tokens):
         sign = 1

@@ -12,7 +12,7 @@ because their terms are exact derivatives, certified symbolically per order
 by wkb_series before being dropped.
 
 Each B_2n, n >= 1, is integrated from R_2n = T_2n - dPsi_2n/dx, the
-Q'-free reduction of wkb_series.reduce_even_term: Psi_2n is single-valued on
+Q'-free reduction of diffpoly.reduce_q_prime: Psi_2n is single-valued on
 the contour, so R_2n has the same closed-contour integral as T_2n, with
 about a quarter of its monomials and a far lower rounding floor.  Each
 reduction is certified exactly, once per n, before the first phase

@@ -26,7 +26,7 @@ products instead of enumerating the 2^(n-1) compositions.
 exact symbolic equality with F_n, which is the closed-contour-vanishing
 certificate the quantization solver relies on when it drops odd orders.
 
-The same tool reduces the even terms.  :func:`reduce_even_term` splits T_2n
+The even terms reduce too.  :func:`dp.reduce_q_prime` splits T_2n
 as R_2n + dPsi_2n/dx with no factor Q' left in R_2n: a monomial
 c Q'^a (rest) Q^(h/2) with a >= 1 is the derivative of
 P = c 2/(h+2) Q'^(a-1) (rest) Q^((h+2)/2) up to terms with fewer factors Q',
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterator
 
 from . import diffpoly as dp
@@ -60,7 +59,6 @@ __all__ = [
     "compositions",
     "build_phi",
     "certify_total_derivative",
-    "reduce_even_term",
     "certify_even_reduction",
     "series_to_json",
 ]
@@ -113,7 +111,7 @@ def gen_terms(N: int) -> WkbSeries:
     terms = [dp.negate(dp.q_power(1))]  # T_0 = -sqrt(Q)
     for n in range(1, N + 1):
         # the bracket's sum is symmetric in m <-> n - m: pair the products
-        bracket = dp._Sum()
+        bracket = dp.Sum()
         bracket.add_derivative(terms[n - 1])
         for m in range(1, (n + 1) // 2):
             bracket.add_product(terms[m], terms[n - m], 2)
@@ -178,11 +176,11 @@ def build_phi(series: WkbSeries, n: int) -> DiffExpr:
     g = [dp.ZERO] + [g_term(series, j) for j in range(1, n + 1)]
     b = [dp.ONE]
     for m in range(1, n):
-        b_m = dp._Sum()
+        b_m = dp.Sum()
         for k in range(1, m + 1):
             b_m.add_product(g[k], b[m - k])
         b.append(b_m.result())
-    phi = dp._Sum()
+    phi = dp.Sum()
     for k in range(1, n + 1):
         phi.add_product(g[k], b[n - k], Fraction(k, n))
     return phi.result()
@@ -197,48 +195,8 @@ def certify_total_derivative(series: WkbSeries, n: int) -> OddTermCertificate:
         )
     f_n = f_term(series, n)
     phi_n = build_phi(series, n)
-    verified = dp.equals(dp.differentiate(phi_n), f_n)
+    verified = dp.differentiate(phi_n) == f_n
     return OddTermCertificate(n=n, f_n=f_n, phi_n=phi_n, verified=verified)
-
-
-def _q_prime_exponent(key: int) -> int:
-    """The exponent of Q' in the monomial of a packed key: its field 1."""
-    return (key >> dp._FIELD_BITS) & dp._FIELD_MASK
-
-
-def reduce_even_term(t: DiffExpr) -> tuple[DiffExpr, DiffExpr]:
-    """(R, Psi) with t = R + dPsi/dx and no factor Q' in R.
-
-    Each round takes every monomial c Q'^a (rest) Q^(h/2) of the highest Q'
-    exponent a, forms P = c 2/(h+2) Q'^(a-1) (rest) Q^((h+2)/2), and
-    subtracts the derivative of the sum of those P's in one accumulator:
-    dP/dx is the monomial itself plus terms with a - 1 or a - 2 factors Q',
-    so a round removes its level and the rounds end.  The rounds work on
-    packed keys: P's key is the monomial's with one off field 1 and two
-    added to q_half.  Raises ValueError on a monomial Q'^a (rest) Q^(-1),
-    which has no such P; no even term holds one, as h is odd in all of
-    them."""
-    rest = t
-    psi = dp._Sum()
-    while True:
-        den, rows = rest._packed
-        top = max((_q_prime_exponent(key) for key, _ in rows), default=0)
-        if top == 0:
-            return rest, psi.result()
-        level = dp._Sum()
-        for key, num in rows:
-            if _q_prime_exponent(key) != top:
-                continue
-            h = (key & dp._FIELD_MASK) - dp._BIAS + 2
-            if h == 0:
-                raise ValueError(f"Q'^{top} Q^(-1) has no antiderivative in the ring")
-            level.add_term(key - (1 << dp._FIELD_BITS) + 2, Fraction(2 * num, den * h))
-        p = level.result()
-        reduced = dp._Sum()
-        reduced.add_product(rest, dp.ONE)
-        reduced.add_derivative(dp.negate(p))
-        rest = reduced.result()
-        psi.add_product(p, dp.ONE)
 
 
 def certify_even_reduction(series: WkbSeries, n: int) -> EvenTermCertificate:
@@ -251,11 +209,11 @@ def certify_even_reduction(series: WkbSeries, n: int) -> EvenTermCertificate:
             f"certificate for n={n} needs T_{2*n}; series holds orders 0..{series.max_order}"
         )
     t = series.terms[2 * n]
-    r, psi = reduce_even_term(t)
-    back = dp._Sum()
+    r, psi = dp.reduce_q_prime(t)
+    back = dp.Sum()
     back.add_product(r, dp.ONE)
     back.add_derivative(psi)
-    verified = back.result() == t and not any(_q_prime_exponent(key) for key, _ in r._packed[1])
+    verified = back.result() == t and not dp.has_q_prime(r)
     return EvenTermCertificate(n=n, r_2n=r, psi_2n=psi, verified=verified)
 
 
@@ -263,53 +221,13 @@ def certify_even_reduction(series: WkbSeries, n: int) -> EvenTermCertificate:
 # JSON layout (documented in the README)
 
 
-def series_to_json(series: WkbSeries) -> dict:
-    return {
-        "max_order": series.max_order,
-        "terms": [
-            {"order": n, "expr": dp.expr_to_json(t)}
-            for n, t in enumerate(series.terms)
-        ],
-    }
-
-
-# One monomial and one derivative pair of the series layout, at their
-# json.dumps(..., indent=2) depths.
-_MONOMIAL_TEXT = """          {{
-            "coeff": "{}",
-            "q_half": {},
-            "derivs": {}
-          }}"""
-_PAIR_TEXT = """              [
-                {},
-                {}
-              ]"""
-
-
-def _json_list(items: list, indent: int) -> str:
-    """A list of already indented items, laid out as json.dumps(indent=2)."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + " " * indent + "]"
-
-
-def _series_json_text(series: WkbSeries) -> str:
-    """``json.dumps(series_to_json(series), indent=2)``, the same bytes,
-    written from the templates above instead of by the pure-Python encoder
-    that ``indent`` selects, and from each term's packed rows, so that no
-    monomial view is built."""
-    terms = []
-    for n, t in enumerate(series.terms):
-        den, rows = t._packed
-        monos = []
-        for _, h, derivs, num in dp._decoded(rows):
-            g = gcd(num, den)  # the coefficient as str(Fraction(num, den)) has it
-            coeff = num // g if g == den else f"{num // g}/{den // g}"
-            pairs = _json_list([_PAIR_TEXT.format(k, e) for k, e in derivs], 12)
-            monos.append(_MONOMIAL_TEXT.format(coeff, h, pairs))
-        terms.append(
-            f'    {{\n      "order": {n},\n      "expr": {{\n'
-            f'        "monomials": {_json_list(monos, 8)}\n      }}\n    }}'
-        )
-    return f'{{\n  "max_order": {series.max_order},\n  "terms": {_json_list(terms, 2)}\n}}'
+def series_to_json(series: WkbSeries) -> str:
+    """The series in its JSON layout, as ``json.dumps(..., indent=2)``
+    writes it, each term's expression by :func:`dp.expr_to_json`."""
+    terms = ",".join(
+        f'\n    {{\n      "order": {n},\n      "expr": {dp.expr_to_json(t, 6)}\n    }}'
+        for n, t in enumerate(series.terms)
+    )
+    body = f"[{terms}\n  ]" if terms else "[]"
+    return f'{{\n  "max_order": {series.max_order},\n  "terms": {body}\n}}'
 

@@ -58,9 +58,9 @@ def test_criterion_1_symbolic_fixtures():
         dp.add(mono(F(-15, 64), -8, {1: 3}), mono(F(9, 32), -6, {1: 1, 2: 1})),
         mono(F(-1, 16), -4, {3: 1}),
     )
-    assert dp.equals(series.terms[1], t1)
-    assert dp.equals(series.terms[2], t2)
-    assert dp.equals(series.terms[3], t3)
+    assert series.terms[1] == t1
+    assert series.terms[2] == t2
+    assert series.terms[3] == t3
     assert time.perf_counter() - t_start < 1.0
 
 
@@ -70,7 +70,7 @@ def test_criterion_2_total_derivative_theorem(series15):
     for n in range(1, 8):
         cert = ws.certify_total_derivative(series15, n)
         assert cert.verified, f"antiderivative check failed at n={n}"
-        assert dp.equals(dp.differentiate(cert.phi_n), cert.f_n)
+        assert dp.differentiate(cert.phi_n) == cert.f_n
     # Phi_2, Phi_3, Phi_4 against their bracketed combinations of G terms
     g = {j: ws.g_term(series15, j) for j in range(1, 5)}
     g1sq = dp.mul(g[1], g[1])
@@ -81,9 +81,9 @@ def test_criterion_2_total_derivative_theorem(series15):
         dp.add(dp.add(g[4], dp.mul(g[1], g[3])), dp.scale(dp.mul(g[2], g[2]), F(1, 2))),
         dp.add(dp.mul(g1sq, g[2]), dp.scale(dp.mul(g1sq, g1sq), F(1, 4))),
     )
-    assert dp.equals(ws.build_phi(series15, 2), phi2)
-    assert dp.equals(ws.build_phi(series15, 3), phi3)
-    assert dp.equals(ws.build_phi(series15, 4), phi4)
+    assert ws.build_phi(series15, 2) == phi2
+    assert ws.build_phi(series15, 3) == phi3
+    assert ws.build_phi(series15, 4) == phi4
     assert time.perf_counter() - t_start < 300.0
 
 
@@ -91,7 +91,7 @@ def test_criterion_2_total_derivative_theorem(series15):
 def test_criterion_3_recursion_cross_check(series15):
     alt = gen_terms_alt(15)
     for n in range(16):
-        assert dp.equals(series15.terms[n], alt.terms[n])
+        assert series15.terms[n] == alt.terms[n]
     for n in range(1, 16):
         assert not recursion_residual(series15, n), f"nonzero residual at n={n}"
 

@@ -21,6 +21,7 @@ from dunham.cli import (
     _build_parser,
     main,
 )
+from wkb_checks import series_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,7 +61,7 @@ class TestTerms:
     def test_json_roundtrips_to_fresh_terms(self, capsys):
         code, out, _ = run(capsys, "terms", "--n-max", "5", "--format", "json")
         assert code == EXIT_OK
-        assert json.loads(out) == ws.series_to_json(ws.gen_terms(5))
+        assert json.loads(out) == series_dict(ws.gen_terms(5))
 
     def test_single_term_json(self, capsys):
         code, out, _ = run(capsys, "terms", "--n-max", "0", "--format", "json")
@@ -166,6 +167,25 @@ class TestSpectrum:
         assert f"number of 5000 characters, past the limit of {limit} digits" in err
         assert f"at position {position}" in err
         assert "set_int_max_str_digits" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("potential, message", [
+        # each branch of the grammar that can fail, at the end of the text
+        # and on a wrong token; "found None" once stood for the end
+        ("1/", "expected number, found end at position 2"),
+        ("1/x^2", "expected number, found 'x' at position 2"),
+        ("1/0*x^2", "zero denominator at position 2"),
+        ("x^", "expected integer exponent, found end at position 2"),
+        ("x^1.5", "expected integer exponent, found '1.5' at position 2"),
+        ("x^2 +", "expected coefficient or x, found end at position 5"),
+        ("2*", "expected coefficient or x, found end at position 2"),
+        ("x^2 + *x", "expected coefficient or x, found '*' at position 6"),
+    ])
+    def test_malformed_potential_is_a_parse_error_naming_its_place(
+        self, capsys, potential, message
+    ):
+        code, out, err = run(capsys, "spectrum", potential)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command, flag, value, message", [
         ("spectrum", "--levels", "0", "--levels must be >= 1"),

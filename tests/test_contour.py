@@ -27,7 +27,7 @@ from dunham.errors import (
     QuadratureError,
     TurningPointError,
 )
-from dunham.potential import Potential, _poly_roots, parse_potential
+from dunham.potential import Potential, parse_potential, poly_roots
 
 
 def _array_newton_step(V, E, roots):
@@ -111,10 +111,10 @@ class TestTurningPoints:
         # (V' of x^4, x^2 + x^4 and x^6 - x^4 + x^2 has vanishing low-order
         # coefficients)
         V = parse_potential(text)
-        shifted = list(V._float_rows[0])
+        shifted = list(V.float_rows[0])
         shifted[0] -= E
-        for coeffs in (shifted, V._float_rows[1]):
-            got, want = _poly_roots(coeffs), np.roots(coeffs[::-1])
+        for coeffs in (shifted, V.float_rows[1]):
+            got, want = poly_roots(coeffs), np.roots(coeffs[::-1])
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -125,9 +125,9 @@ class TestTurningPoints:
         # eigensolver gives a real companion matrix's real eigenvalues with
         # imaginary part 0.0 and the rest in exact conjugate pairs, and the
         # polish keeps both so
-        coeffs = list(V._float_rows[0])
+        coeffs = list(V.float_rows[0])
         coeffs[0] -= E
-        roots = ct._newton_step(V, E, _poly_roots(coeffs))
+        roots = ct._newton_step(V, E, poly_roots(coeffs))
         for r in roots:
             assert not r.imag or r.conjugate() in roots, (r, roots)
 
@@ -159,17 +159,17 @@ class TestTurningPoints:
     @example(Potential(tuple(map(Fraction, (0, 3, 0, 0, 0, 0, 1)))), 6.399514703922437e-155)
     @settings(max_examples=300, deadline=None)
     def test_newton_step_agrees_with_the_array_polish(self, V, E):
-        coeffs = list(V._float_rows[0])
+        coeffs = list(V.float_rows[0])
         coeffs[0] -= E
-        roots = _poly_roots(coeffs)
-        v_row, slope_row = V._float_rows[:2]
+        roots = poly_roots(coeffs)
+        v_row, slope_row = V.float_rows[:2]
         bounds = {}  # the step's bound by the real part of the array step
         for z, got, want in zip(
             roots.tolist(), ct._newton_step(V, E, roots), _array_newton_step(V, E, roots)
         ):
             # the two Horner loops round V - E and V' differently (numpy may
             # fuse its complex multiply); the step divides that by |V'|
-            r, slope = abs(z), abs(V._horner(slope_row, complex(z)))
+            r, slope = abs(z), abs(V.horner(slope_row, complex(z)))
             bound = 0.0 if slope == 0 else 4 * ct._EPS * (
                 abs(want)
                 + (abs(E) + sum(abs(c) * r**k for k, c in enumerate(v_row))
@@ -235,6 +235,16 @@ class TestContour:
                 NumericsConfig(margin=margin)
         assert math.isfinite(NumericsConfig.margin) and NumericsConfig.margin > 0
 
+    @pytest.mark.parametrize("fields, message", [
+        ((1.0, 1.0, 62), "even and >= 64"),
+        ((1.0, 1.0, 65), "even and >= 64"),
+        ((0.0, 1.0, 64), "axes must be positive"),
+        ((1.0, -1.0, 64), "axes must be positive"),
+    ])
+    def test_spec_refuses_bad_counts_and_axes(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ct.ContourSpec(0j, *fields)
+
     def test_root_on_segment_is_unseparable(self):
         # V - E = (x^2 - 1)(x^2 + 1e-8): the complex pair hugs the segment
         # between the turning points, so no ellipse can exclude it
@@ -255,6 +265,10 @@ class TestBranchTrace:
         z = np.exp(2j * np.pi * np.arange(128) / 128)
         with pytest.raises(BranchTrackingError):
             ct._continue_sqrt(np.sqrt(z))
+
+    def test_exact_zero_of_q_is_refused(self):
+        with pytest.raises(BranchTrackingError, match="zero of Q"):
+            ct._continue_sqrt(np.array([1.0, 0.0, -1.0], dtype=complex))
 
     def test_quarter_turn_step_needs_more_nodes(self):
         # adjacent square roots at exactly 90 degrees: neither sign is
@@ -285,6 +299,11 @@ class TestActionIntegrals:
         c = ct.build_contour(ct.turning_points(ho, 5.0))
         b0 = ct.action_integrals(series15.terms, [0], ho, 5.0, c)[0]
         assert b0 == pytest.approx(5.0 * math.pi / 2.0, abs=1e-11)
+
+    def test_no_orders_evaluate_nothing(self, ho, series15):
+        c = ct.build_contour(ct.turning_points(ho, 5.0))
+        got = ct.action_integrals(series15.terms, [], ho, 5.0, c)
+        assert (got, got.nodes, got.evaluated, got.slopes) == ({}, c.nodes, 0, (0.0, 0.0, 0.0))
 
     def test_harmonic_maslov(self, ho, series15):
         c = ct.build_contour(ct.turning_points(ho, 5.0))

@@ -30,14 +30,14 @@ class TestConstructors:
         assert m.coeff == 1 and m.q_half == 1 and m.derivs == ()
 
     def test_q_power_zero_is_one(self):
-        assert dp.equals(dp.q_power(0), dp.ONE)
+        assert dp.q_power(0) == dp.ONE
 
     def test_q_power_negative(self):
         assert dp.q_power(-3).monomials[0].q_half == -3
 
     def test_q_power_takes_python_and_numpy_integers(self):
         for h in (3, np.int64(3), np.int8(3)):
-            assert dp.equals(dp.q_power(h), mono(1, 3))
+            assert dp.q_power(h) == mono(1, 3)
             assert type(dp.q_power(h).monomials[0].q_half) is int
 
     @pytest.mark.parametrize("h", [1.5, 3.0, True, F(3), "3", None])
@@ -49,7 +49,7 @@ class TestConstructors:
         # a constant is a scaled ONE, so its coefficient is exact or refused
         with pytest.raises(TypeError, match="float"):
             dp.scale(dp.ONE, 0.1)
-        assert dp.equals(dp.scale(dp.ONE, "1/10"), mono(F(1, 10), 0))
+        assert dp.scale(dp.ONE, "1/10") == mono(F(1, 10), 0)
 
     def test_scale_rejects_float(self):
         with pytest.raises(TypeError, match="float"):
@@ -76,7 +76,7 @@ class TestConstructors:
         m = dp.Monomial(F(1), 3, ())
         twice = dp.DiffExpr((m, m))
         assert dp.to_plain(twice) == "2 * Q^(3/2)"
-        assert dp.equals(twice, dp.scale(dp.q_power(3), 2))
+        assert twice == dp.scale(dp.q_power(3), 2)
         assert len(twice) == 1
 
     def test_constructor_drops_zeros_and_sorts(self):
@@ -97,12 +97,12 @@ class TestConstructors:
 class TestArithmetic:
     def test_additive_inverse(self):
         a = mono(1, -2, {1: 1})
-        assert dp.equals(dp.add(a, dp.negate(a)), dp.ZERO)
+        assert dp.add(a, dp.negate(a)) == dp.ZERO
 
     def test_rational_merge(self):
         a = mono(F(1, 2), 0, {2: 1})
         b = mono(F(1, 3), 0, {2: 1})
-        assert dp.equals(dp.add(a, b), mono(F(5, 6), 0, {2: 1}))
+        assert dp.add(a, b) == mono(F(5, 6), 0, {2: 1})
 
     def test_disjoint_keys_keep_two_monomials(self):
         e = dp.add(dp.q_power(1), mono(1, 0, {1: 1}))
@@ -116,38 +116,49 @@ class TestArithmetic:
 
     def test_sqrt_squared_is_q(self):
         t0 = dp.negate(dp.q_power(1))
-        assert dp.equals(dp.mul(t0, t0), dp.q_power(2))
+        assert dp.mul(t0, t0) == dp.q_power(2)
 
     def test_mul_adds_exponents(self):
         a = mono(1, -2, {1: 1})
-        assert dp.equals(dp.mul(a, a), mono(1, -4, {1: 2}))
+        assert dp.mul(a, a) == mono(1, -4, {1: 2})
+
+    def test_scale_by_zero_is_zero(self):
+        assert dp.scale(mono(3, 1, {2: 1}), 0) == dp.ZERO
+
+    def test_an_expression_equals_no_number(self):
+        assert dp.ONE != 1 and dp.ZERO != 0
+        assert dp.ONE.__eq__(1) is NotImplemented
+
+    def test_q_prime_query(self):
+        assert dp.has_q_prime(mono(1, -2, {1: 1, 2: 1}))
+        assert not dp.has_q_prime(mono(1, -3, {2: 3})) and not dp.has_q_prime(dp.ZERO)
 
     def test_mul_by_zero(self):
         a = mono(3, 1, {2: 2})
-        assert dp.equals(dp.mul(a, dp.ZERO), dp.ZERO)
+        assert dp.mul(a, dp.ZERO) == dp.ZERO
 
     def test_merged_power_keys_equal(self):
         # canonicalization merges exponents at construction: Q^(-1/2) * Q = Q^(1/2)
-        assert dp.equals(dp.mul(dp.q_power(-1), dp.q_power(2)), dp.q_power(1))
+        assert dp.mul(dp.q_power(-1), dp.q_power(2)) == dp.q_power(1)
 
 
 class TestDifferentiate:
     def test_sqrt_q(self):
         got = dp.differentiate(dp.q_power(1))
-        assert dp.equals(got, mono(F(1, 2), -1, {1: 1}))
+        assert got == mono(F(1, 2), -1, {1: 1})
 
     def test_product_rule(self):
         e = mono(F(1, 4), -2, {1: 1})  # (1/4) Q' / Q
         want = dp.add(mono(F(1, 4), -2, {2: 1}), mono(F(-1, 4), -4, {1: 2}))
-        assert dp.equals(dp.differentiate(e), want)
+        assert dp.differentiate(e) == want
 
     def test_constant(self):
-        assert dp.equals(dp.differentiate(dp.ONE), dp.ZERO)
+        assert dp.differentiate(dp.ONE) == dp.ZERO
 
     def test_deriv_power(self):
         # d/dx (Q')^3 = 3 (Q')^2 Q''
         got = dp.differentiate(mono(1, 0, {1: 3}))
-        assert dp.equals(got, mono(3, 0, {1: 2, 2: 1}))
+        assert got == mono(3, 0, {1: 2, 2: 1})
 
 
 class TestEnergyDerivative:
@@ -406,6 +417,18 @@ class TestRendering:
         e = mono(2, 0, {4: 2})
         assert dp.to_plain(e) == "2 * Q(4)^2"
         assert dp.to_plain(mono(-1, 3, {2: 1, 5: 3})) == "-Q'' * Q(5)^3 * Q^(3/2)"
+
+    def test_unit_coefficients_and_bare_constants(self):
+        # a coefficient of +1 is left out before a factor and kept alone
+        assert [dp.to_plain(e) for e in (dp.ONE, dp.q_power(1), mono(F(3, 2), 0))] == [
+            "1", "Q^(1/2)", "3/2"]
+        assert [dp.to_latex(e) for e in (dp.ONE, dp.q_power(1), mono(F(3, 2), 0))] == [
+            "1", "Q^{1/2}", "\\frac{3}{2}"]
+
+    def test_str_and_repr(self):
+        e = mono(F(-1, 4), -2, {1: 1})
+        assert str(e) == dp.to_plain(e)
+        assert repr(e) == f"DiffExpr({e.monomials!r})"
 
     def test_latex_fraction_layout(self):
         t1 = mono(F(-1, 4), -2, {1: 1})

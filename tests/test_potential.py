@@ -87,7 +87,10 @@ class TestInvariants:
         # 1e300 * 20!/13! in V^(7)
         ("1e300*x^20", "x^13 coefficient of derivative order 7 of V, 3.907e+308, overflows"),
         ("1e-400*x^2", "x^2 coefficient of derivative order 0 of V, 1.000e-400, rounds to 0"),
-    ], ids=["overflow", "derivative-overflow", "deep-derivative-overflow", "underflow"])
+        # a mantissa that rounds up to 10.000 moves to the next power, as .3e does
+        ("9.9996e400*x^2", "x^2 coefficient of derivative order 0 of V, 1.000e+401, overflows"),
+    ], ids=["overflow", "derivative-overflow", "deep-derivative-overflow", "underflow",
+            "mantissa-rounds-up"])
     def test_coefficients_a_float_cannot_hold_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_potential(text)
@@ -131,7 +134,7 @@ class TestInvariants:
         top = F(sys.float_info.max) / math.factorial(degree)
         for c in (top, F(5e-324)):
             V = Potential((0,) * degree + (c,))
-            for exact, floats in zip(V._deriv_coeff_table, V._float_rows):
+            for exact, floats in zip(V._deriv_coeff_table, V.float_rows):
                 assert all(0 < abs(f) < math.inf for e, f in zip(exact, floats) if e)
 
 
@@ -203,13 +206,13 @@ class TestEvaluation:
         for z in points:
             vals = V.derivs(z, d + 1)
             for k in range(d + 1):
-                ref = Potential._horner(V._float_rows[k] + [0.0] * k, z)
+                ref = Potential.horner(V.float_rows[k] + [0.0] * k, z)
                 assert np.shape(vals[k]) == np.shape(z)
                 assert np.asarray(vals[k]).tobytes() == np.asarray(ref).tobytes()
 
     def test_float_table_rows_are_the_exact_rows(self):
         V = parse_potential("0.5*x^2 + 0.1*x^4 - 1/3*x^3 + 7")
-        rows = V._float_rows
+        rows = V.float_rows
         assert len(rows) == V.degree + 1
         for k, (row, exact) in enumerate(zip(rows, V._deriv_coeff_table)):
             assert len(row) == V.degree + 1 - k
@@ -224,3 +227,4 @@ class TestEvaluation:
 
     def test_str_render(self):
         assert str(parse_potential("0.5*x^2 + 0.1*x^4")) == "1/10*x^4 + 1/2*x^2"
+        assert str(parse_potential("x^2 - x + 3/2")) == "x^2 - x + 3/2"

@@ -669,7 +669,7 @@ class TestReducedPhase:
         # T_0 and R_2..R_2N; the odd terms serve only their certificates
         integrands = sv._integrands(3)
         assert sorted(integrands) == [0, 2, 4, 6]
-        assert dp.equals(integrands[0], ws.gen_terms(0).terms[0])
+        assert integrands[0] == ws.gen_terms(0).terms[0]
         assert all(not any(k == 1 for m in integrands[2 * n].monomials for k, _ in m.derivs)
                    for n in range(1, 4))
 
@@ -835,6 +835,19 @@ class TestSpectrum:
             sv.spectrum(ho, 3, 0)
         assert sorted(err.value.failures) == [1]
         assert [r.K for r in err.value.results] == [0, 2]
+
+    def test_levels_out_of_order_are_refused(self, ho, monkeypatch):
+        original = sv.quantize
+
+        def reversed_levels(request, seed=None):
+            r = original(request, seed)
+            return dataclasses.replace(r, E=10.0 - r.E)
+
+        monkeypatch.setattr(sv, "quantize", reversed_levels)
+        with pytest.raises(SpectrumError, match="not strictly increasing") as err:
+            sv.spectrum(ho, 2, 0)
+        assert [r.K for r in err.value.results] == [0, 1]
+        assert not err.value.failures
 
 
 class TestSerialization:

@@ -8,7 +8,13 @@ import pytest
 
 import dunham.diffpoly as dp
 import dunham.wkb_series as ws
-from wkb_checks import check_f_recursion, gen_terms_alt, recursion_residual
+from wkb_checks import (
+    check_f_recursion,
+    expr_dict,
+    gen_terms_alt,
+    recursion_residual,
+    series_dict,
+)
 
 
 def mono(coeff, q_half, derivs=None):
@@ -44,12 +50,12 @@ T3_ANTIDERIVATIVE = expr(
 
 class TestGeneration:
     def test_t0(self, series15):
-        assert dp.equals(series15.terms[0], dp.negate(dp.q_power(1)))
+        assert series15.terms[0] == dp.negate(dp.q_power(1))
 
     def test_first_three_terms_exact(self, series15):
-        assert dp.equals(series15.terms[1], T1_EXPECTED)
-        assert dp.equals(series15.terms[2], T2_EXPECTED)
-        assert dp.equals(series15.terms[3], T3_EXPECTED)
+        assert series15.terms[1] == T1_EXPECTED
+        assert series15.terms[2] == T2_EXPECTED
+        assert series15.terms[3] == T3_EXPECTED
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
@@ -62,7 +68,7 @@ class TestGeneration:
     def test_alternate_recursion_identical(self, series15):
         alt = gen_terms_alt(15)
         for n in range(16):
-            assert dp.equals(alt.terms[n], series15.terms[n])
+            assert alt.terms[n] == series15.terms[n]
 
     def test_parity_of_powers(self, series15):
         for n, t in enumerate(series15.terms):
@@ -76,7 +82,7 @@ class TestGeneration:
         # T_3 = -(1/2) d/dx (T_2 / T_0), the ratio being -T_2 Q^(-1/2)
         ratio = dp.mul(series15.terms[2], dp.scale(dp.q_power(-1), -1))
         want = dp.scale(dp.differentiate(ratio), F(-1, 2))
-        assert dp.equals(series15.terms[3], want)
+        assert series15.terms[3] == want
 
     def test_monomial_count_strictly_grows(self, series15):
         counts = [len(t.monomials) for t in series15.terms]
@@ -87,16 +93,16 @@ class TestGeneration:
 class TestRescalings:
     def test_g1_fixture(self, series15):
         want = expr(mono(F(5, 32), -6, {1: 2}), mono(F(-1, 8), -4, {2: 1}))
-        assert dp.equals(ws.g_term(series15, 1), want)
+        assert ws.g_term(series15, 1) == want
 
     def test_g1_is_twice_the_t3_bracket(self, series15):
-        assert dp.equals(ws.g_term(series15, 1), dp.scale(T3_ANTIDERIVATIVE, 2))
+        assert ws.g_term(series15, 1) == dp.scale(T3_ANTIDERIVATIVE, 2)
 
     def test_f1_is_twice_t3(self, series15):
-        assert dp.equals(ws.f_term(series15, 1), dp.scale(T3_EXPECTED, 2))
+        assert ws.f_term(series15, 1) == dp.scale(T3_EXPECTED, 2)
 
     def test_f1_equals_g1_derivative(self, series15):
-        assert dp.equals(ws.f_term(series15, 1), dp.differentiate(ws.g_term(series15, 1)))
+        assert ws.f_term(series15, 1) == dp.differentiate(ws.g_term(series15, 1))
 
     def test_integer_powers_only(self, series15):
         for j in range(1, 8):
@@ -107,8 +113,8 @@ class TestRescalings:
         t0 = series15.terms[0]
         for j in range(1, 8):
             lhs = dp.mul(ws.g_term(series15, j), t0)
-            assert dp.equals(lhs, dp.negate(series15.terms[2 * j]))
-            assert dp.equals(ws.f_term(series15, j), dp.scale(series15.terms[2 * j + 1], 2))
+            assert lhs == dp.negate(series15.terms[2 * j])
+            assert ws.f_term(series15, j) == dp.scale(series15.terms[2 * j + 1], 2)
 
     def test_index_zero_rejected(self, series15):
         with pytest.raises(ValueError):
@@ -119,6 +125,8 @@ class TestRescalings:
     def test_out_of_range_rejected(self, series15):
         with pytest.raises(ValueError):
             ws.g_term(series15, 8)  # needs T_16
+        with pytest.raises(ValueError, match="F_8 needs T_17"):
+            ws.f_term(series15, 8)
 
 
 class TestOddRecursion:
@@ -144,7 +152,7 @@ class TestOddRecursion:
         total = dp.ZERO
         for grp in groups:
             total = dp.add(total, grp)
-        assert dp.equals(ws.f_term(series15, 4), total)
+        assert ws.f_term(series15, 4) == total
 
     def test_symmetric_sum_identity(self, series15):
         # sum G_m' G_{n-m} = sum G_m G_{n-m}' over m = 1..n-1
@@ -155,19 +163,20 @@ class TestOddRecursion:
                                          ws.g_term(series15, n - m)))
                 rhs = dp.add(rhs, dp.mul(ws.g_term(series15, m),
                                          dp.differentiate(ws.g_term(series15, n - m))))
-            assert dp.equals(lhs, rhs)
+            assert lhs == rhs
 
 
 class TestPhi:
     def test_composition_count(self):
         for n in range(1, 10):
             assert sum(1 for _ in ws.compositions(n)) == 2 ** (n - 1)
+        assert list(ws.compositions(0)) == []
 
     def test_phi2(self, series15):
         g1 = ws.g_term(series15, 1)
         g2 = ws.g_term(series15, 2)
         want = dp.add(g2, dp.scale(dp.mul(g1, g1), F(1, 2)))
-        assert dp.equals(ws.build_phi(series15, 2), want)
+        assert ws.build_phi(series15, 2) == want
 
     def test_phi3(self, series15):
         g = {j: ws.g_term(series15, j) for j in (1, 2, 3)}
@@ -176,7 +185,7 @@ class TestPhi:
             dp.mul(g[1], g[2]),
             dp.scale(dp.mul(g[1], dp.mul(g[1], g[1])), F(1, 3)),
         )
-        assert dp.equals(ws.build_phi(series15, 3), want)
+        assert ws.build_phi(series15, 3) == want
 
     def test_phi4(self, series15):
         g = {j: ws.g_term(series15, j) for j in (1, 2, 3, 4)}
@@ -188,7 +197,7 @@ class TestPhi:
             dp.mul(g1sq, g[2]),
             dp.scale(dp.mul(g1sq, g1sq), F(1, 4)),
         )
-        assert dp.equals(ws.build_phi(series15, 4), want)
+        assert ws.build_phi(series15, 4) == want
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_phi_is_the_composition_sum(self, series15, n):
@@ -200,7 +209,7 @@ class TestPhi:
             for c in comp:
                 prod = dp.mul(prod, g[c])
             want = dp.add(want, dp.scale(prod, F(1, len(comp))))
-        assert dp.equals(ws.build_phi(series15, n), want)
+        assert ws.build_phi(series15, n) == want
 
     def test_phi_bounds(self, series15):
         with pytest.raises(ValueError):
@@ -214,12 +223,12 @@ class TestCertificates:
     def test_certified(self, series15, n):
         cert = ws.certify_total_derivative(series15, n)
         assert cert.verified
-        assert dp.equals(cert.f_n, ws.f_term(series15, n))
-        assert dp.equals(dp.differentiate(cert.phi_n), cert.f_n)
+        assert cert.f_n == ws.f_term(series15, n)
+        assert dp.differentiate(cert.phi_n) == cert.f_n
 
     def test_half_phi1_is_the_t3_bracket(self, series15):
         cert = ws.certify_total_derivative(series15, 1)
-        assert dp.equals(dp.scale(cert.phi_n, F(1, 2)), T3_ANTIDERIVATIVE)
+        assert dp.scale(cert.phi_n, F(1, 2)) == T3_ANTIDERIVATIVE
 
     def test_out_of_range(self, series15):
         with pytest.raises(ValueError):
@@ -231,8 +240,8 @@ class TestCertificates:
         doc = []
         for n in range(1, 9):
             cert = ws.certify_total_derivative(series, n)
-            doc.append({"n": cert.n, "f": dp.expr_to_json(cert.f_n),
-                        "phi": dp.expr_to_json(cert.phi_n), "verified": cert.verified})
+            doc.append({"n": cert.n, "f": expr_dict(cert.f_n),
+                        "phi": expr_dict(cert.phi_n), "verified": cert.verified})
         digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
         assert digest == "08bbed78f2b986768c1bf37a3e99bc8ac6b4bc91a61e53394be31636eb0f7d08"
 
@@ -248,15 +257,15 @@ class TestEvenReduction:
         cert = ws.certify_even_reduction(series20, n)
         assert cert.verified
         t = series20.terms[2 * n]
-        assert dp.equals(dp.add(cert.r_2n, dp.differentiate(cert.psi_2n)), t)
+        assert dp.add(cert.r_2n, dp.differentiate(cert.psi_2n)) == t
         assert all(k != 1 for m in cert.r_2n.monomials for k, _ in m.derivs)
         # half powers of Q only, so Psi is single-valued on the contour
         assert all(m.q_half % 2 for m in cert.psi_2n.monomials)
 
     def test_r2_is_the_classic_second_order_integrand(self, series20):
         cert = ws.certify_even_reduction(series20, 1)
-        assert dp.equals(cert.r_2n, mono(F(-1, 48), -3, {2: 1}))
-        assert dp.equals(cert.psi_2n, mono(F(-5, 48), -3, {1: 1}))
+        assert cert.r_2n == mono(F(-1, 48), -3, {2: 1})
+        assert cert.psi_2n == mono(F(-5, 48), -3, {1: 1})
 
     def test_monomial_counts(self, series20):
         counts = [len(ws.certify_even_reduction(series20, n).r_2n.monomials)
@@ -265,12 +274,12 @@ class TestEvenReduction:
 
     def test_q_prime_free_input_is_its_own_remainder(self):
         t = expr(mono(F(1, 3), -3, {2: 1}), mono(F(2), 1))
-        r, psi = ws.reduce_even_term(t)
-        assert dp.equals(r, t) and not psi
+        r, psi = dp.reduce_q_prime(t)
+        assert r == t and not psi
 
     def test_q_prime_over_q_has_no_antiderivative(self):
         with pytest.raises(ValueError, match="no antiderivative"):
-            ws.reduce_even_term(mono(1, -2, {1: 1, 2: 1}))
+            dp.reduce_q_prime(mono(1, -2, {1: 1, 2: 1}))
 
     def test_out_of_range(self, series20):
         for n in (0, 11):
@@ -285,18 +294,23 @@ class TestSerialization:
         golden = json.loads(
             (Path(__file__).parent / "golden" / "series_n4.json").read_text()
         )
-        assert ws.series_to_json(ws.gen_terms(4)) == golden
+        assert series_dict(ws.gen_terms(4)) == golden
+        assert json.loads(ws.series_to_json(ws.gen_terms(4))) == golden
 
     @pytest.mark.parametrize("n", [*range(9), 20])
     def test_json_text_equals_indented_dumps(self, n):
         series = ws.gen_terms(n)
-        assert ws._series_json_text(series) == json.dumps(ws.series_to_json(series), indent=2)
+        assert ws.series_to_json(series) == json.dumps(series_dict(series), indent=2)
 
     def test_json_text_of_empty_lists(self):
         for series in (ws.WkbSeries(1, (dp.ZERO, dp.ONE)), ws.WkbSeries(-1, ())):
-            assert ws._series_json_text(series) == json.dumps(
-                ws.series_to_json(series), indent=2
-            )
+            assert ws.series_to_json(series) == json.dumps(series_dict(series), indent=2)
+
+    @pytest.mark.parametrize("indent", [0, 3])
+    def test_expr_json_indents_every_line_after_the_first(self, series15, indent):
+        for t in (dp.ZERO, series15.terms[5]):
+            want = json.dumps(expr_dict(t), indent=2).replace("\n", "\n" + " " * indent)
+            assert dp.expr_to_json(t, indent) == want
 
 
 class TestMonomialViews:
@@ -320,6 +334,7 @@ class TestMonomialViews:
         for n in range(1, 6):
             assert ws.certify_total_derivative(series, n).verified
             assert ws.certify_even_reduction(series, n).verified
+        assert ws.series_to_json(series)
         assert views == []
         text = dp.to_plain(series.terms[12])
         assert dp.to_latex(series.terms[12]) and dp.to_plain(series.terms[12]) == text

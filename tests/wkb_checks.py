@@ -1,6 +1,7 @@
 """Cross-checks of the term recursion that only the tests use: a second
 generator, the recursion residual and the odd-family recursion, written in
-the public algebra."""
+the public algebra, and the README's JSON layout as dicts built from the
+monomial views."""
 
 from fractions import Fraction
 from functools import reduce
@@ -53,4 +54,22 @@ def check_f_recursion(series: ws.WkbSeries, n: int) -> bool:
     """True iff F_n = G_n' + sum_{m=1}^{n-1} G_m F_{n-m} exactly."""
     products = [dp.mul(ws.g_term(series, m), ws.f_term(series, n - m)) for m in range(1, n)]
     rhs = _sum([dp.differentiate(ws.g_term(series, n)), *products])
-    return dp.equals(ws.f_term(series, n), rhs)
+    return ws.f_term(series, n) == rhs
+
+
+def expr_dict(a: dp.DiffExpr) -> dict:
+    """The JSON layout of an expression, as the dict json.loads reads back."""
+    return {
+        "monomials": [
+            {"coeff": str(m.coeff), "q_half": m.q_half, "derivs": [[k, e] for k, e in m.derivs]}
+            for m in a.monomials
+        ]
+    }
+
+
+def series_dict(series: ws.WkbSeries) -> dict:
+    """The JSON layout of a series, as the dict json.loads reads back."""
+    return {
+        "max_order": series.max_order,
+        "terms": [{"order": n, "expr": expr_dict(t)} for n, t in enumerate(series.terms)],
+    }
