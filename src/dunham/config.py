@@ -7,8 +7,8 @@ loosen them, and run manifests identify them by the tool version.  The one
 value a solve takes from its caller, the seed energy, is an argument of
 solver.quantize and solver.spectrum (the command line's --seed-bracket).
 The method's own fixed constants live beside their code: contour's
-_FLOOR_MULTIPLE and _SHRINK_GUARD, and solver's _WARM_START_MAX_NODES,
-_NEWTON_MAX_STEPS and _NEWTON_MAX_LOG_STEP.
+_RHO_FRACTION, _RHO_MAX, _FLOOR_MULTIPLE and _SHRINK_GUARD, and solver's
+_WARM_START_MAX_NODES, _NEWTON_MAX_STEPS and _NEWTON_MAX_LOG_STEP.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ __all__ = ["NumericsConfig", "DEFAULT_CONFIG"]
 @dataclass(frozen=True)
 class NumericsConfig:
     # Contour geometry
-    margin: ClassVar[float] = 0.5            # semi_major = (1 + margin) * (x2 - x1) / 2
-    root_clearance: ClassVar[float] = 0.2    # other roots must sit at elliptical radius >= 1 + this
-    min_minor_ratio: ClassVar[float] = 1e-3  # give up shrinking semi_minor below this * semi_major
+    min_minor_ratio: ClassVar[float] = 1e-3  # semi_minor >= this * semi_major, else
+                                             # ContourConstructionError
 
     # Quadrature
     initial_nodes: ClassVar[int] = 64  # the fewest nodes a convergence test uses (even, >= 64: the

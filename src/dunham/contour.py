@@ -1,13 +1,14 @@
 """Numeric action integrals B_n(E) = (1/2i) closed-contour integral of T_n.
 
-The contour is an ellipse enclosing the two real turning points of
-Q(x) = V(x) - E and excluding every other root of V - E, so every term T_n
-is analytic on it and the trapezoidal rule converges geometrically.  The
-square root of Q is continued around the contour by nearest-branch selection
-starting from the principal value at the rightmost node; enclosing exactly
-two simple zeros makes sqrt(Q) single-valued there, which the closure check
-enforces.  Integrands never touch the real axis between the turning points,
-where the higher-order terms diverge.
+The contour is an ellipse with the two real turning points of
+Q(x) = V(x) - E as foci, part of the way out to the nearest other root of
+V - E (see build_contour), so every term T_n is analytic about it and the
+trapezoidal rule converges geometrically.  The square root of Q is
+continued around the contour by nearest-branch selection starting from the
+principal value at the rightmost node; enclosing exactly two simple zeros
+makes sqrt(Q) single-valued there, which the closure check enforces.
+Integrands never touch the real axis between the turning points, where the
+higher-order terms diverge.
 
 The integrands are passed in by order, as a series' terms or a mapping;
 the solver integrates T_0 and, for each even order 2n >= 2, the reduced
@@ -31,6 +32,7 @@ result, so a caller can start the next energy where the last one converged.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -74,6 +76,11 @@ _UNIT_ANGLE_NODES = 2**14
 _UNIT_ANGLE_SETS = 32
 # _abs_sums takes |f dz| of at most this many values at once.
 _ABS_BLOCK = 2**14
+# build_contour's rho / rho_out by order, the last entry for every higher
+# one: a higher order keeps further from the turning points, where its
+# integrand, and its rounding floor, grow like |Q|^(-(3n-1)/2).
+_RHO_FRACTION = (0.6, 0.6, 0.6, 0.65, 0.7, 0.7, 0.75, 0.75, 0.8)
+_RHO_MAX = 2.0  # rho where no other root lies nearer
 
 
 @dataclass(frozen=True)
@@ -175,37 +182,29 @@ def cold_start_nodes() -> int:
     return min(4 * NumericsConfig.initial_nodes, NumericsConfig.max_nodes)
 
 
-def build_contour(tp: TurningPair, nodes: int | None = None) -> ContourSpec:
-    """Ellipse centered between the turning points, wide enough to enclose
-    them with margin NumericsConfig.margin and narrow enough to exclude all
-    other roots of V - E with relative clearance root_clearance.  Quadrature
-    on it starts at `nodes` nodes (cold_start_nodes() when None)."""
+def build_contour(tp: TurningPair, order: int, nodes: int | None = None) -> ContourSpec:
+    """The ellipse z(t) = c + h*cosh(rho + i*t) for the phase at `order`: c
+    is the turning points' midpoint and h half their distance, so they are
+    its foci.  A root r of V - E lies on the confocal ellipse of
+    rho(r) = Re acosh((r - c)/h); with rho_out the least rho(r) of the other
+    roots, rho = _RHO_FRACTION[order] * rho_out, at most _RHO_MAX.  The
+    integrands are analytic for |Im t| < min(rho, rho_out - rho), which sets
+    the trapezoid rule's rate.  An ellipse flatter than min_minor_ratio
+    raises ContourConstructionError.  Quadrature on it starts at `nodes`
+    nodes (cold_start_nodes() when None)."""
     center = 0.5 * (tp.x1 + tp.x2)
-    a = (1.0 + NumericsConfig.margin) * 0.5 * (tp.x2 - tp.x1)
-    u = np.array([(r.real - center) / a for r in tp.others])
-    v = np.array([r.imag for r in tp.others])
-
-    b = a / 2.0
-    needed = 1.0 + NumericsConfig.root_clearance
-    while tp.others and _min_radius(u, v, b) < needed:
-        b /= 2.0
-        if b < NumericsConfig.min_minor_ratio * a:
-            raise ContourConstructionError(
-                "cannot separate the turning points from the other roots of "
-                "V - E with any ellipse (a root lies too close to the segment "
-                "between the turning points)"
-            )
+    h = 0.5 * (tp.x2 - tp.x1)
+    rho_out = min((cmath.acosh((r - center) / h).real for r in tp.others), default=math.inf)
+    rho = min(_RHO_FRACTION[min(order, len(_RHO_FRACTION) - 1)] * rho_out, _RHO_MAX)
+    if math.tanh(rho) < NumericsConfig.min_minor_ratio:
+        raise ContourConstructionError(
+            "cannot separate the turning points from the other roots of "
+            "V - E with any ellipse (a root lies too close to the segment "
+            "between the turning points)"
+        )
     if nodes is None:
         nodes = cold_start_nodes()
-    return ContourSpec(complex(center), float(a), float(b), nodes)
-
-
-def _min_radius(u: np.ndarray, v: np.ndarray, b: float) -> float:
-    """Smallest elliptical radius hypot(u, v / b) of the roots a contour of
-    semi-minor axis b must exclude: u is each root's real offset from the
-    center over the semi-major axis, v its imaginary part.  One array hypot
-    gives the bits of the scalar calls; math.hypot would not."""
-    return min(np.hypot(u, v / b).tolist())
+    return ContourSpec(complex(center), h * math.cosh(rho), h * math.sinh(rho), nodes)
 
 
 def ellipse_nodes(c: ContourSpec, nodes: int | None = None):

@@ -159,7 +159,7 @@ def _eval_phase(req: QuantizationRequest, E: float, nodes: int) -> tuple[float, 
     acts.slopes holds dPhi/dE, d2Phi/dE2 and d3Phi/dE3 from the same nodes
     (the -pi/2 does not depend on E)."""
     tp = turning_points(req.V, E)
-    c = build_contour(tp, nodes)
+    c = build_contour(tp, req.order, nodes)
     orders = range(0, 2 * req.order + 1, 2)
     acts = action_integrals(_integrands(req.order), orders, req.V, E, c)
     phase = acts[0] - 0.5 * math.pi

