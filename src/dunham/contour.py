@@ -260,11 +260,18 @@ def _continue_sqrt(p: np.ndarray) -> np.ndarray:
     return s
 
 
-def _node_batch(V: Potential, E: float, c: ContourSpec, m: int, kmax: int):
-    """Q, Q', ..., Q^(kmax) and dz/dt at the m nodes ellipse_nodes(c, m)."""
+def _node_batch(V: Potential, E: float, c: ContourSpec, m: int, reads: tuple[int, ...]):
+    """[Q, Q', ..., Q^(max(reads))] and dz/dt at the m nodes
+    ellipse_nodes(c, m), with only the rows Q^(k), k in reads, evaluated and
+    None in the others.  Q comes from V.derivs, and each other row from
+    Horner's rule on its float row of V, zeros past the degree."""
     z, dz = ellipse_nodes(c, m)
-    q_derivs = V.derivs(z, kmax)
+    q_derivs = [None] * (reads[-1] + 1)
+    q_derivs[0] = V.derivs(z, 0)[0]
     q_derivs[0] -= E
+    rows = V.float_rows
+    for k in reads[1:]:
+        q_derivs[k] = V.horner(rows[k] if k < len(rows) else (), z)
     return q_derivs, dz
 
 
@@ -338,7 +345,9 @@ def action_integrals(
     nodes with one compiled plan (dp.compile_batch), which shares the
     derivative products across orders and weights each node by dz/dt, and
     keeps the sums per order in arrays; the convergence tests run on Python
-    floats.
+    floats.  A pass evaluates Q and only those of its derivatives that the
+    plan reads (plan.reads): the phase's T_0 and R_2n never read Q', and
+    read Q''' only from order 3 on.
 
     The trapezoid rule on the periodic ellipse is nested: the 2N-node set is
     the N-node set plus the N midpoints.  So a doubling evaluates only the
@@ -348,7 +357,8 @@ def action_integrals(
     pass on the doubled set continues; the doubling stands if the chain
     leaves every old node as it was.  A pass at N nodes holds the sums S_N,
     S_N/2 (its even nodes) and S_N/4, so one pass decides convergence,
-    |S_N - S_N/2|, and has the previous difference the floor stop needs;
+    |S_N - S_N/2|, and has the previous difference the floor stop needs; a
+    full pass sums S_N/4 (every 4th node) only when its floor stop runs, and
     sub-sums of fewer than initial_nodes nodes are never used.  So a first
     pass at cold_start_nodes() or more decides both tests at once, and a
     cold quadrature that converges there takes one pass.  The first pass,
@@ -383,7 +393,6 @@ def action_integrals(
         NumericsConfig.max_nodes, NumericsConfig.quad_rel_tol, NumericsConfig.quad_abs_tol
     )
     plan = dp.compile_batch(exprs)
-    kmax = plan.need
 
     def trapezoid(totals, m: int) -> list:
         w = 2.0 * np.pi / m
@@ -396,13 +405,14 @@ def action_integrals(
     # the sum f of the requested integrands
     deriv_sums = None
     abs_sums = None  # sum of |f dz| on the current node set, one entry per order
+    full = None  # f dz of a full pass, kept through its own tests for S_N/4
     offset = c.offset  # node offset of the current set, in units of its step
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite sums raise below
         while nodes <= cap:
             half, quarter = nodes // 2, nodes // 4
             if sqrt_q is not None:  # doubling: evaluate the midpoints only
                 q_derivs, dz = _node_batch(
-                    V, E, replace(c, offset=offset + 0.5), half, kmax
+                    V, E, replace(c, offset=offset + 0.5), half, plan.reads
                 )
                 evaluated += half
                 chain = np.empty(nodes, dtype=complex)
@@ -419,17 +429,17 @@ def action_integrals(
                     sqrt_q = chain
                     offset *= 2.0
             if sqrt_q is None:  # first pass, or the chain would change an old node
-                q_derivs, dz = _node_batch(V, E, c, nodes, kmax)
+                q_derivs, dz = _node_batch(V, E, c, nodes, plan.reads)
                 evaluated += nodes
                 sqrt_q = _continue_sqrt(np.sqrt(q_derivs[0]))
                 f_dz, deriv_sums = plan(q_derivs, sqrt_q, dz)
-                # the sums on every node, every 2nd and every 4th: S_N, S_N/2, S_N/4
-                totals = {
-                    nodes // k: f_dz[:, ::k].sum(axis=1)
-                    for k in (1, 2, 4)
-                    if k == 1 or (nodes % k == 0 and nodes // k >= NumericsConfig.initial_nodes)
-                }
+                # the sums on every node and every 2nd, S_N and S_N/2; the
+                # floor stop alone takes S_N/4, every 4th, from `full`
+                totals = {nodes: f_dz.sum(axis=1)}
+                if half >= NumericsConfig.initial_nodes:
+                    totals[half] = f_dz[:, ::2].sum(axis=1)
                 abs_sums = _abs_sums(f_dz)
+                full = f_dz
                 offset = c.offset
             del q_derivs, dz, f_dz  # freed before the next pass allocates its own
             scales = abs_sums.tolist()
@@ -455,6 +465,8 @@ def action_integrals(
                         nodes, evaluated,
                         tuple(v.real for v in trapezoid(deriv_sums, nodes)),
                     )
+                if full is not None and nodes % 4 == 0 and quarter >= NumericsConfig.initial_nodes:
+                    totals[quarter] = full[:, ::4].sum(axis=1)
                 if quarter in totals:
                     coarser = trapezoid(totals[quarter], quarter)
                     prev_diffs = np.abs([u - v for u, v in zip(coarse, coarser)]).tolist()
@@ -472,6 +484,7 @@ def action_integrals(
                                 order=n, nodes=nodes, difference=diff,
                                 floor=floor, target=target,
                             )
+            full = None  # freed before the next pass allocates its own
             nodes *= 2
     raise QuadratureError(
         f"contour quadrature did not converge within {cap} nodes"

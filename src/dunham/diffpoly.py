@@ -533,10 +533,14 @@ class _Plan:
     monomial carries get rows of their own after the monomials' rows.  Each
     expression's rows are contiguous and sorted by their power of Q,
     Q^(h/2); a run of equal powers is multiplied by that power, computed once
-    per block with ``**`` (Q^(h/2) for even h, sqrt(Q)^h for odd h), and
-    then one product with the expression's real coefficient vector sums it,
-    and the sum is multiplied by the weight dz of its point.  An expression
-    thus comes out the same, bit for bit, alone or in a batch.
+    per block with ``**`` (Q^(h/2) for even h, sqrt(Q)^h for odd h) but for
+    h = 1, where it is sqrt(Q) itself, the bits ``**`` gives, and then one
+    product with the expression's real coefficient vector sums it, and the
+    sum is multiplied by the weight dz of its point.  An expression thus
+    comes out the same, bit for bit, alone or in a batch.  ``reads`` is the
+    tuple of derivative orders k whose rows Q^(k) the plan reads: 0, and
+    each order a product multiplies by.  The other rows of q_derivs, up to
+    ``need``, the highest, are never read, and may be None.
 
     The same rows also give the first three E-derivatives of the sum of the
     expressions, summed over the points.  For Q = V - E, d^j/dE^j takes
@@ -550,7 +554,6 @@ class _Plan:
     """
 
     def __init__(self, exprs: Sequence[DiffExpr]):
-        self.need = max(map(max_deriv_order, exprs), default=0)
         self.half = any(map(has_half_powers, exprs))
         rows = []  # the derivative product of each row
         self.groups = []  # (h, first row, end row) of each power of Q but Q^0
@@ -587,6 +590,10 @@ class _Plan:
             ),
             key=lambda step: _weight(rows[step[0]]),
         )
+        # Q itself, for its powers and the E-derivatives, and each Q^(k) a
+        # step multiplies by; no other row of q_derivs is read
+        self.reads = tuple(sorted({0} | {k for _, _, k in self.steps}))
+        self.need = self.reads[-1]
 
     def __call__(
         self, q_derivs: Sequence[np.ndarray], sqrt_q: np.ndarray | None, dz
@@ -610,7 +617,7 @@ class _Plan:
             out = np.empty((len(self.sums), q0.size), dtype=complex)
             return out, self._block(q_derivs, sqrt_q, dz, out)
         shape = np.shape(q0)
-        q = [np.ravel(q_derivs[k]) for k in range(self.need + 1)]
+        q = {k: np.ravel(q_derivs[k]) for k in self.reads}
         s = None if sqrt_q is None else np.ravel(sqrt_q)
         w = np.ravel(np.broadcast_to(dz, shape))
         out = np.empty((len(self.sums), q[0].size), dtype=complex)
@@ -618,13 +625,15 @@ class _Plan:
         for lo in range(0, q[0].size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             derivs += self._block(
-                [a[block] for a in q], None if s is None else s[block], w[block], out[:, block]
+                {k: a[block] for k, a in q.items()},
+                None if s is None else s[block], w[block], out[:, block],
             )
         return out.reshape((len(self.sums),) + shape), derivs
 
-    def _block(self, q: list, s: np.ndarray | None, dz, out: np.ndarray) -> np.ndarray:
+    def _block(self, q, s: np.ndarray | None, dz, out: np.ndarray) -> np.ndarray:
         """Fill out with the block's values times dz; return the sums over
-        its points of the E-derivatives of the expressions' sum times dz."""
+        its points of the E-derivatives of the expressions' sum times dz.
+        q[k] is Q^(k) at the block's points for each k in reads."""
         table = np.empty((self.rows, out.shape[1]), dtype=complex)
         for r, p, k in self.steps:
             if p is not None:
@@ -634,7 +643,7 @@ class _Plan:
         pw = {}
         for h, lo, hi in self.groups:
             if h not in pw:
-                pw[h] = q[0] ** (h // 2) if h % 2 == 0 else s**h
+                pw[h] = s if h == 1 else q[0] ** (h // 2) if h % 2 == 0 else s**h
             table[lo:hi] *= pw[h]
         # real coefficients act on real and imaginary parts alike
         flat = table.view(float)
@@ -663,8 +672,8 @@ def compile_batch(exprs: Sequence[DiffExpr]) -> _Plan:
     """The compiled plan of exprs, cached by the value of the tuple of
     expressions: call it as ``plan(q_derivs, sqrt_q, dz)`` for the values
     times the weights dz and the weighted sums of the first three
-    E-derivatives of their sum (see :class:`_Plan`); ``plan.need`` is the
-    highest derivative order it reads."""
+    E-derivatives of their sum (see :class:`_Plan`); ``plan.reads`` are the
+    derivative orders it reads, and ``plan.need`` the highest of them."""
     return _plan(tuple(exprs))
 
 

@@ -158,33 +158,27 @@ class Potential:
     @staticmethod
     def horner(coeffs, z):
         """The polynomial with these coefficients, lowest order first, at a
-        scalar or array z by Horner's rule."""
-        acc = np.zeros_like(np.asarray(z, dtype=complex)) if isinstance(z, np.ndarray) else 0.0
-        for c in coeffs[::-1]:
-            acc = acc * z + c
+        scalar or array z by Horner's rule.  At an array z it is one loop of
+        in-place operations on a fresh complex array, started at the leading
+        coefficient (all zeros when there is none)."""
+        if not isinstance(z, np.ndarray):
+            acc = 0.0
+            for c in coeffs[::-1]:
+                acc = acc * z + c
+            return acc
+        acc = np.empty(z.shape, dtype=complex)
+        acc[...] = coeffs[-1] if len(coeffs) else 0.0
+        for c in coeffs[-2::-1]:
+            np.multiply(acc, z, out=acc)
+            np.add(acc, c, out=acc)
         return acc
 
     def derivs(self, z, max_order: int):
-        """[V(z), V'(z), ..., V^(max_order)(z)] at a scalar or array point;
-        every order past the degree is one read-only array of complex zeros
-        of the shape of z.
-
-        At an array z each order is one Horner loop of in-place array
-        operations over its float row, started at its own leading
-        coefficient; the rows are views of one array.
-        """
+        """[V(z), V'(z), ..., V^(max_order)(z)] at a scalar or array point,
+        each order by horner on its float row; every order past the degree
+        is one read-only array of complex zeros of the shape of z."""
         d = self.degree
-        rows = min(max_order, d) + 1
-        if isinstance(z, np.ndarray):
-            acc = np.empty((rows,) + z.shape, dtype=complex)
-            for row, a in zip(self.float_rows[:rows], acc):
-                a[...] = row[-1]
-                for c in row[-2::-1]:
-                    np.multiply(a, z, out=a)
-                    np.add(a, c, out=a)
-            out = list(acc)
-        else:
-            out = [self.horner(row, z) for row in self.float_rows[:rows]]
+        out = [self.horner(row, z) for row in self.float_rows[: min(max_order, d) + 1]]
         if max_order > d:
             zero = np.zeros(np.shape(z), dtype=complex)
             zero.flags.writeable = False

@@ -425,7 +425,12 @@ def _walk(
     return (last, f_last, E, f, steps) if up else (E, f, last, f_last, steps)
 
 
-def quantize(req: QuantizationRequest, seed: float | None = None) -> QuantizationResult:
+def quantize(
+    req: QuantizationRequest,
+    seed: float | None = None,
+    *,
+    _probes: dict[float, tuple[float, Actions] | DunhamError] | None = None,
+) -> QuantizationResult:
     """Solve Phi(E) = K*pi by fourth-order Householder steps from the seed
     energy, with the exact dPhi/dE, d2Phi/dE2 and d3Phi/dE3 that each phase
     evaluation carries, until a step is at most bisection_rtol*(1+|E|); a
@@ -451,6 +456,14 @@ def quantize(req: QuantizationRequest, seed: float | None = None) -> Quantizatio
     dPhi/dE at the root, the guard that sent it to the fallback
     ("none" when none did), the node count at the root and the nodes its
     successful phase evaluations evaluated.
+
+    `_probes` is spectrum's: the outcome, (Phi, actions) or the DunhamError
+    raised, of each seed probe any level of the same V and order evaluated.
+    A probe found there is recorded as if this level had evaluated it, and
+    one evaluated here is added, but only the level's own evaluations count
+    in its DEBUG record.  Every level of the same V and order meets the
+    probes in the same order from the same state, so a probe's outcome is
+    the same whichever level evaluated it.
     """
     if seed is not None and not math.isfinite(seed):
         raise ValueError(f"seed must be finite or None, got {seed!r}")
@@ -460,16 +473,35 @@ def quantize(req: QuantizationRequest, seed: float | None = None) -> Quantizatio
     evals = nodes_evaluated = 0
     start_nodes = cold_start_nodes()
 
+    def record(E: float, value: tuple[float, Actions]) -> None:
+        nonlocal start_nodes
+        evaluated[E] = value
+        if value[1].nodes <= _WARM_START_MAX_NODES:
+            start_nodes = value[1].nodes
+
     def evaluate(E: float) -> tuple[float, Actions]:
-        nonlocal evals, nodes_evaluated, start_nodes
+        nonlocal evals, nodes_evaluated
         if E not in evaluated:
             evals += 1
-            evaluated[E] = _eval_phase(req, E, start_nodes)
-            acts = evaluated[E][1]
-            nodes_evaluated += acts.evaluated
-            if acts.nodes <= _WARM_START_MAX_NODES:
-                start_nodes = acts.nodes
+            record(E, _eval_phase(req, E, start_nodes))
+            nodes_evaluated += evaluated[E][1].evaluated
         return evaluated[E]
+
+    probes = {} if _probes is None else _probes
+
+    def probe(E: float) -> float:
+        """Phi at a seed probe, evaluated here unless another level did."""
+        if E not in probes:
+            try:
+                probes[E] = evaluate(E)
+            except DunhamError as exc:
+                probes[E] = exc
+                raise
+        elif isinstance(probes[E], DunhamError):
+            raise probes[E]
+        else:
+            record(E, probes[E])
+        return probes[E][0]
 
     def phase_at(E: float, bracket: tuple[float, float] | None = None) -> float:
         """Phi(E) - K*pi; a failed evaluation ends the level (_phase_failure)."""
@@ -488,7 +520,7 @@ def quantize(req: QuantizationRequest, seed: float | None = None) -> Quantizatio
                 hi = min(hi, E)
         return lo, hi
 
-    vmin, seed = _seed_energy(req, target, seed, lambda E: evaluate(E)[0])
+    vmin, seed = _seed_energy(req, target, seed, probe)
     phase_at(seed)
     e_star, newton_steps, fallback = _newton(evaluate, seed, vmin, target, bracket)
     bracket_steps = root_steps = 0
@@ -536,8 +568,12 @@ def spectrum(
     order: int,
     seed: float | None = None,
 ) -> list[QuantizationResult]:
-    """Quantize K = 0 .. levels-1 independently, each from `seed` (see
-    quantize).
+    """Quantize K = 0 .. levels-1, each from `seed` (see quantize); the
+    results are those of independent solves.  Without a seed, the seed
+    probes (Vmin + 1, 2, 4, ...: the phase, or the error it raised) are
+    evaluated once per call, by the first level that needs each, and handed
+    to the others; each level's DEBUG record counts only its own
+    evaluations.  Nothing is kept from one call to the next.
 
     Per-level failures do not abort the remaining levels; if any occurred,
     a SpectrumError carrying the partial results is raised at the end.
@@ -547,10 +583,11 @@ def spectrum(
         raise ValueError("levels must be >= 1")
     results: list[QuantizationResult] = []
     failures: dict[int, Exception] = {}
+    probes: dict[float, tuple[float, Actions] | DunhamError] = {}
     for K in range(levels):
         req = QuantizationRequest(V=V, K=K, order=order)
         try:
-            results.append(quantize(req, seed))
+            results.append(quantize(req, seed, _probes=probes))
         except DunhamError as exc:
             failures[K] = exc
     if failures:

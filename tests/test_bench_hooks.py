@@ -52,3 +52,23 @@ def test_traced_solve_counts_its_work(monkeypatch):
     for key in ("contour.node_passes", "contour.nodes_evaluated",
                 "potential.derivs_points", "solver.phase_evals"):
         assert tracer.counts[key] > 0, key
+
+
+def test_traced_spectrum_shares_its_seed_probe(monkeypatch):
+    # spectrum calls quantize through the module, so the tracer sees each
+    # level, and its levels evaluate their one shared seed probe once
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import spans
+
+    V = parse_potential("x^4")
+    tracer = spans.Tracer()
+    with tracer.installed():
+        for K in range(3):
+            solver.quantize(solver.QuantizationRequest(V, K, 1))
+        alone = tracer.take()[1]
+        solver.spectrum(V, 3, 1)
+        together = tracer.take()[1]
+    assert alone["solver.quantize_calls"] == together["solver.quantize_calls"] == 3
+    assert together["potential.derivs_points"] > 0
+    assert together["solver.phase_evals"] == alone["solver.phase_evals"] - 2

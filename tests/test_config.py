@@ -100,7 +100,12 @@ def test_no_function_takes_a_config(fn):
 
 
 def test_a_seed_is_the_one_argument_a_solve_takes():
-    assert list(inspect.signature(quantize).parameters) == ["req", "seed"]
+    # besides spectrum's internal keyword-only hand-over of its seed probes
+    params = inspect.signature(quantize).parameters
+    assert [name for name in params if not name.startswith("_")] == ["req", "seed"]
+    internal = [p for name, p in params.items() if name.startswith("_")]
+    assert [p.name for p in internal] == ["_probes"]
+    assert all(p.kind is p.KEYWORD_ONLY and p.default is None for p in internal)
     assert list(inspect.signature(sv.spectrum).parameters) == ["V", "levels", "order", "seed"]
     assert inspect.signature(quantize).parameters["seed"].default is None
 

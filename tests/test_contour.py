@@ -821,6 +821,53 @@ class TestWorkPerEvaluation:
                 _, acts = sv._eval_phase(request, E, ct.cold_start_nodes())
                 assert acts.nodes == acts.evaluated == 256, (order, E)
 
+    READS = {0: (0,), 1: (0, 2), 2: (0, 2, 4), 3: (0, 2, 3, 4, 6), 4: (0, 2, 3, 4, 5, 6, 8)}
+
+    @pytest.mark.parametrize("order", sorted(READS))
+    def test_phase_plan_reads_no_q_prime(self, order):
+        # T_0 and the reduced R_2n hold no Q', and no Q''' below order 3
+        integrands = sv._integrands(order)
+        plan = dp.compile_batch([integrands[n] for n in sorted(integrands)])
+        assert plan.reads == self.READS[order]
+        assert plan.need == max(self.READS[order])
+
+    @pytest.mark.parametrize("potential", ["x^4", "x^6 - x^4 + 2*x^2"])
+    def test_unread_rows_are_never_evaluated(self, potential, monkeypatch):
+        # Q by derivs(z, 0), each read Q^(k) by Horner's rule on its own
+        # float row (none past the degree), and every other row left None;
+        # start at 64 nodes, so that doublings evaluate midpoints too
+        V = parse_potential(potential)
+        rows = V.float_rows
+        derivs_orders, horner_rows, batches = [], [], []
+        derivs, horner, node_batch = Potential.derivs, Potential.horner, ct._node_batch
+
+        def derivs_spy(self, z, max_order):
+            derivs_orders.append(max_order)
+            return derivs(self, z, max_order)
+
+        def horner_spy(coeffs, z):
+            if isinstance(z, np.ndarray):  # turning_points polishes on scalars
+                horner_rows.append(next((k for k, r in enumerate(rows) if r is coeffs), None))
+            return horner(coeffs, z)
+
+        def batch_spy(*args):
+            q_derivs, dz = node_batch(*args)
+            batches.append(tuple(k for k, row in enumerate(q_derivs) if row is not None))
+            return q_derivs, dz
+
+        monkeypatch.setattr(Potential, "derivs", derivs_spy)
+        monkeypatch.setattr(Potential, "horner", staticmethod(horner_spy))
+        monkeypatch.setattr(ct, "_node_batch", batch_spy)
+        for order, reads in self.READS.items():
+            for seen in (derivs_orders, horner_rows, batches):
+                seen.clear()
+            sv._eval_phase(sv.QuantizationRequest(V, 0, order), 3.8, 64)
+            assert len(batches) >= 2
+            assert set(batches) == {reads}
+            assert derivs_orders == [0] * len(batches)
+            held = [k if k < len(rows) else None for k in reads]
+            assert horner_rows == held * len(batches)
+
 
 class TestMemory:
     def test_pass_memory_stays_bounded(self, quartic, series15):

@@ -225,6 +225,12 @@ class TestQuantize:
         assert not res.warnings
 
 
+def result_bits(results) -> list[tuple]:
+    """Every float of each result as float.hex, with K and the warnings."""
+    return [(r.K, r.E.hex(), r.residual.hex(), [a.hex() for a in r.actions], r.warnings)
+            for r in results]
+
+
 def debug_records(caplog) -> list[dict[str, str]]:
     """The fields of each per-level DEBUG record of the solver, by name."""
     return [dict(field.split("=", 1) for field in r.getMessage().split(" "))
@@ -422,15 +428,20 @@ class TestSolveCost:
     def evaluations(V, monkeypatch) -> list[tuple[int, float]]:
         """(K, E) of each phase evaluation of spectrum(V, 7, 2)."""
         calls = []
+        monkeypatch.setattr(sv, "_eval_phase", TestSolveCost.counter(calls))
+        sv.spectrum(V, 7, 2)
+        return calls
+
+    @staticmethod
+    def counter(calls: list):
+        """_eval_phase, appending the (K, E) of each call to calls."""
         original = sv._eval_phase
 
         def counted(request, E, nodes):
             calls.append((request.K, E))
             return original(request, E, nodes)
 
-        monkeypatch.setattr(sv, "_eval_phase", counted)
-        sv.spectrum(V, 7, 2)
-        return calls
+        return counted
 
     def test_phase_evaluation_budget(self, quartic, monkeypatch):
         # bisection to the width contract took 258 evaluations for the first
@@ -438,6 +449,19 @@ class TestSolveCost:
         calls = self.evaluations(quartic, monkeypatch)
         assert len(calls) <= 36
         assert len(set(calls)) == len(calls)  # no energy evaluated twice per level
+
+    def test_one_seed_probe_per_spectrum(self, quartic, monkeypatch):
+        # the seed probe at Vmin + 1 is evaluated by K = 0 alone; every other
+        # evaluation, and every result bit, is that of independent solves
+        calls = []
+        monkeypatch.setattr(sv, "_eval_phase", self.counter(calls))
+        alone = [sv.quantize(req(quartic, K, 2)) for K in range(7)]
+        solo = calls[:]
+        calls.clear()
+        together = sv.spectrum(quartic, 7, 2)
+        assert len(calls) == len(solo) - 6
+        assert calls == [c for c in solo if c[0] == 0 or c[1] != 1.0]
+        assert result_bits(together) == result_bits(alone)
 
     def test_fourth_order_steps_save_evaluations(self, mixed, monkeypatch):
         # Newton's steps alone took 35 evaluations for these seven levels;
@@ -499,9 +523,10 @@ class TestSolveCost:
             K, order, E, evals, newton, bracket, root, slope, fallback, nodes, evaluated = (
                 re.fullmatch(pattern, rec.getMessage()).groups())
             assert (int(K), int(order), float(E)) == (res.K, 2, res.E)
-            # seed reference + seed + one per root step; no level falls back
+            # seed reference + seed + one per root step; no level falls back,
+            # and the seed reference is the first level's evaluation alone
             assert (fallback, int(bracket), int(root)) == ("none", 0, 0)
-            assert int(evals) == 2 + int(newton) <= 5
+            assert int(evals) == (2 if res.K == 0 else 1) + int(newton) <= 5
             # dPhi/dE at the root, as the root's own evaluation gives it
             request = req(quartic, res.K, 2)
             acts = sv._eval_phase(request, res.E, int(nodes))[1]
@@ -823,14 +848,52 @@ class TestSpectrum:
             assert type(exc.__cause__) is TurningPointError
             assert "overflows a float" in str(exc.__cause__)
 
+    @pytest.mark.parametrize("potential", ["x^4 - 4*x^2", "1e-300*x^2"])
+    def test_shared_probes_end_each_level_as_alone(self, potential, caplog, monkeypatch):
+        # on x^4 - 4x^2 the probes at Vmin + 1, 2 and 4 raise and the one at
+        # Vmin + 8 holds, and on 1e-300 x^2 every probe raises: evaluated
+        # once and handed from level to level, each error ends each level,
+        # and is logged by it, exactly as when the level is solved alone
+        V = parse_potential(potential)
+        calls = []
+        monkeypatch.setattr(sv, "_eval_phase", TestSolveCost.counter(calls))
+
+        def outcome(exc):
+            cause = exc.__cause__
+            return type(exc), str(exc), type(cause), str(cause)
+
+        def probe_records():
+            return [r.getMessage() for r in caplog.records
+                    if r.getMessage().startswith("seed probe failed")]
+
+        with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
+            alone, failed = [], {}
+            for K in range(3):
+                try:
+                    alone.append(sv.quantize(req(V, K, 1)))
+                except DunhamError as exc:
+                    failed[K] = outcome(exc)
+            logged = probe_records()
+            solo = calls[:]
+            caplog.clear()
+            calls.clear()
+            with pytest.raises(SpectrumError) as err:
+                sv.spectrum(V, 3, 1)
+            assert probe_records() == logged
+        assert result_bits(err.value.results) == result_bits(alone)
+        assert {K: outcome(e) for K, e in err.value.failures.items()} == failed
+        probes = 4 if alone else NumericsConfig.bracket_expansion_cap
+        assert len(logged) == 3 * (probes - bool(alone))
+        assert len(calls) == len(solo) - 2 * probes
+
     def test_partial_failure_collects(self, ho, monkeypatch):
         calls = {}
         original = sv.quantize
 
-        def flaky(request, seed=None):
+        def flaky(request, seed=None, **internal):
             if request.K == 1:
                 raise sv.NoSolutionError("synthetic failure")
-            return original(request, seed)
+            return original(request, seed, **internal)
 
         monkeypatch.setattr(sv, "quantize", flaky)
         with pytest.raises(SpectrumError) as err:
@@ -841,8 +904,8 @@ class TestSpectrum:
     def test_levels_out_of_order_are_refused(self, ho, monkeypatch):
         original = sv.quantize
 
-        def reversed_levels(request, seed=None):
-            r = original(request, seed)
+        def reversed_levels(request, seed=None, **internal):
+            r = original(request, seed, **internal)
             return dataclasses.replace(r, E=10.0 - r.E)
 
         monkeypatch.setattr(sv, "quantize", reversed_levels)
