@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -191,10 +192,15 @@ def _auto_half_width(V: Potential, e_max: float) -> float:
 def eigensolve(V: Potential, count: int, cfg: OracleConfig = OracleConfig()) -> OracleSpectrum:
     """Lowest `count` eigenvalues with a two-resolution convergence check.
 
-    Raises ResolutionError when any requested level's estimate exceeds
-    cfg.convergence_tolerance: raise basis_size in the oscillator mode; the
-    finite-difference mode needs an explicit, looser tolerance.
+    count must be an integer (a bool is not) from 1 to cfg.max_levels, else
+    a ValueError names it.  Raises ResolutionError when any requested
+    level's estimate exceeds cfg.convergence_tolerance: raise basis_size in
+    the oscillator mode; the finite-difference mode needs an explicit,
+    looser tolerance.
     """
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ValueError(f"count must be an integer, got {count!r}")
+    count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > cfg.max_levels:

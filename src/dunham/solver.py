@@ -429,7 +429,7 @@ def quantize(
     req: QuantizationRequest,
     seed: float | None = None,
     *,
-    _probes: dict[float, tuple[float, Actions] | DunhamError] | None = None,
+    _phases: dict[tuple[float, int], tuple[float, Actions] | DunhamError] | None = None,
 ) -> QuantizationResult:
     """Solve Phi(E) = K*pi by fourth-order Householder steps from the seed
     energy, with the exact dPhi/dE, d2Phi/dE2 and d3Phi/dE3 that each phase
@@ -454,54 +454,46 @@ def quantize(
     logger; the level's record carries its root steps (newton_steps, each
     Householder's or Newton's), bracket steps and root-finder steps,
     dPhi/dE at the root, the guard that sent it to the fallback
-    ("none" when none did), the node count at the root and the nodes its
-    successful phase evaluations evaluated.
+    ("none" when none did), the node count at the root, the phase
+    evaluations it made (phase_evals) and the nodes its successful ones
+    evaluated.
 
-    `_probes` is spectrum's: the outcome, (Phi, actions) or the DunhamError
-    raised, of each seed probe any level of the same V and order evaluated.
-    A probe found there is recorded as if this level had evaluated it, and
-    one evaluated here is added, but only the level's own evaluations count
-    in its DEBUG record.  Every level of the same V and order meets the
-    probes in the same order from the same state, so a probe's outcome is
-    the same whichever level evaluated it.
+    `_phases` is spectrum's: the outcome, (Phi, actions) or the DunhamError
+    raised, of each phase evaluation of the same V and order, keyed by its
+    energy and start node count.  _eval_phase is a pure function of those, so
+    an outcome found there is the one this level would compute: it is used,
+    or its error raised, and not counted in the DEBUG record; one computed
+    here is added.  Without it, nothing is shared.
     """
     if seed is not None and not math.isfinite(seed):
         raise ValueError(f"seed must be finite or None, got {seed!r}")
     _integrands(req.order)
     target = req.K * math.pi
+    phases = {} if _phases is None else _phases
     evaluated: dict[float, tuple[float, Actions]] = {}
     evals = nodes_evaluated = 0
     start_nodes = cold_start_nodes()
 
-    def record(E: float, value: tuple[float, Actions]) -> None:
-        nonlocal start_nodes
-        evaluated[E] = value
-        if value[1].nodes <= _WARM_START_MAX_NODES:
-            start_nodes = value[1].nodes
-
     def evaluate(E: float) -> tuple[float, Actions]:
-        nonlocal evals, nodes_evaluated
+        """Phi(E) and its actions: the level's own, else the shared outcome
+        at (E, start_nodes), else a new evaluation, which alone counts."""
+        nonlocal evals, nodes_evaluated, start_nodes
         if E not in evaluated:
-            evals += 1
-            record(E, _eval_phase(req, E, start_nodes))
-            nodes_evaluated += evaluated[E][1].evaluated
+            key = (E, start_nodes)
+            if key not in phases:
+                evals += 1
+                try:
+                    phases[key] = _eval_phase(req, E, start_nodes)
+                except DunhamError as exc:
+                    phases[key] = exc
+                    raise
+                nodes_evaluated += phases[key][1].evaluated
+            elif isinstance(phases[key], DunhamError):
+                raise phases[key]
+            evaluated[E] = phases[key]
+            if evaluated[E][1].nodes <= _WARM_START_MAX_NODES:
+                start_nodes = evaluated[E][1].nodes
         return evaluated[E]
-
-    probes = {} if _probes is None else _probes
-
-    def probe(E: float) -> float:
-        """Phi at a seed probe, evaluated here unless another level did."""
-        if E not in probes:
-            try:
-                probes[E] = evaluate(E)
-            except DunhamError as exc:
-                probes[E] = exc
-                raise
-        elif isinstance(probes[E], DunhamError):
-            raise probes[E]
-        else:
-            record(E, probes[E])
-        return probes[E][0]
 
     def phase_at(E: float, bracket: tuple[float, float] | None = None) -> float:
         """Phi(E) - K*pi; a failed evaluation ends the level (_phase_failure)."""
@@ -520,18 +512,25 @@ def quantize(
                 hi = min(hi, E)
         return lo, hi
 
-    vmin, seed = _seed_energy(req, target, seed, probe)
-    phase_at(seed)
-    e_star, newton_steps, fallback = _newton(evaluate, seed, vmin, target, bracket)
-    bracket_steps = root_steps = 0
-    if fallback != "none":
-        lo, flo, hi, fhi, bracket_steps = _walk(phase_at, seed, vmin, req.K)
-        bracket_evals = evals
-        e_star = _brent(
-            lambda E: phase_at(E, (lo, hi)), lo, flo, hi, fhi, NumericsConfig.bisection_rtol
-        )
-        root_steps = evals - bracket_evals
-    phase, acts = evaluate(e_star)
+    try:
+        vmin, seed = _seed_energy(req, target, seed, lambda E: evaluate(E)[0])
+        phase_at(seed)
+        e_star, newton_steps, fallback = _newton(evaluate, seed, vmin, target, bracket)
+        bracket_steps = root_steps = 0
+        if fallback != "none":
+            lo, flo, hi, fhi, bracket_steps = _walk(phase_at, seed, vmin, req.K)
+            bracket_evals = evals
+            e_star = _brent(
+                lambda E: phase_at(E, (lo, hi)), lo, flo, hi, fhi, NumericsConfig.bisection_rtol
+            )
+            root_steps = evals - bracket_evals
+        phase, acts = evaluate(e_star)
+    finally:
+        if _phases is None:
+            # a stored error's traceback leads back to the memo through
+            # this call's frames: emptying it frees them now, not at the
+            # next garbage collection
+            phases.clear()
     residual = phase - target
     if abs(residual) > NumericsConfig.residual_tol:
         raise _root_failure(
@@ -569,11 +568,11 @@ def spectrum(
     seed: float | None = None,
 ) -> list[QuantizationResult]:
     """Quantize K = 0 .. levels-1, each from `seed` (see quantize); the
-    results are those of independent solves.  Without a seed, the seed
-    probes (Vmin + 1, 2, 4, ...: the phase, or the error it raised) are
-    evaluated once per call, by the first level that needs each, and handed
-    to the others; each level's DEBUG record counts only its own
-    evaluations.  Nothing is kept from one call to the next.
+    results are those of independent solves.  The levels share every phase
+    evaluation with the same energy and start node count, such as the seed
+    probes (Vmin + 1, 2, 4, ...) or a caller's seed: each is made once per
+    call, by the first level that needs it, and counts only in that level's
+    DEBUG record.  Nothing is kept from one call to the next.
 
     Per-level failures do not abort the remaining levels; if any occurred,
     a SpectrumError carrying the partial results is raised at the end.
@@ -583,13 +582,14 @@ def spectrum(
         raise ValueError("levels must be >= 1")
     results: list[QuantizationResult] = []
     failures: dict[int, Exception] = {}
-    probes: dict[float, tuple[float, Actions] | DunhamError] = {}
+    phases: dict[tuple[float, int], tuple[float, Actions] | DunhamError] = {}
     for K in range(levels):
         req = QuantizationRequest(V=V, K=K, order=order)
         try:
-            results.append(quantize(req, seed, _probes=probes))
+            results.append(quantize(req, seed, _phases=phases))
         except DunhamError as exc:
             failures[K] = exc
+    phases.clear()  # frees the failed evaluations' frames (see quantize)
     if failures:
         raise SpectrumError(
             f"{len(failures)} of {levels} level(s) failed: "

@@ -100,11 +100,11 @@ def test_no_function_takes_a_config(fn):
 
 
 def test_a_seed_is_the_one_argument_a_solve_takes():
-    # besides spectrum's internal keyword-only hand-over of its seed probes
+    # besides spectrum's internal keyword-only record of shared evaluations
     params = inspect.signature(quantize).parameters
     assert [name for name in params if not name.startswith("_")] == ["req", "seed"]
     internal = [p for name, p in params.items() if name.startswith("_")]
-    assert [p.name for p in internal] == ["_probes"]
+    assert [p.name for p in internal] == ["_phases"]
     assert all(p.kind is p.KEYWORD_ONLY and p.default is None for p in internal)
     assert list(inspect.signature(sv.spectrum).parameters) == ["V", "levels", "order", "seed"]
     assert inspect.signature(quantize).parameters["seed"].default is None

@@ -114,6 +114,17 @@ class TestOscillatorMode:
         with pytest.raises(ValueError):
             orc.eigensolve(ho, 0)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "3", None])
+    def test_count_must_be_an_integer(self, ho, count):
+        # 2.5 once failed inside SciPy, True returned one level and "3"
+        # raised a bare TypeError
+        with pytest.raises(ValueError, match="^count must be an integer"):
+            orc.eigensolve(ho, count)
+
+    def test_numpy_integer_count_is_accepted(self, ho):
+        spec = orc.eigensolve(ho, np.int64(2))
+        assert spec.eigenvalues == pytest.approx([1.0, 3.0], abs=1e-9)
+
     def test_variational_monotonicity(self, quartic):
         # eigenvalues can only come down as the basis grows; the slack covers
         # the banded eigensolver's roundoff (eps * ||H||, with ||H|| ~ 1e5 here)

@@ -1,6 +1,7 @@
 """Quantization condition: phase evaluation, root solving, spectra."""
 
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -463,6 +464,26 @@ class TestSolveCost:
         assert calls == [c for c in solo if c[0] == 0 or c[1] != 1.0]
         assert result_bits(together) == result_bits(alone)
 
+    @pytest.mark.parametrize("potential, K, order, seed", [
+        ("x^4", 0, 3, None),  # a degenerate turning point on the walk down
+        ("x^4 - 4*x^2", 1, 1, -3.5),  # four turning points at the seed
+    ])
+    def test_a_failed_solve_leaves_no_cyclic_garbage(self, potential, K, order, seed):
+        # a failed evaluation stays in the level's memo, and its traceback
+        # leads back to it: unless the memo is emptied when the solve ends,
+        # the evaluation's frames and arrays wait for the garbage collector
+        request = req(parse_potential(potential), K, order)
+        with pytest.raises(NoSolutionError):
+            sv.quantize(request, seed)  # fills the caches
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(NoSolutionError):
+                sv.quantize(request, seed)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_fourth_order_steps_save_evaluations(self, mixed, monkeypatch):
         # Newton's steps alone took 35 evaluations for these seven levels;
         # the second and third E-derivatives land each level one step sooner
@@ -885,6 +906,68 @@ class TestSpectrum:
         probes = 4 if alone else NumericsConfig.bracket_expansion_cap
         assert len(logged) == 3 * (probes - bool(alone))
         assert len(calls) == len(solo) - 2 * probes
+
+    @pytest.mark.parametrize("potential, seed", [("x^4", 2.0), ("x^2 + x^4", 3.0)])
+    def test_a_caller_seed_is_evaluated_once_per_spectrum(
+        self, potential, seed, caplog, monkeypatch
+    ):
+        # every level starts at the seed on a cold contour: K = 0 evaluates
+        # it, the others share it, and only K = 0's record counts it
+        V = parse_potential(potential)
+        calls = []
+        monkeypatch.setattr(sv, "_eval_phase", TestSolveCost.counter(calls))
+        with caplog.at_level(logging.DEBUG, logger="dunham.solver"):
+            alone = [sv.quantize(req(V, K, 1), seed) for K in range(4)]
+            solo, solo_records = calls[:], debug_records(caplog)
+            calls.clear()
+            caplog.clear()
+            together = sv.spectrum(V, 4, 1, seed)
+        assert result_bits(together) == result_bits(alone)
+        assert len(calls) == len(solo) - 3
+        assert calls == [c for c in solo if c[0] == 0 or c[1] != seed]
+        seed_nodes = sv._eval_phase(req(V, 0, 1), seed, ct.cold_start_nodes())[1].evaluated
+        for mine, own in zip(debug_records(caplog), solo_records, strict=True):
+            shared = mine["K"] != "0"
+            assert int(mine["phase_evals"]) == int(own["phase_evals"]) - shared
+            assert (int(mine["nodes_evaluated"])
+                    == int(own["nodes_evaluated"]) - shared * seed_nodes)
+
+    def test_a_failed_caller_seed_is_evaluated_once(self, monkeypatch):
+        # x^4 - 4x^2 has four turning points at the seed: one evaluation
+        # fails, and each level ends in the error it ends in alone
+        V = parse_potential("x^4 - 4*x^2")
+        calls = []
+        monkeypatch.setattr(sv, "_eval_phase", TestSolveCost.counter(calls))
+
+        def outcome(exc):
+            return type(exc), str(exc), type(exc.__cause__), str(exc.__cause__)
+
+        failed = {}
+        for K in range(3):
+            with pytest.raises(NoSolutionError) as err:
+                sv.quantize(req(V, K, 1), -3.5)
+            failed[K] = outcome(err.value)
+        calls.clear()
+        with pytest.raises(SpectrumError) as err:
+            sv.spectrum(V, 3, 1, -3.5)
+        assert calls == [(0, -3.5)]
+        assert {K: outcome(e) for K, e in err.value.failures.items()} == failed
+        assert type(err.value.failures[2].__cause__) is TurningPointError
+
+    def test_an_outcome_at_another_start_count_is_not_used(self, quartic, monkeypatch):
+        # the first seed probe is at Vmin + 1 on a cold contour; a wrong
+        # outcome at the same energy but 512 nodes must not reach the level
+        request = req(quartic, 1, 1)
+        alone = sv.quantize(request)
+        phases = {(1.0, 512): sv._eval_phase(request, 2.0, 512)}
+        calls = []
+        monkeypatch.setattr(sv, "_eval_phase", TestSolveCost.counter(calls))
+        assert sv.quantize(request, _phases=phases) == alone
+        assert calls[0] == (1, 1.0)
+        # each outcome at its own start count is used: a second solve makes none
+        calls.clear()
+        assert sv.quantize(request, _phases=phases) == alone
+        assert calls == []
 
     def test_partial_failure_collects(self, ho, monkeypatch):
         calls = {}
