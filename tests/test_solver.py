@@ -232,6 +232,11 @@ def result_bits(results) -> list[tuple]:
             for r in results]
 
 
+def failure_bits(exc) -> tuple:
+    """The type and text of an error and of its cause."""
+    return type(exc), str(exc), type(exc.__cause__), str(exc.__cause__)
+
+
 def debug_records(caplog) -> list[dict[str, str]]:
     """The fields of each per-level DEBUG record of the solver, by name."""
     return [dict(field.split("=", 1) for field in r.getMessage().split(" "))
@@ -879,10 +884,6 @@ class TestSpectrum:
         calls = []
         monkeypatch.setattr(sv, "_eval_phase", TestSolveCost.counter(calls))
 
-        def outcome(exc):
-            cause = exc.__cause__
-            return type(exc), str(exc), type(cause), str(cause)
-
         def probe_records():
             return [r.getMessage() for r in caplog.records
                     if r.getMessage().startswith("seed probe failed")]
@@ -893,7 +894,7 @@ class TestSpectrum:
                 try:
                     alone.append(sv.quantize(req(V, K, 1)))
                 except DunhamError as exc:
-                    failed[K] = outcome(exc)
+                    failed[K] = failure_bits(exc)
             logged = probe_records()
             solo = calls[:]
             caplog.clear()
@@ -902,7 +903,7 @@ class TestSpectrum:
                 sv.spectrum(V, 3, 1)
             assert probe_records() == logged
         assert result_bits(err.value.results) == result_bits(alone)
-        assert {K: outcome(e) for K, e in err.value.failures.items()} == failed
+        assert {K: failure_bits(e) for K, e in err.value.failures.items()} == failed
         probes = 4 if alone else NumericsConfig.bracket_expansion_cap
         assert len(logged) == 3 * (probes - bool(alone))
         assert len(calls) == len(solo) - 2 * probes
@@ -939,19 +940,16 @@ class TestSpectrum:
         calls = []
         monkeypatch.setattr(sv, "_eval_phase", TestSolveCost.counter(calls))
 
-        def outcome(exc):
-            return type(exc), str(exc), type(exc.__cause__), str(exc.__cause__)
-
         failed = {}
         for K in range(3):
             with pytest.raises(NoSolutionError) as err:
                 sv.quantize(req(V, K, 1), -3.5)
-            failed[K] = outcome(err.value)
+            failed[K] = failure_bits(err.value)
         calls.clear()
         with pytest.raises(SpectrumError) as err:
             sv.spectrum(V, 3, 1, -3.5)
         assert calls == [(0, -3.5)]
-        assert {K: outcome(e) for K, e in err.value.failures.items()} == failed
+        assert {K: failure_bits(e) for K, e in err.value.failures.items()} == failed
         assert type(err.value.failures[2].__cause__) is TurningPointError
 
     def test_an_outcome_at_another_start_count_is_not_used(self, quartic, monkeypatch):
