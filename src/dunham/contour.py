@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -319,35 +319,30 @@ class Actions(dict):
 
 
 def action_integrals(
-    terms: Sequence[dp.DiffExpr] | Mapping[int, dp.DiffExpr],
-    orders,
-    V: Potential,
-    E: float,
-    c: ContourSpec,
+    integrands: Mapping[int, dp.DiffExpr], V: Potential, E: float, c: ContourSpec
 ) -> Actions:
-    """B_n(E) for each requested order n, and the first three
+    """B_n(E) for each order n of the mapping, and the first three
     E-derivatives of their sum, sharing one node-doubling loop.
 
-    terms[n] is the integrand of B_n: a series' ``terms`` tuple, or a
-    mapping from order to integrand that holds the requested orders.  The
-    plan that sums the B_n also sums the first three E-derivatives of the
-    sum of the requested terms[n] on the same nodes (see dp.compile_batch);
-    their real parts come back as Actions.slopes, (d/dE, d2/dE2, d3/dE3) of
-    the sum of the B_n.  A caller that wants dB_n/dE of one order asks for
-    that order alone.  The slopes take no part in the convergence, floor,
-    finiteness or reality tests, which judge B alone: they are as converged
-    as the node count B needed makes them.
+    integrands[n] is the integrand of B_n, and the B_n come back by
+    increasing n; an empty mapping evaluates nothing.  The plan that sums
+    the B_n also sums the first three E-derivatives of the sum of the
+    integrands on the same nodes (see dp.compile_batch); their real parts
+    come back as Actions.slopes, (d/dE, d2/dE2, d3/dE3) of the sum of the
+    B_n.  A caller that wants dB_n/dE of one order passes that order alone.
+    The slopes take no part in the convergence, floor, finiteness or reality
+    tests, which judge B alone: they are as converged as the node count B
+    needed makes them.
 
-    Quadrature starts at c.nodes nodes and doubles until every requested
-    order moves by less than quad_rel_tol relatively (quad_abs_tol
-    absolutely near zero), then the real parts are returned after the
-    reality check.  Each pass evaluates every requested integrand at its
-    nodes with one compiled plan (dp.compile_batch), which shares the
-    derivative products across orders and weights each node by dz/dt, and
-    keeps the sums per order in arrays; the convergence tests run on Python
-    floats.  A pass evaluates Q and only those of its derivatives that the
-    plan reads (plan.reads): the phase's T_0 and R_2n never read Q', and
-    read Q''' only from order 3 on.
+    Quadrature starts at c.nodes nodes and doubles until every order moves
+    by less than quad_rel_tol relatively (quad_abs_tol absolutely near
+    zero), then the real parts are returned after the reality check.  Each
+    pass evaluates every integrand at its nodes with one compiled plan
+    (dp.compile_batch), which shares the derivative products across orders
+    and weights each node by dz/dt, and keeps the sums per order in arrays;
+    the convergence tests run on Python floats.  A pass evaluates Q and
+    only those of its derivatives that the plan reads (plan.reads): the
+    phase's T_0 and R_2n never read Q', and read Q''' only from order 3 on.
 
     The trapezoid rule on the periodic ellipse is nested: the 2N-node set is
     the N-node set plus the N midpoints.  So a doubling evaluates only the
@@ -379,20 +374,14 @@ def action_integrals(
     E at once; no floating-point warning is emitted.  Otherwise a
     QuadratureError is raised after max_nodes.
     """
-    orders = sorted(set(orders))
+    orders = sorted(integrands)
     if not orders:
         return Actions({}, c.nodes, 0, (0.0, 0.0, 0.0))
-    try:
-        exprs = tuple(terms[n] for n in orders)
-    except LookupError:
-        exprs = None
-    if exprs is None or orders[0] < 0:
-        raise ValueError(f"terms hold no integrand for some of the orders {orders}")
     count = len(orders)
     cap, rel_tol, abs_tol = (
         NumericsConfig.max_nodes, NumericsConfig.quad_rel_tol, NumericsConfig.quad_abs_tol
     )
-    plan = dp.compile_batch(exprs)
+    plan = dp.compile_batch(tuple(integrands[n] for n in orders))
 
     def trapezoid(totals, m: int) -> list:
         w = 2.0 * np.pi / m
@@ -402,7 +391,7 @@ def action_integrals(
     sqrt_q = None  # continued sqrt(Q) on the current node set; None forces a full pass
     totals: dict[int, np.ndarray] = {}  # node count -> sum of f dz, one entry per order
     # sums of (d^j f/dE^j) dz on the current node set, for j = 1, 2, 3, of
-    # the sum f of the requested integrands
+    # the sum f of the integrands
     deriv_sums = None
     abs_sums = None  # sum of |f dz| on the current node set, one entry per order
     full = None  # f dz of a full pass, kept through its own tests for S_N/4

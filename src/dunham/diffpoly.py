@@ -466,35 +466,33 @@ def has_q_prime(a: DiffExpr) -> bool:
 def reduce_q_prime(t: DiffExpr) -> tuple[DiffExpr, DiffExpr]:
     """(R, Psi) with t = R + dPsi/dx and no factor Q' in R.
 
-    Each round takes every monomial c Q'^a (rest) Q^(h/2) of the highest Q'
-    exponent a, forms P = c 2/(h+2) Q'^(a-1) (rest) Q^((h+2)/2), and
-    subtracts the derivative of the sum of those P's in one accumulator:
-    dP/dx is the monomial itself plus terms with a - 1 or a - 2 factors Q',
-    so a round removes its level and the rounds end.  The rounds work on
-    packed keys: P's key is the monomial's with one off field 1 and two
-    added to q_half.  Raises ValueError on a monomial Q'^a (rest) Q^(-1),
-    which has no such P; no even WKB term holds one, as h is odd in all of
-    them."""
-    rest = t
-    psi = Sum()
+    The remainder is one :class:`Sum`, t at first, kept across the rounds
+    and finished once, at the end.  Each round reads its nonzero monomials
+    c Q'^a (rest) Q^(h/2) of the highest Q' exponent a, forms
+    P = c 2/(h+2) Q'^(a-1) (rest) Q^((h+2)/2) for each, subtracts the
+    derivative of the round's sum of P's from the remainder and adds that
+    sum to Psi: dP/dx is the monomial itself plus terms with a - 1 or a - 2
+    factors Q', so a round removes its level and the rounds end.  The
+    rounds work on packed keys: P's key is the monomial's with one off
+    field 1 and two added to q_half.  Raises ValueError on a monomial
+    Q'^a (rest) Q^(-1), which has no such P; no even WKB term holds one, as
+    h is odd in all of them."""
+    rest, psi = Sum(), Sum()
+    rest.add_product(t, ONE)
     while True:
-        den, rows = rest._packed
-        top = max((_q_prime_exponent(key) for key, _ in rows), default=0)
+        # field 1 of a key is its Q' exponent (see _q_prime_exponent)
+        top = max((k >> _FIELD_BITS & _FIELD_MASK for k, c in rest._acc.items() if c), default=0)
         if top == 0:
-            return rest, psi.result()
+            return rest.result(), psi.result()
         level = Sum()
-        for key, num in rows:
-            if _q_prime_exponent(key) != top:
-                continue
-            h = (key & _FIELD_MASK) - _BIAS + 2
-            if h == 0:
-                raise ValueError(f"Q'^{top} Q^(-1) has no antiderivative in the ring")
-            level._add_term(key - (1 << _FIELD_BITS) + 2, Fraction(2 * num, den * h))
+        for key, num in rest._acc.items():
+            if num and key >> _FIELD_BITS & _FIELD_MASK == top:
+                h = (key & _FIELD_MASK) - _BIAS + 2
+                if h == 0:
+                    raise ValueError(f"Q'^{top} Q^(-1) has no antiderivative in the ring")
+                level._add_term(key - (1 << _FIELD_BITS) + 2, Fraction(2 * num, rest._den * h))
         p = level.result()
-        reduced = Sum()
-        reduced.add_product(rest, ONE)
-        reduced.add_derivative(negate(p))
-        rest = reduced.result()
+        rest.add_derivative(negate(p))
         psi.add_product(p, ONE)
 
 

@@ -160,8 +160,7 @@ def _eval_phase(req: QuantizationRequest, E: float, nodes: int) -> tuple[float, 
     (the -pi/2 does not depend on E)."""
     tp = turning_points(req.V, E)
     c = build_contour(tp, req.order, nodes)
-    orders = range(0, 2 * req.order + 1, 2)
-    acts = action_integrals(_integrands(req.order), orders, req.V, E, c)
+    acts = action_integrals(_integrands(req.order), req.V, E, c)
     phase = acts[0] - 0.5 * math.pi
     for n in range(1, req.order + 1):
         phase += acts[2 * n]
@@ -207,6 +206,10 @@ def _seed_energy(
     delta = 1.0
     for _ in range(NumericsConfig.bracket_expansion_cap):
         E = vmin + delta
+        # a failed probe's error lives until the next probe, for the raise
+        # below: its traceback holds this frame, so an error kept past a
+        # successful probe would make a reference cycle
+        cause = None
         try:
             phase_ref = phase_at(E)
         except DunhamError as exc:
@@ -217,7 +220,7 @@ def _seed_energy(
             if b0_ref > 0:
                 seed = vmin + delta * ((target + 0.5 * math.pi) / b0_ref) ** (1.0 / p)
                 return vmin, seed
-            last, cause = f"had phase + pi/2 = {b0_ref!r} <= 0", None
+            last = f"had phase + pi/2 = {b0_ref!r} <= 0"
         delta *= 2.0
     raise NoSolutionError(
         f"no reference energy for the seed in {NumericsConfig.bracket_expansion_cap} "

@@ -19,7 +19,7 @@ import dunham.oracle as orc
 import dunham.solver as sv
 import dunham.wkb_series as ws
 from dunham.potential import parse_potential
-from wkb_checks import gen_terms_alt, recursion_residual
+from wkb_checks import by_order, gen_terms_alt, recursion_residual
 
 
 def criterion(number, description):
@@ -111,7 +111,7 @@ def test_criterion_5_maslov_constant(series15):
         V = parse_potential(name)
         for E in GRID_ENERGIES:
             c = ct.build_contour(ct.turning_points(V, E), 0)
-            b1 = ct.action_integrals(series15.terms, [1], V, E, c)[1]
+            b1 = ct.action_integrals(by_order(series15, [1]), V, E, c)[1]
             assert abs(b1 + math.pi / 2.0) < 1e-10, (name, E, b1)
 
 
@@ -121,7 +121,7 @@ def test_criterion_6_odd_orders_vanish(series15):
         V = parse_potential(name)
         for E in GRID_ENERGIES:
             c = ct.build_contour(ct.turning_points(V, E), 2)
-            acts = ct.action_integrals(series15.terms, [3, 5], V, E, c)
+            acts = ct.action_integrals(by_order(series15, [3, 5]), V, E, c)
             assert abs(acts[3]) < 1e-8, (name, E, acts[3])
             assert abs(acts[5]) < 1e-8, (name, E, acts[5])
 
@@ -169,7 +169,7 @@ def test_criterion_9_contour_robustness(series15, quartic, mixed, monkeypatch):
             for fraction in (0.7, 0.8):
                 monkeypatch.setattr(ct, "_RHO_FRACTION", (fraction,))
                 c = ct.build_contour(tp, 3)
-                vals[fraction] = ct.action_integrals(series15.terms, [0, 2, 4, 6], V, E, c)
+                vals[fraction] = ct.action_integrals(by_order(series15, [0, 2, 4, 6]), V, E, c)
             for n in (0, 2, 4, 6):
                 a, b = vals[0.7][n], vals[0.8][n]
                 assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (str(V), E, n)
@@ -186,7 +186,7 @@ def test_criterion_10_oracle_provenance():
     series = ws.gen_terms(1)
     ho = parse_potential("x^2")
     c = ct.build_contour(ct.turning_points(ho, 3.0), 0)
-    assert ct.action_integrals(series.terms, [0], ho, 3.0, c)[0] == pytest.approx(
+    assert ct.action_integrals(by_order(series, [0]), ho, 3.0, c)[0] == pytest.approx(
         1.5 * math.pi, abs=1e-10
     )
     # quartic ground state from two diagonalization discretizations

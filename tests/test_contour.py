@@ -30,6 +30,7 @@ from dunham.errors import (
     TurningPointError,
 )
 from dunham.potential import Potential, parse_potential, poly_roots
+from wkb_checks import by_order
 
 
 def _array_newton_step(V, E, roots):
@@ -324,17 +325,17 @@ class TestActionIntegrals:
         # (1/2i) contour integral of -sqrt(V-E) equals the real action
         # integral of sqrt(E-V), which is pi*E/2 for V = x^2
         c = ct.build_contour(ct.turning_points(ho, 5.0), 0)
-        b0 = ct.action_integrals(series15.terms, [0], ho, 5.0, c)[0]
+        b0 = ct.action_integrals(by_order(series15, [0]), ho, 5.0, c)[0]
         assert b0 == pytest.approx(5.0 * math.pi / 2.0, abs=1e-11)
 
     def test_no_orders_evaluate_nothing(self, ho, series15):
         c = ct.build_contour(ct.turning_points(ho, 5.0), 0)
-        got = ct.action_integrals(series15.terms, [], ho, 5.0, c)
+        got = ct.action_integrals(by_order(series15, []), ho, 5.0, c)
         assert (got, got.nodes, got.evaluated, got.slopes) == ({}, c.nodes, 0, (0.0, 0.0, 0.0))
 
     def test_harmonic_maslov(self, ho, series15):
         c = ct.build_contour(ct.turning_points(ho, 5.0), 0)
-        b1 = ct.action_integrals(series15.terms, [1], ho, 5.0, c)[1]
+        b1 = ct.action_integrals(by_order(series15, [1]), ho, 5.0, c)[1]
         assert b1 == pytest.approx(-math.pi / 2.0, abs=1e-12)
 
     def test_quartic_leading_action_against_quadrature(self, quartic, series15):
@@ -351,12 +352,12 @@ class TestActionIntegrals:
         # cross-check the quadrature against the closed Euler-beta form
         assert ref == pytest.approx(0.5 * beta(0.25, 1.5), abs=1e-11)
         c = ct.build_contour(ct.turning_points(quartic, E), 0)
-        b0 = ct.action_integrals(series15.terms, [0], quartic, E, c)[0]
+        b0 = ct.action_integrals(by_order(series15, [0]), quartic, E, c)[0]
         assert b0 == pytest.approx(ref, abs=1e-10)
 
     def test_quartic_odd_orders_vanish(self, quartic, series15):
         c = ct.build_contour(ct.turning_points(quartic, 1.0), 2)
-        acts = ct.action_integrals(series15.terms, [3, 5], quartic, 1.0, c)
+        acts = ct.action_integrals(by_order(series15, [3, 5]), quartic, 1.0, c)
         assert abs(acts[3]) < 1e-10
         assert abs(acts[5]) < 1e-10
 
@@ -369,7 +370,7 @@ class TestActionIntegrals:
         monkeypatch.setattr(NumericsConfig, "max_nodes", 128)
         c = ct.build_contour(ct.turning_points(quartic, 1.0), 4)
         with pytest.raises(QuadratureError, match="within 128 nodes") as info:
-            ct.action_integrals(series15.terms, [0, 8], quartic, 1.0, c)
+            ct.action_integrals(by_order(series15, [0, 8]), quartic, 1.0, c)
         assert info.value.floor is None
 
     @pytest.mark.parametrize("diff, prev_diff, stalled", [
@@ -383,20 +384,6 @@ class TestActionIntegrals:
             diff, prev_diff, floor=1e-9, target=5e-11, nodes=8192, max_nodes=2**20
         ) is stalled
 
-    def test_order_out_of_range(self, ho, series15):
-        c = ct.build_contour(ct.turning_points(ho, 5.0), 0)
-        for orders in ([16], [-1, 0]):
-            with pytest.raises(ValueError, match="no integrand"):
-                ct.action_integrals(series15.terms, orders, ho, 5.0, c)
-        with pytest.raises(ValueError, match="no integrand"):
-            ct.action_integrals({0: series15.terms[0]}, [0, 2], ho, 5.0, c)
-
-    def test_integrands_by_order_from_a_mapping(self, quartic, series15):
-        c = ct.build_contour(ct.turning_points(quartic, 2.0), 2)
-        from_series = ct.action_integrals(series15.terms, [0, 4], quartic, 2.0, c)
-        chosen = {0: series15.terms[0], 4: series15.terms[4]}
-        assert ct.action_integrals(chosen, [0, 4], quartic, 2.0, c) == from_series
-
     def test_overflowing_integrand_fails_at_its_first_pass(self, quartic):
         # at E = 1e300 the terms of T_2 overflow at every node count, so
         # doubling cannot help: the first pass ends the quadrature, naming
@@ -407,7 +394,7 @@ class TestActionIntegrals:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QuadratureError, match=r"B_2 is not finite .* E = 1e\+300") as err:
-                ct.action_integrals(integrands, [0, 2], quartic, E, c)
+                ct.action_integrals(integrands, quartic, E, c)
         assert (err.value.order, err.value.nodes) == (2, c.nodes)
 
 
@@ -420,9 +407,10 @@ class TestEnergySlopes:
         """B_n of `orders` (every even order up to 2 * order by default) from
         the integrands of `order`, starting at `nodes` nodes."""
         c = ct.build_contour(ct.turning_points(V, E), order, nodes)
-        if orders is None:
-            orders = range(0, 2 * order + 1, 2)
-        return ct.action_integrals(sv._integrands(order), orders, V, E, c)
+        integrands = sv._integrands(order)
+        if orders is not None:
+            integrands = {n: integrands[n] for n in orders}
+        return ct.action_integrals(integrands, V, E, c)
 
     @pytest.mark.parametrize("E", [1.0, 3.0])
     def test_quartic_slopes_follow_the_scaling_law(self, quartic, E):
@@ -625,7 +613,7 @@ class TestNestedDoubling:
         # the quadrature starts at 64 nodes, so that it doubles
         orders = [0, 2, 4]
         ref = ct.action_integrals(
-            series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0, 2, 64))
+            by_order(series15, orders), quartic, 1.0, _contour(quartic, 1.0, 2, 64))
         batches.clear()
         original, moved = ct._node_batch, []
 
@@ -644,7 +632,7 @@ class TestNestedDoubling:
 
         monkeypatch.setattr(ct, "_node_batch", node_batch)
         acts = ct.action_integrals(
-            series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0, 2, 64))
+            by_order(series15, orders), quartic, 1.0, _contour(quartic, 1.0, 2, 64))
         first = 2 * moved[0]
         assert batches[1:3] == [(first // 2, 0.5), (first, 0.0)]
         assert acts.nodes == ref.nodes
@@ -657,7 +645,7 @@ class TestNestedDoubling:
         V = parse_potential(potential)
         c = _contour(V, E, 4)  # raw T_6 of x^4 stops at its floor on order 3's
         orders = [0, 2, 4, 6]
-        acts = ct.action_integrals(series15.terms, orders, V, E, c)
+        acts = ct.action_integrals(by_order(series15, orders), V, E, c)
         assert acts.nodes > c.nodes
         # the direct trapezoid sum over all acts.nodes nodes at once
         z, dz = ct.ellipse_nodes(c, acts.nodes)
@@ -673,7 +661,7 @@ class TestNestedDoubling:
 
     def test_cold_start_evaluates_each_node_once(self, quartic, series15, batches):
         c = _contour(quartic, 1.0, 2)
-        acts = ct.action_integrals(series15.terms, [0, 2, 4], quartic, 1.0, c)
+        acts = ct.action_integrals(by_order(series15, [0, 2, 4]), quartic, 1.0, c)
         assert batches[0] == (c.nodes, 0.0)
         # then one batch of midpoints per doubling
         assert batches[1:] == [(m, 0.5) for m in (c.nodes * 2**k for k in range(len(batches) - 1))]
@@ -684,9 +672,9 @@ class TestNestedDoubling:
         # there; but with initial_nodes = 256 the coarsest sum a test may
         # compare is the 256-node one
         c = _contour(ho, 5.0, 0, 256)
-        assert ct.action_integrals(series15.terms, [0], ho, 5.0, c).nodes == 256
+        assert ct.action_integrals(by_order(series15, [0]), ho, 5.0, c).nodes == 256
         monkeypatch.setattr(NumericsConfig, "initial_nodes", 256)
-        acts = ct.action_integrals(series15.terms, [0], ho, 5.0, c)
+        acts = ct.action_integrals(by_order(series15, [0]), ho, 5.0, c)
         assert acts.nodes == acts.evaluated == 512
 
     def test_cold_start_decides_in_its_first_pass(self, ho, series15, batches, monkeypatch):
@@ -694,7 +682,7 @@ class TestNestedDoubling:
         # so B_0 of x^2, converged by 128 nodes, takes the one pass
         assert ct.cold_start_nodes() == 4 * DEFAULT_CONFIG.initial_nodes == 256
         c = ct.build_contour(ct.turning_points(ho, 5.0), 0)
-        acts = ct.action_integrals(series15.terms, [0], ho, 5.0, c)
+        acts = ct.action_integrals(by_order(series15, [0]), ho, 5.0, c)
         assert batches == [(256, 0.0)]
         assert acts.nodes == acts.evaluated == 256
         monkeypatch.setattr(NumericsConfig, "initial_nodes", 128)
@@ -704,20 +692,20 @@ class TestNestedDoubling:
 
     def test_offset_node_sets_nest_too(self, quartic, series15):
         orders = [0, 2, 4, 6]
-        ref = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0, 4))
+        ref = ct.action_integrals(by_order(series15, orders), quartic, 1.0, _contour(quartic, 1.0, 4))
         c = dataclasses.replace(_contour(quartic, 1.0, 4), offset=0.25)
-        acts = ct.action_integrals(series15.terms, orders, quartic, 1.0, c)
+        acts = ct.action_integrals(by_order(series15, orders), quartic, 1.0, c)
         assert acts.nodes >= 4 * c.nodes  # at least two doublings
         for n in orders:
             assert acts[n] == pytest.approx(ref[n], rel=4 * DEFAULT_CONFIG.quad_rel_tol)
 
     def test_converged_start_returns_after_one_pass(self, quartic, series15, batches):
         cold = ct.action_integrals(
-            series15.terms, [0, 2, 4], quartic, 1.0, _contour(quartic, 1.0, 2))
+            by_order(series15, [0, 2, 4]), quartic, 1.0, _contour(quartic, 1.0, 2))
         start = 4 * cold.nodes
         batches.clear()
         warm = ct.action_integrals(
-            series15.terms, [0, 2, 4], quartic, 1.0, _contour(quartic, 1.0, 2, start))
+            by_order(series15, [0, 2, 4]), quartic, 1.0, _contour(quartic, 1.0, 2, start))
         assert batches == [(start, 0.0)]
         assert warm.nodes == warm.evaluated == start
         for n in (0, 2, 4):
@@ -727,7 +715,7 @@ class TestNestedDoubling:
         self, quartic, series15, batches, monkeypatch
     ):
         orders = [0, 2, 4]
-        ref = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0, 2))
+        ref = ct.action_integrals(by_order(series15, orders), quartic, 1.0, _contour(quartic, 1.0, 2))
         batches.clear()
         # a doubling's chain is the one the tracer runs after a midpoint
         # batch; each has old node 0 flipped
@@ -740,7 +728,7 @@ class TestNestedDoubling:
             return s
 
         monkeypatch.setattr(ct, "_continue_sqrt", flip_an_old_node)
-        acts = ct.action_integrals(series15.terms, orders, quartic, 1.0, _contour(quartic, 1.0, 2))
+        acts = ct.action_integrals(by_order(series15, orders), quartic, 1.0, _contour(quartic, 1.0, 2))
         # each doubling evaluates its midpoints, then the doubled set in full
         full = [m for m, offset in batches if offset == 0.0]
         assert batches[1::2] == [(m // 2, 0.5) for m in full[1:]]
@@ -753,7 +741,7 @@ class TestNestedDoubling:
         monkeypatch.setattr(NumericsConfig, "max_nodes", 128)
         with pytest.raises(QuadratureError, match="within 128 nodes") as info:
             ct.action_integrals(
-                series15.terms, [0, 8], quartic, 1.0, _contour(quartic, 1.0, 4, 128))
+                by_order(series15, [0, 8]), quartic, 1.0, _contour(quartic, 1.0, 4, 128))
         assert info.value.floor is None
 
     @pytest.mark.parametrize("start, passes", [(64, 5), (16384, 1)])
@@ -763,7 +751,7 @@ class TestNestedDoubling:
         # its own sub-sums
         with pytest.raises(QuadratureError, match="rounding floor") as info:
             ct.action_integrals(
-                series15.terms, [0, 2, 4, 6, 8], quartic, 1.0, _contour(quartic, 1.0, 4, start))
+                by_order(series15, [0, 2, 4, 6, 8]), quartic, 1.0, _contour(quartic, 1.0, 4, start))
         err = info.value
         assert err.order == 8
         assert err.target < err.difference <= 16.0 * err.floor
@@ -778,7 +766,7 @@ class TestNestedDoubling:
 
         def actions(E):
             return ct.action_integrals(
-                series15.terms, orders, quartic, E, _contour(quartic, E, 2, start))
+                by_order(series15, orders), quartic, E, _contour(quartic, E, 2, start))
 
         ref = actions(1.0)
         for E in (0.5, 2.0, 7.3, 40.0):
@@ -875,11 +863,11 @@ class TestMemory:
         # and one integrand row per order, plus a product table of a fixed
         # number of nodes; a table over every node at once took 115 MB
         orders = range(9)
-        ct.action_integrals(series15.terms, orders, quartic, 6.0, _contour(quartic, 6.0, 4))
+        ct.action_integrals(by_order(series15, orders), quartic, 6.0, _contour(quartic, 6.0, 4))
         tracemalloc.start()
         try:
             acts = ct.action_integrals(
-                series15.terms, orders, quartic, 6.0, _contour(quartic, 6.0, 4, 2**16)
+                by_order(series15, orders), quartic, 6.0, _contour(quartic, 6.0, 4, 2**16)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -894,14 +882,14 @@ class TestInvariants:
             values = []
             for E in (0.5, 1.0, 2.0, 4.0, 8.0):
                 c = ct.build_contour(ct.turning_points(V, E), 0)
-                values.append(ct.action_integrals(series15.terms, [0], V, E, c)[0])
+                values.append(ct.action_integrals(by_order(series15, [0]), V, E, c)[0])
             assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_maslov_constant_everywhere(self, series15, ho, quartic, mixed):
         for V in (ho, quartic, mixed):
             for E in (0.7, 2.3, 6.1):
                 c = ct.build_contour(ct.turning_points(V, E), 0)
-                b1 = ct.action_integrals(series15.terms, [1], V, E, c)[1]
+                b1 = ct.action_integrals(by_order(series15, [1]), V, E, c)[1]
                 assert abs(b1 + math.pi / 2.0) < 1e-10
 
     def test_contour_independence(self, series15, quartic, monkeypatch):
@@ -913,7 +901,7 @@ class TestInvariants:
         for fraction in (0.7, 0.8):
             monkeypatch.setattr(ct, "_RHO_FRACTION", (fraction,))
             c = ct.build_contour(tp, 3)
-            results[fraction] = ct.action_integrals(series15.terms, [0, 2, 4, 6], quartic, E, c)
+            results[fraction] = ct.action_integrals(by_order(series15, [0, 2, 4, 6]), quartic, E, c)
         for n in (0, 2, 4, 6):
             a, b = results[0.7][n], results[0.8][n]
             assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
@@ -926,7 +914,7 @@ class TestInvariants:
 
         def b0(E):
             c = ct.build_contour(ct.turning_points(V, E), 0)
-            return ct.action_integrals(series15.terms, [0], V, E, c)[0]
+            return ct.action_integrals(by_order(series15, [0]), V, E, c)[0]
 
         ref = b0(1.0)
         for E in (2.0, 5.0):

@@ -26,6 +26,7 @@ from dunham.errors import (
     TurningPointError,
 )
 from dunham.potential import parse_potential
+from wkb_checks import by_order
 
 QUARTIC_B0_AT_1 = 0.5 * beta(0.25, 1.5)  # real-axis action of sqrt(1 - x^4)
 
@@ -469,25 +470,35 @@ class TestSolveCost:
         assert calls == [c for c in solo if c[0] == 0 or c[1] != 1.0]
         assert result_bits(together) == result_bits(alone)
 
-    @pytest.mark.parametrize("potential, K, order, seed", [
-        ("x^4", 0, 3, None),  # a degenerate turning point on the walk down
-        ("x^4 - 4*x^2", 1, 1, -3.5),  # four turning points at the seed
-    ])
-    def test_a_failed_solve_leaves_no_cyclic_garbage(self, potential, K, order, seed):
+    @pytest.mark.parametrize("potential, K, order, seed, energy", [
+        ("x^4", 0, 3, None, None),  # a degenerate turning point on the walk down
+        ("x^4 - 4*x^2", 1, 1, -3.5, None),  # four turning points at the seed
+        # solved after the seed probes at Vmin + 1 and Vmin + 2 fail
+        ("x^4 - 4*x^2", 3, 0, None, 4.6127936735465145),
+    ], ids=["x^4-0-3-None", "x^4 - 4*x^2-1-1--3.5", "x^4 - 4*x^2-3-0-solved"])
+    def test_a_failed_solve_leaves_no_cyclic_garbage(self, potential, K, order, seed, energy):
         # a failed evaluation stays in the level's memo, and its traceback
         # leads back to it: unless the memo is emptied when the solve ends,
-        # the evaluation's frames and arrays wait for the garbage collector
+        # the evaluation's frames and arrays wait for the garbage collector.
+        # A failed seed probe's error must not outlive the probe either, or
+        # its traceback holds the prober's frame even when the solve succeeds
         request = req(parse_potential(potential), K, order)
-        with pytest.raises(NoSolutionError):
-            sv.quantize(request, seed)  # fills the caches
+
+        def solve():
+            if energy is not None:
+                return sv.quantize(request, seed).E
+            with pytest.raises(NoSolutionError):
+                sv.quantize(request, seed)
+
+        solve()  # fills the caches
         gc.collect()
         gc.disable()
         try:
-            with pytest.raises(NoSolutionError):
-                sv.quantize(request, seed)
+            got = solve()
             assert gc.collect() == 0
         finally:
             gc.enable()
+        assert got == energy
 
     def test_fourth_order_steps_save_evaluations(self, mixed, monkeypatch):
         # Newton's steps alone took 35 evaluations for these seven levels;
@@ -591,7 +602,7 @@ class TestQuadratureFloor:
         V = parse_potential(potential)
         c = ct.build_contour(ct.turning_points(V, E), order)
         orders = range(0, 2 * order + 1, 2)
-        return ct.action_integrals(ws.gen_terms(2 * order + 1).terms, orders, V, E, c)
+        return ct.action_integrals(by_order(ws.gen_terms(2 * order + 1), orders), V, E, c)
 
     def test_stop_at_floor_is_a_typed_error(self, pass_nodes):
         # the energy at which x^4 + 0.5*x^3 (order 3, K = 0) stopped at the
@@ -783,9 +794,7 @@ class TestReducedPhase:
 
         def actions(E):
             c = ct.build_contour(ct.turning_points(quartic, E), order)
-            return ct.action_integrals(
-                sv._integrands(order), range(0, 2 * order + 1, 2), quartic, E, c
-            )
+            return ct.action_integrals(sv._integrands(order), quartic, E, c)
 
         at_one = actions(1.0)
         for E in (0.5, 2.0, 7.3, 40.0):

@@ -272,6 +272,16 @@ class TestEvenReduction:
                   for n in range(1, 11)]
         assert counts == [1, 2, 4, 7, 12, 21, 34, 55, 88, 137]
 
+    def test_reductions_bytes_pinned(self, series20):
+        # R_2n, Psi_2n and the verdict of n = 1..10, byte for byte
+        doc = []
+        for n in range(1, 11):
+            cert = ws.certify_even_reduction(series20, n)
+            doc.append({"n": n, "r": dp.expr_to_json(cert.r_2n),
+                        "psi": dp.expr_to_json(cert.psi_2n), "verified": cert.verified})
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == "dd879cf060d3760780a1a2e1fc095417610fe52b5fb694785854042498d5a610"
+
     def test_q_prime_free_input_is_its_own_remainder(self):
         t = expr(mono(F(1, 3), -3, {2: 1}), mono(F(2), 1))
         r, psi = dp.reduce_q_prime(t)

@@ -73,3 +73,9 @@ def series_dict(series: ws.WkbSeries) -> dict:
         "max_order": series.max_order,
         "terms": [{"order": n, "expr": expr_dict(t)} for n, t in enumerate(series.terms)],
     }
+
+
+def by_order(series: ws.WkbSeries, orders) -> dict[int, dp.DiffExpr]:
+    """The terms of `orders` by order, as the integrands of B_n that
+    contour.action_integrals takes."""
+    return {n: series.terms[n] for n in orders}
